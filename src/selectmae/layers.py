@@ -15,12 +15,11 @@ from .errors import ConfigError
 from .numerics import (
     Tensor,
     add,
+    attend,
     gelu,
     layer_norm,
     matmul,
     reshape,
-    scale,
-    softmax,
     transpose,
 )
 
@@ -101,11 +100,9 @@ def attention(x: Tensor, p: AttentionParams) -> Tensor:
     head_dim = dim // heads
     if x.ndim == 2:
         split_shape, split_perm = (n, heads, head_dim), (1, 0, 2)
-        swap_last = (0, 2, 1)
     else:
         b = x.shape[0]
         split_shape, split_perm = (b, n, heads, head_dim), (0, 2, 1, 3)
-        swap_last = (0, 1, 3, 2)
 
     def split(t: Tensor) -> Tensor:  # move heads in front of the sequence axis
         return transpose(reshape(t, split_shape), split_perm)
@@ -113,9 +110,7 @@ def attention(x: Tensor, p: AttentionParams) -> Tensor:
     q = split(linear(x, p.query))
     k = split(linear(x, p.key))
     v = split(linear(x, p.value))
-    scores = scale(matmul(q, transpose(k, swap_last)), 1.0 / math.sqrt(head_dim))
-    weights = softmax(scores, axis=-1)
-    context = matmul(weights, v)
+    context = attend(q, k, v, 1.0 / math.sqrt(head_dim))
     merged = reshape(transpose(context, split_perm), x.shape)
     return linear(merged, p.out)
 

@@ -4,6 +4,13 @@ Every kernel checks its shape contract eagerly, computes the forward
 result with numpy, and registers a closure mapping the output gradient
 to per-input gradients. Gather uses scatter-add on the way back so
 duplicate indices accumulate.
+
+Kernels may work in place, but only on arrays they allocated
+themselves. A backward function must never write into its upstream
+gradient `g` or into any forward input: `add` hands the same `g` object
+to both of its inputs, and the tape keeps one pending gradient per
+tensor until all its consumers have run, so a write into `g` corrupts
+another tensor's gradient.
 """
 
 from __future__ import annotations
@@ -89,15 +96,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def _assert_finite(x: Tensor, op: str):
+def _assert_finite(a: np.ndarray, op: str):
     # min/max both land non-finite when any entry is nan or +/-inf; two
     # scalar reductions beat materializing an isfinite mask
-    if not (np.isfinite(x.data.min()) and np.isfinite(x.data.max())):
+    if not (np.isfinite(a.min()) and np.isfinite(a.max())):
         raise NumericError(f"{op}: non-finite input")
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    _assert_finite(x, "softmax")
+    _assert_finite(x.data, "softmax")
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted, out=shifted)
     y = np.divide(e, e.sum(axis=axis, keepdims=True), out=e)
@@ -111,8 +118,46 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return out
 
 
+def attend(q: Tensor, k: Tensor, v: Tensor, s: float) -> Tensor:
+    """Scaled dot-product attention, softmax(q @ k^T * s) @ v, as one node.
+
+    q is (..., n, d), k is (..., m, d) and v is (..., m, dv) with equal
+    leading dims. Only the (..., n, m) attention weights stay alive for
+    backward; the raw and scaled scores share their buffer. The
+    arithmetic is the same, in the same order, as the chain
+    matmul -> scale -> softmax -> matmul, so results match it bitwise.
+    """
+    if (
+        q.ndim < 2
+        or not q.ndim == k.ndim == v.ndim
+        or not q.shape[:-2] == k.shape[:-2] == v.shape[:-2]
+        or q.shape[-1] != k.shape[-1]
+        or k.shape[-2] != v.shape[-2]
+    ):
+        raise ShapeError(f"attend: incompatible q/k/v shapes {q.shape} / {k.shape} / {v.shape}")
+    s = float(s)
+    y = q.data @ _swap(k.data)
+    y *= s
+    _assert_finite(y, "attend")
+    y -= y.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
+    out = Tensor(y @ v.data)
+
+    def bw(g):
+        gw = g @ _swap(v.data)
+        dot = (gw * y).sum(axis=-1, keepdims=True)
+        gw -= dot
+        np.multiply(y, gw, out=gw)
+        gw *= s
+        return gw @ k.data, _swap(_swap(q.data) @ gw), _swap(y) @ g
+
+    record_op((q, k, v), out, bw)
+    return out
+
+
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    _assert_finite(x, "log_softmax")
+    _assert_finite(x.data, "log_softmax")
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
     y = shifted - lse
@@ -153,14 +198,39 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
 
 def gelu(x: Tensor) -> Tensor:
-    # tanh approximation; smooth, so finite-difference checks apply everywhere
-    sq = x.data * x.data
-    t = np.tanh(_GELU_C * (x.data + _GELU_A * (x.data * sq)))
-    out = Tensor(0.5 * x.data * (1.0 + t))
+    """Tanh-approximated GELU, 0.5 x (1 + tanh(c (x + a x^3))).
+
+    Smooth, so finite-difference checks apply everywhere. Forward and
+    backward run as in-place chains over their own buffers; each step
+    is one of the operations of the plain expression, in its order, so
+    the bits match it. Only tanh(...) is kept for backward.
+    """
+    xd = x.data
+    sq = xd * xd
+    t = xd * sq
+    t *= _GELU_A
+    t += xd
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    y = t + 1.0
+    y *= np.multiply(xd, 0.5, out=sq)
+    out = Tensor(y)
 
     def bw(g):
-        du = _GELU_C * (1.0 + 3.0 * _GELU_A * sq)
-        return (g * (0.5 * (1.0 + t) + 0.5 * x.data * ((1.0 - t * t) * du)),)
+        # g * (0.5 (1 + t) + 0.5 x ((1 - t^2) c (1 + 3 a x^2)))
+        du = xd * xd
+        du *= 3.0 * _GELU_A
+        du += 1.0
+        du *= _GELU_C
+        dt = t * t
+        np.subtract(1.0, dt, out=dt)
+        dt *= du
+        dt *= np.multiply(xd, 0.5, out=du)
+        np.add(t, 1.0, out=du)
+        du *= 0.5
+        du += dt
+        du *= g
+        return (du,)
 
     record_op((x,), out, bw)
     return out

@@ -440,6 +440,7 @@ class PretrainRun:
             self.total_steps = min(self.total_steps, cfg.max_steps)
         self.steps_per_epoch = steps_per_epoch
         self.start_step = 0
+        self.resumed_from: Path | None = None
 
     def checkpoint_arrays(self, completed_steps: int) -> dict[str, np.ndarray]:
         arrays: dict[str, np.ndarray] = {}
@@ -469,6 +470,7 @@ class PretrainRun:
         assign_named(self.selector.named(), arrays, "(selector)")
         self.optimizer.load_state_arrays(arrays)
         self.start_step = int(arrays["trainer.step"][0])
+        self.resumed_from = Path(checkpoint_path)
 
     def _batch_ids(self, step: int) -> np.ndarray:
         epoch = step // self.steps_per_epoch
@@ -479,10 +481,18 @@ class PretrainRun:
     def run(self) -> dict:
         cfg = self.cfg
         log_path = self.out_dir / "metrics.jsonl"
-        mode = "a" if self.start_step > 0 else "w"
-        last_ckpt: Path | None = None
+        # A resume in place keeps the complete lines of the steps before the
+        # checkpoint and drops those an interrupted run logged after it.
+        kept = []
+        if self.start_step > 0 and log_path.exists():
+            kept = [
+                line for line in log_path.read_text().splitlines(keepends=True)
+                if line.endswith("\n") and json.loads(line)["step"] < self.start_step
+            ]
+        last_ckpt = self.resumed_from
         final_recon = float("nan")
-        with open(log_path, mode) as log:
+        with open(log_path, "w") as log:
+            log.writelines(kept)
             for step in range(self.start_step, self.total_steps):
                 ids = self._batch_ids(step)
                 batch = [self.items[i] for i in ids]

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from selectmae import numerics as nm
 from selectmae.errors import ContractError, NumericError, ShapeError
 from selectmae.numerics.gradcheck import check_gradients
+from selectmae.numerics.tensor import record_op
 
 
 def test_matmul_identity():
@@ -258,3 +261,133 @@ def test_batched_matmul_gradcheck():
         return nm.reduce_sum(nm.mul(prod, prod))
 
     check_gradients(loss, [a, b], rel_tol=1e-3)
+
+
+def _reference_attention(q, k, v, s):
+    """The unfused chain that `attend` replaces, kept as its reference."""
+    swap_last = tuple(range(q.ndim - 2)) + (q.ndim - 1, q.ndim - 2)
+    scores = nm.scale(nm.matmul(q, nm.transpose(k, swap_last)), s)
+    return nm.matmul(nm.softmax(scores, axis=-1), v)
+
+
+def _reference_gelu(x):
+    """The plain-expression GELU that the in-place `gelu` replaces."""
+    c, a = math.sqrt(2.0 / math.pi), 0.044715
+    sq = x.data * x.data
+    t = np.tanh(c * (x.data + a * (x.data * sq)))
+    out = nm.Tensor(0.5 * x.data * (1.0 + t))
+
+    def bw(g):
+        du = c * (1.0 + 3.0 * a * sq)
+        return (g * (0.5 * (1.0 + t) + 0.5 * x.data * ((1.0 - t * t) * du)),)
+
+    record_op((x,), out, bw)
+    return out
+
+
+def _grads_of(fn, arrays, weight):
+    """Output and input gradients of sum(fn(*inputs) * weight), in float32."""
+    inputs = [nm.Tensor(a, requires_grad=True) for a in arrays]
+    with nm.Tape() as tape:
+        out = fn(*inputs)
+        loss = nm.reduce_sum(nm.mul(out, nm.Tensor(weight)))
+    nm.backward(loss, tape)
+    return out.data, [t.grad for t in inputs]
+
+
+@pytest.mark.parametrize("lead", [(3,), (2, 3)], ids=["3d", "4d"])
+@pytest.mark.parametrize("head_dim", [16, 32])
+def test_attend_matches_reference_chain_bitwise(lead, head_dim):
+    rng = np.random.default_rng(12)
+    n = 24
+    q, k, v = (rng.standard_normal((*lead, n, head_dim)).astype(np.float32) for _ in range(3))
+    weight = rng.standard_normal((*lead, n, head_dim)).astype(np.float32)
+    s = 1.0 / math.sqrt(head_dim)  # 0.25 for head_dim 16
+    fused, fused_grads = _grads_of(lambda *t: nm.attend(*t, s), [q, k, v], weight)
+    ref, ref_grads = _grads_of(lambda *t: _reference_attention(*t, s), [q, k, v], weight)
+    assert fused.dtype == np.float32
+    assert np.array_equal(fused, ref)
+    for got, want in zip(fused_grads, ref_grads):
+        assert np.array_equal(got, want)
+
+
+def test_attend_gradcheck_float64():
+    rng = np.random.default_rng(13)
+    q, k = rng.standard_normal((2, 5, 4)), rng.standard_normal((2, 6, 4))
+    v = rng.standard_normal((2, 6, 3))
+    w = rng.standard_normal((2, 5, 3))
+
+    def loss(params):
+        out = nm.attend(params[0], params[1], params[2], 0.5)
+        return nm.reduce_sum(nm.mul(out, nm.Tensor(w)))
+
+    check_gradients(loss, [q, k, v], rel_tol=1e-5, dtype=np.float64)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_attend_rejects_non_finite_scores(bad):
+    q = np.zeros((1, 3, 4), dtype=np.float32)
+    q[0, 1, 2] = bad
+    k = np.ones((1, 3, 4), dtype=np.float32)
+    # numpy's matmul flags an invalid value for an infinite operand even
+    # where the product is just +/-inf; the check on the scores is under test
+    with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="attend"):
+        nm.attend(nm.Tensor(q), nm.Tensor(k), nm.Tensor(k), 0.5)
+
+
+@pytest.mark.parametrize("q_shape, k_shape, v_shape", [
+    ((2, 4, 8), (2, 4, 6), (2, 4, 8)),  # head dims of q and k differ
+    ((2, 4, 8), (2, 5, 8), (2, 4, 8)),  # k and v sequence lengths differ
+    ((2, 4, 8), (3, 4, 8), (3, 4, 8)),  # leading dims differ
+    ((2, 4, 8), (4, 8), (4, 8)),  # ranks differ
+    ((8,), (8,), (8,)),  # not a matrix
+])
+def test_attend_shape_errors(q_shape, k_shape, v_shape):
+    q, k, v = (nm.Tensor(np.zeros(shape)) for shape in (q_shape, k_shape, v_shape))
+    with pytest.raises(ShapeError):
+        nm.attend(q, k, v, 1.0)
+
+
+def test_gelu_matches_reference_bitwise():
+    rng = np.random.default_rng(14)
+    x = (rng.standard_normal((4, 16, 32)) * 3.0).astype(np.float32)
+    weight = rng.standard_normal(x.shape).astype(np.float32)
+    out, (grad,) = _grads_of(nm.gelu, [x], weight)
+    ref_out, (ref_grad,) = _grads_of(_reference_gelu, [x], weight)
+    assert np.array_equal(out, ref_out)
+    assert np.array_equal(grad, ref_grad)
+
+
+def test_backward_never_writes_into_shared_upstream_gradient():
+    # add() hands one gradient array to both of its inputs. The leaves t1
+    # and t2 hold that very array until backward ends, so any write into
+    # it by gelu's or attend's backward would corrupt their gradients.
+    rng = np.random.default_rng(15)
+    shape = (2, 6, 4)
+    x, q, k, v, t1, t2 = (rng.standard_normal(shape).astype(np.float32) for _ in range(6))
+    weight = rng.standard_normal(shape).astype(np.float32)
+
+    def graph(gelu_fn, attend_fn):
+        return lambda x, q, k, v, t1, t2: nm.add(
+            nm.add(gelu_fn(x), t1), nm.add(attend_fn(q, k, v, 0.5), t2)
+        )
+
+    _, grads = _grads_of(graph(nm.gelu, nm.attend), [x, q, k, v, t1, t2], weight)
+    _, ref_grads = _grads_of(graph(_reference_gelu, _reference_attention),
+                             [x, q, k, v, t1, t2], weight)
+    for got, want in zip(grads, ref_grads):
+        assert np.array_equal(got, want)
+    assert np.array_equal(grads[4], weight)
+    assert np.array_equal(grads[5], weight)
+
+
+def test_gather_rows_batched_gradcheck_with_duplicates():
+    rng = np.random.default_rng(16)
+    x = rng.standard_normal((2, 5, 3))
+    ids = np.array([[0, 2, 2, 4], [1, 1, 1, 3]])  # duplicates within each row
+
+    def loss(params):
+        picked = nm.gather_rows_batched(params[0], ids)
+        return nm.reduce_sum(nm.mul(picked, picked))
+
+    check_gradients(loss, [x], rel_tol=1e-5, dtype=np.float64)

@@ -370,20 +370,25 @@ def test_pretrain_resume_config_mismatch_refused(tmp_path):
         run.resume(tmp_path / "base" / "checkpoint_000006.csma")
 
 
-def test_pretrain_run_abort_references_checkpoint(tmp_path, monkeypatch):
-    manifest = _corpus(tmp_path)
-    cfg = _cfg()
-    run = PretrainRun(manifest, tmp_path / "abort", cfg, TOK, BB)
+def _crash_after(monkeypatch, calls_ok: int):
+    """Make pretrain_step raise NumericError once it has run `calls_ok` times."""
     real_step = training.pretrain_step
     calls = {"n": 0}
 
     def flaky(*args, **kwargs):
         calls["n"] += 1
-        if calls["n"] > 4:
-            raise NumericError("non-finite loss at step 4")
+        if calls["n"] > calls_ok:
+            raise NumericError(f"non-finite loss at step {kwargs['step_index']}")
         return real_step(*args, **kwargs)
 
     monkeypatch.setattr(training, "pretrain_step", flaky)
+
+
+def test_pretrain_run_abort_references_checkpoint(tmp_path, monkeypatch):
+    manifest = _corpus(tmp_path)
+    cfg = _cfg()
+    run = PretrainRun(manifest, tmp_path / "abort", cfg, TOK, BB)
+    _crash_after(monkeypatch, 4)
     with pytest.raises(NumericError, match="checkpoint_000003"):
         run.run()
 
@@ -397,3 +402,32 @@ def test_pretrain_config_validation():
         PretrainConfig(strategy="blocks")
     with pytest.raises(ConfigError):
         PretrainConfig(selection_weight=-1.0)
+
+
+def test_pretrain_resume_in_place_matches_uninterrupted(tmp_path, monkeypatch):
+    manifest = _corpus(tmp_path)
+    full = pretrain_run(manifest, tmp_path / "full", _cfg(), TOK, BB)
+
+    with monkeypatch.context() as patch:
+        _crash_after(patch, 4)  # steps 0-3 logged, checkpoint_000003 written
+        with pytest.raises(NumericError):
+            pretrain_run(manifest, tmp_path / "crashed", _cfg(), TOK, BB)
+    resumed = pretrain_run(
+        manifest, tmp_path / "crashed", _cfg(), TOK, BB,
+        resume_from=tmp_path / "crashed" / "checkpoint_000003.csma",
+    )
+    assert (tmp_path / "crashed" / "metrics.jsonl").read_bytes() == (
+        tmp_path / "full" / "metrics.jsonl"
+    ).read_bytes()
+    assert resumed["checkpoint"].read_bytes() == full["checkpoint"].read_bytes()
+
+
+def test_pretrain_abort_after_resume_names_resume_checkpoint(tmp_path, monkeypatch):
+    manifest = _corpus(tmp_path)
+    pretrain_run(manifest, tmp_path / "base", _cfg(), TOK, BB)
+    ckpt = tmp_path / "base" / "checkpoint_000003.csma"
+    run = PretrainRun(manifest, tmp_path / "resumed", _cfg(), TOK, BB)
+    run.resume(ckpt)
+    _crash_after(monkeypatch, 0)
+    with pytest.raises(NumericError, match="last good checkpoint: .*checkpoint_000003"):
+        run.run()
