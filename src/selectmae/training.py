@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -303,30 +304,40 @@ def _clip_grad_norm(params, max_norm: float):
 # files are byte-identical across runs.
 
 def save_checkpoint(path, arrays: dict[str, np.ndarray]):
-    with open(path, "wb") as f:
-        f.write(CKPT_MAGIC)
-        f.write(struct.pack("<II", CKPT_VERSION, len(arrays)))
-        for name in sorted(arrays):
-            arr = np.asarray(arrays[name], dtype="<f4")  # not ascontiguousarray: keeps 0-d
-            encoded = name.encode("utf-8")
-            f.write(struct.pack("<H", len(encoded)))
-            f.write(encoded)
-            f.write(struct.pack("<B", arr.ndim))
-            for dim in arr.shape:
-                f.write(struct.pack("<I", dim))
-            f.write(arr.tobytes())
+    """Write the checkpoint to a temporary file beside `path`, then rename
+    it into place: a failed or interrupted save leaves any earlier file
+    at `path` as it was."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(CKPT_MAGIC)
+            f.write(struct.pack("<II", CKPT_VERSION, len(arrays)))
+            for name in sorted(arrays):
+                arr = np.asarray(arrays[name], dtype="<f4")  # not ascontiguousarray: keeps 0-d
+                encoded = name.encode("utf-8")
+                f.write(struct.pack("<H", len(encoded)))
+                f.write(encoded)
+                f.write(struct.pack("<B", arr.ndim))
+                for dim in arr.shape:
+                    f.write(struct.pack("<I", dim))
+                f.write(arr.tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
     blob = Path(path).read_bytes()
     if blob[:4] != CKPT_MAGIC:
         raise FormatError(f"bad checkpoint magic in {path}")
-    version, count = struct.unpack_from("<II", blob, 4)
-    if version != CKPT_VERSION:
-        raise FormatError(f"unsupported checkpoint version {version}")
-    offset = 12
     out: dict[str, np.ndarray] = {}
     try:
+        version, count = struct.unpack_from("<II", blob, 4)
+        if version != CKPT_VERSION:
+            raise FormatError(f"unsupported checkpoint version {version}")
+        offset = 12
         for _ in range(count):
             (name_len,) = struct.unpack_from("<H", blob, offset)
             offset += 2

@@ -178,6 +178,18 @@ def test_eval_corrupt_checkpoint_exits_4(corpus, tiny_config, tmp_path):
     assert code == 4
 
 
+def test_reconstruct_short_checkpoint_exits_4(corpus, tmp_path, capsys):
+    bad = tmp_path / "short.csma"
+    bad.write_bytes(b"CSMA\x01\x00\x00")  # magic, then a 3-byte header
+    entries = json.loads((corpus / "manifest.json").read_text())
+    code = main([
+        "reconstruct", "--checkpoint", str(bad), "--clip", str(corpus / entries[0]["path"]),
+        "--ratio", "0.75", "--strategy", "random", "--out-dir", str(tmp_path / "recon"),
+    ])
+    assert code == 4
+    assert "corrupt artifact" in capsys.readouterr().err
+
+
 def test_missing_corpus_exits_3(tiny_config, tmp_path):
     code = main([
         "pretrain", "--config", tiny_config, "--corpus", str(tmp_path / "nowhere"),

@@ -1,9 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from selectmae import numerics as nm
 from selectmae.errors import ConfigError
 from selectmae.masking import (
+    STRATEGIES,
     MaskSpec,
     ProbabilityMap,
     SelectionParams,
@@ -147,6 +152,46 @@ def test_baseline_partition_invariants(strategy, ratio):
     spec = baseline_mask(strategy, grid, ratio, np.random.default_rng(1))
     spec.validate()
     assert spec.n_visible + spec.n_masked == 256
+
+
+_ratios = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(strategy=st.sampled_from(STRATEGIES),
+       grid=st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6)),
+       ratio=_ratios, seed=st.integers(0, 2**32 - 1))
+def test_mask_partition_property(strategy, grid, ratio, seed):
+    nt, nh, nw = grid
+    n = nt * nh * nw
+    rng = np.random.default_rng(seed)
+    if strategy == "adaptive":
+        spec = sample_visible(rng.dirichlet(np.ones(n)), ratio, rng)
+    else:
+        try:
+            spec = baseline_mask(strategy, grid, ratio, rng)
+        except ConfigError:
+            # only frame masking can refuse: it would keep no whole slice
+            assert strategy == "frame" and (1.0 - ratio) * nt < 0.5
+            return
+    vis, msk = spec.visible_ids, spec.masked_ids
+    assert spec.n_tokens == n and vis.size >= 1
+    assert np.array_equal(np.sort(np.concatenate([vis, msk])), np.arange(n))
+    assert (np.diff(vis) > 0).all() and (np.diff(msk) > 0).all()
+    if strategy == "tube":
+        expected = nt * visible_count(nh * nw, ratio)
+    elif strategy == "frame":
+        expected = math.floor((1.0 - ratio) * nt + 0.5) * nh * nw
+    else:
+        expected = visible_count(n, ratio)
+    assert vis.size == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 4096), r1=_ratios, r2=_ratios)
+def test_visible_count_monotone_in_ratio(n, r1, r2):
+    low, high = sorted((r1, r2))
+    assert 1 <= visible_count(n, high) <= visible_count(n, low) <= n
 
 
 def test_random_strategy_count():

@@ -295,12 +295,29 @@ def _grads_of(fn, arrays, weight):
     return out.data, [t.grad for t in inputs]
 
 
-@pytest.mark.parametrize("lead", [(3,), (2, 3)], ids=["3d", "4d"])
+def _attention_inputs(rng, lead, n, head_dim):
+    """q, k and v as layers.attention passes them: a 4-D input is a
+    strided head-split view of a (batch, n, heads, head_dim) array."""
+    if len(lead) == 2:
+        b, heads = lead
+        return tuple(
+            rng.standard_normal((b, n, heads, head_dim)).astype(np.float32).transpose(0, 2, 1, 3)
+            for _ in range(3)
+        )
+    return tuple(rng.standard_normal((*lead, n, head_dim)).astype(np.float32) for _ in range(3))
+
+
+# attend works through blocks of (n, n) float32 slices of at most 512 KiB:
+# n = 24 fits in one block; (8, 2, 256, hd) is the decoder's shape, 8
+# blocks of 2 slices; 5 slices at n = 256 end in a ragged block of one;
+# one slice at n = 384 alone is over the budget
+@pytest.mark.parametrize("lead, n", [
+    ((3,), 24), ((2, 3), 24), ((), 24), ((8, 2), 256), ((5,), 256), ((3,), 384),
+], ids=["3d", "4d", "2d", "decoder", "ragged", "oversize"])
 @pytest.mark.parametrize("head_dim", [16, 32])
-def test_attend_matches_reference_chain_bitwise(lead, head_dim):
+def test_attend_matches_reference_chain_bitwise(lead, n, head_dim):
     rng = np.random.default_rng(12)
-    n = 24
-    q, k, v = (rng.standard_normal((*lead, n, head_dim)).astype(np.float32) for _ in range(3))
+    q, k, v = _attention_inputs(rng, lead, n, head_dim)
     weight = rng.standard_normal((*lead, n, head_dim)).astype(np.float32)
     s = 1.0 / math.sqrt(head_dim)  # 0.25 for head_dim 16
     fused, fused_grads = _grads_of(lambda *t: nm.attend(*t, s), [q, k, v], weight)
@@ -333,6 +350,16 @@ def test_attend_rejects_non_finite_scores(bad):
     # where the product is just +/-inf; the check on the scores is under test
     with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="attend"):
         nm.attend(nm.Tensor(q), nm.Tensor(k), nm.Tensor(k), 0.5)
+
+
+def test_attend_non_finite_in_last_block_records_nothing():
+    rng = np.random.default_rng(17)
+    q, k, v = (rng.standard_normal((5, 256, 16)).astype(np.float32) for _ in range(3))
+    q[4, 100, 3] = np.nan  # slice 4 is the third block, after two clean ones
+    with nm.Tape() as tape:
+        with pytest.raises(NumericError, match="attend"):
+            nm.attend(*(nm.Tensor(a, requires_grad=True) for a in (q, k, v)), 0.25)
+    assert len(tape) == 0
 
 
 @pytest.mark.parametrize("q_shape, k_shape, v_shape", [

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from selectmae import numerics as nm
 from selectmae.data import SynthConfig, VideoClip, generate_clip, patch_normalize_targets
@@ -9,6 +11,7 @@ from selectmae.tokenizer import (
     TokenizerConfig,
     cell_token,
     detokenize_patches,
+    fold_patches,
     positional_encoding,
     token_cell,
     tokenize,
@@ -97,6 +100,34 @@ def test_index_map_roundtrip():
         assert cell_token(cell, grid) == token_id
     with pytest.raises(IndexError):
         token_cell(256, grid)
+
+
+_small_dims = st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4))
+
+
+@settings(max_examples=30, deadline=None)
+@given(grid=_small_dims, tubelet=_small_dims, channels=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_unfold_fold_roundtrip_property(grid, tubelet, channels, seed):
+    rng = np.random.default_rng(seed)
+    shape = (grid[0] * tubelet[0], channels, grid[1] * tubelet[1], grid[2] * tubelet[2])
+    frames = rng.standard_normal(shape).astype(np.float32)
+    patches = unfold_clip(frames, tubelet)
+    order = rng.permutation(patches.shape[0])  # rows in any order, each with its id
+    folded, covered = fold_patches(patches[order], order, grid, tubelet, channels)
+    assert np.array_equal(folded, frames)
+    assert covered.all()
+
+
+@settings(max_examples=50, deadline=None)
+@given(grid=st.tuples(st.integers(1, 16), st.integers(1, 16), st.integers(1, 16)),
+       data=st.data())
+def test_token_cell_and_cell_token_are_inverses(grid, data):
+    n = grid[0] * grid[1] * grid[2]
+    token_id = data.draw(st.integers(0, n - 1))
+    assert cell_token(token_cell(token_id, grid), grid) == token_id
+    cell = tuple(data.draw(st.integers(0, d - 1)) for d in grid)
+    assert token_cell(cell_token(cell, grid), grid) == cell
 
 
 def test_tokenize_is_linear_without_pe():

@@ -303,6 +303,47 @@ def test_checkpoint_bad_magic(tmp_path):
         load_checkpoint(path)
 
 
+def _small_checkpoint(path):
+    save_checkpoint(path, {
+        "model.w": np.arange(6, dtype=np.float32).reshape(2, 3),
+        "step": np.float32(7.0).reshape(()),
+    })
+    return path.read_bytes()
+
+
+def test_checkpoint_truncated_or_flipped_raises_only_format_error(tmp_path):
+    blob = _small_checkpoint(tmp_path / "good.csma")
+    shapes = {k: v.shape for k, v in load_checkpoint(tmp_path / "good.csma").items()}
+    bad = tmp_path / "bad.csma"
+    for cut in range(len(blob)):  # 4-11 bytes: a magic with a short header
+        bad.write_bytes(blob[:cut])
+        with pytest.raises(FormatError):
+            load_checkpoint(bad)
+    for i in range(len(blob)):
+        flipped = bytearray(blob)
+        flipped[i] ^= 0xFF
+        bad.write_bytes(bytes(flipped))
+        if i < 12:  # magic, version and entry count
+            with pytest.raises(FormatError):
+                load_checkpoint(bad)
+            continue
+        try:
+            loaded = load_checkpoint(bad)
+        except FormatError:
+            continue
+        # a flip that loads may change values, never names or shapes
+        assert {k: v.shape for k, v in loaded.items()} == shapes, i
+
+
+def test_failed_checkpoint_save_keeps_previous_file(tmp_path):
+    path = tmp_path / "ck.csma"
+    before = _small_checkpoint(path)
+    with pytest.raises(ValueError):
+        save_checkpoint(path, {"a": np.ones(3, dtype=np.float32), "z": "not a number"})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["ck.csma"]
+
+
 def test_config_snapshot_roundtrip():
     snap = {"a": 1, "b": {"c": [1, 2, 3], "d": "text"}}
     assert array_to_config(config_to_array(snap)) == snap
@@ -431,3 +472,21 @@ def test_pretrain_abort_after_resume_names_resume_checkpoint(tmp_path, monkeypat
     _crash_after(monkeypatch, 0)
     with pytest.raises(NumericError, match="last good checkpoint: .*checkpoint_000003"):
         run.run()
+
+
+def test_pretrain_resume_in_place_after_every_step(tmp_path, monkeypatch):
+    manifest = _corpus(tmp_path)
+    full = pretrain_run(manifest, tmp_path / "full", _cfg(ckpt_every=1), TOK, BB)
+    full_log = (tmp_path / "full" / "metrics.jsonl").read_bytes()
+    for k in range(1, 6):
+        out = tmp_path / f"crash{k}"
+        with monkeypatch.context() as patch:
+            _crash_after(patch, k)  # steps 0..k-1 logged, checkpoint_{k} written
+            with pytest.raises(NumericError):
+                pretrain_run(manifest, out, _cfg(ckpt_every=1), TOK, BB)
+        resumed = pretrain_run(
+            manifest, out, _cfg(ckpt_every=1), TOK, BB,
+            resume_from=out / f"checkpoint_{k:06d}.csma",
+        )
+        assert (out / "metrics.jsonl").read_bytes() == full_log, k
+        assert resumed["checkpoint"].read_bytes() == full["checkpoint"].read_bytes(), k
