@@ -16,8 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError
 from .layers import BlockParams, LinearParams, LayerNormParams, apply_layer_norm, linear, transformer_block
-from .masking import MaskSpec
-from .numerics import Tensor, add, concat_rows, gather_rows
+from .numerics import Tensor, add, concat_rows, gather_rows_batched, mul, reshape
 from .tokenizer import TokenizerConfig, positional_encoding
 
 
@@ -104,24 +103,6 @@ class ModelParams:
         return out
 
 
-@dataclass
-class LatentBatch:
-    features: Tensor  # (n_visible, enc_dim)
-    spec: MaskSpec
-
-    def __post_init__(self):
-        if self.features.shape[0] != self.spec.n_visible:
-            raise ContractError(
-                f"latent rows {self.features.shape[0]} != visible count {self.spec.n_visible}"
-            )
-
-
-@dataclass
-class PatchPredictions:
-    values: Tensor  # (n_masked, patch_len), aligned to masked_ids order
-    masked_ids: np.ndarray
-
-
 def encode(visible_tokens: Tensor, params: ModelParams) -> Tensor:
     """Pre-norm transformer over the visible tokens (optionally batched),
     final layer-norm."""
@@ -137,34 +118,45 @@ def encode(visible_tokens: Tensor, params: ModelParams) -> Tensor:
     return apply_layer_norm(x, params.enc_norm)
 
 
-def encode_visible(grid_tokens: Tensor, spec: MaskSpec, params: ModelParams) -> LatentBatch:
-    visible = gather_rows(grid_tokens, spec.visible_ids)
-    return LatentBatch(encode(visible, params), spec)
+def decode(latents: Tensor, visible_ids, masked_ids, params: ModelParams) -> Tensor:
+    """Predict the masked patches of a batch from its visible latents.
 
-
-def decode(latents: LatentBatch, spec: MaskSpec, params: ModelParams) -> PatchPredictions:
-    """Reconstruct masked patches from visible latents.
-
-    Builds the N-length decoder sequence (projected visible features at
-    their positions, mask vector + positional encoding at masked ones),
-    runs the decoder blocks, and predicts pixels for masked slots only.
+    `latents` is (B, n_visible, enc_dim); `visible_ids` (B, n_visible)
+    and `masked_ids` (B, n_masked) partition each clip's N tokens. Builds
+    the N-length decoder sequence (projected visible features at their
+    positions, mask vector + positional encoding at masked ones), runs
+    the decoder blocks, and returns (B, n_masked, patch_len) pixel
+    predictions aligned to `masked_ids`. One clip is B = 1.
     """
-    if latents.spec is not spec and latents.features.shape[0] != spec.n_visible:
-        raise ContractError("latents do not match the mask spec")
-    if spec.n_masked < 1:
+    visible_ids = np.asarray(visible_ids, dtype=np.int64)
+    masked_ids = np.asarray(masked_ids, dtype=np.int64)
+    if (latents.shape[:2] != visible_ids.shape or masked_ids.ndim != 2
+            or masked_ids.shape[0] != visible_ids.shape[0]):
+        raise ContractError(
+            f"latents {latents.shape} do not match visible ids {visible_ids.shape}"
+            f" and masked ids {masked_ids.shape}"
+        )
+    n_batch, n_masked = masked_ids.shape
+    if n_masked < 1:
         raise ContractError("decode needs at least one masked token")
+    n_visible = visible_ids.shape[1]
+    n_tokens = n_visible + n_masked
     dec_dim = params.bb_cfg.dec_dim
-    vis = linear(latents.features, params.dec_embed)
-    pe = positional_encoding(spec.n_tokens, dec_dim, dtype=vis.data.dtype)
-    mask_rows = gather_rows(params.mask_token, np.zeros(spec.n_masked, dtype=np.int64))
-    mask_rows = add(mask_rows, Tensor(pe[spec.masked_ids]))
-    stacked = concat_rows([vis, mask_rows])
-    order = np.empty(spec.n_tokens, dtype=np.int64)
-    order[spec.visible_ids] = np.arange(spec.n_visible)
-    order[spec.masked_ids] = spec.n_visible + np.arange(spec.n_masked)
-    x = gather_rows(stacked, order)
+    dtype = latents.data.dtype
+    vis = linear(latents, params.dec_embed)
+    mask_rows = mul(
+        Tensor(np.ones((n_batch, n_masked, 1), dtype=dtype)),
+        reshape(params.mask_token, (1, 1, dec_dim)),
+    )
+    pe = positional_encoding(n_tokens, dec_dim, dtype=dtype)
+    mask_rows = add(mask_rows, Tensor(pe[masked_ids]))
+    stacked = concat_rows([vis, mask_rows], axis=1)
+    order = np.empty((n_batch, n_tokens), dtype=np.int64)
+    rows = np.arange(n_batch)[:, None]
+    order[rows, visible_ids] = np.arange(n_visible)
+    order[rows, masked_ids] = n_visible + np.arange(n_masked)
+    x = gather_rows_batched(stacked, order)
     for block in params.dec_blocks:
         x = transformer_block(x, block)
     x = apply_layer_norm(x, params.dec_norm)
-    preds = linear(gather_rows(x, spec.masked_ids), params.head)
-    return PatchPredictions(preds, spec.masked_ids)
+    return linear(gather_rows_batched(x, masked_ids), params.head)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .backbone import BackboneConfig, ModelParams, decode, encode_visible
+from .backbone import BackboneConfig, ModelParams, decode, encode
 from .config import RunConfig
 from .data import (
     generate_corpus,
@@ -24,20 +24,13 @@ from .data import (
     load_manifest,
     patch_normalize_targets,
 )
-from .downstream import FinetuneConfig, SplitSpec, evaluate_checkpoint, finetune_run
+from .downstream import SplitSpec, evaluate_checkpoint, finetune_run
 from .errors import ConfigError, FormatError, SelectMAEError
 from .masking import STRATEGIES, SelectionParams, baseline_mask, sample_visible, select_probabilities
-from .numerics import stop_gradient
+from .numerics import Tensor, gather_rows_batched
 from .ppm import write_ppm
-from .tokenizer import TokenizerConfig, detokenize_patches, tokenize, unfold_clip
-from .training import (
-    PretrainConfig,
-    array_to_config,
-    assign_named,
-    load_checkpoint,
-    pretrain_run,
-    save_checkpoint,
-)
+from .tokenizer import TokenizerConfig, detokenize_patches, embed_patches, unfold_clip
+from .training import array_to_config, assign_named, load_checkpoint, pretrain_run, save_checkpoint
 
 
 def _load_config(args) -> RunConfig:
@@ -216,30 +209,28 @@ def cmd_reconstruct(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     rng = np.random.default_rng(args.seed)
-    grid = tokenize(clip, tok_cfg, model.proj.weight, model.proj.bias)
+    raw_patches = unfold_clip(clip.frames, tok_cfg.tubelet)
+    # one clip is a batch of one through the pretraining forward
+    tokens = embed_patches(Tensor(raw_patches[None]), tok_cfg, model.proj.weight, model.proj.bias)
     strategy = args.strategy or snapshot["pretrain"]["strategy"]
     ratio = args.ratio if args.ratio is not None else snapshot["pretrain"]["mask_ratio"]
     if strategy == "adaptive":
-        pmap = select_probabilities(stop_gradient(grid.tokens), selector)
-        spec = sample_visible(pmap, ratio, rng)
+        pmap = select_probabilities(tokens, selector)
+        spec = sample_visible(pmap.probs.data[0], ratio, rng)
     else:
-        spec = baseline_mask(strategy, grid.grid, ratio, rng)
-    latents = encode_visible(grid.tokens, spec, model)
-    preds = decode(latents, spec, model).values.data
+        spec = baseline_mask(strategy, tok_cfg.grid_dims(clip.frames.shape), ratio, rng)
+    visible_ids, masked_ids = spec.visible_ids[None], spec.masked_ids[None]
+    latents = encode(gather_rows_batched(tokens, visible_ids), model)
+    preds = decode(latents, visible_ids, masked_ids, model).data[0]
 
     normalize = snapshot["pretrain"]["normalize_targets"]
     targets = patch_normalize_targets(clip, tok_cfg, normalize=normalize)
-    raw_patches = unfold_clip(clip.frames, tok_cfg.tubelet)
     stats = (targets.mean, targets.std, targets.eps) if normalize else None
     recon_masked, _ = detokenize_patches(
         preds, spec.masked_ids, clip.frames.shape, tok_cfg, stats=stats
     )
     visible_frames, _ = detokenize_patches(
         raw_patches[spec.visible_ids], spec.visible_ids, clip.frames.shape, tok_cfg
-    )
-    masked_zeroed, covered = detokenize_patches(
-        np.zeros_like(raw_patches[spec.masked_ids]), spec.masked_ids,
-        clip.frames.shape, tok_cfg,
     )
     reconstruction = np.clip(visible_frames + recon_masked, 0.0, 1.0)
     overlay = visible_frames  # masked tubelets stay black

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -186,6 +187,21 @@ def generate_clip(cfg: SynthConfig, phase, seed) -> VideoClip:
     return clip
 
 
+def write_atomically(path, write):
+    """Call `write(f)` on a temporary file beside `path`, then rename it
+    into place: a failed or interrupted save leaves any earlier file at
+    `path` as it was, and no temporary file behind."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as f:
+            write(f)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 # ---------------------------------------------------------------------------
 # Raw clip container: magic "CSVC", version u32, then T,C,H,W u32 (all
 # little-endian), then T*C*H*W bytes of 8-bit pixels in (T, C, rows) order.
@@ -197,10 +213,13 @@ def save_clip(clip, path):
     if frames.dtype != np.uint8:
         frames = np.clip(np.round(frames * 255.0), 0, 255).astype(np.uint8)
     t, c, h, w = frames.shape
-    with open(path, "wb") as f:
+
+    def write(f):
         f.write(CLIP_MAGIC)
         f.write(struct.pack("<IIIII", CLIP_VERSION, t, c, h, w))
         f.write(np.ascontiguousarray(frames).tobytes())
+
+    write_atomically(path, write)
 
 
 def _bilinear_resize(frames: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
@@ -227,8 +246,10 @@ def load_clip(path, resize_to: tuple[int, int] | None = None,
     """Read a raw clip; pixels scaled to [0, 1], optional crop then resize."""
     with open(path, "rb") as f:
         header = f.read(4 + 20)
-        if len(header) < 24 or header[:4] != CLIP_MAGIC:
+        if header[:4] != CLIP_MAGIC:
             raise FormatError(f"bad clip magic in {path}")
+        if len(header) < 24:
+            raise FormatError(f"truncated clip header in {path}: {len(header)} of 24 bytes")
         version, t, c, h, w = struct.unpack("<IIIII", header[4:24])
         if version != CLIP_VERSION:
             raise FormatError(f"unsupported clip version {version}")

@@ -10,8 +10,7 @@ present in the labels, skipping zero-denominator classes per metric.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -148,11 +147,6 @@ def classification_logits(frames, model: ModelParams, head: ClassifierHead) -> T
     features = encode(grid.tokens, model)
     pooled = reshape(reduce_mean(features, axis=0), (1, model.bb_cfg.enc_dim))
     return reshape(linear(pooled, head.proj), (head.num_steps,))
-
-
-def classify_clip(clip, model: ModelParams, head: ClassifierHead) -> np.ndarray:
-    frames = clip.frames if hasattr(clip, "frames") else clip
-    return classification_logits(frames, model, head).data
 
 
 def _cross_entropy(logits: Tensor, label: int, num_steps: int) -> Tensor:

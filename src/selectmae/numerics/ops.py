@@ -328,24 +328,6 @@ def transpose(x: Tensor, axes=None) -> Tensor:
     return out
 
 
-def gather_rows(x: Tensor, ids) -> Tensor:
-    """Select rows of a 2-D tensor; backward scatter-adds duplicate ids."""
-    ids = np.asarray(ids, dtype=np.int64)
-    if x.ndim != 2 or ids.ndim != 1:
-        raise ShapeError(f"gather_rows: need 2-D input and 1-D ids, got {x.shape} / {ids.shape}")
-    if ids.size and (ids.min() < 0 or ids.max() >= x.shape[0]):
-        raise IndexError(f"gather_rows: id out of range for {x.shape[0]} rows")
-    out = Tensor(x.data[ids])
-
-    def bw(g):
-        dx = np.zeros_like(x.data)
-        np.add.at(dx, ids, g)
-        return (dx,)
-
-    record_op((x,), out, bw)
-    return out
-
-
 def concat_rows(parts: list[Tensor], axis: int = 0) -> Tensor:
     out = Tensor(np.concatenate([p.data for p in parts], axis=axis))
     sizes = [p.shape[axis] for p in parts]
@@ -361,8 +343,7 @@ def concat_rows(parts: list[Tensor], axis: int = 0) -> Tensor:
 def gather_rows_batched(x: Tensor, ids) -> Tensor:
     """Per-slice row selection: out[b, m] = x[b, ids[b, m]].
 
-    The batched counterpart of `gather_rows`; duplicate ids within a
-    slice accumulate on the way back.
+    Duplicate ids within a slice accumulate on the way back.
     """
     ids = np.asarray(ids, dtype=np.int64)
     if x.ndim != 3 or ids.ndim != 2 or ids.shape[0] != x.shape[0]:

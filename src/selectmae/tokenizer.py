@@ -129,12 +129,6 @@ class TokenGrid:
     def n_tokens(self) -> int:
         return self.tokens.shape[0]
 
-    def token_to_cell(self, token_id: int) -> tuple[int, int, int]:
-        return token_cell(token_id, self.grid)
-
-    def cell_to_token(self, cell: tuple[int, int, int]) -> int:
-        return cell_token(cell, self.grid)
-
 
 def embed_patches(patches: Tensor, cfg: TokenizerConfig, weight: Tensor, bias: Tensor) -> Tensor:
     """Project flattened patches (..., N, patch_len) and add the positional table."""

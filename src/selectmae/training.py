@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .backbone import BackboneConfig, ModelParams, PatchPredictions, decode, encode_visible
+from .backbone import BackboneConfig, ModelParams, decode, encode
 from .data import (
     PatchTargets,
     load_clip,
@@ -27,12 +26,13 @@ from .data import (
     load_mask,
     mask_path_for,
     patch_normalize_targets,
+    write_atomically,
 )
 from .errors import ConfigError, ContractError, FormatError, NumericError, ShapeError
+# Unused here; bound because perfbench/tracer.py patches these names in this module.
 from .layers import apply_layer_norm, linear, transformer_block
 from .masking import (
     STRATEGIES,
-    MaskSpec,
     SelectionParams,
     baseline_mask,
     sample_visible,
@@ -45,9 +45,7 @@ from .numerics import (
     absolute,
     add,
     backward,
-    concat_rows,
     cosine_warmup_lr,
-    gather_rows,
     gather_rows_batched,
     mul,
     reduce_mean,
@@ -59,8 +57,6 @@ from .numerics import (
 from .tokenizer import (
     TokenizerConfig,
     embed_patches,
-    positional_encoding,
-    tokenize,
     unfold_clip,
 )
 
@@ -112,43 +108,48 @@ class PretrainConfig:
 
 
 def reconstruction_loss(
-    preds, targets: PatchTargets, spec: MaskSpec, kind: str = "mse"
+    preds: Tensor, target_rows: np.ndarray, kind: str = "mse"
 ) -> tuple[Tensor, Tensor]:
-    """Masked-patch error: per-token mean over the patch vector, averaged
-    over masked tokens. Returns (scalar loss, per-token errors)."""
+    """Masked-patch error of (B, n_masked, patch_len) predictions against
+    the target rows at the same masked positions: per-token mean over the
+    patch vector, then the mean over every masked token, which equals the
+    mean of per-clip means. Returns (scalar loss, (B, n_masked) errors)."""
     if kind not in LOSS_KINDS:
         raise ConfigError(f"unknown loss kind '{kind}'")
-    values = preds.values if isinstance(preds, PatchPredictions) else preds
-    target_rows = Tensor(targets.values[spec.masked_ids])
-    if values.shape != target_rows.shape:
+    target_rows = Tensor(target_rows)
+    if preds.shape != target_rows.shape:
         raise ContractError(
-            f"prediction rows {values.shape} != target rows {target_rows.shape}"
+            f"prediction rows {preds.shape} != target rows {target_rows.shape}"
         )
-    diff = sub(values, target_rows)
+    diff = sub(preds, target_rows)
     if kind == "mse":
-        per_token = reduce_mean(mul(diff, diff), axis=1)
+        per_token = reduce_mean(mul(diff, diff), axis=-1)
     else:
-        per_token = reduce_mean(absolute(diff), axis=1)
+        per_token = reduce_mean(absolute(diff), axis=-1)
     return reduce_mean(per_token), per_token
 
 
-def selection_loss(pmap, per_token_errors: Tensor, spec: MaskSpec) -> Tensor:
-    """Score-function objective: -(1/|masked|) sum log(P_i) * err_i.
+def selection_loss(log_probs: Tensor, errors: Tensor, masked_ids) -> Tensor:
+    """Score-function objective: -(1/|masked|) sum log(P_i) * err_i, over
+    the masked tokens of every clip.
 
+    `log_probs` is (B, N), `errors` and `masked_ids` are (B, n_masked).
     Minimizing it raises selection probability where reconstruction is
     hardest. The errors must be detached; gradient flows only through
     the probabilities.
     """
-    if per_token_errors.tracked or per_token_errors.requires_grad:
+    if errors.tracked or errors.requires_grad:
         raise ContractError("per-token errors must be detached before the selection loss")
-    if per_token_errors.shape[0] != spec.n_masked:
+    masked_ids = np.asarray(masked_ids, dtype=np.int64)
+    if (errors.shape != masked_ids.shape or log_probs.ndim != 2
+            or log_probs.shape[0] != masked_ids.shape[0]):
         raise ShapeError(
-            f"{per_token_errors.shape[0]} errors for {spec.n_masked} masked tokens"
+            f"{errors.shape} errors for {masked_ids.shape} masked ids"
+            f" and {log_probs.shape} log-probabilities"
         )
-    n = pmap.n_tokens
-    log_p = reshape(gather_rows(reshape(pmap.log_probs, (n, 1)), spec.masked_ids),
-                    (spec.n_masked,))
-    return scale(reduce_mean(mul(log_p, per_token_errors)), -1.0)
+    n_batch, n_tokens = log_probs.shape
+    log_p = gather_rows_batched(reshape(log_probs, (n_batch, n_tokens, 1)), masked_ids)
+    return scale(reduce_mean(mul(reshape(log_p, errors.shape), errors)), -1.0)
 
 
 @dataclass
@@ -192,9 +193,7 @@ def pretrain_step(
     if len(rngs) != len(batch):
         raise ContractError(f"{len(rngs)} rng streams for {len(batch)} clips")
     adaptive = cfg.strategy == "adaptive"
-    n_batch = len(batch)
     grid = batch[0].grid
-    bb = model.bb_cfg
     with Tape() as tape:
         patches = Tensor(np.stack([item.patches for item in batch]))
         tokens = embed_patches(patches, model.tok_cfg, model.proj.weight, model.proj.bias)
@@ -210,54 +209,18 @@ def pretrain_step(
             specs = [baseline_mask(cfg.strategy, grid, cfg.mask_ratio, rng) for rng in rngs]
         visible_ids = np.stack([s.visible_ids for s in specs])
         masked_ids = np.stack([s.masked_ids for s in specs])
-        n_tokens = specs[0].n_tokens
-        n_visible = visible_ids.shape[1]
-        n_masked = masked_ids.shape[1]
 
-        # encoder over visible tokens only
-        x = gather_rows_batched(tokens, visible_ids)
-        for block in model.enc_blocks:
-            x = transformer_block(x, block)
-        latents = apply_layer_norm(x, model.enc_norm)
-
-        # decoder over the full sequence: projected visible features at their
-        # positions, mask vector + positional encoding at masked ones
-        vis = linear(latents, model.dec_embed)
-        mask_rows = mul(
-            Tensor(np.ones((n_batch, n_masked, 1), dtype=np.float32)),
-            reshape(model.mask_token, (1, 1, bb.dec_dim)),
-        )
-        pe = positional_encoding(n_tokens, bb.dec_dim)
-        mask_rows = add(mask_rows, Tensor(pe[masked_ids]))
-        stacked = concat_rows([vis, mask_rows], axis=1)
-        order = np.empty((n_batch, n_tokens), dtype=np.int64)
-        rows = np.arange(n_batch)[:, None]
-        order[rows, visible_ids] = np.arange(n_visible)
-        order[rows, masked_ids] = n_visible + np.arange(n_masked)
-        x = gather_rows_batched(stacked, order)
-        for block in model.dec_blocks:
-            x = transformer_block(x, block)
-        x = apply_layer_norm(x, model.dec_norm)
-        preds = linear(gather_rows_batched(x, masked_ids), model.head)
-
-        target_rows = Tensor(np.stack([
+        latents = encode(gather_rows_batched(tokens, visible_ids), model)
+        preds = decode(latents, visible_ids, masked_ids, model)
+        target_rows = np.stack([
             item.targets.values[ids] for item, ids in zip(batch, masked_ids)
-        ]))
-        diff = sub(preds, target_rows)
-        if cfg.loss_kind == "mse":
-            per_token = reduce_mean(mul(diff, diff), axis=-1)
-        else:
-            per_token = reduce_mean(absolute(diff), axis=-1)
-        recon = reduce_mean(per_token)  # equals the mean of per-clip means
+        ])
+        recon, per_token = reconstruction_loss(preds, target_rows, cfg.loss_kind)
 
         select_value = 0.0
         total = recon
         if adaptive:
-            log_p = gather_rows_batched(
-                reshape(pmap.log_probs, (n_batch, n_tokens, 1)), masked_ids
-            )
-            weighted = mul(reshape(log_p, (n_batch, n_masked)), stop_gradient(per_token))
-            select = scale(reduce_mean(weighted), -1.0)
+            select = selection_loss(pmap.log_probs, stop_gradient(per_token), masked_ids)
             select_value = select.item()
             total = add(recon, scale(select, cfg.selection_weight))
         if not np.isfinite(total.item()):
@@ -304,28 +267,23 @@ def _clip_grad_norm(params, max_norm: float):
 # files are byte-identical across runs.
 
 def save_checkpoint(path, arrays: dict[str, np.ndarray]):
-    """Write the checkpoint to a temporary file beside `path`, then rename
-    it into place: a failed or interrupted save leaves any earlier file
-    at `path` as it was."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "wb") as f:
-            f.write(CKPT_MAGIC)
-            f.write(struct.pack("<II", CKPT_VERSION, len(arrays)))
-            for name in sorted(arrays):
-                arr = np.asarray(arrays[name], dtype="<f4")  # not ascontiguousarray: keeps 0-d
-                encoded = name.encode("utf-8")
-                f.write(struct.pack("<H", len(encoded)))
-                f.write(encoded)
-                f.write(struct.pack("<B", arr.ndim))
-                for dim in arr.shape:
-                    f.write(struct.pack("<I", dim))
-                f.write(arr.tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    """Write the checkpoint atomically: a failed or interrupted save
+    leaves any earlier file at `path` as it was."""
+
+    def write(f):
+        f.write(CKPT_MAGIC)
+        f.write(struct.pack("<II", CKPT_VERSION, len(arrays)))
+        for name in sorted(arrays):
+            arr = np.asarray(arrays[name], dtype="<f4")  # not ascontiguousarray: keeps 0-d
+            encoded = name.encode("utf-8")
+            f.write(struct.pack("<H", len(encoded)))
+            f.write(encoded)
+            f.write(struct.pack("<B", arr.ndim))
+            for dim in arr.shape:
+                f.write(struct.pack("<I", dim))
+            f.write(arr.tobytes())
+
+    write_atomically(path, write)
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:

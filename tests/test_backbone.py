@@ -2,18 +2,12 @@ import numpy as np
 import pytest
 
 from selectmae import numerics as nm
-from selectmae.backbone import (
-    BackboneConfig,
-    LatentBatch,
-    ModelParams,
-    decode,
-    encode,
-    encode_visible,
-)
+from selectmae.backbone import BackboneConfig, ModelParams, decode, encode
 from selectmae.errors import ConfigError, ContractError
+from selectmae.layers import apply_layer_norm, linear
 from selectmae.masking import MaskSpec, sample_visible
 from selectmae.numerics.gradcheck import check_param_gradients
-from selectmae.tokenizer import TokenizerConfig
+from selectmae.tokenizer import TokenizerConfig, positional_encoding
 
 TOK = TokenizerConfig(tubelet=(2, 2, 2), dim=16)
 BB = BackboneConfig(enc_depth=2, enc_dim=16, enc_heads=2, dec_depth=2, dec_dim=8, dec_heads=2)
@@ -28,11 +22,23 @@ def _tokens(n=16, seed=1):
     return nm.Tensor(rng.standard_normal((n, 16)).astype(np.float32))
 
 
+def _clip_tokens(n=16, seed=1):
+    """One clip's tokens as a batch of one, (1, n, 16)."""
+    return nm.reshape(_tokens(n, seed), (1, n, 16))
+
+
+def _forward(tokens, spec, model):
+    """The pretraining forward for one clip: (1, n_masked, patch_len) predictions."""
+    visible_ids, masked_ids = spec.visible_ids[None], spec.masked_ids[None]
+    latents = encode(nm.gather_rows_batched(tokens, visible_ids), model)
+    return decode(latents, visible_ids, masked_ids, model)
+
+
 def test_encode_output_shape():
     model = _model()
     spec = sample_visible(np.full(16, 1 / 16), 0.5, np.random.default_rng(2))
-    latents = encode_visible(_tokens(), spec, model)
-    assert latents.features.shape == (spec.n_visible, 16)
+    latents = encode(nm.gather_rows_batched(_clip_tokens(), spec.visible_ids[None]), model)
+    assert latents.shape == (1, spec.n_visible, 16)
 
 
 def test_encode_depth_zero_is_final_norm_only():
@@ -62,26 +68,44 @@ def test_encode_requires_matching_dim():
 def test_decode_shapes_and_order():
     model = _model()
     spec = sample_visible(np.full(16, 1 / 16), 0.75, np.random.default_rng(4))
-    latents = encode_visible(_tokens(), spec, model)
-    preds = decode(latents, spec, model)
-    assert preds.values.shape == (spec.n_masked, TOK.patch_len())
-    np.testing.assert_array_equal(preds.masked_ids, spec.masked_ids)
+    preds = _forward(_clip_tokens(), spec, model)
+    assert preds.shape == (1, spec.n_masked, TOK.patch_len())
+    # row j predicts masked token j: listing the masked ids in reverse
+    # reverses the rows and changes nothing else
+    reversed_preds = decode(
+        encode(nm.gather_rows_batched(_clip_tokens(), spec.visible_ids[None]), model),
+        spec.visible_ids[None], spec.masked_ids[None, ::-1], model,
+    )
+    np.testing.assert_array_equal(reversed_preds.data[0, ::-1], preds.data[0])
 
 
 def test_decode_mismatched_spec_rejected():
     model = _model()
     spec_a = MaskSpec(16, 0.5, np.arange(8))
     spec_b = MaskSpec(16, 0.75, np.arange(4))
-    latents = LatentBatch(nm.Tensor(np.zeros((8, 16), dtype=np.float32)), spec_a)
+    latents = nm.Tensor(np.zeros((1, 8, 16), dtype=np.float32))
     with pytest.raises(ContractError):
-        decode(latents, spec_b, model)
+        decode(latents, spec_b.visible_ids[None], spec_b.masked_ids[None], model)
+    with pytest.raises(ContractError):  # zero masked tokens
+        decode(latents, spec_a.visible_ids[None], np.empty((1, 0), dtype=np.int64), model)
+
+
+def test_decode_without_blocks_reads_mask_vector_and_own_position():
+    # with no decoder blocks each slot sees only itself, so masked token j
+    # must come out as head(norm(mask vector + positional encoding of j))
+    cfg = BackboneConfig(enc_depth=1, enc_dim=16, enc_heads=2, dec_depth=0, dec_dim=8, dec_heads=2)
+    model = ModelParams(TOK, cfg, np.random.default_rng(0))
+    spec = MaskSpec(16, 0.75, np.array([1, 6, 7, 12]))
+    preds = _forward(_clip_tokens(), spec, model).data[0]
+    slots = nm.Tensor(model.mask_token.data + positional_encoding(16, 8)[spec.masked_ids])
+    expected = linear(apply_layer_norm(slots, model.dec_norm), model.head).data
+    np.testing.assert_allclose(preds, expected, atol=1e-6)
 
 
 def test_masked_positions_receive_distinct_predictions():
     model = _model(7)
     spec = MaskSpec(16, 0.875, np.array([0, 5]))
-    latents = encode_visible(_tokens(16, 8), spec, model)
-    preds = decode(latents, spec, model).values.data
+    preds = _forward(_clip_tokens(16, 8), spec, model).data[0]
     diffs = np.abs(preds[:, None, :] - preds[None, :, :]).max(axis=-1)
     off_diag = diffs[~np.eye(diffs.shape[0], dtype=bool)]
     assert off_diag.min() > 1e-6  # mask token identical, positions differ
@@ -90,12 +114,10 @@ def test_masked_positions_receive_distinct_predictions():
 def test_mask_token_gradient_flows():
     model = _model()
     spec = MaskSpec(16, 0.75, np.arange(4))
-    tokens = _tokens()
+    tokens = _clip_tokens()
 
     def loss():
-        latents = encode_visible(tokens, spec, model)
-        preds = decode(latents, spec, model)
-        return nm.reduce_mean(preds.values)
+        return nm.reduce_mean(_forward(tokens, spec, model))
 
     with nm.Tape() as tape:
         value = loss()
@@ -122,9 +144,9 @@ def test_every_parameter_reachable_from_reconstruction_loss():
     spec = sample_visible(np.full(32, 1 / 32), 0.75, np.random.default_rng(2))
     with nm.Tape() as tape:
         grid = tokenize(clip, tok_cfg, model.proj.weight, model.proj.bias)
-        latents = encode_visible(grid.tokens, spec, model)
-        preds = decode(latents, spec, model)
-        loss, _ = reconstruction_loss(preds, targets, spec, "mse")
+        preds = _forward(nm.reshape(grid.tokens, (1, 32, 16)), spec, model)
+        target_rows = targets.values[spec.masked_ids][None]
+        loss, _ = reconstruction_loss(preds, target_rows, "mse")
     nm.backward(loss, tape)
     missing = [name for name, t in model.named().items() if t.grad is None]
     assert missing == []
@@ -133,8 +155,8 @@ def test_every_parameter_reachable_from_reconstruction_loss():
 def test_full_visibility_mode_for_downstream():
     model = _model()
     spec = MaskSpec.full(16)
-    latents = encode_visible(_tokens(), spec, model)
-    assert latents.features.shape == (16, 16)
+    latents = encode(nm.gather_rows_batched(_clip_tokens(), spec.visible_ids[None]), model)
+    assert latents.shape == (1, 16, 16)
 
 
 def test_backbone_config_validation():

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from selectmae import data
 from selectmae.data import (
     PhaseLabel,
     SynthConfig,
@@ -95,6 +96,67 @@ def test_clip_file_bad_magic(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 40)
     with pytest.raises(FormatError, match="magic"):
         load_clip(path)
+
+
+def test_clip_file_truncated_header(tmp_path):
+    path = tmp_path / "short.csvc"
+    path.write_bytes(b"CSVC\x01\x00\x00\x00")  # magic and version, no dims
+    with pytest.raises(FormatError, match="truncated clip header"):
+        load_clip(path)
+
+
+def _small_clip(path):
+    save_clip(np.random.default_rng(0).integers(0, 256, (2, 3, 4, 4), dtype=np.uint8), path)
+    return path.read_bytes()
+
+
+def test_clip_truncated_or_flipped_raises_only_format_error(tmp_path):
+    blob = _small_clip(tmp_path / "good.csvc")
+    bad = tmp_path / "bad.csvc"
+    for cut in range(len(blob)):
+        bad.write_bytes(blob[:cut])
+        with pytest.raises(FormatError):
+            load_clip(bad)
+    for i in range(len(blob)):
+        flipped = bytearray(blob)
+        flipped[i] ^= 0xFF
+        bad.write_bytes(bytes(flipped))
+        if i < 24:  # magic, version and dims
+            with pytest.raises(FormatError):
+                load_clip(bad)
+            continue
+        assert load_clip(bad).frames.shape == (2, 3, 4, 4), i
+
+
+def test_failed_clip_save_keeps_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "clip.csvc"
+    before = _small_clip(path)
+    real_open = open
+
+    class SecondWriteFails:
+        """An open file whose second write raises, as on a full disk."""
+
+        def __init__(self, *args):
+            self.file = real_open(*args)
+            self.writes = 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.file.close()
+
+        def write(self, chunk):
+            self.writes += 1
+            if self.writes > 1:
+                raise OSError("no space left on device")
+            return self.file.write(chunk)
+
+    monkeypatch.setattr(data, "open", SecondWriteFails, raising=False)
+    with pytest.raises(OSError):
+        save_clip(np.zeros((2, 3, 4, 4), dtype=np.uint8), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["clip.csvc"]
 
 
 def test_bilinear_resize_of_constant_is_constant(tmp_path):

@@ -7,13 +7,13 @@ from selectmae.downstream import (
     ClassifierHead,
     FinetuneConfig,
     SplitSpec,
-    classify_clip,
+    classification_logits,
     compute_metrics,
     evaluate_checkpoint,
     finetune_run,
 )
 from selectmae.errors import ConfigError, DataError
-from selectmae.tokenizer import TokenizerConfig, positional_encoding
+from selectmae.tokenizer import TokenizerConfig
 
 TOK = TokenizerConfig(tubelet=(2, 4, 4), dim=16)
 BB = BackboneConfig(enc_depth=1, enc_dim=16, enc_heads=2, dec_depth=1, dec_dim=8, dec_heads=2)
@@ -99,11 +99,11 @@ def test_classify_clip_shape_and_zero_head():
     clip = generate_clip(SYNTH, 0, 0)
     model = ModelParams(TOK, BB, np.random.default_rng(0))
     head = ClassifierHead(np.random.default_rng(1), 16, 3)
-    logits = classify_clip(clip, model, head)
+    logits = classification_logits(clip.frames, model, head).data
     assert logits.shape == (3,)
     head.proj.weight.data[:] = 0.0
     head.proj.bias.data[:] = 0.0
-    uniform = classify_clip(clip, model, head)
+    uniform = classification_logits(clip.frames, model, head).data
     e = np.exp(uniform - uniform.max())
     np.testing.assert_allclose(e / e.sum(), np.full(3, 1 / 3), atol=1e-7)
 

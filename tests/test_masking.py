@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -10,7 +11,6 @@ from selectmae.errors import ConfigError
 from selectmae.masking import (
     STRATEGIES,
     MaskSpec,
-    ProbabilityMap,
     SelectionParams,
     baseline_mask,
     sample_visible,
@@ -117,6 +117,33 @@ def test_sample_visible_uniform_inclusion_statistics():
     sigma = np.sqrt(p * (1 - p) / draws)
     z = np.abs(counts / draws - p) / sigma
     assert z.max() <= 3.0, f"max z={z.max():.2f}"
+
+
+def test_sample_visible_matches_sequential_draws_without_replacement():
+    # Gumbel top-M (Kool et al. 2019) against the exact law of drawing M
+    # distinct tokens one at a time, renormalizing after each draw: every
+    # visible set's frequency over 20k draws lies within 4 standard errors
+    # sqrt(P(1-P)/draws) of its enumerated probability
+    probs = np.array([0.05, 0.1, 0.2, 0.3, 0.35])
+    ratio, draws = 0.6, 20000
+    m = visible_count(probs.size, ratio)
+    assert m == 2
+    exact = {}
+    for order in itertools.permutations(range(probs.size), m):
+        mass, left = 1.0, 1.0
+        for i in order:
+            mass *= probs[i] / left
+            left -= probs[i]
+        key = tuple(sorted(order))
+        exact[key] = exact.get(key, 0.0) + mass
+    assert sum(exact.values()) == pytest.approx(1.0)
+    rng = np.random.default_rng(13)
+    counts = dict.fromkeys(exact, 0)
+    for _ in range(draws):
+        counts[tuple(sample_visible(probs, ratio, rng).visible_ids.tolist())] += 1
+    for key, p in exact.items():
+        sigma = math.sqrt(p * (1 - p) / draws)
+        assert abs(counts[key] / draws - p) <= 4 * sigma, (key, counts[key] / draws, p)
 
 
 def test_sample_visible_concentrated_mass():

@@ -152,27 +152,27 @@ def test_backward_deterministic_bitwise():
 
 
 def test_gather_rows_scatter_add_duplicates():
-    x = nm.Tensor(np.arange(8.0).reshape(4, 2), requires_grad=True)
+    x = nm.Tensor(np.arange(8.0).reshape(1, 4, 2), requires_grad=True)
     with nm.Tape() as tape:
-        picked = nm.gather_rows(x, [1, 1, 3])
+        picked = nm.gather_rows_batched(x, [[1, 1, 3]])
         loss = nm.reduce_sum(picked)
     nm.backward(loss, tape)
-    expected = np.array([[0, 0], [2, 2], [0, 0], [1, 1]], dtype=np.float32)
+    expected = np.array([[[0, 0], [2, 2], [0, 0], [1, 1]]], dtype=np.float32)
     np.testing.assert_array_equal(x.grad, expected)
 
 
 def test_gather_rows_out_of_range():
-    x = nm.Tensor(np.zeros((3, 2)))
+    x = nm.Tensor(np.zeros((1, 3, 2)))
     with pytest.raises(IndexError):
-        nm.gather_rows(x, [0, 3])
+        nm.gather_rows_batched(x, [[0, 3]])
 
 
 def test_gather_rows_gradcheck():
     rng = np.random.default_rng(7)
-    x = rng.standard_normal((6, 3))
+    x = rng.standard_normal((1, 6, 3))
 
     def loss(params):
-        picked = nm.gather_rows(params[0], [0, 2, 2, 5])
+        picked = nm.gather_rows_batched(params[0], [[0, 2, 2, 5]])
         return nm.reduce_sum(nm.mul(picked, picked))
 
     check_gradients(loss, [x], rel_tol=1e-3)

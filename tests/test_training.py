@@ -5,9 +5,9 @@ import pytest
 
 from selectmae import numerics as nm
 from selectmae import training
-from selectmae.backbone import BackboneConfig, ModelParams, decode, encode_visible
-from selectmae.data import SynthConfig, generate_corpus, patch_normalize_targets
-from selectmae.errors import ConfigError, ContractError, FormatError, NumericError
+from selectmae.backbone import BackboneConfig, ModelParams, decode, encode
+from selectmae.data import SynthConfig, generate_corpus
+from selectmae.errors import ConfigError, ContractError, FormatError, NumericError, ShapeError
 from selectmae.masking import (
     MaskSpec,
     ProbabilityMap,
@@ -16,9 +16,8 @@ from selectmae.masking import (
     select_probabilities,
 )
 from selectmae.numerics import AdamW
-from selectmae.tokenizer import TokenizerConfig, tokenize
+from selectmae.tokenizer import TokenizerConfig, embed_patches
 from selectmae.training import (
-    ClipBatchItem,
     PretrainConfig,
     PretrainRun,
     array_to_config,
@@ -38,45 +37,34 @@ BB = BackboneConfig(enc_depth=1, enc_dim=16, enc_heads=2, dec_depth=1, dec_dim=8
 SYNTH = SynthConfig(frames=4, height=16, width=16, num_phases=4)
 
 
-def _targets_like(values: np.ndarray, n_tokens: int) -> "training.PatchTargets":
-    from selectmae.data import PatchTargets
-
-    full = np.zeros((n_tokens, values.shape[1]), dtype=np.float32)
-    return PatchTargets(full, np.zeros((n_tokens, 1)), np.ones((n_tokens, 1)), True, 1e-6)
-
-
 def test_reconstruction_loss_perfect_prediction():
-    spec = MaskSpec(4, 0.5, np.array([0, 2]))
-    targets = _targets_like(np.zeros((2, 3)), 4)
-    preds = nm.Tensor(np.zeros((2, 3), dtype=np.float32))
-    loss, per_token = reconstruction_loss(preds, targets, spec)
+    target_rows = np.zeros((1, 2, 3), dtype=np.float32)
+    preds = nm.Tensor(np.zeros((1, 2, 3), dtype=np.float32))
+    loss, per_token = reconstruction_loss(preds, target_rows)
     assert loss.item() == 0.0
-    np.testing.assert_array_equal(per_token.data, [0.0, 0.0])
+    np.testing.assert_array_equal(per_token.data, [[0.0, 0.0]])
 
 
 def test_reconstruction_loss_hand_case():
     # two masked tokens, patch length 2: preds [[1,1],[0,0]] vs zeros
-    spec = MaskSpec(4, 0.5, np.array([1, 3]))  # masked = [0, 2]
-    targets = _targets_like(np.zeros((2, 2)), 4)
-    preds = nm.Tensor(np.array([[1.0, 1.0], [0.0, 0.0]], dtype=np.float32))
-    loss, per_token = reconstruction_loss(preds, targets, spec)
-    np.testing.assert_allclose(per_token.data, [1.0, 0.0])
+    target_rows = np.zeros((1, 2, 2), dtype=np.float32)
+    preds = nm.Tensor(np.array([[[1.0, 1.0], [0.0, 0.0]]], dtype=np.float32))
+    loss, per_token = reconstruction_loss(preds, target_rows)
+    np.testing.assert_allclose(per_token.data, [[1.0, 0.0]])
     assert loss.item() == pytest.approx(0.5)
 
 
 def test_reconstruction_loss_l1_constant_deviation():
-    spec = MaskSpec(4, 0.5, np.array([1, 3]))
-    targets = _targets_like(np.zeros((2, 6)), 4)
-    preds = nm.Tensor(np.full((2, 6), 0.5, dtype=np.float32))
-    loss, _ = reconstruction_loss(preds, targets, spec, kind="l1")
+    target_rows = np.zeros((1, 2, 6), dtype=np.float32)
+    preds = nm.Tensor(np.full((1, 2, 6), 0.5, dtype=np.float32))
+    loss, _ = reconstruction_loss(preds, target_rows, kind="l1")
     assert loss.item() == pytest.approx(0.5)
 
 
 def test_reconstruction_loss_shape_mismatch():
-    spec = MaskSpec(4, 0.5, np.array([0, 1]))
-    targets = _targets_like(np.zeros((2, 3)), 4)
+    target_rows = np.zeros((1, 2, 3), dtype=np.float32)
     with pytest.raises(ContractError):
-        reconstruction_loss(nm.Tensor(np.zeros((3, 3), dtype=np.float32)), targets, spec)
+        reconstruction_loss(nm.Tensor(np.zeros((1, 3, 3), dtype=np.float32)), target_rows)
 
 
 def _pmap_from_logits(logits: nm.Tensor) -> ProbabilityMap:
@@ -85,57 +73,67 @@ def _pmap_from_logits(logits: nm.Tensor) -> ProbabilityMap:
 
 def test_selection_loss_hand_value():
     # N=2, one masked token (index 1), P = [0.5, 0.5], error 2
-    logits = nm.Tensor(np.zeros(2, dtype=np.float32))
+    logits = nm.Tensor(np.zeros((1, 2), dtype=np.float32))
     pmap = _pmap_from_logits(logits)
-    spec = MaskSpec(2, 0.5, np.array([0]))
-    errors = nm.Tensor(np.array([2.0], dtype=np.float32))
-    loss = selection_loss(pmap, errors, spec)
+    errors = nm.Tensor(np.array([[2.0]], dtype=np.float32))
+    loss = selection_loss(pmap.log_probs, errors, [[1]])
     assert loss.item() == pytest.approx(-np.log(0.5) * 2.0, abs=1e-6)
     assert loss.item() == pytest.approx(1.3863, abs=1e-4)
 
 
 def test_selection_loss_zero_errors_zero_gradient():
-    logits = nm.Tensor(np.array([0.3, -0.2, 0.1], dtype=np.float32), requires_grad=True)
+    logits = nm.Tensor(np.array([[0.3, -0.2, 0.1]], dtype=np.float32), requires_grad=True)
     with nm.Tape() as tape:
         pmap = _pmap_from_logits(logits)
         spec = MaskSpec(3, 0.67, np.array([0]))
-        loss = selection_loss(pmap, nm.Tensor(np.zeros(2, dtype=np.float32)), spec)
+        loss = selection_loss(pmap.log_probs, nm.Tensor(np.zeros((1, 2), dtype=np.float32)),
+                              spec.masked_ids[None])
     assert loss.item() == 0.0
     nm.backward(loss, tape)
-    np.testing.assert_array_equal(logits.grad, np.zeros(3, dtype=np.float32))
+    np.testing.assert_array_equal(logits.grad, np.zeros((1, 3), dtype=np.float32))
 
 
 def test_selection_loss_gradient_sign_and_sum():
     # gradient pushes probability toward the high-error masked token and
     # softmax logit gradients sum to zero
     rng = np.random.default_rng(0)
-    logits = nm.Tensor(rng.standard_normal(6).astype(np.float32), requires_grad=True)
+    logits = nm.Tensor(rng.standard_normal((1, 6)).astype(np.float32), requires_grad=True)
     spec = MaskSpec(6, 0.83, np.array([int(rng.integers(6))]))  # 1 visible, 5 masked
     masked = spec.masked_ids
-    errors = np.zeros(spec.n_masked, dtype=np.float32)
+    errors = np.zeros((1, spec.n_masked), dtype=np.float32)
     hot = 2  # one masked token with high error
-    errors[hot] = 3.0
+    errors[0, hot] = 3.0
     with nm.Tape() as tape:
         pmap = _pmap_from_logits(logits)
-        loss = selection_loss(pmap, nm.Tensor(errors), spec)
+        loss = selection_loss(pmap.log_probs, nm.Tensor(errors), masked[None])
     nm.backward(loss, tape)
-    g = logits.grad.astype(np.float64)
+    g = logits.grad[0].astype(np.float64)
     assert g[masked[hot]] < 0  # probability of the hot token pushed up
     assert abs(g.sum()) < 1e-6
     # analytic softmax-gradient oracle: d/dz_l = -(c/|I_m|) * (delta - P_l)
-    p = pmap.probs.data.astype(np.float64)
+    p = pmap.probs.data[0].astype(np.float64)
     expected = (3.0 / spec.n_masked) * p
     expected[masked[hot]] -= 3.0 / spec.n_masked
     np.testing.assert_allclose(g, expected, atol=1e-6)
 
 
 def test_selection_loss_rejects_attached_errors():
-    logits = nm.Tensor(np.zeros(2, dtype=np.float32), requires_grad=True)
+    logits = nm.Tensor(np.zeros((1, 2), dtype=np.float32), requires_grad=True)
     with nm.Tape() as tape:
         pmap = _pmap_from_logits(logits)
-        attached = nm.scale(nm.Tensor(np.ones(1, dtype=np.float32), requires_grad=True), 2.0)
+        attached = nm.scale(nm.Tensor(np.ones((1, 1), dtype=np.float32), requires_grad=True), 2.0)
         with pytest.raises(ContractError):
-            selection_loss(pmap, attached, MaskSpec(2, 0.5, np.array([0])))
+            selection_loss(pmap.log_probs, attached, [[1]])
+
+
+def test_selection_loss_shape_mismatch():
+    log_probs = nm.Tensor(np.zeros((2, 4), dtype=np.float32))
+    masked_ids = [[0, 1, 2], [1, 2, 3]]
+    with pytest.raises(ShapeError):  # two errors per clip for three masked ids
+        selection_loss(log_probs, nm.Tensor(np.ones((2, 2), dtype=np.float32)), masked_ids)
+    with pytest.raises(ShapeError):  # log-probabilities for one clip, errors for two
+        selection_loss(nm.Tensor(np.zeros((1, 4), dtype=np.float32)),
+                       nm.Tensor(np.ones((2, 3), dtype=np.float32)), masked_ids)
 
 
 def _corpus(tmp_path, n_clips=6, label_fraction=1.0, seed=0):
@@ -212,6 +210,40 @@ def test_pretrain_step_baseline_never_touches_selector():
         np.testing.assert_array_equal(t.data, before[name])
 
 
+def _predict(model, items, specs):
+    """Tokens, latents and (B, n_masked, patch_len) predictions for clips
+    with their own masks, through the calls pretrain_step makes."""
+    patches = nm.Tensor(np.stack([item.patches for item in items]))
+    tokens = embed_patches(patches, TOK, model.proj.weight, model.proj.bias)
+    visible_ids = np.stack([spec.visible_ids for spec in specs])
+    masked_ids = np.stack([spec.masked_ids for spec in specs])
+    latents = encode(nm.gather_rows_batched(tokens, visible_ids), model)
+    return tokens, latents, decode(latents, visible_ids, masked_ids, model)
+
+
+def _losses(model, selector, item, spec):
+    """L_R and L_select of one clip as a batch of one, as pretrain_step forms them."""
+    tokens, _, preds = _predict(model, [item], [spec])
+    pmap = select_probabilities(nm.stop_gradient(tokens), selector)
+    recon, per_token = reconstruction_loss(preds, item.targets.values[spec.masked_ids][None])
+    sel = selection_loss(pmap.log_probs, nm.stop_gradient(per_token), spec.masked_ids[None])
+    return recon, sel
+
+
+def test_batched_forward_matches_each_clip_alone():
+    # slice i of a batch of three equals clip i run as a batch of one, bit for bit
+    model = ModelParams(TOK, BB, np.random.default_rng(3))
+    items = _items(3)
+    specs = [sample_visible(np.full(32, 1 / 32), 0.75, np.random.default_rng([2, i]))
+             for i in range(3)]
+    assert len({tuple(spec.visible_ids) for spec in specs}) == 3
+    _, latents, preds = _predict(model, items, specs)
+    for i in range(3):
+        _, latents_i, preds_i = _predict(model, items[i:i + 1], specs[i:i + 1])
+        assert np.array_equal(latents.data[i], latents_i.data[0]), i
+        assert np.array_equal(preds.data[i], preds_i.data[0]), i
+
+
 def test_gradient_isolation_structural():
     # with a frozen mask: d L_R / d theta = 0 and d L_select / d phi = 0, exactly
     model = ModelParams(TOK, BB, np.random.default_rng(0))
@@ -223,12 +255,7 @@ def test_gradient_isolation_structural():
         for t in list(model.named().values()) + list(selector.named().values()):
             t.grad = None
         with nm.Tape() as tape:
-            grid = tokenize(item.frames, TOK, model.proj.weight, model.proj.bias)
-            pmap = select_probabilities(nm.stop_gradient(grid.tokens), selector)
-            latents = encode_visible(grid.tokens, spec, model)
-            preds = decode(latents, spec, model)
-            recon, per_token = reconstruction_loss(preds, item.targets, spec)
-            sel = selection_loss(pmap, nm.stop_gradient(per_token), spec)
+            recon, sel = _losses(model, selector, item, spec)
             nm.backward(recon if which == "recon" else sel, tape)
 
     forward("recon")
@@ -248,12 +275,7 @@ def test_gradient_isolation_finite_difference():
     spec = sample_visible(np.full(32, 1 / 32), 0.75, np.random.default_rng(2))
 
     def losses():
-        grid = tokenize(item.frames, TOK, model.proj.weight, model.proj.bias)
-        pmap = select_probabilities(nm.stop_gradient(grid.tokens), selector)
-        latents = encode_visible(grid.tokens, spec, model)
-        preds = decode(latents, spec, model)
-        recon, per_token = reconstruction_loss(preds, item.targets, spec)
-        sel = selection_loss(pmap, nm.stop_gradient(per_token), spec)
+        recon, sel = _losses(model, selector, item, spec)
         return recon.item(), sel.item()
 
     base_recon, base_sel = losses()
@@ -355,9 +377,7 @@ def test_checkpoint_forward_is_bitwise_identical(tmp_path):
     spec = sample_visible(np.full(32, 1 / 32), 0.75, np.random.default_rng(2))
 
     def forward(m):
-        grid = tokenize(item.frames, TOK, m.proj.weight, m.proj.bias)
-        latents = encode_visible(grid.tokens, spec, m)
-        return decode(latents, spec, m).values.data
+        return _predict(m, [item], [spec])[2].data
 
     reference = forward(model)
     save_checkpoint(tmp_path / "m.csma", {k: t.data for k, t in model.named().items()})
