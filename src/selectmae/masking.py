@@ -35,6 +35,10 @@ def visible_count(n_tokens: int, ratio: float) -> int:
     return max(1, n_tokens - _round_half_up(ratio * n_tokens))
 
 
+def _strictly_increasing(ids: np.ndarray) -> bool:
+    return bool((ids[1:] > ids[:-1]).all())
+
+
 @dataclass
 class MaskSpec:
     n_tokens: int
@@ -45,27 +49,33 @@ class MaskSpec:
     def __post_init__(self):
         self.visible_ids = np.asarray(self.visible_ids, dtype=np.int64)
         if self.masked_ids is None:
-            self.masked_ids = np.setdiff1d(np.arange(self.n_tokens), self.visible_ids)
+            # every id in 0..N-1 that is not visible; ids outside that
+            # range mark nothing here and fail validation below
+            vis, n = self.visible_ids, self.n_tokens
+            free = np.ones(max(n, 0), dtype=bool)
+            free[vis[(vis >= 0) & (vis < n)]] = False
+            self.masked_ids = np.flatnonzero(free)
         self.masked_ids = np.asarray(self.masked_ids, dtype=np.int64)
         self.validate()
 
     def validate(self):
-        vis, msk = self.visible_ids, self.masked_ids
+        """Raise ConfigError unless the ids partition 0..N-1, each list
+        strictly increasing."""
+        vis, msk, n = self.visible_ids, self.masked_ids, self.n_tokens
         if vis.size == 0:
             raise ConfigError("mask spec needs at least one visible token")
-        if np.unique(vis).size != vis.size or not np.array_equal(np.sort(vis), vis):
+        if not _strictly_increasing(vis):
             raise ConfigError("visible ids must be sorted and unique")
-        if np.unique(msk).size != msk.size or not np.array_equal(np.sort(msk), msk):
+        if not _strictly_increasing(msk):
             raise ConfigError("masked ids must be sorted and unique")
-        if np.intersect1d(vis, msk).size:
+        if np.intersect1d(vis, msk, assume_unique=True).size:
             raise ConfigError("visible and masked ids overlap")
-        if vis.size + msk.size != self.n_tokens:
-            raise ConfigError(
-                f"partition covers {vis.size + msk.size} of {self.n_tokens} tokens"
-            )
-        lo = min(vis.min(), msk.min()) if msk.size else vis.min()
-        hi = max(vis.max(), msk.max()) if msk.size else vis.max()
-        if lo < 0 or hi >= self.n_tokens:
+        if vis.size + msk.size != n:
+            raise ConfigError(f"partition covers {vis.size + msk.size} of {n} tokens")
+        # both lists are sorted, so their end points bound every id
+        lo = min(vis[0], msk[0]) if msk.size else vis[0]
+        hi = max(vis[-1], msk[-1]) if msk.size else vis[-1]
+        if lo < 0 or hi >= n:
             raise ConfigError("token id outside 0..N-1")
 
     @property

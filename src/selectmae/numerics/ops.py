@@ -5,6 +5,12 @@ result with numpy, and registers a closure mapping the output gradient
 to per-input gradients. Gather uses scatter-add on the way back so
 duplicate indices accumulate.
 
+A backward closure captures arrays and shapes, never a Tensor: the tape
+keeps every closure until backward ends, so a captured Tensor would
+keep its whole buffer alive even where backward reads only its shape,
+and an intermediate that no backward reads could not be freed during
+forward.
+
 Kernels may work in place, but only on arrays they allocated
 themselves. A backward function must never write into its upstream
 gradient `g` or into any forward input: `add` hands the same `g` object
@@ -43,21 +49,24 @@ def _swap(a: np.ndarray) -> np.ndarray:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data + b.data)
-    record_op((a, b), out, lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
+    a_shape, b_shape = a.shape, b.shape
+    record_op((a, b), out, lambda g: (_unbroadcast(g, a_shape), _unbroadcast(g, b_shape)))
     return out
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data - b.data)
-    record_op((a, b), out, lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
+    a_shape, b_shape = a.shape, b.shape
+    record_op((a, b), out, lambda g: (_unbroadcast(g, a_shape), _unbroadcast(-g, b_shape)))
     return out
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data * b.data)
+    ad, bd = a.data, b.data
+    out = Tensor(ad * bd)
 
     def bw(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+        return _unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)
 
     record_op((a, b), out, bw)
     return out
@@ -81,16 +90,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         or (not weight_case and a.shape[:-2] != b.shape[:-2])
     ):
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    out = Tensor(a.data @ b.data)
+    ad, bd = a.data, b.data
+    out = Tensor(ad @ bd)
 
     if weight_case:
         def bw(g):
-            flat_a = a.data.reshape(-1, a.shape[-1])
+            flat_a = ad.reshape(-1, ad.shape[-1])
             flat_g = g.reshape(-1, g.shape[-1])
-            return g @ b.data.T, flat_a.T @ flat_g
+            return g @ bd.T, flat_a.T @ flat_g
     else:
         def bw(g):
-            return g @ _swap(b.data), _swap(a.data) @ g
+            return g @ _swap(bd), _swap(ad) @ g
 
     record_op((a, b), out, bw)
     return out
@@ -150,7 +160,8 @@ def attend(q: Tensor, k: Tensor, v: Tensor, s: float) -> Tensor:
     ):
         raise ShapeError(f"attend: incompatible q/k/v shapes {q.shape} / {k.shape} / {v.shape}")
     s = float(s)
-    q3, k3, v3 = _flat(q.data), _flat(k.data), _flat(v.data)
+    qd, kd, vd = q.data, k.data, v.data
+    q3, k3, v3 = _flat(qd), _flat(kd), _flat(vd)
     count, n, m = q3.shape[0], q3.shape[1], k3.shape[1]
     dtype = np.result_type(q3, k3, v3)
     y = np.empty((count, n, m), dtype)
@@ -166,12 +177,12 @@ def attend(q: Tensor, k: Tensor, v: Tensor, s: float) -> Tensor:
         np.exp(yb, out=yb)
         yb /= yb.sum(axis=-1, keepdims=True)
         np.matmul(yb, v3[b], out=ctx[b])
-    out = Tensor(ctx.reshape(*q.shape[:-1], v.shape[-1]))
+    out = Tensor(ctx.reshape(*qd.shape[:-1], vd.shape[-1]))
 
     def bw(g):
         # the flat views are taken again, not kept: for strided inputs
         # they are copies the tape would otherwise hold until backward
-        q3, k3, v3, g3 = _flat(q.data), _flat(k.data), _flat(v.data), _flat(g)
+        q3, k3, v3, g3 = _flat(qd), _flat(kd), _flat(vd), _flat(g)
         dq = np.empty(q3.shape, dtype)
         dkt = np.empty((count, q3.shape[2], m), dtype)
         dv = np.empty(v3.shape, dtype)
@@ -187,7 +198,7 @@ def attend(q: Tensor, k: Tensor, v: Tensor, s: float) -> Tensor:
             np.matmul(gw, k3[b], out=dq[b])
             np.matmul(_swap(q3[b]), gw, out=dkt[b])
             np.matmul(_swap(yb), g3[b], out=dv[b])
-        return dq.reshape(q.shape), _swap(dkt).reshape(k.shape), dv.reshape(v.shape)
+        return dq.reshape(qd.shape), _swap(dkt).reshape(kd.shape), dv.reshape(vd.shape)
 
     record_op((q, k, v), out, bw)
     return out
@@ -216,13 +227,14 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     var = x.data.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x.data - mean) * inv
-    out = Tensor(xhat * gain.data + bias.data)
+    gd = gain.data
+    out = Tensor(xhat * gd + bias.data)
 
     def bw(g):
         reduce_axes = tuple(range(g.ndim - 1))
         dgain = (g * xhat).sum(axis=reduce_axes)
         dbias = g.sum(axis=reduce_axes)
-        dxhat = g * gain.data
+        dxhat = g * gd
         dx = inv * (
             dxhat
             - dxhat.mean(axis=-1, keepdims=True)
@@ -274,24 +286,27 @@ def gelu(x: Tensor) -> Tensor:
 
 
 def log(x: Tensor) -> Tensor:
-    out = Tensor(np.log(x.data))
-    record_op((x,), out, lambda g: (g / x.data,))
+    xd = x.data
+    out = Tensor(np.log(xd))
+    record_op((x,), out, lambda g: (g / xd,))
     return out
 
 
 def absolute(x: Tensor) -> Tensor:
-    out = Tensor(np.abs(x.data))
-    record_op((x,), out, lambda g: (g * np.sign(x.data),))
+    xd = x.data
+    out = Tensor(np.abs(xd))
+    record_op((x,), out, lambda g: (g * np.sign(xd),))
     return out
 
 
 def reduce_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out = Tensor(x.data.sum(axis=axis, keepdims=keepdims))
+    x_shape = x.shape
 
     def bw(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, x.shape).copy(),)
+        return (np.broadcast_to(g, x_shape).copy(),)
 
     record_op((x,), out, bw)
     return out
@@ -303,11 +318,12 @@ def reduce_mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     else:
         count = x.shape[axis]
     out = Tensor(x.data.mean(axis=axis, keepdims=keepdims))
+    x_shape = x.shape
 
     def bw(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, x.shape).copy() / count,)
+        return (np.divide(np.broadcast_to(g, x_shape), count),)
 
     record_op((x,), out, bw)
     return out
@@ -315,7 +331,8 @@ def reduce_mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 def reshape(x: Tensor, shape) -> Tensor:
     out = Tensor(x.data.reshape(shape))
-    record_op((x,), out, lambda g: (g.reshape(x.shape),))
+    x_shape = x.shape
+    record_op((x,), out, lambda g: (g.reshape(x_shape),))
     return out
 
 
@@ -354,9 +371,10 @@ def gather_rows_batched(x: Tensor, ids) -> Tensor:
         raise IndexError(f"gather_rows_batched: id out of range for {x.shape[1]} rows")
     rows = np.arange(x.shape[0])[:, None]
     out = Tensor(x.data[rows, ids])
+    x_shape, x_dtype = x.shape, x.data.dtype
 
     def bw(g):
-        dx = np.zeros_like(x.data)
+        dx = np.zeros(x_shape, x_dtype)
         np.add.at(dx, (rows, ids), g)
         return (dx,)
 

@@ -5,6 +5,14 @@ Compute is 32-bit by default; tests may switch to 64-bit through the
 (which is topological by construction) and `backward` replays it once,
 in reverse, accumulating gradients into every `requires_grad` tensor
 reachable from the loss.
+
+A recorded node holds no intermediate Tensor: only its inputs' uids
+(None for an untracked input), the input Tensor where that input is a
+leaf of the tape (`requires_grad` and not produced on it), its output's
+uid and the backward closure. `backward` routes gradients by uid, and
+each closure reads the arrays the forward saw, which it captured itself.
+An intermediate that no closure captured is freed as soon as the caller
+drops it, during forward.
 """
 
 from __future__ import annotations
@@ -82,11 +90,12 @@ class Tensor:
 
 
 class _Node:
-    __slots__ = ("inputs", "output", "backward_fn")
+    __slots__ = ("input_uids", "leaves", "output_uid", "backward_fn")
 
-    def __init__(self, inputs, output, backward_fn):
-        self.inputs = inputs
-        self.output = output
+    def __init__(self, input_uids, leaves, output_uid, backward_fn):
+        self.input_uids = input_uids
+        self.leaves = leaves
+        self.output_uid = output_uid
         self.backward_fn = backward_fn
 
 
@@ -109,7 +118,9 @@ class Tape:
         return len(self._nodes)
 
     def record(self, inputs: tuple[Tensor, ...], output: Tensor, backward_fn):
-        self._nodes.append(_Node(inputs, output, backward_fn))
+        input_uids = tuple(t.uid if t.tracked else None for t in inputs)
+        leaves = tuple(t if t.requires_grad and not self.produced(t) else None for t in inputs)
+        self._nodes.append(_Node(input_uids, leaves, output.uid, backward_fn))
         self._produced.add(output.uid)
         output.tracked = True
 
@@ -147,19 +158,17 @@ def backward(loss: Tensor, tape: Tape):
     for node in reversed(tape._nodes):
         # A tensor's accumulated gradient is complete once all its consumers
         # (recorded later, hence visited earlier) have been processed.
-        g_out = grads.pop(node.output.uid, None)
+        g_out = grads.pop(node.output_uid, None)
         if g_out is None:
             continue
-        if node.output.requires_grad:
-            node.output.accumulate_grad(g_out)
-        for t, g in zip(node.inputs, node.backward_fn(g_out)):
-            if g is None or not t.tracked:
+        for uid, leaf, g in zip(node.input_uids, node.leaves, node.backward_fn(g_out)):
+            if g is None or uid is None:
                 continue
-            if t.uid in grads:
-                grads[t.uid] = grads[t.uid] + g
+            if uid in grads:
+                grads[uid] = grads[uid] + g
             else:
-                grads[t.uid] = g
-            if t.requires_grad and not tape.produced(t):
-                leaves[t.uid] = t
+                grads[uid] = g
+            if leaf is not None:
+                leaves[uid] = leaf
     for uid, t in leaves.items():
         t.accumulate_grad(grads[uid])

@@ -34,12 +34,24 @@ def test_visible_count_arithmetic():
 def test_mask_spec_partition_validation():
     spec = MaskSpec(8, 0.5, np.array([0, 2, 4, 6]))
     np.testing.assert_array_equal(spec.masked_ids, [1, 3, 5, 7])
-    with pytest.raises(ConfigError):
-        MaskSpec(8, 0.5, np.array([0, 0, 1, 2]))
-    with pytest.raises(ConfigError):
-        MaskSpec(8, 0.5, np.array([0, 1]), np.array([1, 2, 3, 4, 5, 6, 7]))
-    with pytest.raises(ConfigError):
-        MaskSpec(8, 0.95, np.array([], dtype=np.int64))
+    faults = [
+        (8, [], None, "at least one visible token"),
+        (8, [2, 1], None, "visible ids must be sorted and unique"),
+        (8, [0, 0, 1, 2], None, "visible ids must be sorted and unique"),
+        (8, [0], [3, 2, 1], "masked ids must be sorted and unique"),
+        (8, [0, 1], [1, 2, 3, 4, 5, 6, 7], "visible and masked ids overlap"),
+        # an overlap is named before an id outside 0..N-1
+        (4, [0, 9], [1, 2, 9], "visible and masked ids overlap"),
+        (8, [0, 1], [2, 3], "partition covers 4 of 8 tokens"),
+        # the derived masked ids skip an id outside 0..N-1: 2 + 7 of 8
+        (8, [0, 9], None, "partition covers 9 of 8 tokens"),
+        (4, [-1, 0], [1, 2], "token id outside 0..N-1"),
+        (4, [0, 1], [2, 4], "token id outside 0..N-1"),
+    ]
+    for n, vis, msk, message in faults:
+        with pytest.raises(ConfigError, match=message):
+            MaskSpec(n, 0.5, np.array(vis, dtype=np.int64),
+                     None if msk is None else np.array(msk, dtype=np.int64))
 
 
 def test_mask_spec_full():

@@ -1,4 +1,6 @@
+import inspect
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -418,3 +420,85 @@ def test_gather_rows_batched_gradcheck_with_duplicates():
         return nm.reduce_sum(nm.mul(picked, picked))
 
     check_gradients(loss, [x], rel_tol=1e-5, dtype=np.float64)
+
+
+def _holds_tensor(obj) -> bool:
+    """True when `obj`, or a tuple, list or closure reachable from it,
+    is a Tensor."""
+    if isinstance(obj, nm.Tensor):
+        return True
+    if isinstance(obj, (tuple, list)):
+        return any(_holds_tensor(o) for o in obj)
+    cells = getattr(obj, "__closure__", None) or ()
+    return any(_holds_tensor(c.cell_contents) for c in cells)
+
+
+def _kernel_calls(rng):
+    """One call of every public kernel in numerics.ops, on tracked inputs."""
+    def t(*shape):
+        return nm.Tensor(rng.uniform(0.5, 1.5, shape).astype(np.float32), requires_grad=True)
+
+    return {
+        "add": lambda: [nm.add(t(2, 3), t(3))],
+        "sub": lambda: [nm.sub(t(2, 3), t(3))],
+        "mul": lambda: [nm.mul(t(2, 3), t(2, 3))],
+        "scale": lambda: [nm.scale(t(2, 3), 2.0)],
+        "matmul": lambda: [nm.matmul(t(2, 3, 4), t(4, 5)), nm.matmul(t(2, 3, 4), t(2, 4, 5))],
+        "softmax": lambda: [nm.softmax(t(2, 3))],
+        "attend": lambda: [nm.attend(t(2, 3, 4), t(2, 5, 4), t(2, 5, 6), 0.5)],
+        "log_softmax": lambda: [nm.log_softmax(t(2, 3))],
+        "layer_norm": lambda: [nm.layer_norm(t(2, 3), t(3), t(3))],
+        "gelu": lambda: [nm.gelu(t(2, 3))],
+        "log": lambda: [nm.log(t(2, 3))],
+        "absolute": lambda: [nm.absolute(t(2, 3))],
+        "reduce_sum": lambda: [nm.reduce_sum(t(2, 3)), nm.reduce_sum(t(2, 3), axis=0)],
+        "reduce_mean": lambda: [nm.reduce_mean(t(2, 3)), nm.reduce_mean(t(2, 3), axis=-1)],
+        "reshape": lambda: [nm.reshape(t(2, 3), (3, 2))],
+        "transpose": lambda: [nm.transpose(t(2, 3, 4), (2, 0, 1))],
+        "concat_rows": lambda: [nm.concat_rows([t(2, 3), t(1, 3)])],
+        "gather_rows_batched": lambda: [nm.gather_rows_batched(t(2, 4, 3), [[0, 1], [3, 3]])],
+        "stop_gradient": lambda: [nm.stop_gradient(t(2, 3))],
+        "constant": lambda: [nm.constant(np.ones(3))],
+    }
+
+
+def test_no_backward_closure_holds_a_tensor():
+    calls = _kernel_calls(np.random.default_rng(19))
+    kernels = {name for name, fn in inspect.getmembers(nm.ops, inspect.isfunction)
+               if fn.__module__ == nm.ops.__name__ and not name.startswith("_")}
+    assert kernels == set(calls)
+    with nm.Tape() as tape:
+        for call in calls.values():
+            call()
+    assert len(tape) == 21  # every call but stop_gradient's and constant's
+    for node in tape._nodes:
+        assert not _holds_tensor(node.backward_fn), node.backward_fn.__qualname__
+
+
+def test_tape_frees_intermediates_that_no_backward_reads():
+    def block(keep: bool):
+        rng = np.random.default_rng(20)
+        x = nm.Tensor(rng.standard_normal((2, 5, 4)).astype(np.float32), requires_grad=True)
+        w = nm.Tensor(rng.standard_normal((4, 4)).astype(np.float32), requires_grad=True)
+        bias, gain, shift = (nm.Tensor(rng.standard_normal(4).astype(np.float32),
+                                       requires_grad=True) for _ in range(3))
+        with nm.Tape() as tape:
+            h = nm.matmul(x, w)  # the bias add reads only its shape
+            y = nm.add(h, bias)
+            res = nm.add(x, y)  # layer_norm reads xhat, not its input
+            out = nm.layer_norm(res, gain, shift)
+            loss = nm.reduce_sum(nm.mul(out, out))
+        refs = [weakref.ref(h.data), weakref.ref(res.data)]
+        held = (h, res) if keep else ()
+        del h, y, res, out
+        alive = [r() is not None for r in refs]
+        nm.backward(loss, tape)
+        del held
+        return alive, [t.grad for t in (x, w, bias, gain, shift)]
+
+    freed, grads = block(keep=False)
+    kept, kept_grads = block(keep=True)
+    assert freed == [False, False]
+    assert kept == [True, True]
+    for got, want in zip(grads, kept_grads):
+        assert np.array_equal(got, want)
