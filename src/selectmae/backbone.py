@@ -32,6 +32,12 @@ class BackboneConfig:
     dec_mlp_ratio: float = 4.0
 
     def __post_init__(self):
+        if min(self.enc_depth, self.dec_depth) < 0:
+            raise ConfigError(f"depths must be >= 0, got {self.enc_depth} and {self.dec_depth}")
+        if min(self.enc_dim, self.enc_heads, self.dec_dim, self.dec_heads) < 1:
+            raise ConfigError("encoder and decoder dims and heads must be positive")
+        if not (self.enc_dim * self.enc_mlp_ratio >= 1 and self.dec_dim * self.dec_mlp_ratio >= 1):
+            raise ConfigError("mlp ratios must give a hidden width of at least 1")
         if self.enc_dim % self.enc_heads != 0:
             raise ConfigError(f"encoder dim {self.enc_dim} not divisible by {self.enc_heads} heads")
         if self.dec_dim % self.dec_heads != 0:

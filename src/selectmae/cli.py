@@ -2,8 +2,10 @@
 
 Commands: gen-data, pretrain, finetune, eval, reconstruct, ablate.
 Exit codes: 0 success, 2 config/usage error, 3 I/O error, 4 corrupt
-artifact. Every command writes its resolved config next to its outputs
-so any run can be reproduced from (config, seed).
+artifact, which includes a checkpoint of the wrong kind (a classifier
+given to `reconstruct` or `pretrain --resume`, a pretraining checkpoint
+given to `eval`). Every command writes its resolved config next to its
+outputs so any run can be reproduced from (config, seed).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .backbone import BackboneConfig, ModelParams, decode, encode
+from .backbone import ModelParams, decode, encode
 from .config import RunConfig
 from .data import (
     generate_corpus,
@@ -29,8 +31,8 @@ from .errors import ConfigError, FormatError, SelectMAEError
 from .masking import STRATEGIES, SelectionParams, baseline_mask, sample_visible, select_probabilities
 from .numerics import Tensor, gather_rows_batched
 from .ppm import write_ppm
-from .tokenizer import TokenizerConfig, detokenize_patches, embed_patches, unfold_clip
-from .training import array_to_config, assign_named, load_checkpoint, pretrain_run, save_checkpoint
+from .tokenizer import detokenize_patches, embed_patches, unfold_clip
+from .training import assign_named, checkpoint_config, load_checkpoint, pretrain_run, save_checkpoint
 
 
 def _load_config(args) -> RunConfig:
@@ -56,8 +58,24 @@ def _write_resolved_config(cfg: RunConfig, out_dir: Path, name: str = "config.re
 def _parse_split(spec: str, entries) -> SplitSpec:
     path = Path(spec)
     if path.exists():
-        doc = json.loads(path.read_text())
-        return SplitSpec(doc["train"], doc["val"], doc["test"])
+        try:
+            doc = json.loads(path.read_text())
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise ConfigError(f"split file {path} is not valid JSON: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise ConfigError(f"split file {path} must hold an object")
+        groups = []
+        for key in ("train", "val", "test"):
+            ids = doc.get(key)
+            if not isinstance(ids, list) or not all(
+                type(i) is int and 0 <= i < len(entries) for i in ids
+            ):
+                raise ConfigError(
+                    f"split file {path}: '{key}' must be a list of clip ids "
+                    f"in 0..{len(entries) - 1}, got {ids!r}"
+                )
+            groups.append(ids)
+        return SplitSpec(*groups)
     try:
         n_train, n_val, n_test = (int(v) for v in spec.split(","))
     except ValueError as exc:
@@ -187,22 +205,18 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _model_from_checkpoint(arrays: dict):
-    snapshot = array_to_config(arrays["meta.config_utf8"])
-    tok_kw = dict(snapshot["tokenizer"])
-    tok_kw["tubelet"] = tuple(tok_kw["tubelet"])
-    tok_cfg = TokenizerConfig(**tok_kw)
-    bb_cfg = BackboneConfig(**snapshot["backbone"])
-    model = ModelParams(tok_cfg, bb_cfg, np.random.default_rng(0))
+def _model_from_checkpoint(arrays: dict, path):
+    cfg = RunConfig.from_document(checkpoint_config(arrays, path))
+    model = ModelParams(cfg.tokenizer, cfg.backbone, np.random.default_rng(0))
     assign_named(model.named(), arrays, "(model)")
-    selector = SelectionParams(np.random.default_rng(1), tok_cfg.dim)
+    selector = SelectionParams(np.random.default_rng(1), cfg.tokenizer.dim)
     assign_named(selector.named(), arrays, "(selector)")
-    return model, selector, snapshot
+    return model, selector, cfg.pretrain
 
 
 def cmd_reconstruct(args) -> int:
     arrays = load_checkpoint(args.checkpoint)
-    model, selector, snapshot = _model_from_checkpoint(arrays)
+    model, selector, pre_cfg = _model_from_checkpoint(arrays, args.checkpoint)
     tok_cfg = model.tok_cfg
     clip = load_clip(args.clip)
     out_dir = Path(args.out_dir)
@@ -212,8 +226,8 @@ def cmd_reconstruct(args) -> int:
     raw_patches = unfold_clip(clip.frames, tok_cfg.tubelet)
     # one clip is a batch of one through the pretraining forward
     tokens = embed_patches(Tensor(raw_patches[None]), tok_cfg, model.proj.weight, model.proj.bias)
-    strategy = args.strategy or snapshot["pretrain"]["strategy"]
-    ratio = args.ratio if args.ratio is not None else snapshot["pretrain"]["mask_ratio"]
+    strategy = args.strategy or pre_cfg.strategy
+    ratio = args.ratio if args.ratio is not None else pre_cfg.mask_ratio
     if strategy == "adaptive":
         pmap = select_probabilities(tokens, selector)
         spec = sample_visible(pmap.probs.data[0], ratio, rng)
@@ -223,11 +237,9 @@ def cmd_reconstruct(args) -> int:
     latents = encode(gather_rows_batched(tokens, visible_ids), model)
     preds = decode(latents, visible_ids, masked_ids, model).data[0]
 
-    normalize = snapshot["pretrain"]["normalize_targets"]
-    targets = patch_normalize_targets(clip, tok_cfg, normalize=normalize)
-    stats = (targets.mean, targets.std, targets.eps) if normalize else None
+    targets = patch_normalize_targets(clip, tok_cfg, normalize=pre_cfg.normalize_targets)
     recon_masked, _ = detokenize_patches(
-        preds, spec.masked_ids, clip.frames.shape, tok_cfg, stats=stats
+        targets.denormalize(preds, spec.masked_ids), spec.masked_ids, clip.frames.shape, tok_cfg
     )
     visible_frames, _ = detokenize_patches(
         raw_patches[spec.visible_ids], spec.visible_ids, clip.frames.shape, tok_cfg

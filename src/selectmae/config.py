@@ -1,14 +1,20 @@
 """Strict JSON run configuration mirroring every component's settings.
 
-Unknown keys are rejected at every level so typos cannot silently fall
-back to defaults; every command logs the fully resolved document, and
-its hash identifies the run.
+The resolved document is the one form a config takes outside Python:
+every command logs it, its hash identifies the run, and a pretraining
+checkpoint embeds its tokenizer, backbone and pretrain sections.
+`RunConfig.from_document` is the one way back to dataclasses, with the
+same checks for a `--config` file and a checkpoint: unknown keys and
+values of the wrong type are rejected at every level, so typos cannot
+silently fall back to defaults.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import types
+import typing
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -16,53 +22,82 @@ from .backbone import BackboneConfig
 from .data import SynthConfig
 from .downstream import FinetuneConfig
 from .errors import ConfigError
-from .masking import STRATEGIES
 from .tokenizer import TokenizerConfig
 from .training import PretrainConfig
 
-
-def _jsonable(value):
-    if isinstance(value, tuple):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, list):
-        return [_jsonable(v) for v in value]
-    return value
+_SECTIONS = {
+    "data": SynthConfig,
+    "tokenizer": TokenizerConfig,
+    "backbone": BackboneConfig,
+    "pretrain": PretrainConfig,
+    "finetune": FinetuneConfig,
+}
 
 
 def _section_defaults(instance) -> dict:
-    return {k: _jsonable(v) for k, v in asdict(instance).items()}
+    return json.loads(json.dumps(asdict(instance)))
 
 
 def default_document() -> dict:
-    return {
-        "seed": 0,
-        "data": _section_defaults(SynthConfig()),
-        "tokenizer": _section_defaults(TokenizerConfig()),
-        "backbone": _section_defaults(BackboneConfig()),
-        "pretrain": _section_defaults(PretrainConfig()),
-        "finetune": _section_defaults(FinetuneConfig()),
-    }
+    return {"seed": 0, **{name: _section_defaults(cls()) for name, cls in _SECTIONS.items()}}
 
 
-def _merge(defaults: dict, user: dict, path: str) -> dict:
+def _fits(value, hint) -> bool:
+    """Whether a JSON value can stand for a field annotated `hint`: an int
+    may stand for a float, a list for a tuple of the annotated length, and
+    null only for a field that admits None."""
+    args = typing.get_args(hint)
+    if isinstance(hint, types.UnionType):
+        return any(_fits(value, a) for a in args)
+    if hint in (int, float):
+        return isinstance(value, (int, hint)) and not isinstance(value, bool)
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, list):
+            return False
+        if args[-1] is Ellipsis:
+            return all(_fits(v, args[0]) for v in value)
+        return len(value) == len(args) and all(_fits(v, a) for v, a in zip(value, args))
+    return isinstance(value, hint)
+
+
+def _check_value(value, hint, path: str):
+    if not _fits(value, hint):
+        name = hint.__name__ if isinstance(hint, type) else str(hint)
+        raise ConfigError(f"config key '{path}' must be {name}, got {value!r}")
+
+
+def _check_keys(user, allowed: dict, where: str):
     if not isinstance(user, dict):
-        raise ConfigError(f"config section '{path}' must be an object")
-    unknown = sorted(set(user) - set(defaults))
+        raise ConfigError(f"config section '{where}' must be an object")
+    unknown = sorted(set(user) - set(allowed))
     if unknown:
-        raise ConfigError(f"unknown config key(s) {unknown} in '{path or 'top level'}'")
-    merged = dict(defaults)
-    for key, value in user.items():
-        if isinstance(defaults[key], dict):
-            merged[key] = _merge(defaults[key], value, f"{path}.{key}" if path else key)
-        else:
-            merged[key] = _jsonable(value)
-    return merged
+        raise ConfigError(f"unknown config key(s) {unknown} in '{where}'")
 
 
-def _tupled(doc: dict, *keys):
-    for key in keys:
-        if isinstance(doc.get(key), list):
-            doc[key] = tuple(tuple(v) if isinstance(v, list) else v for v in doc[key])
+def _merge(user: dict) -> dict:
+    """The default document with every value of `user` checked against
+    its field's annotation and put in place."""
+    doc = default_document()
+    _check_keys(user, doc, "top level")
+    if "seed" in user:
+        _check_value(user["seed"], int, "seed")
+        doc["seed"] = user["seed"]
+    for name, cls in _SECTIONS.items():
+        section = user.get(name, {})
+        _check_keys(section, doc[name], name)
+        hints = typing.get_type_hints(cls)
+        for key, value in section.items():
+            _check_value(value, hints[key], f"{name}.{key}")
+        doc[name].update(section)
+    return doc
+
+
+def _build(cls, section: dict):
+    """The dataclass of one resolved section; JSON lists become tuples."""
+    def tupled(value):
+        return tuple(map(tupled, value)) if isinstance(value, list) else value
+
+    return cls(**{key: tupled(value) for key, value in section.items()})
 
 
 @dataclass
@@ -77,38 +112,22 @@ class RunConfig:
 
     @classmethod
     def from_document(cls, user: dict | None = None) -> "RunConfig":
-        user = user or {}
-        doc = _merge(default_document(), user, "")
+        # the JSON round trip turns a Python caller's tuples into lists
+        user = json.loads(json.dumps(user or {}))
+        doc = _merge(user)
         seed = doc["seed"]
         # section seeds follow the top-level seed unless set explicitly
-        if "pretrain" not in user or "seed" not in user.get("pretrain", {}):
-            doc["pretrain"]["seed"] = seed
-        if "finetune" not in user or "seed" not in user.get("finetune", {}):
-            doc["finetune"]["seed"] = seed
-
-        data_kw = dict(doc["data"])
-        _tupled(data_kw, "motion_speed_range", "shape_palette")
-        tok_kw = dict(doc["tokenizer"])
-        _tupled(tok_kw, "tubelet")
-        pre_kw = dict(doc["pretrain"])
-        _tupled(pre_kw, "betas")
-        ft_kw = dict(doc["finetune"])
-        _tupled(ft_kw, "betas")
-        return cls(
-            seed=seed,
-            data=SynthConfig(**data_kw),
-            tokenizer=TokenizerConfig(**tok_kw),
-            backbone=BackboneConfig(**doc["backbone"]),
-            pretrain=PretrainConfig(**pre_kw),
-            finetune=FinetuneConfig(**ft_kw),
-            document=doc,
-        )
+        for name in ("pretrain", "finetune"):
+            if "seed" not in user.get(name, {}):
+                doc[name]["seed"] = seed
+        sections = {name: _build(c, doc[name]) for name, c in _SECTIONS.items()}
+        return cls(seed=seed, document=doc, **sections)
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
         try:
             user = json.loads(Path(path).read_text())
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not UTF-8, or not JSON
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
         return cls.from_document(user)
 

@@ -33,16 +33,6 @@ _DEFAULT_PALETTE = (
 )
 
 
-@dataclass(frozen=True)
-class PhaseLabel:
-    class_index: int
-    class_name: str = ""
-
-    def __post_init__(self):
-        if self.class_index < 0:
-            raise ConfigError(f"phase index must be non-negative, got {self.class_index}")
-
-
 def phase_name(index: int) -> str:
     return f"phase_{index:02d}"
 
@@ -54,7 +44,7 @@ class SynthConfig:
     width: int = 32
     num_phases: int = 12
     motion_speed_range: tuple[float, float] = (0.8, 2.2)
-    shape_palette: tuple = _DEFAULT_PALETTE
+    shape_palette: tuple[tuple[float, float, float], ...] = _DEFAULT_PALETTE
     background_texture_seed: int = 7
     noise_sigma: float = 0.0
 
@@ -70,8 +60,6 @@ class SynthConfig:
 @dataclass
 class VideoClip:
     frames: np.ndarray  # (T, 3, H, W) float32 in [0, 1]
-    fps: float = 1.0
-    source_id: str = ""
 
 
 def _seed_key(seed) -> list[int]:
@@ -119,10 +107,10 @@ def _raster_shape(kind: str, cy: float, cx: float, size: float, h: int, w: int) 
 
 
 def generate_clip_with_mask(
-    cfg: SynthConfig, phase, seed
+    cfg: SynthConfig, phase: int, seed
 ) -> tuple[VideoClip, np.ndarray]:
     """Like `generate_clip` but also returns the (T, H, W) foreground mask."""
-    p = phase.class_index if isinstance(phase, PhaseLabel) else int(phase)
+    p = int(phase)
     if not 0 <= p < cfg.num_phases:
         raise ConfigError(f"phase {p} outside 0..{cfg.num_phases - 1}")
     t_frames, h, w = cfg.frames, cfg.height, cfg.width
@@ -177,11 +165,10 @@ def generate_clip_with_mask(
     if cfg.noise_sigma > 0:
         frames = frames + noise_rng.normal(0.0, cfg.noise_sigma, size=frames.shape)
     frames = np.clip(frames, 0.0, 1.0).astype(np.float32)
-    clip = VideoClip(frames, fps=1.0, source_id=f"synth_p{p:02d}")
-    return clip, fg_mask
+    return VideoClip(frames), fg_mask
 
 
-def generate_clip(cfg: SynthConfig, phase, seed) -> VideoClip:
+def generate_clip(cfg: SynthConfig, phase: int, seed) -> VideoClip:
     """Deterministic synthetic clip for (cfg, phase, seed)."""
     clip, _ = generate_clip_with_mask(cfg, phase, seed)
     return clip
@@ -222,28 +209,8 @@ def save_clip(clip, path):
     write_atomically(path, write)
 
 
-def _bilinear_resize(frames: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    t, c, h, w = frames.shape
-    ys = np.clip((np.arange(out_h) + 0.5) * h / out_h - 0.5, 0.0, h - 1.0)
-    xs = np.clip((np.arange(out_w) + 0.5) * w / out_w - 0.5, 0.0, w - 1.0)
-    y0 = np.floor(ys).astype(np.int64)
-    x0 = np.floor(xs).astype(np.int64)
-    y1 = np.minimum(y0 + 1, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    wy = (ys - y0)[None, None, :, None]
-    wx = (xs - x0)[None, None, None, :]
-    f00 = frames[:, :, y0[:, None], x0[None, :]]
-    f01 = frames[:, :, y0[:, None], x1[None, :]]
-    f10 = frames[:, :, y1[:, None], x0[None, :]]
-    f11 = frames[:, :, y1[:, None], x1[None, :]]
-    top = f00 * (1 - wx) + f01 * wx
-    bottom = f10 * (1 - wx) + f11 * wx
-    return (top * (1 - wy) + bottom * wy).astype(frames.dtype)
-
-
-def load_clip(path, resize_to: tuple[int, int] | None = None,
-              center_crop: tuple[int, int] | None = None) -> VideoClip:
-    """Read a raw clip; pixels scaled to [0, 1], optional crop then resize."""
+def load_clip(path) -> VideoClip:
+    """Read a raw clip; pixels scaled to [0, 1]."""
     with open(path, "rb") as f:
         header = f.read(4 + 20)
         if header[:4] != CLIP_MAGIC:
@@ -260,17 +227,7 @@ def load_clip(path, resize_to: tuple[int, int] | None = None,
             f"clip payload is {len(payload)} bytes, header implies {expected}"
         )
     frames = np.frombuffer(payload, dtype=np.uint8).reshape(t, c, h, w)
-    frames = frames.astype(np.float32) / 255.0
-    if center_crop is not None:
-        ch, cw = center_crop
-        if ch > h or cw > w:
-            raise ConfigError(f"crop {center_crop} larger than frame {(h, w)}")
-        top = (h - ch) // 2
-        left = (w - cw) // 2
-        frames = frames[:, :, top:top + ch, left:left + cw]
-    if resize_to is not None and frames.shape[2:] != tuple(resize_to):
-        frames = _bilinear_resize(frames, *resize_to)
-    return VideoClip(np.ascontiguousarray(frames), source_id=str(path))
+    return VideoClip(frames.astype(np.float32) / 255.0)
 
 
 def save_mask(mask: np.ndarray, path):

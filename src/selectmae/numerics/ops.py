@@ -285,13 +285,6 @@ def gelu(x: Tensor) -> Tensor:
     return out
 
 
-def log(x: Tensor) -> Tensor:
-    xd = x.data
-    out = Tensor(np.log(xd))
-    record_op((x,), out, lambda g: (g / xd,))
-    return out
-
-
 def absolute(x: Tensor) -> Tensor:
     xd = x.data
     out = Tensor(np.abs(xd))
@@ -385,10 +378,6 @@ def gather_rows_batched(x: Tensor, ids) -> Tensor:
 def stop_gradient(x: Tensor) -> Tensor:
     """Detach: the result carries the same values but no gradient path."""
     return Tensor(x.data)
-
-
-def constant(data) -> Tensor:
-    return Tensor(data)
 
 
 # Operator sugar on Tensor; scalars promote through scale().

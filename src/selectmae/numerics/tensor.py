@@ -28,10 +28,6 @@ _DEFAULT_DTYPE = np.float32
 _UID = itertools.count()
 
 
-def default_dtype():
-    return _DEFAULT_DTYPE
-
-
 @contextlib.contextmanager
 def precision(dtype):
     """Temporarily change the dtype used for newly created tensors."""

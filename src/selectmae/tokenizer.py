@@ -157,20 +157,10 @@ def detokenize_patches(
     ids,
     clip_shape: tuple[int, int, int, int],
     cfg: TokenizerConfig,
-    stats: tuple[np.ndarray, np.ndarray, float] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Place per-token pixel vectors into clip coordinates.
-
-    `stats = (mean, std, eps)` de-normalizes values first. Returns the
-    partially filled clip and the per-token coverage flags.
-    """
-    ids = np.asarray(ids, dtype=np.int64)
-    values = np.asarray(values, dtype=np.float64)
-    if stats is not None:
-        mean, std, eps = stats
-        values = values * (np.asarray(std)[ids] + eps) + np.asarray(mean)[ids]
+    """Place per-token pixel vectors into clip coordinates. Returns the
+    partially filled clip and the per-token coverage flags."""
     grid = cfg.grid_dims(clip_shape)
-    frames, covered = fold_patches(
-        values.astype(np.float32), ids, grid, cfg.tubelet, clip_shape[1]
+    return fold_patches(
+        np.asarray(values, dtype=np.float32), ids, grid, cfg.tubelet, clip_shape[1]
     )
-    return frames, covered

@@ -103,8 +103,8 @@ class PretrainConfig:
             raise ConfigError(f"strategy must be one of {STRATEGIES}, got '{self.strategy}'")
         if self.selection_weight < 0:
             raise ConfigError("selection_weight must be >= 0")
-        if self.batch_size < 1 or self.epochs < 1:
-            raise ConfigError("batch_size and epochs must be positive")
+        if self.batch_size < 1 or self.epochs < 1 or self.ckpt_every < 1:
+            raise ConfigError("batch_size, epochs and ckpt_every must be positive")
 
 
 def reconstruction_loss(
@@ -316,13 +316,37 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     return out
 
 
+CONFIG_ENTRY = "meta.config_utf8"
+
+
 def config_to_array(config: dict) -> np.ndarray:
+    """The container's encoding of a config document: its sorted-key JSON,
+    one UTF-8 byte per float32 value."""
     raw = json.dumps(config, sort_keys=True).encode("utf-8")
     return np.frombuffer(raw, dtype=np.uint8).astype(np.float32)
 
 
 def array_to_config(arr: np.ndarray) -> dict:
-    return json.loads(bytes(arr.astype(np.uint8)).decode("utf-8"))
+    arr = np.asarray(arr)
+    if arr.ndim != 1 or not np.all((arr >= 0) & (arr <= 255) & (arr == np.floor(arr))):
+        raise FormatError(f"checkpoint entry '{CONFIG_ENTRY}' does not hold bytes")
+    try:
+        doc = json.loads(bytes(arr.astype(np.uint8)).decode("utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise FormatError(f"checkpoint entry '{CONFIG_ENTRY}' is not UTF-8 JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise FormatError(f"checkpoint entry '{CONFIG_ENTRY}' is not a JSON object")
+    return doc
+
+
+def checkpoint_config(arrays: dict[str, np.ndarray], path) -> dict:
+    """The config document a pretraining checkpoint was written with."""
+    if CONFIG_ENTRY not in arrays:
+        kind = ("it looks like a classifier checkpoint"
+                if any(k.startswith("classifier.head.") for k in arrays)
+                else "it is not a pretraining checkpoint")
+        raise FormatError(f"{path} has no '{CONFIG_ENTRY}' entry: {kind}")
+    return array_to_config(arrays[CONFIG_ENTRY])
 
 
 def assign_named(tensors: dict[str, Tensor], arrays: dict[str, np.ndarray], context: str = ""):
@@ -335,18 +359,6 @@ def assign_named(tensors: dict[str, Tensor], arrays: dict[str, np.ndarray], cont
                 f"checkpoint tensor '{name}' has shape {arr.shape}, expected {tensor.shape}"
             )
         tensor.data = arr.astype(tensor.data.dtype).copy()
-
-
-def _config_snapshot(tok_cfg: TokenizerConfig, bb_cfg: BackboneConfig,
-                     cfg: PretrainConfig) -> dict:
-    snap = {
-        "tokenizer": asdict(tok_cfg),
-        "backbone": asdict(bb_cfg),
-        "pretrain": asdict(cfg),
-    }
-    snap["tokenizer"]["tubelet"] = list(snap["tokenizer"]["tubelet"])
-    snap["pretrain"]["betas"] = list(snap["pretrain"]["betas"])
-    return snap
 
 
 def config_diff(expected: dict, actual: dict, prefix: str = "") -> list[str]:
@@ -381,7 +393,12 @@ class PretrainRun:
         self.bb_cfg = bb_cfg or BackboneConfig()
         self.out_dir = Path(out_dir)
         self.out_dir.mkdir(parents=True, exist_ok=True)
-        self.snapshot = _config_snapshot(self.tok_cfg, self.bb_cfg, cfg)
+        # the JSON form this run's config takes in its checkpoints
+        self.snapshot = json.loads(json.dumps({
+            "tokenizer": asdict(self.tok_cfg),
+            "backbone": asdict(self.bb_cfg),
+            "pretrain": asdict(cfg),
+        }))
 
         entries = load_manifest(manifest_path)
         if not entries:
@@ -419,7 +436,7 @@ class PretrainRun:
             arrays[name] = t.data
         arrays.update(self.optimizer.state_arrays())
         arrays["trainer.step"] = np.array([completed_steps], dtype=np.float32)
-        arrays["meta.config_utf8"] = config_to_array(self.snapshot)
+        arrays[CONFIG_ENTRY] = config_to_array(self.snapshot)
         return arrays
 
     def save(self, completed_steps: int) -> Path:
@@ -429,14 +446,16 @@ class PretrainRun:
 
     def resume(self, checkpoint_path):
         arrays = load_checkpoint(checkpoint_path)
-        stored = array_to_config(arrays["meta.config_utf8"])
-        diff = config_diff(stored, self.snapshot)
+        diff = config_diff(checkpoint_config(arrays, checkpoint_path), self.snapshot)
         if diff:
             raise ConfigError(
                 "checkpoint config does not match the run config:\n" + "\n".join(diff)
             )
         assign_named(self.model.named(), arrays, "(model)")
         assign_named(self.selector.named(), arrays, "(selector)")
+        missing = sorted({"trainer.step", *self.optimizer.state_arrays()} - set(arrays))
+        if missing:
+            raise FormatError(f"{checkpoint_path} lacks training state {missing[:3]}")
         self.optimizer.load_state_arrays(arrays)
         self.start_step = int(arrays["trainer.step"][0])
         self.resumed_from = Path(checkpoint_path)

@@ -160,7 +160,15 @@ def test_full_visibility_mode_for_downstream():
 
 
 def test_backbone_config_validation():
-    with pytest.raises(ConfigError):
-        BackboneConfig(enc_dim=10, enc_heads=4)
-    with pytest.raises(ConfigError):
-        BackboneConfig(dec_dim=9, dec_heads=3)
+    for bad in (
+        {"enc_dim": 10, "enc_heads": 4},
+        {"dec_dim": 9, "dec_heads": 3},
+        {"enc_depth": -1},
+        {"dec_depth": -2},
+        {"enc_heads": 0},
+        {"dec_dim": 0},
+        {"dec_mlp_ratio": 0.0},
+    ):
+        with pytest.raises(ConfigError):
+            BackboneConfig(**bad)
+    assert BackboneConfig(enc_depth=0, dec_depth=0).enc_depth == 0

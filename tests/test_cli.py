@@ -1,14 +1,21 @@
 import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from selectmae.backbone import ModelParams
 from selectmae.cli import main
 from selectmae.config import RunConfig
+from selectmae.downstream import ClassifierHead
 from selectmae.errors import ConfigError
+from selectmae.masking import STRATEGIES
 from selectmae.ppm import read_ppm
+from selectmae.training import array_to_config, load_checkpoint, save_checkpoint
 
 
 TINY = {
@@ -64,6 +71,68 @@ def test_run_config_seed_propagation():
     assert cfg.pretrain.seed == 11 and cfg.finetune.seed == 11
     explicit = RunConfig.from_document({"seed": 11, "pretrain": {"seed": 5}})
     assert explicit.pretrain.seed == 5
+
+
+def test_run_config_type_checks_every_value():
+    cfg = RunConfig.from_document(
+        {"pretrain": {"base_lr": 1, "max_steps": None, "grad_clip": 2, "betas": [0.5, 0.9]}}
+    )
+    assert cfg.pretrain.base_lr == 1 and cfg.pretrain.max_steps is None
+    assert cfg.pretrain.betas == (0.5, 0.9)
+    for bad in (
+        {"seed": "1"},
+        {"pretrain": {"epochs": 2.5}},
+        {"pretrain": {"normalize_targets": 1}},
+        {"pretrain": {"batch_size": True}},
+        {"tokenizer": {"tubelet": 2}},
+    ):
+        with pytest.raises(ConfigError, match="must be"):
+            RunConfig.from_document(bad)
+
+
+_unit = st.floats(0.0, 1.0)
+_positive = st.floats(1e-6, 10.0)
+SECTION_OVERRIDES = st.fixed_dictionaries({}, optional={
+    "seed": st.integers(0, 2**31),
+    "data": st.fixed_dictionaries({}, optional={
+        "noise_sigma": _unit | st.integers(0, 1),
+        "motion_speed_range": st.lists(_positive, min_size=2, max_size=2),
+        "shape_palette": st.lists(st.lists(_unit, min_size=3, max_size=3), min_size=1, max_size=4),
+    }),
+    "tokenizer": st.fixed_dictionaries({}, optional={
+        "tubelet": st.lists(st.integers(1, 4), min_size=3, max_size=3),
+        "pos_encoding": st.sampled_from(["sinusoidal", "none"]),
+    }),
+    "backbone": st.fixed_dictionaries({}, optional={
+        "enc_depth": st.integers(0, 8),
+        "dec_depth": st.integers(0, 8),
+        "enc_mlp_ratio": st.floats(0.25, 8.0),
+    }),
+    "pretrain": st.fixed_dictionaries({}, optional={
+        "mask_ratio": st.floats(0.01, 0.99),
+        "strategy": st.sampled_from(STRATEGIES),
+        "max_steps": st.none() | st.integers(1, 10**6),
+        "grad_clip": st.none() | _positive,
+        "betas": st.lists(_unit, min_size=2, max_size=2),
+        "normalize_targets": st.booleans(),
+        "seed": st.integers(0, 2**31),
+    }),
+    "finetune": st.fixed_dictionaries({}, optional={
+        "lr": _positive,
+        "patience": st.integers(1, 50),
+    }),
+})
+
+
+@settings(max_examples=60, deadline=None)
+@given(SECTION_OVERRIDES)
+def test_resolved_document_round_trips(user):
+    cfg = RunConfig.from_document(user)
+    again = RunConfig.from_document(json.loads(cfg.dumps()))
+    assert again.document == cfg.document
+    assert again.config_hash() == cfg.config_hash()
+    for name in ("data", "tokenizer", "backbone", "pretrain", "finetune"):
+        assert getattr(again, name) == getattr(cfg, name)
 
 
 def test_gen_data_manifest_counts(corpus):
@@ -125,6 +194,17 @@ def test_pretrain_determinism(tmp_path_factory, corpus, tiny_config, pretrained)
     ])
     assert code == 0
     assert (out2 / "checkpoint_000006.csma").read_bytes() == pretrained.read_bytes()
+
+
+def test_checkpoint_embeds_the_resolved_config(pretrained):
+    resolved_path = pretrained.parent / "config.resolved.json"
+    resolved = json.loads(resolved_path.read_text())
+    embedded = array_to_config(load_checkpoint(pretrained)["meta.config_utf8"])
+    assert embedded == {k: resolved[k] for k in ("tokenizer", "backbone", "pretrain")}
+    rebuilt = RunConfig.from_document(embedded)
+    logged = RunConfig.from_file(resolved_path)
+    for name in ("tokenizer", "backbone", "pretrain"):
+        assert getattr(rebuilt, name) == getattr(logged, name)
 
 
 def test_finetune_and_eval_roundtrip(corpus, tiny_config, pretrained, tmp_path):
@@ -251,3 +331,132 @@ def test_ablate_invalid_axis_exits_2(corpus, tiny_config, tmp_path):
         "--out-dir", str(tmp_path / "x"),
     ])
     assert code == 2
+
+
+# ---------------------------------------------------------------------------
+# Every bad artifact a command reads exits on its documented code: 2 for a
+# config or split, 4 for a corrupt or wrong-kind checkpoint.
+
+def _classifier_checkpoint(path, pretrained):
+    cfg = RunConfig.from_document(TINY)
+    model = ModelParams(cfg.tokenizer, cfg.backbone, np.random.default_rng(0))
+    head = ClassifierHead(np.random.default_rng(1), cfg.backbone.enc_dim, cfg.data.num_phases)
+    arrays = {k: t.data for k, t in model.encoder_named().items()}
+    arrays.update({k: t.data for k, t in head.named().items()})
+    save_checkpoint(path, arrays)
+
+
+def _config_entry(value):
+    """A pretraining checkpoint whose embedded config entry is `value`."""
+    if isinstance(value, bytes):
+        value = np.frombuffer(value, dtype=np.uint8).astype(np.float32)
+
+    def make(path, pretrained):
+        arrays = load_checkpoint(pretrained)
+        arrays["meta.config_utf8"] = np.asarray(value, dtype=np.float32)
+        save_checkpoint(path, arrays)
+    return make
+
+
+def _text(content):
+    def make(path, pretrained):
+        path.write_text(content if isinstance(content, str) else json.dumps(content))
+    return make
+
+
+CHECKPOINTS = {  # artifact: (writer, exit code)
+    "classifier": (_classifier_checkpoint, 4),
+    "config-over-255": (_config_entry([3e9]), 4),
+    "config-fraction": (_config_entry([123.5]), 4),
+    "config-not-utf8": (_config_entry(b"\xff\xfe"), 4),
+    "config-not-json": (_config_entry(b"{tokenizer"), 4),
+    "config-not-object": (_config_entry(b"[1, 2]"), 4),
+    "config-unknown-key": (_config_entry(json.dumps({"tokenizer": {"size": 4}}).encode()), 2),
+    "config-negative-depth": (
+        _config_entry(json.dumps({"backbone": {"enc_depth": -1}}).encode()), 2),
+}
+WRONG_KIND = {"pretraining": (lambda path, pretrained: shutil.copy(pretrained, path), 4)}
+
+
+def _without(prefix):
+    """A pretraining checkpoint without the entries named `prefix`*."""
+    def make(path, pretrained):
+        arrays = load_checkpoint(pretrained)
+        save_checkpoint(path, {k: v for k, v in arrays.items() if not k.startswith(prefix)})
+    return make
+
+
+NO_TRAINING_STATE = {
+    "no-trainer-step": (_without("trainer.step"), 4),
+    "no-optimizer-moments": (_without("opt.v."), 4),
+}
+SPLITS = {
+    "not-json": (_text("{"), 2),
+    "missing-val": (_text({"train": [0, 1], "test": [2]}), 2),
+    "id-past-corpus": (_text({"train": [0, 1], "val": [16], "test": [2]}), 2),
+    "negative-id": (_text({"train": [0, 1], "val": [-1], "test": [15]}), 2),
+    "float-id": (_text({"train": [0, 1], "val": [3.0], "test": [2]}), 2),
+}
+CONFIGS = {
+    "not-json": (_text("{"), 2),
+    "ratio-string": (_text({"pretrain": {"mask_ratio": "x"}}), 2),
+    "short-tubelet": (_text({"tokenizer": {"tubelet": [2, 4]}}), 2),
+    "null-epochs": (_text({"pretrain": {"epochs": None}}), 2),
+    "negative-depth": (_text({"backbone": {"enc_depth": -1}}), 2),
+    "zero-heads": (_text({"backbone": {"enc_heads": 0}}), 2),
+    "zero-mlp-ratio": (_text({"backbone": {"dec_mlp_ratio": 0.0}}), 2),
+    "zero-ckpt-every": (_text({"pretrain": {"ckpt_every": 0}}), 2),
+    "short-color": (_text({"data": {"shape_palette": [[1.0, 0.0]]}}), 2),
+}
+
+
+def _argv(command, artifact, corpus, tiny_config, pretrained, tmp_path):
+    out = str(tmp_path / "out")
+    data = ["--corpus", str(corpus)]
+    return {
+        "reconstruct": ["reconstruct", "--checkpoint", artifact,
+                        "--clip", str(corpus / "clip_00000.csvc"), "--out-dir", out],
+        "pretrain --resume": ["pretrain", "--config", tiny_config, *data, "--out", out,
+                              "--strategy", "adaptive", "--resume", artifact],
+        "finetune": ["finetune", "--config", tiny_config, *data, "--checkpoint",
+                     str(pretrained), "--split", artifact, "--out", out],
+        "eval": ["eval", "--config", tiny_config, *data, "--checkpoint", str(pretrained),
+                 "--split", artifact, "--out", out],
+        "eval --checkpoint": ["eval", "--config", tiny_config, *data, "--checkpoint", artifact,
+                              "--split", "8,4,4", "--out", out],
+        "pretrain": ["pretrain", "--config", artifact, *data, "--out", out],
+        "gen-data": ["gen-data", "--config", artifact, "--out", out, "--clips", "2"],
+    }[command]
+
+
+BAD_ARTIFACTS = [
+    (command, name, *kind[name])
+    for commands, kind in (
+        (("reconstruct", "pretrain --resume"), CHECKPOINTS),
+        (("eval --checkpoint",), WRONG_KIND),
+        (("pretrain --resume",), NO_TRAINING_STATE),
+        (("finetune", "eval"), SPLITS),
+        (("pretrain", "gen-data"), CONFIGS),
+    )
+    for command in commands
+    for name in kind
+]
+
+
+@pytest.mark.parametrize(
+    "command,name,write,code", BAD_ARTIFACTS, ids=[f"{c}-{n}" for c, n, *_ in BAD_ARTIFACTS]
+)
+def test_bad_artifact_exits_on_its_documented_code(
+    command, name, write, code, corpus, tiny_config, pretrained, tmp_path, capsys
+):
+    artifact = tmp_path / "artifact"
+    write(artifact, pretrained)
+    argv = _argv(command, str(artifact), corpus, tiny_config, pretrained, tmp_path)
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith({2: "config error: ", 4: "corrupt artifact: "}[code])
+    assert "Traceback" not in err
+    if name == "classifier":
+        assert "'meta.config_utf8'" in err and "classifier checkpoint" in err
+    if name == "pretraining":
+        assert "'classifier.head." in err

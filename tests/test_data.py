@@ -5,7 +5,6 @@ import pytest
 
 from selectmae import data
 from selectmae.data import (
-    PhaseLabel,
     SynthConfig,
     VideoClip,
     generate_clip,
@@ -26,7 +25,7 @@ CFG = SynthConfig()
 
 
 def test_generate_clip_is_deterministic():
-    a = generate_clip(CFG, PhaseLabel(3, "phase_03"), 42)
+    a = generate_clip(CFG, 3, 42)
     b = generate_clip(CFG, 3, 42)
     assert np.array_equal(a.frames, b.frames)
 
@@ -157,25 +156,6 @@ def test_failed_clip_save_keeps_previous_file(tmp_path, monkeypatch):
         save_clip(np.zeros((2, 3, 4, 4), dtype=np.uint8), path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["clip.csvc"]
-
-
-def test_bilinear_resize_of_constant_is_constant(tmp_path):
-    frames = np.full((2, 3, 64, 64), 0.5, dtype=np.float32)
-    path = tmp_path / "const.csvc"
-    save_clip(VideoClip(frames), path)
-    small = load_clip(path, resize_to=(32, 32))
-    assert small.frames.shape == (2, 3, 32, 32)
-    expected = round(0.5 * 255) / 255.0
-    np.testing.assert_allclose(small.frames, expected, atol=1e-6)
-
-
-def test_center_crop(tmp_path):
-    frames = np.zeros((1, 3, 8, 8), dtype=np.float32)
-    frames[:, :, 2:6, 2:6] = 1.0
-    path = tmp_path / "crop.csvc"
-    save_clip(VideoClip(frames), path)
-    cropped = load_clip(path, center_crop=(4, 4))
-    np.testing.assert_allclose(cropped.frames, 1.0)
 
 
 def test_corpus_manifest_counts(tmp_path):

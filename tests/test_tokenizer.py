@@ -186,8 +186,7 @@ def test_detokenize_denormalizes_with_stats():
     targets = patch_normalize_targets(clip, cfg)
     ids = np.arange(targets.values.shape[0])
     frames, _ = detokenize_patches(
-        targets.values, ids, clip.frames.shape, cfg,
-        stats=(targets.mean, targets.std, targets.eps),
+        targets.denormalize(targets.values, ids), ids, clip.frames.shape, cfg
     )
     np.testing.assert_allclose(frames, clip.frames, atol=1e-5)
 
