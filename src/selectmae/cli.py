@@ -218,12 +218,12 @@ def cmd_reconstruct(args) -> int:
     arrays = load_checkpoint(args.checkpoint)
     model, selector, pre_cfg = _model_from_checkpoint(arrays, args.checkpoint)
     tok_cfg = model.tok_cfg
-    clip = load_clip(args.clip)
+    frames = load_clip(args.clip).frames
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     rng = np.random.default_rng(args.seed)
-    raw_patches = unfold_clip(clip.frames, tok_cfg.tubelet)
+    raw_patches = unfold_clip(frames, tok_cfg.tubelet)
     # one clip is a batch of one through the pretraining forward
     tokens = embed_patches(Tensor(raw_patches[None]), tok_cfg, model.proj.weight, model.proj.bias)
     strategy = args.strategy or pre_cfg.strategy
@@ -232,26 +232,26 @@ def cmd_reconstruct(args) -> int:
         pmap = select_probabilities(tokens, selector)
         spec = sample_visible(pmap.probs.data[0], ratio, rng)
     else:
-        spec = baseline_mask(strategy, tok_cfg.grid_dims(clip.frames.shape), ratio, rng)
+        spec = baseline_mask(strategy, tok_cfg.grid_dims(frames.shape), ratio, rng)
     visible_ids, masked_ids = spec.visible_ids[None], spec.masked_ids[None]
     latents = encode(gather_rows_batched(tokens, visible_ids), model)
     preds = decode(latents, visible_ids, masked_ids, model).data[0]
 
-    targets = patch_normalize_targets(clip, tok_cfg, normalize=pre_cfg.normalize_targets)
+    targets = patch_normalize_targets(frames, tok_cfg, normalize=pre_cfg.normalize_targets)
     recon_masked, _ = detokenize_patches(
-        targets.denormalize(preds, spec.masked_ids), spec.masked_ids, clip.frames.shape, tok_cfg
+        targets.denormalize(preds, spec.masked_ids), spec.masked_ids, frames.shape, tok_cfg
     )
     visible_frames, _ = detokenize_patches(
-        raw_patches[spec.visible_ids], spec.visible_ids, clip.frames.shape, tok_cfg
+        raw_patches[spec.visible_ids], spec.visible_ids, frames.shape, tok_cfg
     )
     reconstruction = np.clip(visible_frames + recon_masked, 0.0, 1.0)
     overlay = visible_frames  # masked tubelets stay black
 
-    for t in range(clip.frames.shape[0]):
-        write_ppm(out_dir / f"original_{t:03d}.ppm", clip.frames[t].transpose(1, 2, 0))
+    for t in range(frames.shape[0]):
+        write_ppm(out_dir / f"original_{t:03d}.ppm", frames[t].transpose(1, 2, 0))
         write_ppm(out_dir / f"mask_{t:03d}.ppm", overlay[t].transpose(1, 2, 0))
         write_ppm(out_dir / f"recon_{t:03d}.ppm", reconstruction[t].transpose(1, 2, 0))
-    print(f"wrote {3 * clip.frames.shape[0]} images to {out_dir}")
+    print(f"wrote {3 * frames.shape[0]} images to {out_dir}")
     return 0
 
 

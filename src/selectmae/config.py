@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import types
 import typing
 from dataclasses import asdict, dataclass
@@ -44,13 +45,15 @@ def default_document() -> dict:
 
 def _fits(value, hint) -> bool:
     """Whether a JSON value can stand for a field annotated `hint`: an int
-    may stand for a float, a list for a tuple of the annotated length, and
-    null only for a field that admits None."""
+    may stand for a float, a float must be finite (Python's JSON reads
+    NaN and Infinity), a list may stand for a tuple of the annotated
+    length, and null only for a field that admits None."""
     args = typing.get_args(hint)
     if isinstance(hint, types.UnionType):
         return any(_fits(value, a) for a in args)
     if hint in (int, float):
-        return isinstance(value, (int, hint)) and not isinstance(value, bool)
+        return (isinstance(value, (int, hint)) and not isinstance(value, bool)
+                and (isinstance(value, int) or math.isfinite(value)))
     if typing.get_origin(hint) is tuple:
         if not isinstance(value, list):
             return False
@@ -63,6 +66,7 @@ def _fits(value, hint) -> bool:
 def _check_value(value, hint, path: str):
     if not _fits(value, hint):
         name = hint.__name__ if isinstance(hint, type) else str(hint)
+        name = name.replace("float", "finite float")
         raise ConfigError(f"config key '{path}' must be {name}, got {value!r}")
 
 

@@ -1,5 +1,9 @@
 """Synthetic surgical-style corpus, raw clip I/O, and reconstruction targets.
 
+A clip has one stored form, on disk and in memory: (T, C, H, W) uint8
+pixels. Float frames, tubelet patches and normalized targets are derived
+from the pixels where they are used, and never cached beside them.
+
 Clips show a static eye-like textured background with one or two moving
 foreground shapes whose color, count, form, and trajectory depend on the
 phase label. The exact foreground pixel mask is known, which is what
@@ -19,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, ContractError, FormatError
 from .tokenizer import TokenizerConfig, unfold_clip
 
 CLIP_MAGIC = b"CSVC"
@@ -59,7 +63,28 @@ class SynthConfig:
 
 @dataclass
 class VideoClip:
-    frames: np.ndarray  # (T, 3, H, W) float32 in [0, 1]
+    """A clip as its file stores it: (T, C, H, W) uint8 pixels, the only
+    form a clip is held in. `frames` derives the float32 [0, 1] view on
+    each access."""
+    pixels: np.ndarray
+
+    def __post_init__(self):
+        if self.pixels.dtype != np.uint8 or self.pixels.ndim != 4:
+            raise ContractError(
+                f"a clip holds (T, C, H, W) uint8 pixels, got {self.pixels.dtype}"
+                f" {self.pixels.shape}"
+            )
+
+    @property
+    def frames(self) -> np.ndarray:
+        return self.pixels.astype(np.float32) / 255.0
+
+
+def _to_pixels(frames: np.ndarray) -> np.ndarray:
+    """The 8-bit pixels of frames in [0, 1]; uint8 input is kept as it is."""
+    if frames.dtype == np.uint8:
+        return frames
+    return np.clip(np.round(frames * 255.0), 0, 255).astype(np.uint8)
 
 
 def _seed_key(seed) -> list[int]:
@@ -165,7 +190,7 @@ def generate_clip_with_mask(
     if cfg.noise_sigma > 0:
         frames = frames + noise_rng.normal(0.0, cfg.noise_sigma, size=frames.shape)
     frames = np.clip(frames, 0.0, 1.0).astype(np.float32)
-    return VideoClip(frames), fg_mask
+    return VideoClip(_to_pixels(frames)), fg_mask
 
 
 def generate_clip(cfg: SynthConfig, phase: int, seed) -> VideoClip:
@@ -194,23 +219,22 @@ def write_atomically(path, write):
 # little-endian), then T*C*H*W bytes of 8-bit pixels in (T, C, rows) order.
 
 def save_clip(clip, path):
-    frames = clip.frames if isinstance(clip, VideoClip) else np.asarray(clip)
-    if frames.ndim != 4:
-        raise FormatError(f"expected (T, C, H, W) frames, got {frames.shape}")
-    if frames.dtype != np.uint8:
-        frames = np.clip(np.round(frames * 255.0), 0, 255).astype(np.uint8)
-    t, c, h, w = frames.shape
+    pixels = clip.pixels if isinstance(clip, VideoClip) else np.asarray(clip)
+    if pixels.ndim != 4:
+        raise FormatError(f"expected (T, C, H, W) frames, got {pixels.shape}")
+    pixels = _to_pixels(pixels)
+    t, c, h, w = pixels.shape
 
     def write(f):
         f.write(CLIP_MAGIC)
         f.write(struct.pack("<IIIII", CLIP_VERSION, t, c, h, w))
-        f.write(np.ascontiguousarray(frames).tobytes())
+        f.write(np.ascontiguousarray(pixels).tobytes())
 
     write_atomically(path, write)
 
 
 def load_clip(path) -> VideoClip:
-    """Read a raw clip; pixels scaled to [0, 1]."""
+    """Read a raw clip; its pixels stay as the file stores them."""
     with open(path, "rb") as f:
         header = f.read(4 + 20)
         if header[:4] != CLIP_MAGIC:
@@ -226,8 +250,7 @@ def load_clip(path) -> VideoClip:
         raise FormatError(
             f"clip payload is {len(payload)} bytes, header implies {expected}"
         )
-    frames = np.frombuffer(payload, dtype=np.uint8).reshape(t, c, h, w)
-    return VideoClip(frames.astype(np.float32) / 255.0)
+    return VideoClip(np.frombuffer(payload, dtype=np.uint8).reshape(t, c, h, w))
 
 
 def save_mask(mask: np.ndarray, path):
@@ -236,8 +259,7 @@ def save_mask(mask: np.ndarray, path):
 
 
 def load_mask(path) -> np.ndarray:
-    clip = load_clip(path)
-    return clip.frames[:, 0] > 0.5
+    return load_clip(path).pixels[:, 0] > 127  # the pixels whose frame value is > 0.5
 
 
 def mask_path_for(clip_path) -> Path:

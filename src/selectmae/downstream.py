@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backbone import BackboneConfig, ModelParams, encode
-from .data import load_clip, load_manifest
+from .data import VideoClip, load_clip, load_manifest
 from .errors import ConfigError, DataError
 from .layers import LinearParams, linear
 from .numerics import (
@@ -23,6 +23,7 @@ from .numerics import (
     Tape,
     Tensor,
     backward,
+    check_schedule,
     cosine_warmup_lr,
     log_softmax,
     mul,
@@ -171,21 +172,22 @@ class FinetuneConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be positive")
+        check_schedule(self.betas, self.weight_decay, self.warmup_steps, self.min_lr)
 
 
 class _ClipStore:
-    """Caches token patches per clip and records every access."""
+    """Caches each clip as it is stored and records every access."""
 
     def __init__(self, entries: list[dict], access_log: list | None):
         self.entries = entries
         self.access_log = access_log if access_log is not None else []
-        self._cache: dict[int, np.ndarray] = {}
+        self._cache: dict[int, VideoClip] = {}
 
     def frames(self, clip_id: int, stage: str) -> np.ndarray:
         self.access_log.append((stage, self.entries[clip_id]["path"]))
         if clip_id not in self._cache:
-            self._cache[clip_id] = load_clip(self.entries[clip_id]["path"]).frames
-        return self._cache[clip_id]
+            self._cache[clip_id] = load_clip(self.entries[clip_id]["path"])
+        return self._cache[clip_id].frames
 
 
 def _evaluate(store: _ClipStore, ids, model, head, stage: str) -> np.ndarray:

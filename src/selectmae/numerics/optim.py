@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from ..errors import ConfigError, NumericError
+from ..errors import ConfigError, FormatError, NumericError
 from .tensor import Tensor
 
 
@@ -76,7 +76,32 @@ class AdamW:
         for name in self.params:
             self.m[name] = arrays[f"opt.m.{name}"].astype(self.m[name].dtype).copy()
             self.v[name] = arrays[f"opt.v.{name}"].astype(self.v[name].dtype).copy()
-        self.step_count = int(arrays["opt.step"][0])
+        self.step_count = stored_count(arrays, "opt.step")
+
+
+def stored_count(arrays: dict[str, np.ndarray], name: str) -> int:
+    """The step counter a checkpoint stores under `name`: one finite,
+    whole, non-negative number in a length-1 entry."""
+    arr = arrays[name]
+    value = float(arr[0]) if arr.shape == (1,) else math.nan
+    if not (math.isfinite(value) and value >= 0 and value == math.floor(value)):
+        raise FormatError(
+            f"checkpoint entry '{name}' must hold one whole number >= 0, got {arr.tolist()!r}"
+        )
+    return int(value)
+
+
+def check_schedule(betas: tuple[float, float], weight_decay: float, warmup_steps: int,
+                   min_lr: float):
+    """Range checks shared by every config that drives AdamW and the LR schedule."""
+    if not all(0.0 <= b < 1.0 for b in betas):
+        raise ConfigError(f"betas must each be in [0, 1), got {list(betas)}")
+    if weight_decay < 0:
+        raise ConfigError(f"weight_decay must be >= 0, got {weight_decay}")
+    if warmup_steps < 0:
+        raise ConfigError(f"warmup_steps must be >= 0, got {warmup_steps}")
+    if min_lr < 0:
+        raise ConfigError(f"min_lr must be >= 0, got {min_lr}")
 
 
 def cosine_warmup_lr(

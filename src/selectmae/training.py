@@ -20,7 +20,7 @@ import numpy as np
 
 from .backbone import BackboneConfig, ModelParams, decode, encode
 from .data import (
-    PatchTargets,
+    VideoClip,
     load_clip,
     load_manifest,
     load_mask,
@@ -45,6 +45,7 @@ from .numerics import (
     absolute,
     add,
     backward,
+    check_schedule,
     cosine_warmup_lr,
     gather_rows_batched,
     mul,
@@ -52,6 +53,7 @@ from .numerics import (
     reshape,
     scale,
     stop_gradient,
+    stored_count,
     sub,
 )
 from .tokenizer import (
@@ -105,6 +107,9 @@ class PretrainConfig:
             raise ConfigError("selection_weight must be >= 0")
         if self.batch_size < 1 or self.epochs < 1 or self.ckpt_every < 1:
             raise ConfigError("batch_size, epochs and ckpt_every must be positive")
+        if self.max_steps is not None and self.max_steps < 1:
+            raise ConfigError(f"max_steps must be >= 1 when set, got {self.max_steps}")
+        check_schedule(self.betas, self.weight_decay, self.warmup_steps, self.min_lr)
 
 
 def reconstruction_loss(
@@ -154,23 +159,25 @@ def selection_loss(log_probs: Tensor, errors: Tensor, masked_ids) -> Tensor:
 
 @dataclass
 class ClipBatchItem:
-    """A clip prepared for the training step."""
-    frames: np.ndarray
-    targets: PatchTargets
-    patches: np.ndarray  # raw flattened tubelets, cached once per clip
+    """A clip prepared for the training step: its stored pixels, its token
+    grid and the tokens that touch the foreground. The step derives the
+    float frames, patches and targets of each batch from the pixels."""
+    clip: VideoClip
     grid: tuple[int, int, int]
     fg_token_ids: np.ndarray | None = None
 
+    @property
+    def frames(self) -> np.ndarray:
+        return self.clip.frames
 
-def prepare_clip(frames: np.ndarray, tok_cfg: TokenizerConfig, cfg: PretrainConfig,
+
+def prepare_clip(clip: VideoClip, tok_cfg: TokenizerConfig,
                  fg_mask: np.ndarray | None = None) -> ClipBatchItem:
-    targets = patch_normalize_targets(frames, tok_cfg, normalize=cfg.normalize_targets)
     fg_ids = None
     if fg_mask is not None:
         cells = unfold_clip(fg_mask[:, None, :, :].astype(np.float32), tok_cfg.tubelet)
         fg_ids = np.flatnonzero(cells.max(axis=1) > 0)
-    patches = unfold_clip(frames, tok_cfg.tubelet).astype(np.float32)
-    return ClipBatchItem(frames, targets, patches, tok_cfg.grid_dims(frames.shape), fg_ids)
+    return ClipBatchItem(clip, tok_cfg.grid_dims(clip.pixels.shape), fg_ids)
 
 
 def pretrain_step(
@@ -193,10 +200,12 @@ def pretrain_step(
     if len(rngs) != len(batch):
         raise ContractError(f"{len(rngs)} rng streams for {len(batch)} clips")
     adaptive = cfg.strategy == "adaptive"
+    tok_cfg = model.tok_cfg
     grid = batch[0].grid
+    frames = [item.frames for item in batch]
     with Tape() as tape:
-        patches = Tensor(np.stack([item.patches for item in batch]))
-        tokens = embed_patches(patches, model.tok_cfg, model.proj.weight, model.proj.bias)
+        patches = Tensor(np.stack([unfold_clip(f, tok_cfg.tubelet) for f in frames]))
+        tokens = embed_patches(patches, tok_cfg, model.proj.weight, model.proj.bias)
 
         pmap = None
         if adaptive:
@@ -213,7 +222,8 @@ def pretrain_step(
         latents = encode(gather_rows_batched(tokens, visible_ids), model)
         preds = decode(latents, visible_ids, masked_ids, model)
         target_rows = np.stack([
-            item.targets.values[ids] for item, ids in zip(batch, masked_ids)
+            patch_normalize_targets(f, tok_cfg, normalize=cfg.normalize_targets).values[ids]
+            for f, ids in zip(frames, masked_ids)
         ])
         recon, per_token = reconstruction_loss(preds, target_rows, cfg.loss_kind)
 
@@ -405,12 +415,11 @@ class PretrainRun:
             raise ConfigError(f"empty corpus manifest {manifest_path}")
         self.items: list[ClipBatchItem] = []
         for entry in entries:
-            clip = load_clip(entry["path"])
             fg = None
             mask_file = mask_path_for(entry["path"])
             if mask_file.exists():
                 fg = load_mask(mask_file)
-            self.items.append(prepare_clip(clip.frames, self.tok_cfg, cfg, fg))
+            self.items.append(prepare_clip(load_clip(entry["path"]), self.tok_cfg, fg))
 
         self.model = ModelParams(self.tok_cfg, self.bb_cfg, np.random.default_rng([cfg.seed, 0]))
         self.selector = SelectionParams(np.random.default_rng([cfg.seed, 1]), self.tok_cfg.dim)
@@ -457,7 +466,7 @@ class PretrainRun:
         if missing:
             raise FormatError(f"{checkpoint_path} lacks training state {missing[:3]}")
         self.optimizer.load_state_arrays(arrays)
-        self.start_step = int(arrays["trainer.step"][0])
+        self.start_step = stored_count(arrays, "trainer.step")
         self.resumed_from = Path(checkpoint_path)
 
     def _batch_ids(self, step: int) -> np.ndarray:

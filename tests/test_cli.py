@@ -85,12 +85,16 @@ def test_run_config_type_checks_every_value():
         {"pretrain": {"normalize_targets": 1}},
         {"pretrain": {"batch_size": True}},
         {"tokenizer": {"tubelet": 2}},
+        {"pretrain": {"base_lr": float("nan")}},
+        {"pretrain": {"betas": [0.9, float("inf")]}},
+        {"pretrain": {"grad_clip": float("-inf")}},
     ):
         with pytest.raises(ConfigError, match="must be"):
             RunConfig.from_document(bad)
 
 
 _unit = st.floats(0.0, 1.0)
+_beta = st.floats(0.0, 1.0, exclude_max=True)
 _positive = st.floats(1e-6, 10.0)
 SECTION_OVERRIDES = st.fixed_dictionaries({}, optional={
     "seed": st.integers(0, 2**31),
@@ -113,7 +117,7 @@ SECTION_OVERRIDES = st.fixed_dictionaries({}, optional={
         "strategy": st.sampled_from(STRATEGIES),
         "max_steps": st.none() | st.integers(1, 10**6),
         "grad_clip": st.none() | _positive,
-        "betas": st.lists(_unit, min_size=2, max_size=2),
+        "betas": st.lists(_beta, min_size=2, max_size=2),
         "normalize_targets": st.booleans(),
         "seed": st.integers(0, 2**31),
     }),
@@ -386,9 +390,24 @@ def _without(prefix):
     return make
 
 
-NO_TRAINING_STATE = {
+def _entry(name, value):
+    """A pretraining checkpoint whose entry `name` holds `value`."""
+    def make(path, pretrained):
+        arrays = load_checkpoint(pretrained)
+        arrays[name] = np.asarray(value, dtype=np.float32)
+        save_checkpoint(path, arrays)
+    return make
+
+
+TRAINING_STATE = {
     "no-trainer-step": (_without("trainer.step"), 4),
     "no-optimizer-moments": (_without("opt.v."), 4),
+    "nan-trainer-step": (_entry("trainer.step", [np.nan]), 4),
+    "negative-trainer-step": (_entry("trainer.step", [-3.0]), 4),
+    "fractional-trainer-step": (_entry("trainer.step", [2.5]), 4),
+    "0d-trainer-step": (_entry("trainer.step", 3.0), 4),
+    "nan-optimizer-step": (_entry("opt.step", [np.nan]), 4),
+    "0d-optimizer-step": (_entry("opt.step", 3.0), 4),
 }
 SPLITS = {
     "not-json": (_text("{"), 2),
@@ -407,6 +426,16 @@ CONFIGS = {
     "zero-mlp-ratio": (_text({"backbone": {"dec_mlp_ratio": 0.0}}), 2),
     "zero-ckpt-every": (_text({"pretrain": {"ckpt_every": 0}}), 2),
     "short-color": (_text({"data": {"shape_palette": [[1.0, 0.0]]}}), 2),
+    "negative-max-steps": (_text({"pretrain": {"max_steps": -2}}), 2),
+    "zero-max-steps": (_text({"pretrain": {"max_steps": 0}}), 2),
+    "negative-warmup": (_text({"pretrain": {"warmup_steps": -1}}), 2),
+    "negative-weight-decay": (_text({"pretrain": {"weight_decay": -1.0}}), 2),
+    "betas-past-one": (_text({"pretrain": {"betas": [1.5, 2.0]}}), 2),
+    "negative-min-lr": (_text({"pretrain": {"min_lr": -1e-6}}), 2),
+    "finetune-beta-one": (_text({"finetune": {"betas": [0.9, 1.0]}}), 2),
+    "finetune-negative-warmup": (_text({"finetune": {"warmup_steps": -1}}), 2),
+    "nan-base-lr": (_text({"pretrain": {"base_lr": float("nan")}}), 2),
+    "infinite-min-lr": (_text({"pretrain": {"min_lr": float("inf")}}), 2),
 }
 
 
@@ -434,7 +463,7 @@ BAD_ARTIFACTS = [
     for commands, kind in (
         (("reconstruct", "pretrain --resume"), CHECKPOINTS),
         (("eval --checkpoint",), WRONG_KIND),
-        (("pretrain --resume",), NO_TRAINING_STATE),
+        (("pretrain --resume",), TRAINING_STATE),
         (("finetune", "eval"), SPLITS),
         (("pretrain", "gen-data"), CONFIGS),
     )

@@ -17,7 +17,7 @@ from selectmae.data import (
     patch_normalize_targets,
     save_clip,
 )
-from selectmae.errors import ConfigError, FormatError
+from selectmae.errors import ConfigError, ContractError, FormatError
 from selectmae.tokenizer import TokenizerConfig
 
 
@@ -76,8 +76,25 @@ def test_clip_file_roundtrip(tmp_path):
     path = tmp_path / "clip.csvc"
     save_clip(clip, path)
     loaded = load_clip(path)
-    assert loaded.frames.shape == clip.frames.shape
-    assert np.abs(loaded.frames - clip.frames).max() <= 1.0 / 255.0 + 1e-7
+    # a generated clip is already quantized, so its saved copy loads back equal
+    assert np.array_equal(loaded.pixels, clip.pixels)
+    assert np.array_equal(loaded.frames, clip.frames)
+
+
+def test_clip_holds_uint8_pixels_and_derives_frames():
+    clip = generate_clip(CFG, 4, 7)
+    assert clip.pixels.dtype == np.uint8
+    assert clip.pixels.shape == (CFG.frames, 3, CFG.height, CFG.width)
+    expected = clip.pixels.astype(np.float32) / 255.0
+    assert clip.frames.dtype == np.float32
+    assert clip.frames.tobytes() == expected.tobytes()
+
+
+def test_clip_rejects_pixels_that_are_not_uint8():
+    for dtype, shape in ((np.float32, (2, 3, 4, 4)), (np.float64, (2, 3, 4, 4)),
+                         (np.int64, (2, 3, 4, 4)), (np.uint8, (3, 4, 4))):
+        with pytest.raises(ContractError, match="uint8"):
+            VideoClip(np.zeros(shape, dtype=dtype))
 
 
 def test_clip_file_header_payload_mismatch(tmp_path):
@@ -192,7 +209,7 @@ def test_corpus_rejects_bad_fraction(tmp_path):
 
 def test_patch_targets_constant_patch_is_zero():
     frames = np.full((2, 3, 4, 4), 0.7, dtype=np.float32)
-    targets = patch_normalize_targets(VideoClip(frames), TokenizerConfig(tubelet=(2, 4, 4)))
+    targets = patch_normalize_targets(frames, TokenizerConfig(tubelet=(2, 4, 4)))
     np.testing.assert_allclose(targets.values, 0.0, atol=1e-4)
 
 
@@ -200,7 +217,7 @@ def test_patch_targets_identity_when_off():
     rng = np.random.default_rng(0)
     frames = rng.random((4, 3, 8, 8)).astype(np.float32)
     targets = patch_normalize_targets(
-        VideoClip(frames), TokenizerConfig(tubelet=(2, 4, 4)), normalize=False
+        frames, TokenizerConfig(tubelet=(2, 4, 4)), normalize=False
     )
     from selectmae.tokenizer import unfold_clip
 
@@ -211,7 +228,7 @@ def test_patch_targets_statistics():
     rng = np.random.default_rng(1)
     frames = rng.random((4, 3, 16, 16)).astype(np.float32)
     targets = patch_normalize_targets(
-        VideoClip(frames), TokenizerConfig(tubelet=(2, 4, 4)), eps=1e-6
+        frames, TokenizerConfig(tubelet=(2, 4, 4)), eps=1e-6
     )
     means = targets.values.mean(axis=1)
     variances = targets.values.var(axis=1)
@@ -223,7 +240,7 @@ def test_patch_targets_denormalize_roundtrip():
     rng = np.random.default_rng(2)
     frames = rng.random((2, 3, 8, 8)).astype(np.float32)
     cfg = TokenizerConfig(tubelet=(2, 4, 4))
-    targets = patch_normalize_targets(VideoClip(frames), cfg)
+    targets = patch_normalize_targets(frames, cfg)
     from selectmae.tokenizer import unfold_clip
 
     raw = unfold_clip(frames, (2, 4, 4))
@@ -235,8 +252,8 @@ def test_patch_targets_affine_shift_invariance():
     rng = np.random.default_rng(3)
     frames = rng.random((2, 3, 8, 8)).astype(np.float32) * 0.5
     cfg = TokenizerConfig(tubelet=(2, 4, 4))
-    base = patch_normalize_targets(VideoClip(frames), cfg)
+    base = patch_normalize_targets(frames, cfg)
     shifted = frames.copy()
     shifted[0:2, :, 0:4, 0:4] += 0.25  # shift exactly one tubelet
-    other = patch_normalize_targets(VideoClip(shifted), cfg)
+    other = patch_normalize_targets(shifted, cfg)
     np.testing.assert_allclose(base.values, other.values, atol=1e-3)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from selectmae import numerics as nm
-from selectmae.data import SynthConfig, VideoClip, generate_clip, patch_normalize_targets
+from selectmae.data import SynthConfig, generate_clip, patch_normalize_targets
 from selectmae.errors import ConfigError
 from selectmae.numerics.gradcheck import check_gradients
 from selectmae.tokenizer import (
@@ -49,7 +49,7 @@ def test_identity_projection_recovers_first_tubelet():
     frames = rng.random((4, 3, 8, 8)).astype(np.float32)
     w = nm.Tensor(np.eye(96, dtype=np.float32))
     b = nm.Tensor(np.zeros(96, dtype=np.float32))
-    grid = tokenize(VideoClip(frames), cfg, w, b)
+    grid = tokenize(frames, cfg, w, b)
     first = frames[0:2, :, 0:4, 0:4].transpose(0, 1, 2, 3).reshape(-1)
     np.testing.assert_allclose(grid.tokens.data[0], first, atol=1e-6)
 
@@ -60,7 +60,7 @@ def test_equivalence_with_explicit_3d_convolution():
     frames = rng.random((4, 3, 8, 12)).astype(np.float32)
     w_np = rng.standard_normal((cfg.patch_len(), 10)).astype(np.float32)
     b_np = rng.standard_normal(10).astype(np.float32)
-    grid = tokenize(VideoClip(frames), cfg, nm.Tensor(w_np), nm.Tensor(b_np))
+    grid = tokenize(frames, cfg, nm.Tensor(w_np), nm.Tensor(b_np))
 
     # brute-force convolution with kernel = stride = tubelet
     kernel = w_np.T.reshape(10, 2, 3, 4, 4)  # (out, t, c, h, w)
@@ -138,7 +138,7 @@ def test_tokenize_is_linear_without_pe():
     w, b = _random_params(cfg, rng)
     b.data = rng.standard_normal(8).astype(np.float32)
 
-    tok = lambda f: tokenize(VideoClip(f), cfg, w, b).tokens.data
+    tok = lambda f: tokenize(f, cfg, w, b).tokens.data
     lhs = tok(2.0 * x + 0.5 * y)
     rhs = 2.0 * tok(x) + 0.5 * tok(y) - 1.5 * b.data  # bias enters each tokenize once
     np.testing.assert_allclose(lhs, rhs, rtol=1e-4, atol=1e-5)

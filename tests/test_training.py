@@ -6,7 +6,12 @@ import pytest
 from selectmae import numerics as nm
 from selectmae import training
 from selectmae.backbone import BackboneConfig, ModelParams, decode, encode
-from selectmae.data import SynthConfig, generate_corpus
+from selectmae.data import (
+    SynthConfig,
+    generate_clip_with_mask,
+    generate_corpus,
+    patch_normalize_targets,
+)
 from selectmae.errors import ConfigError, ContractError, FormatError, NumericError, ShapeError
 from selectmae.masking import (
     MaskSpec,
@@ -16,7 +21,7 @@ from selectmae.masking import (
     select_probabilities,
 )
 from selectmae.numerics import AdamW
-from selectmae.tokenizer import TokenizerConfig, embed_patches
+from selectmae.tokenizer import TokenizerConfig, embed_patches, unfold_clip
 from selectmae.training import (
     PretrainConfig,
     PretrainRun,
@@ -152,14 +157,11 @@ def _cfg(**kw):
     return PretrainConfig(**defaults)
 
 
-def _items(n=3, seed=0, cfg=None):
-    cfg = cfg or _cfg()
+def _items(n=3, seed=0):
     items = []
     for i in range(n):
-        from selectmae.data import generate_clip_with_mask
-
         clip, fg = generate_clip_with_mask(SYNTH, i % SYNTH.num_phases, [seed, i])
-        items.append(prepare_clip(clip.frames, TOK, cfg, fg))
+        items.append(prepare_clip(clip, TOK, fg))
     return items
 
 
@@ -213,7 +215,7 @@ def test_pretrain_step_baseline_never_touches_selector():
 def _predict(model, items, specs):
     """Tokens, latents and (B, n_masked, patch_len) predictions for clips
     with their own masks, through the calls pretrain_step makes."""
-    patches = nm.Tensor(np.stack([item.patches for item in items]))
+    patches = nm.Tensor(np.stack([unfold_clip(item.frames, TOK.tubelet) for item in items]))
     tokens = embed_patches(patches, TOK, model.proj.weight, model.proj.bias)
     visible_ids = np.stack([spec.visible_ids for spec in specs])
     masked_ids = np.stack([spec.masked_ids for spec in specs])
@@ -225,7 +227,8 @@ def _losses(model, selector, item, spec):
     """L_R and L_select of one clip as a batch of one, as pretrain_step forms them."""
     tokens, _, preds = _predict(model, [item], [spec])
     pmap = select_probabilities(nm.stop_gradient(tokens), selector)
-    recon, per_token = reconstruction_loss(preds, item.targets.values[spec.masked_ids][None])
+    targets = patch_normalize_targets(item.frames, TOK)
+    recon, per_token = reconstruction_loss(preds, targets.values[spec.masked_ids][None])
     sel = selection_loss(pmap.log_probs, nm.stop_gradient(per_token), spec.masked_ids[None])
     return recon, sel
 
@@ -295,7 +298,7 @@ def test_pretrain_step_rejects_non_finite_loss():
     selector = SelectionParams(np.random.default_rng(1), TOK.dim)
     opt = AdamW(dict(model.named()), lr=1e-3)
     item = _items(1)[0]
-    item.targets.values[:] = np.inf
+    model.head.bias.data[:] = np.inf  # uint8 pixels cannot hold inf, so the predictions do
     with pytest.raises(NumericError):
         pretrain_step([item], model, selector, opt, cfg, [np.random.default_rng(0)])
 
@@ -463,6 +466,34 @@ def test_pretrain_config_validation():
         PretrainConfig(strategy="blocks")
     with pytest.raises(ConfigError):
         PretrainConfig(selection_weight=-1.0)
+    for bad, message in (
+        ({"max_steps": -2}, "max_steps"),
+        ({"max_steps": 0}, "max_steps"),
+        ({"warmup_steps": -1}, "warmup_steps"),
+        ({"weight_decay": -1.0}, "weight_decay"),
+        ({"betas": (1.5, 2.0)}, "betas"),
+        ({"betas": (0.9, 1.0)}, "betas"),
+        ({"betas": (-0.1, 0.9)}, "betas"),
+        ({"min_lr": -1e-6}, "min_lr"),
+    ):
+        with pytest.raises(ConfigError, match=message):
+            PretrainConfig(**bad)
+    PretrainConfig(max_steps=None, warmup_steps=0, weight_decay=0.0, betas=(0.0, 0.0), min_lr=0.0)
+
+
+def test_pretrain_run_caches_only_the_stored_pixels(tmp_path):
+    # a cached clip is its file's uint8 payload (8x3x32x32 at the default
+    # config) plus its foreground ids: no float frames, patches or targets
+    manifest = generate_corpus(SynthConfig(), 2, 1.0, 0, tmp_path / "corpus")
+    run = PretrainRun(manifest, tmp_path / "run", PretrainConfig(max_steps=1))
+    for item in run.items:
+        arrays = {name: value for name, value in vars(item).items()
+                  if isinstance(value, np.ndarray)}
+        arrays.update({f"clip.{name}": value for name, value in vars(item.clip).items()})
+        assert sorted(arrays) == ["clip.pixels", "fg_token_ids"]
+        assert arrays["clip.pixels"].dtype == np.uint8
+        assert arrays["clip.pixels"].nbytes == 8 * 3 * 32 * 32 == 24_576
+        assert item.frames.tobytes() == (item.clip.pixels.astype(np.float32) / 255.0).tobytes()
 
 
 def test_pretrain_resume_in_place_matches_uninterrupted(tmp_path, monkeypatch):
