@@ -53,6 +53,14 @@ class SynthConfig:
     noise_sigma: float = 0.0
 
     def __post_init__(self):
+        if min(self.frames, self.height, self.width) < 1:
+            raise ConfigError(
+                f"frames, height and width must be positive, got"
+                f" {self.frames}, {self.height} and {self.width}"
+            )
+        low, high = self.motion_speed_range
+        if not 0 <= low <= high:  # (0, 0) draws static clips
+            raise ConfigError(f"motion_speed_range needs 0 <= low <= high, got [{low}, {high}]")
         if self.num_phases < 2:
             raise ConfigError(f"need at least 2 phases, got {self.num_phases}")
         if self.noise_sigma < 0:

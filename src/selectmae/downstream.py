@@ -175,6 +175,16 @@ class FinetuneConfig:
         check_schedule(self.betas, self.weight_decay, self.warmup_steps, self.min_lr)
 
 
+def _check_labels(entries: list[dict], ids, num_steps: int):
+    """Every clip in `ids` carries a label the num_steps-way head can score."""
+    for i in ids:
+        if not 0 <= entries[i]["phase_index"] < num_steps:
+            raise ConfigError(
+                f"clip {i} ({entries[i]['path']}) has phase_index {entries[i]['phase_index']},"
+                f" outside the {num_steps} phases of data.num_phases"
+            )
+
+
 class _ClipStore:
     """Caches each clip as it is stored and records every access."""
 
@@ -220,6 +230,7 @@ def finetune_run(
     labeled = split.labeled_train_ids(entries)
     if not labeled:
         raise ConfigError("no labeled clips in the training split")
+    _check_labels(entries, [*labeled, *split.val_ids, *split.test_ids], num_steps)
     store = _ClipStore(entries, access_log)
 
     model = ModelParams(tok_cfg, bb_cfg, np.random.default_rng([cfg.seed, 0]))
@@ -295,6 +306,7 @@ def evaluate_checkpoint(
     tok_cfg = tok_cfg or TokenizerConfig()
     bb_cfg = bb_cfg or BackboneConfig()
     entries = load_manifest(manifest_path)
+    _check_labels(entries, split_ids, num_steps)
     store = _ClipStore(entries, access_log)
     model = ModelParams(tok_cfg, bb_cfg, np.random.default_rng(0))
     assign_named(model.encoder_named(), arrays, "(encoder)")

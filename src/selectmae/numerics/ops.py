@@ -17,6 +17,11 @@ gradient `g` or into any forward input: `add` hands the same `g` object
 to both of its inputs, and the tape keeps one pending gradient per
 tensor until all its consumers have run, so a write into `g` corrupts
 another tensor's gradient.
+
+`attend` trades compute for memory, as in Chen et al. 2016 (*Training
+Deep Nets with Sublinear Memory Cost*): its closure keeps q, k, v and
+each score row's max and sum, not the (..., n, m) attention weights,
+and backward recomputes the weights a block at a time.
 """
 
 from __future__ import annotations
@@ -144,12 +149,15 @@ def attend(q: Tensor, k: Tensor, v: Tensor, s: float) -> Tensor:
     """Scaled dot-product attention, softmax(q @ k^T * s) @ v, as one node.
 
     q is (..., n, d), k is (..., m, d) and v is (..., m, dv) with equal
-    leading dims. Only the (..., n, m) attention weights stay alive for
-    backward; the raw and scaled scores share their buffer. Forward and
+    leading dims. No (..., n, m) array outlives the call: forward and
     backward walk the flattened leading slices a cache-sized block at a
-    time; every slice sees the arithmetic of the chain
-    matmul -> scale -> softmax -> matmul, in its order, so results
-    match it bitwise.
+    time, each in its own reused scratch buffer, and backward keeps only
+    each row's max and sum, two (..., n, 1) arrays. Backward rebuilds a
+    block's weights from q, k and those statistics with the forward's
+    operations, in its order, so the weights it reads are the ones
+    forward used. Every slice sees the arithmetic of the chain
+    matmul -> scale -> softmax -> matmul, in its order, so results and
+    gradients match it bitwise.
     """
     if (
         q.ndim < 2
@@ -164,18 +172,26 @@ def attend(q: Tensor, k: Tensor, v: Tensor, s: float) -> Tensor:
     q3, k3, v3 = _flat(qd), _flat(kd), _flat(vd)
     count, n, m = q3.shape[0], q3.shape[1], k3.shape[1]
     dtype = np.result_type(q3, k3, v3)
-    y = np.empty((count, n, m), dtype)
+    step = max(1, _ATTEND_BLOCK_BYTES // max(1, n * m * dtype.itemsize))
+    blocks = [slice(i, min(i + step, count)) for i in range(0, count, step)]
+
+    def scratch():
+        return np.empty((min(step, count), n, m), dtype)
+
     ctx = np.empty((count, n, v3.shape[2]), dtype)
-    step = max(1, _ATTEND_BLOCK_BYTES // max(1, n * m * y.itemsize))
-    blocks = [slice(i, i + step) for i in range(0, count, step)]
+    row_max = np.empty((count, n, 1), dtype)
+    row_sum = np.empty((count, n, 1), dtype)
+    y_buf = scratch()
     for b in blocks:
-        yb = y[b]
+        yb = y_buf[:b.stop - b.start]
         np.matmul(q3[b], _swap(k3[b]), out=yb)
         yb *= s
         _assert_finite(yb, "attend")
-        yb -= yb.max(axis=-1, keepdims=True)
+        np.max(yb, axis=-1, keepdims=True, out=row_max[b])
+        yb -= row_max[b]
         np.exp(yb, out=yb)
-        yb /= yb.sum(axis=-1, keepdims=True)
+        np.sum(yb, axis=-1, keepdims=True, out=row_sum[b])
+        yb /= row_sum[b]
         np.matmul(yb, v3[b], out=ctx[b])
     out = Tensor(ctx.reshape(*qd.shape[:-1], vd.shape[-1]))
 
@@ -186,12 +202,17 @@ def attend(q: Tensor, k: Tensor, v: Tensor, s: float) -> Tensor:
         dq = np.empty(q3.shape, dtype)
         dkt = np.empty((count, q3.shape[2], m), dtype)
         dv = np.empty(v3.shape, dtype)
-        gw_buf = np.empty((min(step, count), n, m), dtype)
+        y_buf, gw_buf, prod_buf = scratch(), scratch(), scratch()
         for b in blocks:
-            yb = y[b]
-            gw = gw_buf[:len(yb)]
+            size = b.stop - b.start
+            yb, gw, prod = y_buf[:size], gw_buf[:size], prod_buf[:size]
+            np.matmul(q3[b], _swap(k3[b]), out=yb)
+            yb *= s
+            yb -= row_max[b]
+            np.exp(yb, out=yb)
+            yb /= row_sum[b]
             np.matmul(g3[b], _swap(v3[b]), out=gw)
-            dot = (gw * yb).sum(axis=-1, keepdims=True)
+            dot = np.multiply(gw, yb, out=prod).sum(axis=-1, keepdims=True)
             gw -= dot
             np.multiply(yb, gw, out=gw)
             gw *= s
@@ -223,10 +244,13 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     k = x.shape[-1]
     if gain.shape != (k,) or bias.shape != (k,):
         raise ShapeError(f"layer_norm: gain/bias {gain.shape}/{bias.shape} vs feature dim {k}")
-    mean = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    # centers once; each step is one of the operations of x.var and
+    # (x - mean) * inv, in their order, so the bits match them
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    var = np.multiply(xhat, xhat).sum(axis=-1, keepdims=True)
+    var /= k
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mean) * inv
+    xhat *= inv
     gd = gain.data
     out = Tensor(xhat * gd + bias.data)
 

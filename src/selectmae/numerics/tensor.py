@@ -13,11 +13,15 @@ uid and the backward closure. `backward` routes gradients by uid, and
 each closure reads the arrays the forward saw, which it captured itself.
 An intermediate that no closure captured is freed as soon as the caller
 drops it, during forward.
+
+Importing this module sets glibc's allocator so that memory a step
+frees stays in the process for the next step; see `_keep_freed_memory`.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import itertools
 
 import numpy as np
@@ -26,6 +30,47 @@ from ..errors import ContractError
 
 _DEFAULT_DTYPE = np.float32
 _UID = itertools.count()
+
+# mallopt parameter numbers and the values set, from glibc's malloc.h
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD_BYTES = 32 * 1024 * 1024
+_TRIM_THRESHOLD_BYTES = 256 * 1024 * 1024
+
+
+def _keep_freed_memory() -> None:
+    """Keep the arrays a training step frees in the heap for the next step.
+
+    By default glibc serves a request above the mmap threshold (128 KiB
+    at first) with a fresh mmap and unmaps it on free, and it returns the
+    top of the heap to the kernel once more than the trim threshold is
+    free there; both thresholds rise as large blocks are freed. A step
+    allocates and frees arrays of up to a few MiB, so each step faulted
+    the same pages in again: about 2,500 minor faults per default
+    adaptive step, and more once attention recomputed its weights in
+    backward. Both values are needed, because setting either one stops
+    glibc from adjusting the other. The mmap threshold alone leaves the
+    trim threshold at 128 KiB, so the freed heap top is still returned
+    on every step. The trim threshold alone leaves every array above
+    128 KiB on its own mmap. With both, requests below 32 MiB come from
+    the heap, which keeps up to 256 MiB free for reuse.
+
+    mallopt is looked up among the symbols the interpreter has loaded,
+    libc's among them, rather than through `ctypes.util.find_library`,
+    which runs `ldconfig` in a child process. Where the lookup fails or
+    libc has no mallopt, nothing changes.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
+
+
+_keep_freed_memory()
 
 
 @contextlib.contextmanager

@@ -100,7 +100,7 @@ SECTION_OVERRIDES = st.fixed_dictionaries({}, optional={
     "seed": st.integers(0, 2**31),
     "data": st.fixed_dictionaries({}, optional={
         "noise_sigma": _unit | st.integers(0, 1),
-        "motion_speed_range": st.lists(_positive, min_size=2, max_size=2),
+        "motion_speed_range": st.lists(_positive, min_size=2, max_size=2).map(sorted),
         "shape_palette": st.lists(st.lists(_unit, min_size=3, max_size=3), min_size=1, max_size=4),
     }),
     "tokenizer": st.fixed_dictionaries({}, optional={
@@ -436,6 +436,12 @@ CONFIGS = {
     "finetune-negative-warmup": (_text({"finetune": {"warmup_steps": -1}}), 2),
     "nan-base-lr": (_text({"pretrain": {"base_lr": float("nan")}}), 2),
     "infinite-min-lr": (_text({"pretrain": {"min_lr": float("inf")}}), 2),
+    "zero-frames": (_text({"data": {"frames": 0}}), 2),
+    "reversed-speed-range": (_text({"data": {"motion_speed_range": [2.0, 1.0]}}), 2),
+}
+# the corpus holds phases 0..3; a 3-way head cannot score phase 3
+LABELS = {
+    "phase-past-num-phases": (_text({**TINY, "data": {**TINY["data"], "num_phases": 3}}), 2),
 }
 
 
@@ -455,6 +461,10 @@ def _argv(command, artifact, corpus, tiny_config, pretrained, tmp_path):
                               "--split", "8,4,4", "--out", out],
         "pretrain": ["pretrain", "--config", artifact, *data, "--out", out],
         "gen-data": ["gen-data", "--config", artifact, "--out", out, "--clips", "2"],
+        "finetune --config": ["finetune", "--config", artifact, *data, "--scratch",
+                              "--split", "8,4,4", "--out", out],
+        "eval --config": ["eval", "--config", artifact, *data, "--checkpoint", str(pretrained),
+                          "--split", "8,4,4", "--out", out],
     }[command]
 
 
@@ -466,6 +476,7 @@ BAD_ARTIFACTS = [
         (("pretrain --resume",), TRAINING_STATE),
         (("finetune", "eval"), SPLITS),
         (("pretrain", "gen-data"), CONFIGS),
+        (("finetune --config", "eval --config"), LABELS),
     )
     for command in commands
     for name in kind

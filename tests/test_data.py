@@ -69,6 +69,12 @@ def test_invalid_configs_rejected():
         SynthConfig(noise_sigma=-0.1)
     with pytest.raises(ConfigError):
         generate_clip(CFG, 99, 0)
+    for sizes in ({"frames": 0}, {"height": 0}, {"width": -4}):
+        with pytest.raises(ConfigError, match="must be positive"):
+            SynthConfig(**sizes)
+    for speeds in ((2.0, 1.0), (-1.0, 1.0)):
+        with pytest.raises(ConfigError, match="motion_speed_range"):
+            SynthConfig(motion_speed_range=speeds)
 
 
 def test_clip_file_roundtrip(tmp_path):

@@ -1,3 +1,4 @@
+import ctypes
 import inspect
 import math
 import weakref
@@ -7,6 +8,7 @@ import pytest
 
 from selectmae import numerics as nm
 from selectmae.errors import ContractError, NumericError, ShapeError
+from selectmae.numerics import tensor
 from selectmae.numerics.gradcheck import check_gradients
 from selectmae.numerics.tensor import record_op
 
@@ -364,6 +366,32 @@ def test_attend_non_finite_in_last_block_records_nothing():
     assert len(tape) == 0
 
 
+def _captured_arrays(fn, seen=None) -> dict[int, np.ndarray]:
+    """Every ndarray a closure captures, through nested closures, by id."""
+    seen = {} if seen is None else seen
+    for cell in fn.__closure__ or ():
+        obj = cell.cell_contents
+        if isinstance(obj, np.ndarray):
+            seen[id(obj)] = obj
+        elif callable(obj) and getattr(obj, "__closure__", None):
+            _captured_arrays(obj, seen)
+    return seen
+
+
+def test_attend_backward_keeps_row_statistics_not_weights():
+    rng = np.random.default_rng(18)
+    lead, n, head_dim = (8, 2), 256, 16  # the decoder's shape
+    q, k, v = (nm.Tensor(a, requires_grad=True)
+               for a in _attention_inputs(rng, lead, n, head_dim))
+    with nm.Tape() as tape:
+        nm.attend(q, k, v, 0.25)
+    captured = _captured_arrays(tape._nodes[-1].backward_fn).values()
+    weights_bytes = math.prod(lead) * n * n * np.dtype(np.float32).itemsize
+    # q, k and v (256 KiB each) and two (16, 256, 1) row statistics
+    assert sum(a.nbytes for a in captured) < weights_bytes / 4
+    assert all(a.shape[-2:] != (n, n) for a in captured)
+
+
 @pytest.mark.parametrize("q_shape, k_shape, v_shape", [
     ((2, 4, 8), (2, 4, 6), (2, 4, 8)),  # head dims of q and k differ
     ((2, 4, 8), (2, 5, 8), (2, 4, 8)),  # k and v sequence lengths differ
@@ -385,6 +413,16 @@ def test_gelu_matches_reference_bitwise():
     ref_out, (ref_grad,) = _grads_of(_reference_gelu, [x], weight)
     assert np.array_equal(out, ref_out)
     assert np.array_equal(grad, ref_grad)
+
+
+def test_layer_norm_matches_variance_formula_bitwise():
+    rng = np.random.default_rng(20)
+    x = (rng.standard_normal((8, 64, 32)) * 4.0 + 3.0).astype(np.float32)
+    gain, bias = (rng.standard_normal(32).astype(np.float32) for _ in range(2))
+    out = nm.layer_norm(nm.Tensor(x), nm.Tensor(gain), nm.Tensor(bias)).data
+    mean = x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-5)
+    assert np.array_equal(out, (x - mean) * inv * gain + bias)
 
 
 def test_backward_never_writes_into_shared_upstream_gradient():
@@ -500,3 +538,19 @@ def test_tape_frees_intermediates_that_no_backward_reads():
     assert kept == [True, True]
     for got, want in zip(grads, kept_grads):
         assert np.array_equal(got, want)
+
+
+class _NoLibc:
+    def __init__(self, name):
+        raise OSError("no shared objects")
+
+
+class _LibcWithoutMallopt:
+    def __init__(self, name):
+        pass
+
+
+@pytest.mark.parametrize("cdll", [_NoLibc, _LibcWithoutMallopt], ids=["no-libc", "no-mallopt"])
+def test_allocator_setup_is_a_no_op_without_mallopt(monkeypatch, cdll):
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    tensor._keep_freed_memory()  # returns without raising

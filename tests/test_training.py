@@ -1,4 +1,6 @@
 import json
+import platform
+import sys
 
 import numpy as np
 import pytest
@@ -210,6 +212,38 @@ def test_pretrain_step_baseline_never_touches_selector():
     for name, t in selector.named().items():
         assert t.grad is None
         np.testing.assert_array_equal(t.data, before[name])
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+    reason="the allocator setting and the fault count are glibc's",
+)
+def test_warm_adaptive_step_keeps_its_memory():
+    # at the default config, a step allocates and frees arrays of up to a
+    # few MiB; once warm, the heap serves them without faulting pages in.
+    # A warm step may still grow the heap's high-water mark by a few
+    # hundred pages, so the median of five warm steps is checked.
+    import resource
+
+    tok = TokenizerConfig()
+    model = ModelParams(tok, BackboneConfig(), np.random.default_rng(0))
+    selector = SelectionParams(np.random.default_rng(1), tok.dim)
+    trained = dict(model.named())
+    trained.update(selector.named())
+    opt = AdamW(trained, lr=1e-4)
+    synth = SynthConfig()
+    items = []
+    for i in range(8):
+        clip, fg = generate_clip_with_mask(synth, i % synth.num_phases, [5, i])
+        items.append(prepare_clip(clip, tok, fg))
+    cfg = PretrainConfig(strategy="adaptive")
+    faults = []
+    for step in range(8):
+        rngs = [np.random.default_rng([6, step, j]) for j in range(8)]
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        pretrain_step(items, model, selector, opt, cfg, rngs, lr=1e-4, step_index=step)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    assert np.median(faults[3:]) < 200, faults
 
 
 def _predict(model, items, specs):
