@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, ShapeError
 from .layers import BlockParams, LinearParams, LayerNormParams, apply_layer_norm, linear, transformer_block
 from .numerics import Tensor, add, concat_rows, gather_rows_batched, mul, reshape
 from .tokenizer import TokenizerConfig, positional_encoding
@@ -110,8 +110,10 @@ class ModelParams:
 
 
 def encode(visible_tokens: Tensor, params: ModelParams) -> Tensor:
-    """Pre-norm transformer over the visible tokens (optionally batched),
-    final layer-norm."""
+    """Pre-norm transformer over a (B, n, enc_dim) stack of visible
+    tokens, then the final layer-norm. One clip is B = 1."""
+    if visible_tokens.ndim != 3:
+        raise ShapeError(f"encode takes a (B, n, dim) token stack, got {visible_tokens.shape}")
     if visible_tokens.shape[-2] < 1:
         raise ContractError("encoder needs at least one visible token")
     if visible_tokens.shape[-1] != params.bb_cfg.enc_dim:

@@ -344,10 +344,10 @@ class PatchTargets:
 
 
 def patch_normalize_targets(
-    clip, tokenizer_cfg: TokenizerConfig, normalize: bool = True, eps: float = 1e-6
+    frames: np.ndarray, tokenizer_cfg: TokenizerConfig, normalize: bool = True, eps: float = 1e-6
 ) -> PatchTargets:
-    """Per-token flattened pixels, optionally normalized to zero mean/unit std."""
-    frames = clip.frames if isinstance(clip, VideoClip) else np.asarray(clip)
+    """Per-token flattened pixels of one clip's (T, C, H, W) float frames,
+    optionally normalized to zero mean/unit std."""
     tokenizer_cfg.grid_dims(frames.shape)  # divisibility check
     patches = unfold_clip(frames, tokenizer_cfg.tubelet).astype(np.float64)
     # float64 statistics so constant patches normalize to exactly zero

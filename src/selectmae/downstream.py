@@ -1,10 +1,12 @@
 """Step-recognition fine-tuning on labeled clips plus evaluation metrics.
 
 Classification runs the encoder over the full token sequence (nothing
-masked), mean-pools the token features, and applies a linear head.
-Fine-tuning trains the head together with the tokenizer projection and
-encoder; precision/recall/Jaccard are macro-averaged over classes
-present in the labels, skipping zero-denominator classes per metric.
+masked) of each clip in a (B, ...) stack, mean-pools the token
+features, and applies a linear head; one clip is B = 1. Fine-tuning
+trains the head together with the tokenizer projection and encoder,
+one stacked forward per step; evaluation classifies one clip per call.
+Precision/recall/Jaccard are macro-averaged over classes present in
+the labels, skipping zero-denominator classes per metric.
 """
 
 from __future__ import annotations
@@ -142,19 +144,23 @@ class ClassifierHead:
         return self.proj.named(prefix)
 
 
-def classification_logits(frames, model: ModelParams, head: ClassifierHead) -> Tensor:
-    """Tokenize with everything visible, encode, mean-pool, apply the head."""
-    grid = tokenize(frames, model.tok_cfg, model.proj.weight, model.proj.bias)
-    features = encode(grid.tokens, model)
-    pooled = reshape(reduce_mean(features, axis=0), (1, model.bb_cfg.enc_dim))
-    return reshape(linear(pooled, head.proj), (head.num_steps,))
+def classification_logits(frames: np.ndarray, model: ModelParams, head: ClassifierHead) -> Tensor:
+    """Logits (..., num_steps) of (..., T, C, H, W) float frames: the
+    leading dims are flattened into one batch, tokenized with everything
+    visible, encoded, mean-pooled over the tokens and put through the head."""
+    lead = frames.shape[:-4]
+    tokens = tokenize(frames.reshape(-1, *frames.shape[-4:]), model.tok_cfg,
+                      model.proj.weight, model.proj.bias)
+    pooled = reduce_mean(encode(tokens, model), axis=1)
+    return reshape(linear(pooled, head.proj), (*lead, head.num_steps))
 
 
-def _cross_entropy(logits: Tensor, label: int, num_steps: int) -> Tensor:
-    log_probs = log_softmax(reshape(logits, (1, num_steps)), axis=-1)
-    onehot = np.zeros((1, num_steps), dtype=np.float32)
-    onehot[0, label] = 1.0
-    return scale(reduce_sum(mul(log_probs, Tensor(onehot))), -1.0)
+def _cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
+    """Mean over the batch of each clip's cross-entropy; logits (B, num_steps)."""
+    onehot = np.zeros(logits.shape, dtype=np.float32)
+    onehot[np.arange(labels.size), labels] = 1.0
+    log_probs = log_softmax(logits, axis=-1)
+    return scale(reduce_sum(mul(log_probs, Tensor(onehot))), -1.0 / labels.size)
 
 
 @dataclass
@@ -230,6 +236,8 @@ def finetune_run(
     labeled = split.labeled_train_ids(entries)
     if not labeled:
         raise ConfigError("no labeled clips in the training split")
+    if not split.test_ids:
+        raise ConfigError("the test split is empty: no clips to report metrics on")
     _check_labels(entries, [*labeled, *split.val_ids, *split.test_ids], num_steps)
     store = _ClipStore(entries, access_log)
 
@@ -251,14 +259,11 @@ def finetune_run(
         for b in range(steps_per_epoch):
             ids = [labeled[i] for i in order[b * cfg.batch_size:(b + 1) * cfg.batch_size]]
             lr = cosine_warmup_lr(step, total_steps, cfg.lr, cfg.min_lr, cfg.warmup_steps)
+            labels = np.array([entries[i]["phase_index"] for i in ids])
             with Tape() as tape:
-                total = None
-                for clip_id in ids:
-                    logits = classification_logits(store.frames(clip_id, "train"), model, head)
-                    ce = _cross_entropy(logits, entries[clip_id]["phase_index"], num_steps)
-                    total = ce if total is None else total + ce
-                total = scale(total, 1.0 / len(ids))
-                backward(total, tape)
+                frames = np.stack([store.frames(i, "train") for i in ids])
+                loss = _cross_entropy(classification_logits(frames, model, head), labels)
+                backward(loss, tape)
             optimizer.step(lr)
             optimizer.zero_grad()
             step += 1
@@ -305,6 +310,8 @@ def evaluate_checkpoint(
     """Eval-only path: classifier checkpoint -> MetricsReport on given ids."""
     tok_cfg = tok_cfg or TokenizerConfig()
     bb_cfg = bb_cfg or BackboneConfig()
+    if not len(split_ids):
+        raise ConfigError("the test split is empty: no clips to report metrics on")
     entries = load_manifest(manifest_path)
     _check_labels(entries, split_ids, num_steps)
     store = _ClipStore(entries, access_log)

@@ -93,25 +93,19 @@ def apply_layer_norm(x: Tensor, p: LayerNormParams) -> Tensor:
 
 
 def attention(x: Tensor, p: AttentionParams) -> Tensor:
-    """Multi-head self-attention over (n, dim) or batched (b, n, dim) tokens."""
+    """Multi-head self-attention over a (B, n, dim) stack of token sequences."""
+    b, n, dim = x.shape
     heads = p.heads
-    dim = x.shape[-1]
-    n = x.shape[-2]
     head_dim = dim // heads
-    if x.ndim == 2:
-        split_shape, split_perm = (n, heads, head_dim), (1, 0, 2)
-    else:
-        b = x.shape[0]
-        split_shape, split_perm = (b, n, heads, head_dim), (0, 2, 1, 3)
 
-    def split(t: Tensor) -> Tensor:  # move heads in front of the sequence axis
-        return transpose(reshape(t, split_shape), split_perm)
+    def split(t: Tensor) -> Tensor:  # (B, heads, n, head_dim)
+        return transpose(reshape(t, (b, n, heads, head_dim)), (0, 2, 1, 3))
 
     q = split(linear(x, p.query))
     k = split(linear(x, p.key))
     v = split(linear(x, p.value))
     context = attend(q, k, v, 1.0 / math.sqrt(head_dim))
-    merged = reshape(transpose(context, split_perm), x.shape)
+    merged = reshape(transpose(context, (0, 2, 1, 3)), x.shape)
     return linear(merged, p.out)
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, ShapeError
 from .layers import AttentionParams, LayerNormParams, LinearParams, apply_layer_norm, attention, linear
 from .numerics import Tensor, add, log_softmax, reshape, softmax
 
@@ -86,11 +86,6 @@ class MaskSpec:
     def n_masked(self) -> int:
         return int(self.masked_ids.size)
 
-    @classmethod
-    def full(cls, n_tokens: int) -> "MaskSpec":
-        """All tokens visible (downstream path, ratio -> 0)."""
-        return cls(n_tokens, 0.0, np.arange(n_tokens), np.empty(0, dtype=np.int64))
-
 
 class SelectionParams:
     """Scoring network: pre-norm MHA block with residual, then token logits."""
@@ -111,44 +106,33 @@ class SelectionParams:
 
 @dataclass
 class ProbabilityMap:
-    probs: Tensor  # (N,), positive, sums to 1
-    log_probs: Tensor  # (N,), computed in the numerically safe form
-
-    @property
-    def n_tokens(self) -> int:
-        return self.probs.shape[0]
+    probs: Tensor  # (B, N), positive, each row sums to 1
+    log_probs: Tensor  # (B, N), computed in the numerically safe form
 
 
-def select_probabilities(tokens, params: SelectionParams) -> ProbabilityMap:
-    """Per-token selection distribution over the full sequence.
-
-    Accepts (N, dim) tokens or a batched (B, N, dim) stack; probabilities
-    normalize over the token axis either way.
-    """
-    x = tokens.tokens if hasattr(tokens, "tokens") else tokens
-    if x.shape[-1] != params.dim:
-        raise ConfigError(f"token dim {x.shape[-1]} != selection dim {params.dim}")
-    y = add(x, attention(apply_layer_norm(x, params.ln), params.attn))
-    logits = reshape(linear(y, params.score), x.shape[:-1])
+def select_probabilities(tokens: Tensor, params: SelectionParams) -> ProbabilityMap:
+    """Per-token selection distribution of each clip in a (B, N, dim)
+    stack; probabilities normalize over the token axis."""
+    if tokens.ndim != 3:
+        raise ShapeError(f"selection takes a (B, N, dim) token stack, got {tokens.shape}")
+    if tokens.shape[-1] != params.dim:
+        raise ConfigError(f"token dim {tokens.shape[-1]} != selection dim {params.dim}")
+    y = add(tokens, attention(apply_layer_norm(tokens, params.ln), params.attn))
+    logits = reshape(linear(y, params.score), tokens.shape[:-1])
     return ProbabilityMap(softmax(logits, axis=-1), log_softmax(logits, axis=-1))
 
 
-def _probs_array(probs) -> np.ndarray:
-    if isinstance(probs, ProbabilityMap):
-        return np.asarray(probs.probs.data, dtype=np.float64)
-    if isinstance(probs, Tensor):
-        return np.asarray(probs.data, dtype=np.float64)
-    return np.asarray(probs, dtype=np.float64)
-
-
-def sample_visible(probs, ratio: float, rng: np.random.Generator) -> MaskSpec:
-    """Draw the visible set without replacement from a categorical map.
+def sample_visible(probs: np.ndarray, ratio: float, rng: np.random.Generator) -> MaskSpec:
+    """Draw the visible set without replacement from one clip's (N,)
+    categorical probabilities.
 
     Adds i.i.d. Gumbel noise to log-probabilities and keeps the top M,
     which is distributionally identical to sequentially sampling M
     distinct indices with renormalization after each draw.
     """
-    p = _probs_array(probs)
+    p = np.asarray(probs, dtype=np.float64)
+    if p.ndim != 1:
+        raise ShapeError(f"sample_visible takes one clip's (N,) probabilities, got {p.shape}")
     n = p.shape[0]
     m = visible_count(n, ratio)
     u = np.clip(rng.random(n), 1e-12, 1.0 - 1e-12)

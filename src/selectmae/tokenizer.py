@@ -67,13 +67,16 @@ def positional_encoding(n: int, dim: int, dtype=np.float32) -> np.ndarray:
 
 
 def unfold_clip(frames: np.ndarray, tubelet: tuple[int, int, int]) -> np.ndarray:
-    """Extract flattened tubelet patches, one row per token."""
-    t_frames, channels, height, width = frames.shape
+    """Extract flattened tubelet patches of (..., T, C, H, W) frames as
+    (..., N, patch_len), one row per token."""
+    *lead, t_frames, channels, height, width = frames.shape
     tp, hp, wp = tubelet
     nt, nh, nw = t_frames // tp, height // hp, width // wp
-    cells = frames.reshape(nt, tp, channels, nh, hp, nw, wp)
-    cells = cells.transpose(0, 3, 5, 1, 2, 4, 6)  # (nt, nh, nw, tp, C, hp, wp)
-    return np.ascontiguousarray(cells.reshape(nt * nh * nw, tp * channels * hp * wp))
+    k = len(lead)
+    cells = frames.reshape(*lead, nt, tp, channels, nh, hp, nw, wp)
+    # (..., nt, nh, nw, tp, C, hp, wp)
+    cells = cells.transpose(*range(k), k, k + 3, k + 5, k + 1, k + 2, k + 4, k + 6)
+    return np.ascontiguousarray(cells.reshape(*lead, nt * nh * nw, tp * channels * hp * wp))
 
 
 def fold_patches(
@@ -118,18 +121,6 @@ def cell_token(cell: tuple[int, int, int], grid: tuple[int, int, int]) -> int:
     return (t * nh + h) * nw + w
 
 
-@dataclass
-class TokenGrid:
-    tokens: Tensor  # (N, dim)
-    grid: tuple[int, int, int]
-    tubelet: tuple[int, int, int] = (2, 4, 4)
-    channels: int = 3
-
-    @property
-    def n_tokens(self) -> int:
-        return self.tokens.shape[0]
-
-
 def embed_patches(patches: Tensor, cfg: TokenizerConfig, weight: Tensor, bias: Tensor) -> Tensor:
     """Project flattened patches (..., N, patch_len) and add the positional table."""
     if weight.shape[0] != patches.shape[-1] or weight.shape[1] != cfg.dim:
@@ -143,13 +134,13 @@ def embed_patches(patches: Tensor, cfg: TokenizerConfig, weight: Tensor, bias: T
     return tokens
 
 
-def tokenize(clip, cfg: TokenizerConfig, weight: Tensor, bias: Tensor) -> TokenGrid:
-    """Embed a clip; equivalent to a stride-equals-kernel 3-D convolution."""
-    frames = clip.frames if hasattr(clip, "frames") else np.asanyarray(clip)
-    grid = cfg.grid_dims(frames.shape)
-    channels = frames.shape[1]
-    tokens = embed_patches(Tensor(unfold_clip(frames, cfg.tubelet)), cfg, weight, bias)
-    return TokenGrid(tokens, grid, cfg.tubelet, channels)
+def tokenize(frames: np.ndarray, cfg: TokenizerConfig, weight: Tensor, bias: Tensor) -> Tensor:
+    """Embed a (B, T, C, H, W) stack of clips as (B, N, dim) tokens;
+    equivalent to a stride-equals-kernel 3-D convolution."""
+    if frames.ndim != 5:
+        raise ShapeError(f"tokenize takes a (B, T, C, H, W) stack, got {frames.shape}")
+    cfg.grid_dims(frames.shape[1:])  # divisibility check
+    return embed_patches(Tensor(unfold_clip(frames, cfg.tubelet)), cfg, weight, bias)
 
 
 def detokenize_patches(

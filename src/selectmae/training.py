@@ -204,7 +204,7 @@ def pretrain_step(
     grid = batch[0].grid
     frames = [item.frames for item in batch]
     with Tape() as tape:
-        patches = Tensor(np.stack([unfold_clip(f, tok_cfg.tubelet) for f in frames]))
+        patches = Tensor(unfold_clip(np.stack(frames), tok_cfg.tubelet))
         tokens = embed_patches(patches, tok_cfg, model.proj.weight, model.proj.bias)
 
         pmap = None

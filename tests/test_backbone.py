@@ -3,7 +3,7 @@ import pytest
 
 from selectmae import numerics as nm
 from selectmae.backbone import BackboneConfig, ModelParams, decode, encode
-from selectmae.errors import ConfigError, ContractError
+from selectmae.errors import ConfigError, ContractError, ShapeError
 from selectmae.layers import apply_layer_norm, linear
 from selectmae.masking import MaskSpec, sample_visible
 from selectmae.numerics.gradcheck import check_param_gradients
@@ -36,15 +36,17 @@ def _forward(tokens, spec, model):
 
 def test_encode_output_shape():
     model = _model()
-    spec = sample_visible(np.full(16, 1 / 16), 0.5, np.random.default_rng(2))
-    latents = encode(nm.gather_rows_batched(_clip_tokens(), spec.visible_ids[None]), model)
-    assert latents.shape == (1, spec.n_visible, 16)
+    sampled = sample_visible(np.full(16, 1 / 16), 0.5, np.random.default_rng(2))
+    everything = MaskSpec(16, 0.0, np.arange(16))  # the downstream path: nothing masked
+    for spec in (sampled, everything):
+        latents = encode(nm.gather_rows_batched(_clip_tokens(), spec.visible_ids[None]), model)
+        assert latents.shape == (1, spec.n_visible, 16)
 
 
 def test_encode_depth_zero_is_final_norm_only():
     cfg = BackboneConfig(enc_depth=0, enc_dim=16, enc_heads=2, dec_depth=1, dec_dim=8, dec_heads=2)
     model = ModelParams(TOK, cfg, np.random.default_rng(0))
-    x = _tokens(4)
+    x = _clip_tokens(4)
     out = encode(x, model)
     expected = nm.layer_norm(x, model.enc_norm.gain, model.enc_norm.bias)
     np.testing.assert_allclose(out.data, expected.data, atol=1e-6)
@@ -52,17 +54,19 @@ def test_encode_depth_zero_is_final_norm_only():
 
 def test_encode_permutation_equivariance():
     model = _model()
-    x = _tokens(10)
+    x = _clip_tokens(10)
     perm = np.random.default_rng(3).permutation(10)
     base = encode(x, model).data
-    permuted = encode(nm.Tensor(x.data[perm]), model).data
-    np.testing.assert_allclose(permuted, base[perm], atol=1e-5)
+    permuted = encode(nm.Tensor(x.data[:, perm]), model).data
+    np.testing.assert_allclose(permuted, base[:, perm], atol=1e-5)
 
 
 def test_encode_requires_matching_dim():
     model = _model()
     with pytest.raises(ConfigError):
-        encode(nm.Tensor(np.zeros((4, 8), dtype=np.float32)), model)
+        encode(nm.Tensor(np.zeros((1, 4, 8), dtype=np.float32)), model)
+    with pytest.raises(ShapeError, match="stack"):
+        encode(_tokens(4), model)  # one clip is a batch of one, not (n, dim)
 
 
 def test_decode_shapes_and_order():
@@ -140,23 +144,16 @@ def test_every_parameter_reachable_from_reconstruction_loss():
     clip = generate_clip(cfg, 0, 0)
     tok_cfg = TokenizerConfig(tubelet=(2, 2, 2), dim=16)
     model = ModelParams(tok_cfg, BB, np.random.default_rng(1))
-    targets = patch_normalize_targets(clip, tok_cfg)
+    targets = patch_normalize_targets(clip.frames, tok_cfg)
     spec = sample_visible(np.full(32, 1 / 32), 0.75, np.random.default_rng(2))
     with nm.Tape() as tape:
-        grid = tokenize(clip, tok_cfg, model.proj.weight, model.proj.bias)
-        preds = _forward(nm.reshape(grid.tokens, (1, 32, 16)), spec, model)
+        tokens = tokenize(clip.frames[None], tok_cfg, model.proj.weight, model.proj.bias)
+        preds = _forward(tokens, spec, model)
         target_rows = targets.values[spec.masked_ids][None]
         loss, _ = reconstruction_loss(preds, target_rows, "mse")
     nm.backward(loss, tape)
     missing = [name for name, t in model.named().items() if t.grad is None]
     assert missing == []
-
-
-def test_full_visibility_mode_for_downstream():
-    model = _model()
-    spec = MaskSpec.full(16)
-    latents = encode(nm.gather_rows_batched(_clip_tokens(), spec.visible_ids[None]), model)
-    assert latents.shape == (1, 16, 16)
 
 
 def test_backbone_config_validation():

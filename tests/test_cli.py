@@ -415,6 +415,7 @@ SPLITS = {
     "id-past-corpus": (_text({"train": [0, 1], "val": [16], "test": [2]}), 2),
     "negative-id": (_text({"train": [0, 1], "val": [-1], "test": [15]}), 2),
     "float-id": (_text({"train": [0, 1], "val": [3.0], "test": [2]}), 2),
+    "empty-test": (_text({"train": [0, 1, 2, 3, 4, 5, 6, 7], "val": [8], "test": []}), 2),
 }
 CONFIGS = {
     "not-json": (_text("{"), 2),

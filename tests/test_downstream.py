@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -113,24 +115,74 @@ def test_classify_mean_pool_permutation_invariance():
     # leaves the pooled logits unchanged
     from selectmae import numerics as nm
     from selectmae.backbone import encode
-    from selectmae.numerics import reduce_mean, reshape
+    from selectmae.numerics import reduce_mean
     from selectmae.layers import linear
     from selectmae.tokenizer import tokenize
 
     clip = generate_clip(SYNTH, 1, 3)
     model = ModelParams(TOK, BB, np.random.default_rng(0))
     head = ClassifierHead(np.random.default_rng(1), 16, 3)
-    grid = tokenize(clip, TOK, model.proj.weight, model.proj.bias)
-    perm = np.random.default_rng(4).permutation(grid.n_tokens)
+    tokens = tokenize(clip.frames[None], TOK, model.proj.weight, model.proj.bias)
+    perm = np.random.default_rng(4).permutation(tokens.shape[1])
 
     def pooled_logits(tokens):
-        feats = encode(tokens, model)
-        pooled = reshape(reduce_mean(feats, axis=0), (1, 16))
-        return reshape(linear(pooled, head.proj), (3,)).data
+        return linear(reduce_mean(encode(tokens, model), axis=1), head.proj).data
 
-    base = pooled_logits(grid.tokens)
-    permuted = pooled_logits(nm.Tensor(grid.tokens.data[perm]))
+    base = pooled_logits(tokens)
+    permuted = pooled_logits(nm.Tensor(tokens.data[:, perm]))
     np.testing.assert_allclose(permuted, base, atol=1e-5)
+
+
+def _pooled_features(frames, model):
+    """What classification_logits feeds the head: (B, enc_dim)."""
+    from selectmae.backbone import encode
+    from selectmae.tokenizer import tokenize
+
+    tokens = tokenize(frames, model.tok_cfg, model.proj.weight, model.proj.bias)
+    return encode(tokens, model).data.mean(axis=1)
+
+
+def test_batched_classification_matches_each_clip_alone():
+    # the default widths: a (1, 64) @ head product takes another BLAS
+    # kernel than a (3, 64) one, so the logits may differ in the last
+    # bits while everything up to the pooled features stays bitwise
+    model = ModelParams(TokenizerConfig(), BackboneConfig(), np.random.default_rng(0))
+    head = ClassifierHead(np.random.default_rng(1), model.bb_cfg.enc_dim, 3)
+    stack = np.stack([generate_clip(SYNTH, phase, [5, phase]).frames for phase in range(3)])
+    batched = classification_logits(stack, model, head).data
+    assert batched.shape == (3, 3)
+    assert np.array_equal(classification_logits(stack[None], model, head).data, batched[None])
+    pooled = _pooled_features(stack, model)
+    for i in range(3):
+        assert np.array_equal(pooled[i], _pooled_features(stack[i:i + 1], model)[0])
+        np.testing.assert_allclose(
+            batched[i], classification_logits(stack[i], model, head).data, rtol=0, atol=1e-6
+        )
+
+
+def test_batched_loss_gradient_is_the_mean_of_per_clip_gradients():
+    from selectmae import numerics as nm
+    from selectmae.downstream import _cross_entropy
+
+    model = ModelParams(TOK, BB, np.random.default_rng(0))
+    head = ClassifierHead(np.random.default_rng(1), 16, 3)
+    params = {**model.encoder_named(), **head.named()}
+    stack = np.stack([generate_clip(SYNTH, phase, [6, phase]).frames for phase in range(3)])
+    labels = np.array([0, 1, 2])
+
+    def gradients(batches):
+        for t in params.values():
+            t.zero_grad()
+        for frames, truth in batches:
+            with nm.Tape() as tape:
+                loss = _cross_entropy(classification_logits(frames, model, head), truth)
+                nm.backward(loss, tape)
+        return {k: t.grad for k, t in params.items()}
+
+    batched = gradients([(stack, labels)])
+    summed = gradients([(stack[i:i + 1], labels[i:i + 1]) for i in range(3)])
+    for name, grad in batched.items():
+        np.testing.assert_allclose(grad, summed[name] / 3, rtol=1e-4, atol=1e-7, err_msg=name)
 
 
 @pytest.fixture(scope="module")
@@ -209,3 +261,23 @@ def test_evaluate_checkpoint_roundtrip(corpus, tmp_path):
         corpus, split.test_ids, load_checkpoint(tmp_path / "cls.csma"), 3, TOK, BB
     )
     assert report.accuracy == pytest.approx(result["report"].accuracy)
+
+
+def test_finetune_is_deterministic(corpus, tmp_path):
+    from selectmae.training import save_checkpoint
+
+    entries = load_manifest(corpus)
+    split = SplitSpec.from_manifest(entries, 18, 6, 12)
+    outputs = []
+    for run in range(2):
+        result = finetune_run(
+            corpus, split, FinetuneConfig(epochs=3, batch_size=6, seed=4),
+            num_steps=3, tok_cfg=TOK, bb_cfg=BB,
+        )
+        report = result["report"].to_json_dict()
+        report.update(val_accuracy=result["val_accuracy"], best_epoch=result["best_epoch"])
+        arrays = {k: t.data for k, t in result["model"].encoder_named().items()}
+        arrays.update({k: t.data for k, t in result["head"].named().items()})
+        save_checkpoint(tmp_path / f"cls{run}.csma", arrays)
+        outputs.append((json.dumps(report, sort_keys=True), (tmp_path / f"cls{run}.csma").read_bytes()))
+    assert outputs[0] == outputs[1]

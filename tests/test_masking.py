@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from selectmae import numerics as nm
-from selectmae.errors import ConfigError
+from selectmae.errors import ConfigError, ShapeError
 from selectmae.masking import (
     STRATEGIES,
     MaskSpec,
@@ -34,6 +34,8 @@ def test_visible_count_arithmetic():
 def test_mask_spec_partition_validation():
     spec = MaskSpec(8, 0.5, np.array([0, 2, 4, 6]))
     np.testing.assert_array_equal(spec.masked_ids, [1, 3, 5, 7])
+    everything = MaskSpec(16, 0.0, np.arange(16))  # the downstream path: nothing masked
+    assert everything.n_visible == 16 and everything.n_masked == 0
     faults = [
         (8, [], None, "at least one visible token"),
         (8, [2, 1], None, "visible ids must be sorted and unique"),
@@ -54,27 +56,24 @@ def test_mask_spec_partition_validation():
                      None if msk is None else np.array(msk, dtype=np.int64))
 
 
-def test_mask_spec_full():
-    spec = MaskSpec.full(16)
-    assert spec.n_visible == 16 and spec.n_masked == 0
-
-
 def test_identical_tokens_give_uniform_probabilities():
     rng = np.random.default_rng(0)
     params = SelectionParams(rng, dim=16, heads=2)
-    tokens = nm.Tensor(np.tile(rng.standard_normal(16).astype(np.float32), (10, 1)))
+    tokens = nm.Tensor(np.tile(rng.standard_normal(16).astype(np.float32), (1, 10, 1)))
     pmap = select_probabilities(tokens, params)
-    np.testing.assert_allclose(pmap.probs.data, np.full(10, 0.1), atol=1e-6)
+    np.testing.assert_allclose(pmap.probs.data, np.full((1, 10), 0.1), atol=1e-6)
 
 
 def test_probabilities_sum_to_one_and_positive():
     rng = np.random.default_rng(1)
     params = SelectionParams(rng, dim=16, heads=2)
-    tokens = nm.Tensor(rng.standard_normal((32, 16)).astype(np.float32))
+    tokens = nm.Tensor(rng.standard_normal((1, 32, 16)).astype(np.float32))
     pmap = select_probabilities(tokens, params)
     assert pmap.probs.data.min() > 0
     assert abs(pmap.probs.data.sum() - 1.0) < 1e-6
     np.testing.assert_allclose(np.exp(pmap.log_probs.data), pmap.probs.data, atol=1e-6)
+    with pytest.raises(ShapeError, match="stack"):
+        select_probabilities(nm.Tensor(tokens.data[0]), params)  # one clip is a batch of one
 
 
 def test_selection_permutation_equivariance():
@@ -83,8 +82,8 @@ def test_selection_permutation_equivariance():
     base = rng.standard_normal((12, 16)).astype(np.float32)
     tokens = base + positional_encoding(12, 16)
     perm = rng.permutation(12)
-    p_base = select_probabilities(nm.Tensor(tokens), params).probs.data
-    p_perm = select_probabilities(nm.Tensor(tokens[perm]), params).probs.data
+    p_base = select_probabilities(nm.Tensor(tokens[None]), params).probs.data[0]
+    p_perm = select_probabilities(nm.Tensor(tokens[None, perm]), params).probs.data[0]
     np.testing.assert_allclose(p_perm, p_base[perm], atol=1e-5)
 
 
@@ -101,7 +100,7 @@ def test_selection_gradcheck_all_parameters():
         t.data = (rng.standard_normal(t.shape) * 0.4).astype(np.float32)
 
     def loss():
-        pmap = select_probabilities(nm.Tensor(tokens), params)
+        pmap = select_probabilities(nm.Tensor(tokens[None]), params)
         return nm.reduce_sum(nm.mul(pmap.log_probs, nm.Tensor(weights)))
 
     check_param_gradients(loss, params.named(), rel_tol=1e-3, max_entries=6)
@@ -115,6 +114,8 @@ def test_sample_visible_counts_and_determinism():
     np.testing.assert_array_equal(spec1.visible_ids, spec2.visible_ids)
     with pytest.raises(ConfigError):
         sample_visible(probs, 1.2, np.random.default_rng(0))
+    with pytest.raises(ShapeError, match="one clip"):
+        sample_visible(probs[None], 0.95, np.random.default_rng(0))
 
 
 def test_sample_visible_uniform_inclusion_statistics():

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from selectmae import numerics as nm
 from selectmae.data import SynthConfig, generate_clip, patch_normalize_targets
-from selectmae.errors import ConfigError
+from selectmae.errors import ConfigError, ShapeError
 from selectmae.numerics.gradcheck import check_gradients
 from selectmae.tokenizer import (
     TokenizerConfig,
@@ -30,9 +30,10 @@ def test_token_count_arithmetic():
     cfg = TokenizerConfig(tubelet=(2, 4, 4), dim=64)
     clip = generate_clip(SynthConfig(), 0, 0)
     w, b = _random_params(cfg, np.random.default_rng(0))
-    grid = tokenize(clip, cfg, w, b)
-    assert grid.n_tokens == 4 * 8 * 8 == 256
-    assert grid.tokens.shape == (256, 64)
+    tokens = tokenize(clip.frames[None], cfg, w, b)
+    assert tokens.shape == (1, 4 * 8 * 8, 64)
+    with pytest.raises(ShapeError, match="stack"):
+        tokenize(clip.frames, cfg, w, b)  # one clip is a batch of one
 
 
 def test_divisibility_error_names_axis():
@@ -40,7 +41,7 @@ def test_divisibility_error_names_axis():
     clip = generate_clip(SynthConfig(), 0, 0)  # T=8 not divisible by 3
     w, b = _random_params(cfg, np.random.default_rng(0))
     with pytest.raises(ConfigError, match="axis T"):
-        tokenize(clip, cfg, w, b)
+        tokenize(clip.frames[None], cfg, w, b)
 
 
 def test_identity_projection_recovers_first_tubelet():
@@ -49,9 +50,9 @@ def test_identity_projection_recovers_first_tubelet():
     frames = rng.random((4, 3, 8, 8)).astype(np.float32)
     w = nm.Tensor(np.eye(96, dtype=np.float32))
     b = nm.Tensor(np.zeros(96, dtype=np.float32))
-    grid = tokenize(frames, cfg, w, b)
+    tokens = tokenize(frames[None], cfg, w, b)
     first = frames[0:2, :, 0:4, 0:4].transpose(0, 1, 2, 3).reshape(-1)
-    np.testing.assert_allclose(grid.tokens.data[0], first, atol=1e-6)
+    np.testing.assert_allclose(tokens.data[0, 0], first, atol=1e-6)
 
 
 def test_equivalence_with_explicit_3d_convolution():
@@ -60,7 +61,7 @@ def test_equivalence_with_explicit_3d_convolution():
     frames = rng.random((4, 3, 8, 12)).astype(np.float32)
     w_np = rng.standard_normal((cfg.patch_len(), 10)).astype(np.float32)
     b_np = rng.standard_normal(10).astype(np.float32)
-    grid = tokenize(frames, cfg, nm.Tensor(w_np), nm.Tensor(b_np))
+    tokens = tokenize(frames[None], cfg, nm.Tensor(w_np), nm.Tensor(b_np))
 
     # brute-force convolution with kernel = stride = tubelet
     kernel = w_np.T.reshape(10, 2, 3, 4, 4)  # (out, t, c, h, w)
@@ -75,7 +76,7 @@ def test_equivalence_with_explicit_3d_convolution():
                 for o in range(10):
                     expected[idx, o] = np.sum(block * kernel[o]) + b_np[o]
                 idx += 1
-    np.testing.assert_allclose(grid.tokens.data, expected, rtol=1e-5, atol=1e-5)
+    np.testing.assert_allclose(tokens.data[0], expected, rtol=1e-5, atol=1e-5)
 
 
 def test_positional_encoding_first_row_and_range():
@@ -117,6 +118,9 @@ def test_unfold_fold_roundtrip_property(grid, tubelet, channels, seed):
     folded, covered = fold_patches(patches[order], order, grid, tubelet, channels)
     assert np.array_equal(folded, frames)
     assert covered.all()
+    # a stack unfolds clip by clip: pure data movement
+    stack = np.stack([frames, -frames])
+    assert np.array_equal(unfold_clip(stack, tubelet), np.stack([patches, -patches]))
 
 
 @settings(max_examples=50, deadline=None)
@@ -138,7 +142,7 @@ def test_tokenize_is_linear_without_pe():
     w, b = _random_params(cfg, rng)
     b.data = rng.standard_normal(8).astype(np.float32)
 
-    tok = lambda f: tokenize(f, cfg, w, b).tokens.data
+    tok = lambda f: tokenize(f[None], cfg, w, b).data
     lhs = tok(2.0 * x + 0.5 * y)
     rhs = 2.0 * tok(x) + 0.5 * tok(y) - 1.5 * b.data  # bias enters each tokenize once
     np.testing.assert_allclose(lhs, rhs, rtol=1e-4, atol=1e-5)
@@ -152,8 +156,8 @@ def test_tokenize_gradcheck_wrt_projection():
     b0 = rng.standard_normal(6) * 0.1
 
     def loss(params):
-        grid = tokenize(frames, cfg, params[0], params[1])
-        return nm.reduce_mean(nm.mul(grid.tokens, grid.tokens))
+        tokens = tokenize(frames[None], cfg, params[0], params[1])
+        return nm.reduce_mean(nm.mul(tokens, tokens))
 
     check_gradients(loss, [w0, b0], rel_tol=1e-3)
 
@@ -183,7 +187,7 @@ def test_detokenize_single_token_touches_one_cell():
 def test_detokenize_denormalizes_with_stats():
     cfg = TokenizerConfig(tubelet=(2, 4, 4), dim=64)
     clip = generate_clip(SynthConfig(), 2, 3)
-    targets = patch_normalize_targets(clip, cfg)
+    targets = patch_normalize_targets(clip.frames, cfg)
     ids = np.arange(targets.values.shape[0])
     frames, _ = detokenize_patches(
         targets.denormalize(targets.values, ids), ids, clip.frames.shape, cfg
