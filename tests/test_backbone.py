@@ -36,11 +36,9 @@ def _forward(tokens, spec, model):
 
 def test_encode_output_shape():
     model = _model()
-    sampled = sample_visible(np.full(16, 1 / 16), 0.5, np.random.default_rng(2))
-    everything = MaskSpec(16, 0.0, np.arange(16))  # the downstream path: nothing masked
-    for spec in (sampled, everything):
-        latents = encode(nm.gather_rows_batched(_clip_tokens(), spec.visible_ids[None]), model)
-        assert latents.shape == (1, spec.n_visible, 16)
+    spec = sample_visible(np.full(16, 1 / 16), 0.5, np.random.default_rng(2))
+    latents = encode(nm.gather_rows_batched(_clip_tokens(), spec.visible_ids[None]), model)
+    assert latents.shape == (1, spec.n_visible, 16)
 
 
 def test_encode_depth_zero_is_final_norm_only():
@@ -154,6 +152,13 @@ def test_every_parameter_reachable_from_reconstruction_loss():
     nm.backward(loss, tape)
     missing = [name for name, t in model.named().items() if t.grad is None]
     assert missing == []
+
+
+def test_full_visibility_mode_for_downstream():
+    model = _model()
+    spec = MaskSpec(16, 0.0, np.arange(16))  # the downstream path: nothing masked
+    latents = encode(nm.gather_rows_batched(_clip_tokens(), spec.visible_ids[None]), model)
+    assert latents.shape == (1, 16, 16)
 
 
 def test_backbone_config_validation():

@@ -34,8 +34,6 @@ def test_visible_count_arithmetic():
 def test_mask_spec_partition_validation():
     spec = MaskSpec(8, 0.5, np.array([0, 2, 4, 6]))
     np.testing.assert_array_equal(spec.masked_ids, [1, 3, 5, 7])
-    everything = MaskSpec(16, 0.0, np.arange(16))  # the downstream path: nothing masked
-    assert everything.n_visible == 16 and everything.n_masked == 0
     faults = [
         (8, [], None, "at least one visible token"),
         (8, [2, 1], None, "visible ids must be sorted and unique"),
@@ -54,6 +52,11 @@ def test_mask_spec_partition_validation():
         with pytest.raises(ConfigError, match=message):
             MaskSpec(n, 0.5, np.array(vis, dtype=np.int64),
                      None if msk is None else np.array(msk, dtype=np.int64))
+
+
+def test_mask_spec_full():
+    spec = MaskSpec(16, 0.0, np.arange(16))  # the downstream path: nothing masked
+    assert spec.n_visible == 16 and spec.n_masked == 0
 
 
 def test_identical_tokens_give_uniform_probabilities():
