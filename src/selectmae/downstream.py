@@ -228,7 +228,8 @@ def finetune_run(
 
     `init_arrays` holds pretrained checkpoint tensors (scratch when
     None). Early-stops on validation accuracy and reports test metrics
-    with the best-validation weights.
+    with the best-validation weights. With no validation clips it trains
+    every epoch, keeps the final weights and reports `val_accuracy` None.
     """
     tok_cfg = tok_cfg or TokenizerConfig()
     bb_cfg = bb_cfg or BackboneConfig()
@@ -251,7 +252,7 @@ def finetune_run(
 
     steps_per_epoch = math.ceil(len(labeled) / cfg.batch_size)
     total_steps = steps_per_epoch * cfg.epochs
-    best = {"val_accuracy": -1.0, "arrays": None, "epoch": -1}
+    best = {"val_accuracy": None, "arrays": None, "epoch": -1}
     stale = 0
     step = 0
     for epoch in range(cfg.epochs):
@@ -267,10 +268,13 @@ def finetune_run(
             optimizer.step(lr)
             optimizer.zero_grad()
             step += 1
+        if not split.val_ids:
+            best["epoch"] = epoch
+            continue
         val_preds = _evaluate(store, split.val_ids, model, head, "val")
         val_truth = np.array([entries[i]["phase_index"] for i in split.val_ids])
-        val_acc = float((val_preds == val_truth).mean()) if split.val_ids else 1.0
-        if val_acc > best["val_accuracy"]:
+        val_acc = float((val_preds == val_truth).mean())
+        if best["arrays"] is None or val_acc > best["val_accuracy"]:
             best = {
                 "val_accuracy": val_acc,
                 "arrays": {k: t.data.copy() for k, t in trained.items()},

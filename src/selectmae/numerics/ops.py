@@ -19,9 +19,12 @@ tensor until all its consumers have run, so a write into `g` corrupts
 another tensor's gradient.
 
 `attend` trades compute for memory, as in Chen et al. 2016 (*Training
-Deep Nets with Sublinear Memory Cost*): its closure keeps q, k, v and
-each score row's max and sum, not the (..., n, m) attention weights,
-and backward recomputes the weights a block at a time.
+Deep Nets with Sublinear Memory Cost*): its closure keeps q, k, v, one
+log-sum-exp per score row and the output, not the (..., n, m) attention
+weights, and backward recomputes the weights a block at a time. It uses
+the algebra of FlashAttention-2 (Dao 2023, arXiv 2307.08691), with the
+row sums and backward's shift folded into the matmuls by an extra
+column on q, k and v; see `attend`.
 """
 
 from __future__ import annotations
@@ -135,14 +138,18 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 # attend runs over blocks of consecutive (n, m) slices whose buffers
 # total at most this, so that each block stays in a core's L2 cache
-# across the ~10 passes forward and backward make over it: 2 slices at
+# across the passes forward and backward make over it: 2 slices at
 # n = m = 256 in float32. Budgets from 256 KiB to 1 MiB measured alike.
 _ATTEND_BLOCK_BYTES = 512 * 1024
 
 
-def _flat(a: np.ndarray) -> np.ndarray:
-    """(..., r, c) as (L, r, c), with L the product of the leading dims."""
-    return a.reshape(-1, *a.shape[-2:])
+def _augment(a: np.ndarray, s: float, dtype) -> np.ndarray:
+    """[a * s | 1]: (..., r, c) as a contiguous (L, r, c + 1) array, L the
+    product of the leading dims, filled straight from `a`'s strides."""
+    out = np.empty((*a.shape[:-1], a.shape[-1] + 1), dtype)
+    np.multiply(a, s, out=out[..., :-1])
+    out[..., -1] = 1.0
+    return out.reshape(-1, *out.shape[-2:])
 
 
 def attend(q: Tensor, k: Tensor, v: Tensor, s: float) -> Tensor:
@@ -151,13 +158,21 @@ def attend(q: Tensor, k: Tensor, v: Tensor, s: float) -> Tensor:
     q is (..., n, d), k is (..., m, d) and v is (..., m, dv) with equal
     leading dims. No (..., n, m) array outlives the call: forward and
     backward walk the flattened leading slices a cache-sized block at a
-    time, each in its own reused scratch buffer, and backward keeps only
-    each row's max and sum, two (..., n, 1) arrays. Backward rebuilds a
-    block's weights from q, k and those statistics with the forward's
-    operations, in its order, so the weights it reads are the ones
-    forward used. Every slice sees the arithmetic of the chain
-    matmul -> scale -> softmax -> matmul, in its order, so results and
-    gradients match it bitwise.
+    time, each in its own reused scratch buffers.
+
+    The algebra is FlashAttention-2's (Dao 2023, arXiv 2307.08691), with
+    the per-row terms folded into matmuls by one extra column:
+    qa = [q s | -lse], ka = [k | 1] and va = [v | 1]. Forward takes the
+    scores transposed, k (q s)^T, so the row max is a reduction over the
+    slow axis; after the shift and exp, one matmul with va gives the
+    unnormalized context and the row sum together, and only the
+    (n, dv) result is divided. Each row's lse = max + log(sum) goes into
+    qa's last column, so backward rebuilds the weights as
+    P = exp(qa ka^T) and the score gradient as ([g | -D] va^T) * P,
+    with D = rowsum(g * out). The closure keeps qa, ka, va and the
+    output; the row max is the one reduction and no divide, scale or
+    row-dot runs over an (n, m) buffer. Each slice's results do not
+    depend on the other slices of its call.
     """
     if (
         q.ndim < 2
@@ -168,58 +183,51 @@ def attend(q: Tensor, k: Tensor, v: Tensor, s: float) -> Tensor:
     ):
         raise ShapeError(f"attend: incompatible q/k/v shapes {q.shape} / {k.shape} / {v.shape}")
     s = float(s)
-    qd, kd, vd = q.data, k.data, v.data
-    q3, k3, v3 = _flat(qd), _flat(kd), _flat(vd)
-    count, n, m = q3.shape[0], q3.shape[1], k3.shape[1]
-    dtype = np.result_type(q3, k3, v3)
+    q_shape, k_shape, v_shape = q.shape, k.shape, v.shape
+    dtype = np.result_type(q.data, k.data, v.data)
+    qa, ka, va = _augment(q.data, s, dtype), _augment(k.data, 1.0, dtype), _augment(v.data, 1.0, dtype)
+    count, n, m = qa.shape[0], qa.shape[1], ka.shape[1]
+    d, dv = q_shape[-1], v_shape[-1]
     step = max(1, _ATTEND_BLOCK_BYTES // max(1, n * m * dtype.itemsize))
     blocks = [slice(i, min(i + step, count)) for i in range(0, count, step)]
 
-    def scratch():
-        return np.empty((min(step, count), n, m), dtype)
+    def scratch(rows, cols):
+        return np.empty((min(step, count), rows, cols), dtype)
 
-    ctx = np.empty((count, n, v3.shape[2]), dtype)
-    row_max = np.empty((count, n, 1), dtype)
-    row_sum = np.empty((count, n, 1), dtype)
-    y_buf = scratch()
+    ctx = np.empty((count, n, dv), dtype)
+    st_buf, acc_buf, max_buf = scratch(m, n), scratch(n, dv + 1), scratch(1, n)
     for b in blocks:
-        yb = y_buf[:b.stop - b.start]
-        np.matmul(q3[b], _swap(k3[b]), out=yb)
-        yb *= s
-        _assert_finite(yb, "attend")
-        np.max(yb, axis=-1, keepdims=True, out=row_max[b])
-        yb -= row_max[b]
-        np.exp(yb, out=yb)
-        np.sum(yb, axis=-1, keepdims=True, out=row_sum[b])
-        yb /= row_sum[b]
-        np.matmul(yb, v3[b], out=ctx[b])
-    out = Tensor(ctx.reshape(*qd.shape[:-1], vd.shape[-1]))
+        size = b.stop - b.start
+        st, acc, row_max = st_buf[:size], acc_buf[:size], max_buf[:size]
+        np.matmul(ka[b, :, :d], _swap(qa[b, :, :d]), out=st)
+        _assert_finite(st, "attend")
+        np.max(st, axis=-2, keepdims=True, out=row_max)
+        st -= row_max
+        np.exp(st, out=st)
+        np.matmul(_swap(st), va[b], out=acc)
+        np.divide(acc[..., :dv], acc[..., dv:], out=ctx[b])
+        qa[b, :, d] = -(row_max[:, 0] + np.log(acc[..., dv]))
+    out = Tensor(ctx.reshape(*q_shape[:-1], dv))
 
     def bw(g):
-        # the flat views are taken again, not kept: for strided inputs
-        # they are copies the tape would otherwise hold until backward
-        q3, k3, v3, g3 = _flat(qd), _flat(kd), _flat(vd), _flat(g)
-        dq = np.empty(q3.shape, dtype)
-        dkt = np.empty((count, q3.shape[2], m), dtype)
-        dv = np.empty(v3.shape, dtype)
-        y_buf, gw_buf, prod_buf = scratch(), scratch(), scratch()
+        ga = _augment(g, 1.0, dtype)
+        ga[..., dv] = -(ga[..., :dv] * ctx).sum(axis=-1)
+        dq = np.empty((count, n, d), dtype)
+        dk = np.empty((count, m, d), dtype)
+        dval = np.empty((count, m, dv), dtype)
+        p_buf, w_buf = scratch(n, m), scratch(n, m)
         for b in blocks:
             size = b.stop - b.start
-            yb, gw, prod = y_buf[:size], gw_buf[:size], prod_buf[:size]
-            np.matmul(q3[b], _swap(k3[b]), out=yb)
-            yb *= s
-            yb -= row_max[b]
-            np.exp(yb, out=yb)
-            yb /= row_sum[b]
-            np.matmul(g3[b], _swap(v3[b]), out=gw)
-            dot = np.multiply(gw, yb, out=prod).sum(axis=-1, keepdims=True)
-            gw -= dot
-            np.multiply(yb, gw, out=gw)
-            gw *= s
-            np.matmul(gw, k3[b], out=dq[b])
-            np.matmul(_swap(q3[b]), gw, out=dkt[b])
-            np.matmul(_swap(yb), g3[b], out=dv[b])
-        return dq.reshape(qd.shape), _swap(dkt).reshape(kd.shape), dv.reshape(vd.shape)
+            p, w = p_buf[:size], w_buf[:size]
+            np.matmul(qa[b], _swap(ka[b]), out=p)
+            np.exp(p, out=p)
+            np.matmul(_swap(p), ga[b, :, :dv], out=dval[b])
+            np.matmul(ga[b], _swap(va[b]), out=w)
+            w *= p
+            np.matmul(w, ka[b, :, :d], out=dq[b])
+            np.matmul(_swap(w), qa[b, :, :d], out=dk[b])
+        dq *= s
+        return dq.reshape(q_shape), dk.reshape(k_shape), dval.reshape(v_shape)
 
     record_op((q, k, v), out, bw)
     return out

@@ -243,6 +243,15 @@ def test_finetune_scratch_vs_checkpoint(corpus, tiny_config, pretrained, tmp_pat
     assert (tmp_path / "scratch.json").exists() and (tmp_path / "warm.json").exists()
 
 
+def test_finetune_without_validation_reports_null_val_accuracy(corpus, tiny_config, tmp_path):
+    code = main([
+        "finetune", "--config", tiny_config, "--corpus", str(corpus), "--scratch",
+        "--split", "8,0,4", "--out", str(tmp_path / "m.json"),
+    ])
+    assert code == 0
+    assert json.loads((tmp_path / "m.json").read_text())["val_accuracy"] is None
+
+
 def test_finetune_without_init_exits_2(corpus, tiny_config, tmp_path):
     code = main([
         "finetune", "--config", tiny_config, "--corpus", str(corpus),

@@ -263,6 +263,29 @@ def test_evaluate_checkpoint_roundtrip(corpus, tmp_path):
     assert report.accuracy == pytest.approx(result["report"].accuracy)
 
 
+def test_empty_validation_split_keeps_the_final_epoch(corpus, tmp_path):
+    from selectmae.training import load_checkpoint, save_checkpoint
+
+    entries = load_manifest(corpus)
+    split = SplitSpec.from_manifest(entries, 12, 0, 8)
+    log = []
+    # with patience 1 an epoch scored against no clips must not count as stale
+    result = finetune_run(
+        corpus, split, FinetuneConfig(epochs=3, batch_size=6, patience=1, seed=2),
+        num_steps=3, tok_cfg=TOK, bb_cfg=BB, access_log=log,
+    )
+    assert result["best_epoch"] == 2
+    assert result["val_accuracy"] is None
+    assert sum(stage == "train" for stage, _ in log) == 3 * 12
+    arrays = {k: t.data for k, t in result["model"].encoder_named().items()}
+    arrays.update({k: t.data for k, t in result["head"].named().items()})
+    save_checkpoint(tmp_path / "cls.csma", arrays)
+    report = evaluate_checkpoint(
+        corpus, split.test_ids, load_checkpoint(tmp_path / "cls.csma"), 3, TOK, BB
+    )
+    assert report.to_json_dict() == result["report"].to_json_dict()
+
+
 def test_finetune_is_deterministic(corpus, tmp_path):
     from selectmae.training import save_checkpoint
 
