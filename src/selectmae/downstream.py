@@ -3,8 +3,9 @@
 Classification runs the encoder over the full token sequence (nothing
 masked) of each clip in a (B, ...) stack, mean-pools the token
 features, and applies a linear head; one clip is B = 1. Fine-tuning
-trains the head together with the tokenizer projection and encoder,
-one stacked forward per step; evaluation classifies one clip per call.
+trains the head together with the tokenizer projection and encoder;
+a step runs its batch as two stacked half-batches at once, each with
+its own tape and backward pass. Evaluation classifies one clip per call.
 Precision/recall/Jaccard are macro-averaged over classes present in
 the labels, skipping zero-denominator classes per metric.
 """
@@ -32,6 +33,7 @@ from .numerics import (
     reduce_mean,
     reduce_sum,
     reshape,
+    run_halves,
     scale,
 )
 from .tokenizer import TokenizerConfig, tokenize
@@ -263,8 +265,13 @@ def finetune_run(
             labels = np.array([entries[i]["phase_index"] for i in ids])
             with Tape() as tape:
                 frames = np.stack([store.frames(i, "train") for i in ids])
-                loss = _cross_entropy(classification_logits(frames, model, head), labels)
-                backward(loss, tape)
+
+                def half(lo, hi, half_tape):
+                    logits = classification_logits(frames[lo:hi], model, head)
+                    loss = _cross_entropy(logits, labels[lo:hi])
+                    backward(scale(loss, (hi - lo) / len(ids)), half_tape)
+
+                run_halves(tape, len(ids), half)
             optimizer.step(lr)
             optimizer.zero_grad()
             step += 1

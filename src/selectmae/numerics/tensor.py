@@ -4,7 +4,10 @@ Compute is 32-bit by default; tests may switch to 64-bit through the
 `precision` context manager. A Tape records operations in execution order
 (which is topological by construction) and `backward` replays it once,
 in reverse, accumulating gradients into every `requires_grad` tensor
-reachable from the loss.
+reachable from the loss. Each thread has its own stack of active tapes,
+so a tape records only the operations run on the thread that entered it;
+two threads can each build and replay their own tape at once, with
+`backward` serializing only its final writes into the leaves' `.grad`.
 
 A recorded node holds no intermediate Tensor: only its inputs' uids
 (None for an untracked input), the input Tensor where that input is a
@@ -12,7 +15,8 @@ leaf of the tape (`requires_grad` and not produced on it), its output's
 uid and the backward closure. `backward` routes gradients by uid, and
 each closure reads the arrays the forward saw, which it captured itself.
 An intermediate that no closure captured is freed as soon as the caller
-drops it, during forward.
+drops it, during forward; a closure, with what it captured, is dropped
+as soon as `backward` has run it, so a tape is replayed once.
 
 Importing this module sets glibc's allocator so that memory a step
 frees stays in the process for the next step; see `_keep_freed_memory`.
@@ -23,6 +27,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import itertools
+import threading
 
 import numpy as np
 
@@ -148,11 +153,11 @@ class Tape:
         self._produced: set[int] = set()
 
     def __enter__(self):
-        _ACTIVE.append(self)
+        _ACTIVE.tapes.append(self)
         return self
 
     def __exit__(self, *exc):
-        _ACTIVE.pop()
+        _ACTIVE.tapes.pop()
         return False
 
     def __len__(self):
@@ -170,11 +175,19 @@ class Tape:
         return t.uid in self._produced
 
 
-_ACTIVE: list[Tape] = []
+class _ActiveTapes(threading.local):
+    def __init__(self):
+        self.tapes: list[Tape] = []
+
+
+_ACTIVE = _ActiveTapes()  # the entered tapes of the current thread, innermost last
+_LEAF_WRITES = threading.Lock()
 
 
 def active_tape() -> Tape | None:
-    return _ACTIVE[-1] if _ACTIVE else None
+    """The innermost tape entered on the current thread, if any."""
+    tapes = _ACTIVE.tapes
+    return tapes[-1] if tapes else None
 
 
 def record_op(inputs: tuple[Tensor, ...], output: Tensor, backward_fn):
@@ -188,7 +201,12 @@ def backward(loss: Tensor, tape: Tape):
     """Populate `.grad` on every requires_grad tensor reachable from `loss`.
 
     Visits each recorded operation exactly once, in reverse execution
-    order; accumulation order is therefore deterministic.
+    order; accumulation order is therefore deterministic. Each node's
+    closure is released once it has run, so the tape cannot be replayed.
+    Writes into `.grad` hold one lock, so two passes over separate tapes
+    that share leaves leave each leaf the sum of both gradients; from an
+    empty `.grad` that sum has two addends, and the same bits whichever
+    pass ends first.
     """
     if loss.size != 1:
         raise ContractError(f"backward expects a scalar loss, got shape {loss.shape}")
@@ -197,12 +215,15 @@ def backward(loss: Tensor, tape: Tape):
     if loss.requires_grad and not tape.produced(loss):
         leaves[loss.uid] = loss
     for node in reversed(tape._nodes):
+        backward_fn, node.backward_fn = node.backward_fn, None
+        if backward_fn is None:
+            raise ContractError("backward has already run on this tape")
         # A tensor's accumulated gradient is complete once all its consumers
         # (recorded later, hence visited earlier) have been processed.
         g_out = grads.pop(node.output_uid, None)
         if g_out is None:
             continue
-        for uid, leaf, g in zip(node.input_uids, node.leaves, node.backward_fn(g_out)):
+        for uid, leaf, g in zip(node.input_uids, node.leaves, backward_fn(g_out)):
             if g is None or uid is None:
                 continue
             if uid in grads:
@@ -211,5 +232,6 @@ def backward(loss: Tensor, tape: Tape):
                 grads[uid] = g
             if leaf is not None:
                 leaves[uid] = leaf
-    for uid, t in leaves.items():
-        t.accumulate_grad(grads[uid])
+    with _LEAF_WRITES:
+        for uid, t in leaves.items():
+            t.accumulate_grad(grads[uid])

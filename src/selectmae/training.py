@@ -1,11 +1,12 @@
 """Losses, the isolated-gradient pretraining step, and the run loop.
 
-One joint backward pass serves both objectives. Stop-gradient barriers
-keep them apart: the selection network reads detached token values, so
-its score-function loss trains only the selector; the reconstruction
-loss never touches the selector because sampling consumes indices, not
-probabilities. Per-masked-token errors enter the selection loss as
-constants.
+A step runs its batch as two half-batches at once, each with its own
+tape and one joint backward pass that serves both objectives.
+Stop-gradient barriers keep them apart: the selection network reads
+detached token values, so its score-function loss trains only the
+selector; the reconstruction loss never touches the selector because
+sampling consumes indices, not probabilities. Per-masked-token errors
+enter the selection loss as constants.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from .numerics import (
     mul,
     reduce_mean,
     reshape,
+    run_halves,
     scale,
     stop_gradient,
     stored_count,
@@ -109,6 +111,8 @@ class PretrainConfig:
             raise ConfigError("batch_size, epochs and ckpt_every must be positive")
         if self.max_steps is not None and self.max_steps < 1:
             raise ConfigError(f"max_steps must be >= 1 when set, got {self.max_steps}")
+        if self.grad_clip is not None and not self.grad_clip > 0:
+            raise ConfigError(f"grad_clip must be > 0 when set, got {self.grad_clip}")
         check_schedule(self.betas, self.weight_decay, self.warmup_steps, self.min_lr)
 
 
@@ -192,70 +196,92 @@ def pretrain_step(
 ) -> LossReport:
     """One optimization step over a batch of clips; updates parameters.
 
-    All clips run as one batched graph: masks are sampled per clip from
+    The batch runs as two half-batches at once (`run_halves`), each one
+    batched graph on its own tape: masks are sampled per clip from
     per-clip RNG streams, then visible gathering, encoding, decoding,
-    and both losses operate on stacked (batch, ...) tensors. Every clip
-    in the batch therefore shares the token-count geometry.
+    and both losses operate on stacked (half, ...) tensors, so every clip
+    in the batch shares the token-count geometry. Each half's loss is
+    scaled by its share of the clips, so the gradients its backward
+    leaves summed in `.grad` are those of the batch mean; they are
+    clipped and applied once both halves have ended. An error in either
+    half is raised after both have ended, before the optimizer runs,
+    and leaves no gradient behind.
     """
     if len(rngs) != len(batch):
         raise ContractError(f"{len(rngs)} rng streams for {len(batch)} clips")
+
+    def half(lo: int, hi: int, tape: Tape):
+        return _pretrain_half(batch[lo:hi], rngs[lo:hi], model, selector, cfg,
+                              (hi - lo) / len(batch), step_index, tape)
+
+    try:
+        with Tape() as tape:
+            halves = run_halves(tape, len(batch), half)
+        if cfg.grad_clip is not None:
+            _clip_grad_norm(optimizer.params.values(), cfg.grad_clip)
+        optimizer.step(lr)
+    finally:
+        optimizer.zero_grad()
+
+    shares, recons, selects, rows, masses = zip(*halves)
+    masses = [m for half_masses in masses for m in half_masses]
+    return LossReport(
+        step=step_index,
+        recon=sum(s * r for s, r in zip(shares, recons)),
+        select=sum(s * v for s, v in zip(shares, selects)),
+        per_token=[row for half_rows in rows for row in half_rows],
+        fg_mass=float(np.mean(masses)) if masses else None,
+    )
+
+
+def _pretrain_half(batch, rngs, model, selector, cfg, share, step_index, tape):
+    """Forward and backward of some clips of a step, their loss scaled by
+    `share`. Returns (share, L_R, L_select, per-clip masked-token errors,
+    per-clip foreground masses); the masses only for the adaptive strategy."""
     adaptive = cfg.strategy == "adaptive"
     tok_cfg = model.tok_cfg
-    grid = batch[0].grid
     frames = [item.frames for item in batch]
-    with Tape() as tape:
-        patches = Tensor(unfold_clip(np.stack(frames), tok_cfg.tubelet))
-        tokens = embed_patches(patches, tok_cfg, model.proj.weight, model.proj.bias)
+    patches = Tensor(unfold_clip(np.stack(frames), tok_cfg.tubelet))
+    tokens = embed_patches(patches, tok_cfg, model.proj.weight, model.proj.bias)
 
-        pmap = None
-        if adaptive:
-            pmap = select_probabilities(stop_gradient(tokens), selector)
-            specs = [
-                sample_visible(pmap.probs.data[i], cfg.mask_ratio, rng)
-                for i, rng in enumerate(rngs)
-            ]
-        else:
-            specs = [baseline_mask(cfg.strategy, grid, cfg.mask_ratio, rng) for rng in rngs]
-        visible_ids = np.stack([s.visible_ids for s in specs])
-        masked_ids = np.stack([s.masked_ids for s in specs])
+    pmap = None
+    if adaptive:
+        pmap = select_probabilities(stop_gradient(tokens), selector)
+        specs = [
+            sample_visible(pmap.probs.data[i], cfg.mask_ratio, rng)
+            for i, rng in enumerate(rngs)
+        ]
+    else:
+        specs = [baseline_mask(cfg.strategy, batch[0].grid, cfg.mask_ratio, rng) for rng in rngs]
+    visible_ids = np.stack([s.visible_ids for s in specs])
+    masked_ids = np.stack([s.masked_ids for s in specs])
 
-        latents = encode(gather_rows_batched(tokens, visible_ids), model)
-        preds = decode(latents, visible_ids, masked_ids, model)
-        target_rows = np.stack([
-            patch_normalize_targets(f, tok_cfg, normalize=cfg.normalize_targets).values[ids]
-            for f, ids in zip(frames, masked_ids)
-        ])
-        recon, per_token = reconstruction_loss(preds, target_rows, cfg.loss_kind)
+    latents = encode(gather_rows_batched(tokens, visible_ids), model)
+    preds = decode(latents, visible_ids, masked_ids, model)
+    target_rows = np.stack([
+        patch_normalize_targets(f, tok_cfg, normalize=cfg.normalize_targets).values[ids]
+        for f, ids in zip(frames, masked_ids)
+    ])
+    recon, per_token = reconstruction_loss(preds, target_rows, cfg.loss_kind)
 
-        select_value = 0.0
-        total = recon
-        if adaptive:
-            select = selection_loss(pmap.log_probs, stop_gradient(per_token), masked_ids)
-            select_value = select.item()
-            total = add(recon, scale(select, cfg.selection_weight))
-        if not np.isfinite(total.item()):
-            raise NumericError(f"non-finite loss at step {step_index}")
-        backward(total, tape)
-    if cfg.grad_clip is not None:
-        _clip_grad_norm(optimizer.params.values(), cfg.grad_clip)
-    optimizer.step(lr)
-    optimizer.zero_grad()
+    select_value = 0.0
+    total = recon
+    if adaptive:
+        select = selection_loss(pmap.log_probs, stop_gradient(per_token), masked_ids)
+        select_value = select.item()
+        total = add(recon, scale(select, cfg.selection_weight))
+    if not np.isfinite(total.item()):
+        raise NumericError(f"non-finite loss at step {step_index}")
+    backward(scale(total, share), tape)
 
-    fg_mass = None
+    masses = []
     if adaptive:
         masses = [
             float(pmap.probs.data[i, item.fg_token_ids].sum())
             for i, item in enumerate(batch)
             if item.fg_token_ids is not None
         ]
-        fg_mass = float(np.mean(masses)) if masses else None
-    return LossReport(
-        step=step_index,
-        recon=recon.item(),
-        select=select_value,
-        per_token=[row.copy() for row in per_token.data],
-        fg_mass=fg_mass,
-    )
+    return share, recon.item(), select_value, [row.copy() for row in per_token.data], masses
 
 
 def _clip_grad_norm(params, max_norm: float):

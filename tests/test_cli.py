@@ -442,6 +442,8 @@ CONFIGS = {
     "negative-weight-decay": (_text({"pretrain": {"weight_decay": -1.0}}), 2),
     "betas-past-one": (_text({"pretrain": {"betas": [1.5, 2.0]}}), 2),
     "negative-min-lr": (_text({"pretrain": {"min_lr": -1e-6}}), 2),
+    "zero-grad-clip": (_text({"pretrain": {"grad_clip": 0.0}}), 2),
+    "negative-grad-clip": (_text({"pretrain": {"grad_clip": -1.0}}), 2),
     "finetune-beta-one": (_text({"finetune": {"betas": [0.9, 1.0]}}), 2),
     "finetune-negative-warmup": (_text({"finetune": {"warmup_steps": -1}}), 2),
     "nan-base-lr": (_text({"pretrain": {"base_lr": float("nan")}}), 2),

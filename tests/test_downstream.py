@@ -1,8 +1,11 @@
 import json
+import threading
 
 import numpy as np
 import pytest
 
+from selectmae import downstream
+from selectmae import numerics as nm
 from selectmae.backbone import BackboneConfig, ModelParams
 from selectmae.data import SynthConfig, generate_clip, generate_corpus, load_manifest
 from selectmae.downstream import (
@@ -304,3 +307,43 @@ def test_finetune_is_deterministic(corpus, tmp_path):
         save_checkpoint(tmp_path / f"cls{run}.csma", arrays)
         outputs.append((json.dumps(report, sort_keys=True), (tmp_path / f"cls{run}.csma").read_bytes()))
     assert outputs[0] == outputs[1]
+
+
+def _first_step_gradients(corpus, monkeypatch, batch_size):
+    """The gradients AdamW is handed at the first fine-tune step, and the
+    threads that entered a `downstream.Tape`, with how many nodes each recorded."""
+    real_step = downstream.AdamW.step
+    grads = []
+
+    def step(opt, lr=None):
+        if not grads:
+            grads.append({k: p.grad.copy() for k, p in opt.params.items() if p.grad is not None})
+        return real_step(opt, lr)
+
+    entered = []
+
+    class SeenTape(nm.Tape):
+        def __exit__(self, *exc):
+            entered.append((threading.get_ident(), len(self)))
+            return super().__exit__(*exc)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(downstream.AdamW, "step", step)
+        mp.setattr(downstream, "Tape", SeenTape)
+        split = SplitSpec.from_manifest(load_manifest(corpus), 12, 0, 3)
+        finetune_run(corpus, split, FinetuneConfig(epochs=1, batch_size=batch_size, seed=5),
+                     num_steps=3, tok_cfg=TOK, bb_cfg=BB)
+    return grads[0], entered
+
+
+@pytest.mark.parametrize("batch_size", [6, 5])
+def test_two_half_finetune_step_matches_the_step_on_one_tape(corpus, monkeypatch, batch_size):
+    grads, entered = _first_step_gradients(corpus, monkeypatch, batch_size)
+    # one downstream.Tape per step, entered on this thread, holding the first half
+    assert len(entered) == -(-12 // batch_size)
+    assert all(ident == threading.get_ident() and nodes > 0 for ident, nodes in entered)
+    monkeypatch.setattr(downstream, "run_halves", lambda tape, n, half: [half(0, n, tape)])
+    one_tape, _ = _first_step_gradients(corpus, monkeypatch, batch_size)
+    assert sorted(grads) == sorted(one_tape)
+    for name, grad in grads.items():
+        np.testing.assert_allclose(grad, one_tape[name], rtol=1e-5, atol=1e-7, err_msg=name)

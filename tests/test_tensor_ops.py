@@ -1,6 +1,8 @@
 import ctypes
 import inspect
 import math
+import sys
+import threading
 import weakref
 
 import numpy as np
@@ -599,3 +601,115 @@ class _LibcWithoutMallopt:
 def test_allocator_setup_is_a_no_op_without_mallopt(monkeypatch, cdll):
     monkeypatch.setattr(ctypes, "CDLL", cdll)
     tensor._keep_freed_memory()  # returns without raising
+
+
+def test_tape_records_only_the_ops_of_its_own_thread():
+    x = nm.Tensor(np.ones(3), requires_grad=True)
+    seen = {}
+
+    def elsewhere():
+        seen["tape"] = nm.active_tape()
+        seen["out"] = nm.reduce_sum(nm.scale(x, 2.0))
+
+    with nm.Tape() as tape:
+        worker = threading.Thread(target=elsewhere)
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert len(tape) == 0
+        nm.reduce_sum(x)
+    assert seen["tape"] is None
+    assert len(tape) == 1
+    assert seen["out"].item() == 6.0
+
+
+def test_backward_frees_each_closure_and_refuses_a_second_pass():
+    x = nm.Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
+    with nm.Tape() as tape:
+        loss = nm.reduce_sum(nm.mul(x, x))
+    closures = [weakref.ref(node.backward_fn) for node in tape._nodes]
+    nm.backward(loss, tape)
+    assert len(tape) == 2  # the nodes stay, so the tape still counts them
+    assert all(node.backward_fn is None for node in tape._nodes)
+    assert all(ref() is None for ref in closures)
+    with pytest.raises(ContractError, match="already run"):
+        nm.backward(loss, tape)
+    np.testing.assert_array_equal(x.grad, [2.0, 4.0, 6.0])
+
+
+def test_run_halves_splits_at_the_ceiling_and_keeps_order():
+    calls = {}
+
+    def half(lo, hi, tape):
+        # each half records onto the tape entered on its own thread
+        calls[lo, hi] = (threading.get_ident(), tape is nm.active_tape())
+        return lo, hi
+
+    with nm.Tape() as tape:
+        assert nm.run_halves(tape, 5, half) == [(0, 3), (3, 5)]
+        assert nm.run_halves(tape, 1, half) == [(0, 1)]
+    here = threading.get_ident()
+    assert calls[0, 3] == (here, True) and calls[0, 1] == (here, True)
+    assert calls[3, 5][0] != here and calls[3, 5][1]
+
+
+def test_run_halves_carries_the_callers_errstate():
+    def half(lo, hi, tape):
+        return np.float32(1.0) / np.float32(0.0)
+
+    with nm.Tape() as tape, np.errstate(divide="ignore"):
+        assert nm.run_halves(tape, 2, half) == [np.inf, np.inf]
+    with nm.Tape() as tape, np.errstate(divide="raise"):
+        with pytest.raises(FloatingPointError):
+            nm.run_halves(tape, 2, half)
+
+
+def test_two_threads_sum_their_gradients_into_shared_leaves():
+    # the leaf sees exactly two addends, so its bits do not depend on
+    # which pass ends first
+    rng = np.random.default_rng(21)
+    w = nm.Tensor(rng.standard_normal((4, 4)).astype(np.float32), requires_grad=True)
+    xs = rng.standard_normal((2, 3, 4)).astype(np.float32)
+
+    def half(lo, hi, tape):
+        nm.backward(nm.reduce_sum(nm.gelu(nm.matmul(nm.Tensor(xs[lo]), w))), tape)
+
+    each = []
+    for i in range(2):
+        w.grad = None
+        with nm.Tape() as tape:
+            half(i, i + 1, tape)
+        each.append(w.grad)
+    w.grad = None
+    with nm.Tape() as tape:
+        nm.run_halves(tape, 2, half)
+    assert np.array_equal(w.grad, each[0] + each[1])
+    assert np.array_equal(w.grad, each[1] + each[0])
+
+
+def test_concurrent_backward_passes_lose_no_gradient():
+    # eight threads, each replaying its own tapes into one shared leaf with
+    # a short switch interval: every pass adds exactly 1 to each entry, so
+    # a lost read-modify-write of .grad would show as a missing count
+    w = nm.Tensor(np.zeros((64, 64)), requires_grad=True)
+    ones = nm.Tensor(np.ones((64, 64)))
+    passes = 25
+
+    def replay():
+        for _ in range(passes):
+            with nm.Tape() as tape:
+                loss = nm.reduce_sum(nm.mul(w, ones))
+            nm.backward(loss, tape)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=replay) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert np.array_equal(w.grad, np.full((64, 64), 8.0 * passes, dtype=np.float32))

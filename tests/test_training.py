@@ -1,6 +1,9 @@
 import json
+import math
 import platform
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -22,7 +25,7 @@ from selectmae.masking import (
     sample_visible,
     select_probabilities,
 )
-from selectmae.numerics import AdamW
+from selectmae.numerics import AdamW, halves
 from selectmae.tokenizer import TokenizerConfig, embed_patches, unfold_clip
 from selectmae.training import (
     PretrainConfig,
@@ -244,6 +247,158 @@ def test_warm_adaptive_step_keeps_its_memory():
         pretrain_step(items, model, selector, opt, cfg, rngs, lr=1e-4, step_index=step)
         faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
     assert np.median(faults[3:]) < 200, faults
+
+
+def _one_tape(tape, n, half):
+    """The step run as one half on the calling thread's tape."""
+    return [half(0, n, tape)]
+
+
+def _two_half_step(n_clips, strategy="adaptive", **cfg):
+    """Run one pretrain_step from a fixed start; returns the gradients the
+    optimizer was handed, each clip's visible ids and the report."""
+    model = ModelParams(TOK, BB, np.random.default_rng(0))
+    selector = SelectionParams(np.random.default_rng(1), TOK.dim)
+    trained = dict(model.named())
+    if strategy == "adaptive":
+        trained.update(selector.named())
+    opt = AdamW(trained, lr=1e-3)
+    grads = {}
+    opt.step = lambda lr=None: grads.update(
+        {k: t.grad.copy() for k, t in trained.items() if t.grad is not None})
+    rngs = [np.random.default_rng([9, j]) for j in range(n_clips)]
+    visible = {}
+
+    def recording(fn):
+        def record(*args):
+            spec = fn(*args)
+            visible[id(args[-1])] = spec.visible_ids  # keyed by the clip's rng
+            return spec
+        return record
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(training, "sample_visible", recording(training.sample_visible))
+        mp.setattr(training, "baseline_mask", recording(training.baseline_mask))
+        report = pretrain_step(_items(n_clips), model, selector, opt,
+                               _cfg(strategy=strategy, **cfg), rngs)
+    assert sorted(grads) == sorted(trained)
+    return grads, [visible[id(rng)] for rng in rngs], report
+
+
+@pytest.mark.parametrize("strategy", ["adaptive", "random"])
+@pytest.mark.parametrize("n_clips", [8, 3])
+def test_two_half_step_matches_the_step_on_one_tape(monkeypatch, strategy, n_clips):
+    grads, visible, report = _two_half_step(n_clips, strategy)
+    monkeypatch.setattr(training, "run_halves", _one_tape)
+    one_grads, one_visible, one_report = _two_half_step(n_clips, strategy)
+    for name, grad in grads.items():
+        np.testing.assert_allclose(grad, one_grads[name], rtol=1e-5, atol=1e-7, err_msg=name)
+    for ids, one_ids in zip(visible, one_visible):
+        np.testing.assert_array_equal(ids, one_ids)
+    # each clip's forward is the same, so only the batch reductions round differently
+    for row, one_row in zip(report.per_token, one_report.per_token, strict=True):
+        np.testing.assert_array_equal(row, one_row)
+    assert report.recon == pytest.approx(one_report.recon, rel=1e-6)
+    assert report.select == pytest.approx(one_report.select, rel=1e-6)
+    assert report.fg_mass == one_report.fg_mass
+
+
+def test_two_half_steps_are_bitwise_repeatable():
+    first, visible, report = _two_half_step(8)
+    for _ in range(4):
+        grads, again, repeat = _two_half_step(8)
+        for name, grad in grads.items():
+            assert np.array_equal(grad, first[name]), name
+        assert all(np.array_equal(a, b) for a, b in zip(again, visible))
+        assert (repeat.recon, repeat.select, repeat.fg_mass) == (
+            report.recon, report.select, report.fg_mass)
+
+
+def test_grad_clip_runs_once_on_the_summed_gradient(monkeypatch):
+    unclipped, _, _ = _two_half_step(4)
+    seen = []
+    real_clip = training._clip_grad_norm
+
+    def spy(params, max_norm):
+        params = list(params)
+        seen.append([None if p.grad is None else p.grad.copy() for p in params])
+        real_clip(params, max_norm)
+
+    monkeypatch.setattr(training, "_clip_grad_norm", spy)
+    clipped, _, _ = _two_half_step(4, grad_clip=1e-3)
+    assert len(seen) == 1
+    assert all(np.array_equal(g, unclipped[name]) for g, name in zip(seen[0], unclipped))
+    norm = math.sqrt(sum(float((g.astype(np.float64) ** 2).sum()) for g in clipped.values()))
+    assert norm == pytest.approx(1e-3, rel=1e-5)
+
+
+def _adaptive_setup():
+    model = ModelParams(TOK, BB, np.random.default_rng(0))
+    selector = SelectionParams(np.random.default_rng(1), TOK.dim)
+    return model, selector, AdamW({**model.named(), **selector.named()}, lr=1e-3)
+
+
+def _assert_untouched(opt, before):
+    for name, t in opt.params.items():
+        assert t.grad is None, name
+        assert np.array_equal(t.data, before[name]), name
+    assert opt.step_count == 0
+    assert all(not m.any() for m in opt.m.values()) and all(not v.any() for v in opt.v.values())
+
+
+def test_non_finite_loss_in_both_halves_moves_nothing():
+    model, selector, opt = _adaptive_setup()
+    model.head.bias.data[:] = np.inf
+    before = {k: t.data.copy() for k, t in opt.params.items()}
+    rngs = [np.random.default_rng([9, j]) for j in range(2)]
+    with pytest.raises(NumericError, match="non-finite loss at step 4"):
+        pretrain_step(_items(2), model, selector, opt, _cfg(), rngs, step_index=4)
+    _assert_untouched(opt, before)
+
+
+@pytest.mark.parametrize("failing", ["caller", "worker"])
+def test_an_error_in_either_half_waits_for_the_other(monkeypatch, failing):
+    # the half that does not fail finishes its backward, and so leaves
+    # gradients, after the failing one has raised
+    model, selector, opt = _adaptive_setup()
+    before = {k: t.data.copy() for k, t in opt.params.items()}
+    finished = []
+    real_backward = training.backward
+
+    def backward(loss, tape):
+        on_caller = threading.current_thread() is threading.main_thread()
+        if on_caller == (failing == "caller"):
+            raise NumericError(f"injected on the {failing}")
+        time.sleep(0.05)
+        real_backward(loss, tape)
+        finished.append(True)
+
+    monkeypatch.setattr(training, "backward", backward)
+    rngs = [np.random.default_rng([9, j]) for j in range(4)]
+    with pytest.raises(NumericError, match=f"injected on the {failing}"):
+        pretrain_step(_items(4), model, selector, opt, _cfg(), rngs)
+    assert finished == [True]
+    _assert_untouched(opt, before)
+
+
+def test_steps_reuse_one_worker_thread():
+    model, selector, opt = _adaptive_setup()
+    items = _items(2)
+    before = threading.active_count()
+    for step in range(5):
+        rngs = [np.random.default_rng([9, step, j]) for j in range(2)]
+        pretrain_step(items, model, selector, opt, _cfg(), rngs, step_index=step)
+        assert threading.active_count() <= before + 1
+
+
+def test_a_one_clip_step_never_touches_the_worker(monkeypatch):
+    def no_worker():
+        raise AssertionError("a one-clip step asked for the worker")
+
+    monkeypatch.setattr(halves, "_executor", no_worker)
+    model, selector, opt = _adaptive_setup()
+    pretrain_step(_items(1), model, selector, opt, _cfg(), [np.random.default_rng(0)])
+    assert opt.step_count == 1
 
 
 def _predict(model, items, specs):
@@ -509,10 +664,13 @@ def test_pretrain_config_validation():
         ({"betas": (0.9, 1.0)}, "betas"),
         ({"betas": (-0.1, 0.9)}, "betas"),
         ({"min_lr": -1e-6}, "min_lr"),
+        ({"grad_clip": 0.0}, "grad_clip"),
+        ({"grad_clip": -1.0}, "grad_clip"),
     ):
         with pytest.raises(ConfigError, match=message):
             PretrainConfig(**bad)
-    PretrainConfig(max_steps=None, warmup_steps=0, weight_decay=0.0, betas=(0.0, 0.0), min_lr=0.0)
+    PretrainConfig(max_steps=None, warmup_steps=0, weight_decay=0.0, betas=(0.0, 0.0), min_lr=0.0,
+                   grad_clip=1e-6)
 
 
 def test_pretrain_run_caches_only_the_stored_pixels(tmp_path):
