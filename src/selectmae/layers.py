@@ -15,10 +15,10 @@ from .errors import ConfigError
 from .numerics import (
     Tensor,
     add,
+    affine,
     attend,
     gelu,
     layer_norm,
-    matmul,
     reshape,
     transpose,
 )
@@ -85,7 +85,7 @@ class BlockParams:
 
 
 def linear(x: Tensor, p: LinearParams) -> Tensor:
-    return add(matmul(x, p.weight), p.bias)
+    return affine(x, p.weight, p.bias)
 
 
 def apply_layer_norm(x: Tensor, p: LayerNormParams) -> Tensor:

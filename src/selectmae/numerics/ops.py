@@ -18,6 +18,17 @@ to both of its inputs, and the tape keeps one pending gradient per
 tensor until all its consumers have run, so a write into `g` corrupts
 another tensor's gradient.
 
+`affine` is a linear layer, x @ w + b, recorded as one node where the
+chain add(matmul(x, w), b) took two, with the same products and sums
+in backward. Each node costs Python work under the GIL, paid by both
+half-batches of a training step; as two nodes, the 56 linear layers of
+a default pretraining half took 112 of its 261. Its backward skips dx
+when x carries no gradient, as for the tokenizer's patch rows, and
+`layer_norm` does the same. For the same reason the hot ops reduce
+with ufunc methods such as `np.add.reduce` rather than through numpy's
+Python-level wrappers (`ndarray.sum`, `.mean`, `np.max`); they pass the
+same arguments, so the bits are the same.
+
 `attend` trades compute for memory, as in Chen et al. 2016 (*Training
 Deep Nets with Sublinear Memory Cost*): its closure keeps q, k, v, one
 log-sum-exp per score row and the output, not the (..., n, m) attention
@@ -42,6 +53,8 @@ _GELU_A = 0.044715
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum `g` down to `shape`, undoing numpy broadcasting."""
+    if g.shape == shape:
+        return g
     extra = g.ndim - len(shape)
     if extra > 0:
         g = g.sum(axis=tuple(range(extra)))
@@ -52,7 +65,15 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _swap(a: np.ndarray) -> np.ndarray:
-    return np.swapaxes(a, -1, -2)
+    return a.swapaxes(-1, -2)
+
+
+def _mean_last(a: np.ndarray) -> np.ndarray:
+    """a.mean(axis=-1, keepdims=True) without its Python wrapper: the
+    same sum, then the same divide by an intp count that `ndarray.mean`
+    runs, so the bits match it."""
+    total = np.add.reduce(a, axis=-1, keepdims=True)
+    return np.true_divide(total, np.intp(a.shape[-1]), out=total, casting="unsafe")
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -88,36 +109,52 @@ def scale(a: Tensor, s: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product; leading dims must match, or `b` may be a plain 2-D
-    weight applied to every leading slice of `a`."""
-    weight_case = b.ndim == 2 and a.ndim > 2
-    if (
-        a.ndim < 2
-        or b.ndim < 2
-        or a.shape[-1] != b.shape[-2]
-        or (not weight_case and a.shape[:-2] != b.shape[:-2])
-    ):
+    """Matrix product over equal leading dims; `affine` applies a weight."""
+    if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2] or a.shape[:-2] != b.shape[:-2]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
     ad, bd = a.data, b.data
     out = Tensor(ad @ bd)
 
-    if weight_case:
-        def bw(g):
-            flat_a = ad.reshape(-1, ad.shape[-1])
-            flat_g = g.reshape(-1, g.shape[-1])
-            return g @ bd.T, flat_a.T @ flat_g
-    else:
-        def bw(g):
-            return g @ _swap(bd), _swap(ad) @ g
+    def bw(g):
+        return g @ _swap(bd), _swap(ad) @ g
 
     record_op((a, b), out, bw)
+    return out
+
+
+def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b as one node: a (k, n) weight and an (n,) bias applied to
+    every leading slice of a (..., k) input.
+
+    The bias is added in place to the product. Backward makes the same
+    products and sums as the two-node chain add(matmul(x, w), b): dx is
+    g @ w^T, dw one product over x and g flattened to rows, and db sums
+    g over its leading axes. dx is None when x carries no gradient, so
+    the product for it is skipped.
+    """
+    if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise ShapeError(f"affine: incompatible shapes {x.shape} @ {w.shape} + {b.shape}")
+    xd, wd = x.data, w.data
+    y = xd @ wd
+    y += b.data
+    out = Tensor(y)
+    x_tracked = x.tracked
+    lead = tuple(range(y.ndim - 1))
+
+    def bw(g):
+        dx = g @ wd.T if x_tracked else None
+        dw = xd.reshape(-1, xd.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+        return dx, dw, np.add.reduce(g, axis=lead)
+
+    record_op((x, w, b), out, bw)
     return out
 
 
 def _assert_finite(a: np.ndarray, op: str):
     # min/max both land non-finite when any entry is nan or +/-inf; two
     # scalar reductions beat materializing an isfinite mask
-    if not (np.isfinite(a.min()) and np.isfinite(a.max())):
+    if not (np.isfinite(np.minimum.reduce(a, axis=None))
+            and np.isfinite(np.maximum.reduce(a, axis=None))):
         raise NumericError(f"{op}: non-finite input")
 
 
@@ -201,7 +238,7 @@ def attend(q: Tensor, k: Tensor, v: Tensor, s: float) -> Tensor:
         st, acc, row_max = st_buf[:size], acc_buf[:size], max_buf[:size]
         np.matmul(ka[b, :, :d], _swap(qa[b, :, :d]), out=st)
         _assert_finite(st, "attend")
-        np.max(st, axis=-2, keepdims=True, out=row_max)
+        np.maximum.reduce(st, axis=-2, keepdims=True, out=row_max)
         st -= row_max
         np.exp(st, out=st)
         np.matmul(_swap(st), va[b], out=acc)
@@ -254,24 +291,23 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         raise ShapeError(f"layer_norm: gain/bias {gain.shape}/{bias.shape} vs feature dim {k}")
     # centers once; each step is one of the operations of x.var and
     # (x - mean) * inv, in their order, so the bits match them
-    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
-    var = np.multiply(xhat, xhat).sum(axis=-1, keepdims=True)
+    xhat = x.data - _mean_last(x.data)
+    var = np.add.reduce(np.multiply(xhat, xhat), axis=-1, keepdims=True)
     var /= k
     inv = 1.0 / np.sqrt(var + eps)
     xhat *= inv
     gd = gain.data
     out = Tensor(xhat * gd + bias.data)
+    x_tracked = x.tracked
+    lead = tuple(range(xhat.ndim - 1))
 
     def bw(g):
-        reduce_axes = tuple(range(g.ndim - 1))
-        dgain = (g * xhat).sum(axis=reduce_axes)
-        dbias = g.sum(axis=reduce_axes)
+        dgain = np.add.reduce(g * xhat, axis=lead)
+        dbias = np.add.reduce(g, axis=lead)
+        if not x_tracked:
+            return None, dgain, dbias
         dxhat = g * gd
-        dx = inv * (
-            dxhat
-            - dxhat.mean(axis=-1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-        )
+        dx = inv * (dxhat - _mean_last(dxhat) - xhat * _mean_last(dxhat * xhat))
         return dx, dgain, dbias
 
     record_op((x, gain, bias), out, bw)
@@ -364,7 +400,9 @@ def reshape(x: Tensor, shape) -> Tensor:
 def transpose(x: Tensor, axes=None) -> Tensor:
     if axes is None:
         axes = tuple(reversed(range(x.ndim)))
-    inverse = tuple(np.argsort(axes))
+    inverse = [0] * len(axes)
+    for i, axis in enumerate(axes):
+        inverse[axis] = i
     out = Tensor(x.data.transpose(axes))
     record_op((x,), out, lambda g: (g.transpose(inverse),))
     return out

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from ..errors import ConfigError, FormatError, NumericError
+from ..errors import ConfigError, ContractError, FormatError, NumericError
 from .tensor import Tensor
 
 
@@ -15,6 +15,15 @@ class AdamW:
 
     Parameters with `grad is None` are skipped entirely for the step
     (no moment update, no decay), so untouched sub-networks stay put.
+
+    The moments live in two flat buffers, every parameter a slice of
+    each in dict order; `m` and `v` map names to views of them. A step
+    gathers the gradients and values of the parameters that have a
+    gradient into flat buffers of their own and makes a fixed number of
+    numpy passes over each contiguous span of them, so its Python work
+    does not grow with the parameter count. Each pass is one operation
+    of the per-parameter update, in its order, so the bits are those of
+    updating each parameter on its own.
     """
 
     def __init__(
@@ -33,31 +42,80 @@ class AdamW:
         self.eps = eps
         self.weight_decay = weight_decay
         self.step_count = 0
-        self.m = {name: np.zeros_like(p.data) for name, p in self.params.items()}
-        self.v = {name: np.zeros_like(p.data) for name, p in self.params.items()}
+        dtypes = {p.data.dtype for p in self.params.values()}
+        if len(dtypes) > 1:
+            raise ContractError(f"AdamW needs parameters of one dtype, got {sorted(map(str, dtypes))}")
+        dtype = dtypes.pop() if dtypes else np.float32
+        # (start, stop) of each parameter in the flat moment buffers
+        self._spans = {}
+        start = 0
+        for name, p in self.params.items():
+            self._spans[name] = (start, start + p.data.size)
+            start += p.data.size
+        self._m = np.zeros(start, dtype)
+        self._v = np.zeros(start, dtype)
+        self.m = {name: self._m[lo:hi].reshape(self.params[name].shape)
+                  for name, (lo, hi) in self._spans.items()}
+        self.v = {name: self._v[lo:hi].reshape(self.params[name].shape)
+                  for name, (lo, hi) in self._spans.items()}
 
     def step(self, lr: float | None = None):
-        lr = self.lr if lr is None else lr
+        lr = float(self.lr if lr is None else lr)
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - self.beta1**t
         bc2 = 1.0 - self.beta2**t
-        for name, p in self.params.items():
-            g = p.grad
-            if g is None:
-                continue
-            if not np.isfinite(g).all():
-                raise NumericError(f"non-finite gradient for parameter '{name}'")
-            m = self.m[name]
-            v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            if self.weight_decay:
-                update = update + self.weight_decay * p.data
-            p.data = p.data - lr * update
+        live = [(name, p) for name, p in self.params.items() if p.grad is not None]
+        if not live:
+            return
+        grads = np.concatenate([p.grad.ravel() for _, p in live])
+        if not np.isfinite(grads).all():
+            name = next(name for name, p in live if not np.isfinite(p.grad).all())
+            raise NumericError(f"non-finite gradient for parameter '{name}'")
+        values = np.concatenate([p.data.ravel() for _, p in live])
+        scratch = np.empty_like(grads)
+        at = 0  # offset of the span in the gathered buffers
+        for lo, hi in self._live_spans(live):
+            end = at + hi - lo
+            self._update(grads[at:end], self._m[lo:hi], self._v[lo:hi], values[at:end],
+                         scratch[at:end], lr, bc1, bc2)
+            at = end
+        at = 0
+        for _, p in live:
+            p.data = values[at:at + p.data.size].reshape(p.data.shape)
+            at += p.data.size
+
+    def _live_spans(self, live) -> list[tuple[int, int]]:
+        """The maximal runs of consecutive moment slices among `live`."""
+        spans: list[tuple[int, int]] = []
+        for name, _ in live:
+            lo, hi = self._spans[name]
+            if spans and spans[-1][1] == lo:
+                spans[-1] = (spans[-1][0], hi)
+            else:
+                spans.append((lo, hi))
+        return spans
+
+    def _update(self, g, m, v, p, u, lr, bc1, bc2):
+        """Update m, v and p in place from g, overwriting g; u is scratch."""
+        m *= self.beta1
+        np.multiply(g, 1.0 - self.beta1, out=u)
+        m += u
+        v *= self.beta2
+        np.multiply(g, 1.0 - self.beta2, out=u)
+        u *= g
+        v += u
+        # update = (m / bc1) / (sqrt(v / bc2) + eps), in u
+        np.divide(m, bc1, out=u)
+        np.divide(v, bc2, out=g)
+        np.sqrt(g, out=g)
+        g += self.eps
+        u /= g
+        if self.weight_decay:
+            np.multiply(p, self.weight_decay, out=g)
+            u += g
+        u *= lr
+        p -= u
 
     def zero_grad(self):
         for p in self.params.values():
@@ -74,8 +132,13 @@ class AdamW:
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]):
         for name in self.params:
-            self.m[name] = arrays[f"opt.m.{name}"].astype(self.m[name].dtype).copy()
-            self.v[name] = arrays[f"opt.v.{name}"].astype(self.v[name].dtype).copy()
+            for key, moment in ((f"opt.m.{name}", self.m[name]), (f"opt.v.{name}", self.v[name])):
+                stored = arrays[key]
+                if stored.shape != moment.shape:
+                    raise FormatError(
+                        f"checkpoint entry '{key}' has shape {stored.shape}, expected {moment.shape}"
+                    )
+                moment[...] = stored
         self.step_count = stored_count(arrays, "opt.step")
 
 

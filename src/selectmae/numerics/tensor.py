@@ -164,11 +164,24 @@ class Tape:
         return len(self._nodes)
 
     def record(self, inputs: tuple[Tensor, ...], output: Tensor, backward_fn):
-        input_uids = tuple(t.uid if t.tracked else None for t in inputs)
-        leaves = tuple(t if t.requires_grad and not self.produced(t) else None for t in inputs)
-        self._nodes.append(_Node(input_uids, leaves, output.uid, backward_fn))
-        self._produced.add(output.uid)
-        output.tracked = True
+        """Record the op if any input can carry gradient; one pass over the
+        inputs, since every op of a step pays for it."""
+        produced = self._produced
+        input_uids, leaves = [], []
+        live = False
+        for t in inputs:
+            if t.tracked:
+                live = True
+                uid = t.uid
+                input_uids.append(uid)
+                leaves.append(t if t.requires_grad and uid not in produced else None)
+            else:
+                input_uids.append(None)
+                leaves.append(None)
+        if live:
+            self._nodes.append(_Node(input_uids, leaves, output.uid, backward_fn))
+            produced.add(output.uid)
+            output.tracked = True
 
     def produced(self, t: Tensor) -> bool:
         """True when `t` is the output of an operation recorded here."""
@@ -192,9 +205,9 @@ def active_tape() -> Tape | None:
 
 def record_op(inputs: tuple[Tensor, ...], output: Tensor, backward_fn):
     """Record onto the active tape if any input can carry gradient."""
-    tape = active_tape()
-    if tape is not None and any(t.tracked for t in inputs):
-        tape.record(inputs, output, backward_fn)
+    tapes = _ACTIVE.tapes
+    if tapes:
+        tapes[-1].record(inputs, output, backward_fn)
 
 
 def backward(loss: Tensor, tape: Tape):

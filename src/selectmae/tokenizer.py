@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .numerics import Tensor, add, matmul
+from .numerics import Tensor, add, affine
 
 
 @dataclass
@@ -127,7 +127,7 @@ def embed_patches(patches: Tensor, cfg: TokenizerConfig, weight: Tensor, bias: T
         raise ShapeError(
             f"projection weight {weight.shape}, expected {(patches.shape[-1], cfg.dim)}"
         )
-    tokens = add(matmul(patches, weight), bias)
+    tokens = affine(patches, weight, bias)
     if cfg.pos_encoding == "sinusoidal":
         pe = positional_encoding(tokens.shape[-2], cfg.dim, dtype=tokens.data.dtype)
         tokens = add(tokens, Tensor(pe))

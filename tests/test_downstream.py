@@ -136,6 +136,17 @@ def test_classify_mean_pool_permutation_invariance():
     np.testing.assert_allclose(permuted, base, atol=1e-5)
 
 
+def test_node_budget_of_a_default_classification_forward():
+    # a change that adds nodes to the fine-tune forward does so on purpose
+    tok, synth = TokenizerConfig(), SynthConfig()
+    model = ModelParams(tok, BackboneConfig(), np.random.default_rng(0))
+    head = ClassifierHead(np.random.default_rng(1), model.bb_cfg.enc_dim, synth.num_phases)
+    frames = np.stack([generate_clip(synth, i, [2, i]).frames for i in range(3)])
+    with nm.Tape() as tape:
+        classification_logits(frames, model, head)
+    assert len(tape) == 86
+
+
 def _pooled_features(frames, model):
     """What classification_logits feeds the head: (B, enc_dim)."""
     from selectmae.backbone import encode

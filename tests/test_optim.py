@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from selectmae import numerics as nm
-from selectmae.errors import ConfigError, NumericError
+from selectmae.errors import ConfigError, ContractError, FormatError, NumericError
 from selectmae.numerics.optim import AdamW, cosine_warmup_lr
 
 
@@ -74,6 +74,64 @@ def test_state_roundtrip():
     assert other.step_count == 3
     np.testing.assert_array_equal(other.m["w"], opt.m["w"])
     np.testing.assert_array_equal(other.v["w"], opt.v["w"])
+
+
+def _reference_step(params, m, v, t, lr, betas, eps, weight_decay):
+    """AdamW one parameter at a time, as the optimizer ran before its flat
+    buffers: the reference the flat step must match bit for bit."""
+    beta1, beta2 = betas
+    bc1 = 1.0 - beta1**t
+    bc2 = 1.0 - beta2**t
+    for name, p in params.items():
+        g = p.grad
+        if g is None:
+            continue
+        m[name] *= beta1
+        m[name] += (1.0 - beta1) * g
+        v[name] *= beta2
+        v[name] += (1.0 - beta2) * g * g
+        update = (m[name] / bc1) / (np.sqrt(v[name] / bc2) + eps)
+        if weight_decay:
+            update = update + weight_decay * p.data
+        p.data = p.data - lr * update
+
+
+def test_flat_step_matches_the_per_parameter_update_bitwise():
+    rng = np.random.default_rng(5)
+    shapes = {"a": (30, 40), "frozen": (2, 2), "b": (70,), "sometimes": (20, 3), "c": (4, 30, 2)}
+    start = {name: rng.standard_normal(shape).astype(np.float32) for name, shape in shapes.items()}
+    flat = {name: _param(a.copy()) for name, a in start.items()}
+    ref = {name: _param(a.copy()) for name, a in start.items()}
+    m = {name: np.zeros_like(a) for name, a in start.items()}
+    v = {name: np.zeros_like(a) for name, a in start.items()}
+    opt = AdamW(flat, lr=0.01, betas=(0.9, 0.95), eps=1e-8, weight_decay=0.05)
+    for t in range(1, 8):
+        for name, shape in shapes.items():
+            skip = name == "frozen" or (name == "sometimes" and t % 2)
+            g = None if skip else rng.standard_normal(shape).astype(np.float32)
+            flat[name].grad = g
+            ref[name].grad = None if g is None else g.copy()
+        lr = 0.01 * (1.0 - t / 10)
+        opt.step(lr)
+        _reference_step(ref, m, v, t, lr, (0.9, 0.95), 1e-8, 0.05)
+        for name in shapes:
+            assert np.array_equal(flat[name].data, ref[name].data), (t, name)
+            assert np.array_equal(opt.m[name], m[name]), (t, name)
+            assert np.array_equal(opt.v[name], v[name]), (t, name)
+    assert np.array_equal(flat["frozen"].data, start["frozen"])
+
+
+def test_params_of_mixed_dtypes_are_refused():
+    with pytest.raises(ContractError, match="one dtype"):
+        AdamW({"a": _param([1.0]), "b": nm.Tensor(np.zeros(1), requires_grad=True, dtype=np.float64)})
+
+
+def test_stored_moment_of_another_shape_is_a_format_error():
+    opt = AdamW({"w": _param([1.0, 2.0])}, lr=0.01)
+    arrays = opt.state_arrays()
+    arrays["opt.v.w"] = np.zeros(3, dtype=np.float32)
+    with pytest.raises(FormatError, match="opt.v.w"):
+        AdamW({"w": _param([1.0, 2.0])}, lr=0.01).load_state_arrays(arrays)
 
 
 def test_cosine_schedule_endpoints():

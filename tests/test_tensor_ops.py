@@ -46,6 +46,90 @@ def test_matmul_gradcheck():
     check_gradients(loss, [a, b], rel_tol=1e-3)
 
 
+def _weight_matmul(x, w):
+    """The product of the two-node chain add(matmul(x, w), b) that `affine`
+    replaced: a 2-D weight applied to every leading slice of x."""
+    xd, wd = x.data, w.data
+    out = nm.Tensor(xd @ wd)
+
+    def bw(g):
+        return g @ wd.T, xd.reshape(-1, xd.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+
+    record_op((x, w), out, bw)
+    return out
+
+
+@pytest.mark.parametrize("lead", [(37,), (3, 37), (2, 3, 37)], ids=["2d", "3d", "4d"])
+def test_affine_matches_the_matmul_add_chain_bitwise(lead):
+    rng = np.random.default_rng(30)
+    x0 = rng.standard_normal((*lead, 24)).astype(np.float32)
+    w0 = rng.standard_normal((24, 40)).astype(np.float32)
+    b0 = rng.standard_normal(40).astype(np.float32)
+    # the transpose hands y a strided gradient, as attention's do; summed
+    # as a reshaped 2-D view, its bias gradient would change bits
+    swap = (1, 0, *range(2, len(lead) + 1))
+    upstream = nm.Tensor(rng.standard_normal((*lead, 40)).astype(np.float32).transpose(swap))
+    product = nm.matmul if len(lead) == 1 else _weight_matmul
+
+    def run(fused):
+        x, w, b = (nm.Tensor(a.copy(), requires_grad=True) for a in (x0, w0, b0))
+        with nm.Tape() as tape:
+            y = nm.affine(x, w, b) if fused else nm.add(product(x, w), b)
+            loss = nm.reduce_sum(nm.mul(nm.transpose(y, swap), upstream))
+        nm.backward(loss, tape)
+        return y.data, x.grad, w.grad, b.grad
+
+    for got, want in zip(run(fused=True), run(fused=False)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_affine_gradcheck_float64():
+    rng = np.random.default_rng(32)
+    x = rng.standard_normal((2, 3, 4))
+    w = rng.standard_normal((4, 5))
+    b = rng.standard_normal(5)
+
+    def loss(params):
+        y = nm.affine(*params)
+        return nm.reduce_sum(nm.mul(y, y))
+
+    check_gradients(loss, [x, w, b], rel_tol=1e-5, dtype=np.float64)
+
+
+def test_affine_shape_error_names_shapes():
+    x, w = nm.Tensor(np.zeros((2, 3))), nm.Tensor(np.zeros((4, 5)))
+    with pytest.raises(ShapeError, match=r"\(2, 3\) @ \(4, 5\)"):
+        nm.affine(x, w, nm.Tensor(np.zeros(5)))
+    with pytest.raises(ShapeError, match=r"\+ \(4,\)"):
+        nm.affine(nm.Tensor(np.zeros((2, 4))), w, nm.Tensor(np.zeros(4)))
+
+
+@pytest.mark.parametrize("op, params", [
+    ("affine", [(6, 7), (7,)]),
+    ("layer_norm", [(6,), (6,)]),
+])
+def test_an_untracked_input_gets_no_gradient(op, params):
+    # nothing can receive the gradient of an input that is not tracked, so
+    # the closure skips it; the other gradients keep their bits
+    rng = np.random.default_rng(31)
+    x0 = rng.standard_normal((2, 5, 6)).astype(np.float32)
+    p0 = [rng.standard_normal(shape).astype(np.float32) for shape in params]
+    g = rng.standard_normal((2, 5, params[0][-1])).astype(np.float32)
+
+    def closure_grads(tracked):
+        x = nm.Tensor(x0, requires_grad=tracked)
+        ps = [nm.Tensor(p, requires_grad=True) for p in p0]
+        with nm.Tape() as tape:
+            getattr(nm, op)(x, *ps)
+        (node,) = tape._nodes
+        return node.backward_fn(g)
+
+    skipped, full = closure_grads(tracked=False), closure_grads(tracked=True)
+    assert skipped[0] is None and full[0].shape == x0.shape
+    for got, want in zip(skipped[1:], full[1:]):
+        assert np.array_equal(got, want)
+
+
 def test_softmax_uniform_and_stability():
     out = nm.softmax(nm.Tensor([0.0, 0.0, 0.0, 0.0]))
     np.testing.assert_allclose(out.data, [0.25] * 4, atol=1e-7)
@@ -528,7 +612,9 @@ def _kernel_calls(rng):
         "sub": lambda: [nm.sub(t(2, 3), t(3))],
         "mul": lambda: [nm.mul(t(2, 3), t(2, 3))],
         "scale": lambda: [nm.scale(t(2, 3), 2.0)],
-        "matmul": lambda: [nm.matmul(t(2, 3, 4), t(4, 5)), nm.matmul(t(2, 3, 4), t(2, 4, 5))],
+        "matmul": lambda: [nm.matmul(t(3, 4), t(4, 5)), nm.matmul(t(2, 3, 4), t(2, 4, 5))],
+        "affine": lambda: [nm.affine(t(2, 3, 4), t(4, 5), t(5)),
+                           nm.affine(nm.Tensor(np.ones((3, 4), np.float32)), t(4, 5), t(5))],
         "softmax": lambda: [nm.softmax(t(2, 3))],
         "attend": lambda: [nm.attend(t(2, 3, 4), t(2, 5, 4), t(2, 5, 6), 0.5)],
         "log_softmax": lambda: [nm.log_softmax(t(2, 3))],
@@ -553,7 +639,7 @@ def test_no_backward_closure_holds_a_tensor():
     with nm.Tape() as tape:
         for call in calls.values():
             call()
-    assert len(tape) == 20  # every call but stop_gradient's
+    assert len(tape) == 22  # every call but stop_gradient's
     for node in tape._nodes:
         assert not _holds_tensor(node.backward_fn), node.backward_fn.__qualname__
 
@@ -566,14 +652,13 @@ def test_tape_frees_intermediates_that_no_backward_reads():
         bias, gain, shift = (nm.Tensor(rng.standard_normal(4).astype(np.float32),
                                        requires_grad=True) for _ in range(3))
         with nm.Tape() as tape:
-            h = nm.matmul(x, w)  # the bias add reads only its shape
-            y = nm.add(h, bias)
-            res = nm.add(x, y)  # layer_norm reads xhat, not its input
+            h = nm.affine(x, w, bias)  # the residual add reads only its shape
+            res = nm.add(x, h)  # layer_norm reads xhat, not its input
             out = nm.layer_norm(res, gain, shift)
             loss = nm.reduce_sum(nm.mul(out, out))
         refs = [weakref.ref(h.data), weakref.ref(res.data)]
         held = (h, res) if keep else ()
-        del h, y, res, out
+        del h, res, out
         alive = [r() is not None for r in refs]
         nm.backward(loss, tape)
         del held

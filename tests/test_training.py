@@ -217,17 +217,8 @@ def test_pretrain_step_baseline_never_touches_selector():
         np.testing.assert_array_equal(t.data, before[name])
 
 
-@pytest.mark.skipif(
-    not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
-    reason="the allocator setting and the fault count are glibc's",
-)
-def test_warm_adaptive_step_keeps_its_memory():
-    # at the default config, a step allocates and frees arrays of up to a
-    # few MiB; once warm, the heap serves them without faulting pages in.
-    # A warm step may still grow the heap's high-water mark by a few
-    # hundred pages, so the median of five warm steps is checked.
-    import resource
-
+def _default_adaptive_setup():
+    """Model, selector, optimizer and 8 clips at the default config."""
     tok = TokenizerConfig()
     model = ModelParams(tok, BackboneConfig(), np.random.default_rng(0))
     selector = SelectionParams(np.random.default_rng(1), tok.dim)
@@ -239,6 +230,38 @@ def test_warm_adaptive_step_keeps_its_memory():
     for i in range(8):
         clip, fg = generate_clip_with_mask(synth, i % synth.num_phases, [5, i])
         items.append(prepare_clip(clip, tok, fg))
+    return model, selector, opt, items
+
+
+def test_node_budget_of_a_default_pretraining_half(monkeypatch):
+    # each op a half records costs it Python work under the GIL, paid by
+    # both halves: a change that adds nodes has to update this on purpose
+    model, selector, opt, items = _default_adaptive_setup()
+    recorded = []
+    real_backward = training.backward
+
+    def counting_backward(loss, tape):
+        recorded.append(len(tape))
+        return real_backward(loss, tape)
+
+    monkeypatch.setattr(training, "backward", counting_backward)
+    rngs = [np.random.default_rng([6, 0, j]) for j in range(8)]
+    pretrain_step(items, model, selector, opt, PretrainConfig(strategy="adaptive"), rngs)
+    assert recorded == [205, 205]  # the share scale included
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+    reason="the allocator setting and the fault count are glibc's",
+)
+def test_warm_adaptive_step_keeps_its_memory():
+    # at the default config, a step allocates and frees arrays of up to a
+    # few MiB; once warm, the heap serves them without faulting pages in.
+    # A warm step may still grow the heap's high-water mark by a few
+    # hundred pages, so the median of five warm steps is checked.
+    import resource
+
+    model, selector, opt, items = _default_adaptive_setup()
     cfg = PretrainConfig(strategy="adaptive")
     faults = []
     for step in range(8):
