@@ -155,7 +155,7 @@ def _apply_label_fraction(split: SplitSpec, entries, fraction: float) -> SplitSp
             f"corpus provides {len(chosen)}"
         )
     return SplitSpec(split.train_ids, split.val_ids, split.test_ids,
-                     label_fraction=fraction, explicit_labeled=sorted(chosen))
+                     explicit_labeled=sorted(chosen))
 
 
 def cmd_finetune(args) -> int:
@@ -229,8 +229,7 @@ def cmd_reconstruct(args) -> int:
     strategy = args.strategy or pre_cfg.strategy
     ratio = args.ratio if args.ratio is not None else pre_cfg.mask_ratio
     if strategy == "adaptive":
-        pmap = select_probabilities(tokens, selector)
-        spec = sample_visible(pmap.probs.data[0], ratio, rng)
+        spec = sample_visible(select_probabilities(tokens, selector).data[0], ratio, rng)
     else:
         spec = baseline_mask(strategy, tok_cfg.grid_dims(frames.shape), ratio, rng)
     visible_ids, masked_ids = spec.visible_ids[None], spec.masked_ids[None]

@@ -99,7 +99,6 @@ class SplitSpec:
     train_ids: list
     val_ids: list
     test_ids: list
-    label_fraction: float = 1.0
     explicit_labeled: list | None = None  # overrides manifest flags when set
 
     def __post_init__(self):
@@ -128,8 +127,7 @@ class SplitSpec:
         train = sorted(ordered[:n_train])
         val = sorted(ordered[n_train:n_train + n_val])
         test = sorted(ordered[n_train + n_val:n_train + n_val + n_test])
-        labeled = sum(1 for i in train if entries[i]["labeled"])
-        return cls(train, val, test, label_fraction=labeled / max(len(train), 1))
+        return cls(train, val, test)
 
     def labeled_train_ids(self, entries: list[dict]) -> list:
         if self.explicit_labeled is not None:

@@ -7,21 +7,10 @@ pre-norm: x + MHA(LN(x)) followed by x + MLP(LN(x)).
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import ConfigError
-from .numerics import (
-    Tensor,
-    add,
-    affine,
-    attend,
-    gelu,
-    layer_norm,
-    reshape,
-    transpose,
-)
+from .numerics import Tensor, add, affine, attend, gelu, layer_norm
 
 
 def _normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:
@@ -29,9 +18,13 @@ def _normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:
 
 
 class LinearParams:
-    def __init__(self, rng: np.random.Generator, fan_in: int, fan_out: int, std: float = 0.02):
-        self.weight = Tensor(_normal(rng, (fan_in, fan_out), std), requires_grad=True)
-        self.bias = Tensor(np.zeros(fan_out, dtype=np.float32), requires_grad=True)
+    def __init__(self, rng: np.random.Generator, fan_in: int, fan_out: int, std: float = 0.02,
+                 blocks: int = 1):
+        # a packed projection: `blocks` (fan_in, fan_out) weights, drawn
+        # one after another and laid side by side
+        weight = np.concatenate(_normal(rng, (blocks, fan_in, fan_out), std), axis=1)
+        self.weight = Tensor(weight, requires_grad=True)
+        self.bias = Tensor(np.zeros(blocks * fan_out, dtype=np.float32), requires_grad=True)
 
     def named(self, prefix: str) -> dict[str, Tensor]:
         return {f"{prefix}.weight": self.weight, f"{prefix}.bias": self.bias}
@@ -51,18 +44,11 @@ class AttentionParams:
         if dim % heads != 0:
             raise ConfigError(f"attention dim {dim} not divisible by {heads} heads")
         self.heads = heads
-        self.query = LinearParams(rng, dim, dim)
-        self.key = LinearParams(rng, dim, dim)
-        self.value = LinearParams(rng, dim, dim)
+        self.qkv = LinearParams(rng, dim, dim, blocks=3)  # columns [q | k | v]
         self.out = LinearParams(rng, dim, dim)
 
     def named(self, prefix: str) -> dict[str, Tensor]:
-        out = {}
-        for name, p in (
-            ("q", self.query), ("k", self.key), ("v", self.value), ("o", self.out),
-        ):
-            out.update(p.named(f"{prefix}.{name}"))
-        return out
+        return {**self.qkv.named(f"{prefix}.qkv"), **self.out.named(f"{prefix}.o")}
 
 
 class BlockParams:
@@ -94,19 +80,7 @@ def apply_layer_norm(x: Tensor, p: LayerNormParams) -> Tensor:
 
 def attention(x: Tensor, p: AttentionParams) -> Tensor:
     """Multi-head self-attention over a (B, n, dim) stack of token sequences."""
-    b, n, dim = x.shape
-    heads = p.heads
-    head_dim = dim // heads
-
-    def split(t: Tensor) -> Tensor:  # (B, heads, n, head_dim)
-        return transpose(reshape(t, (b, n, heads, head_dim)), (0, 2, 1, 3))
-
-    q = split(linear(x, p.query))
-    k = split(linear(x, p.key))
-    v = split(linear(x, p.value))
-    context = attend(q, k, v, 1.0 / math.sqrt(head_dim))
-    merged = reshape(transpose(context, (0, 2, 1, 3)), x.shape)
-    return linear(merged, p.out)
+    return linear(attend(linear(x, p.qkv), p.heads), p.out)
 
 
 def transformer_block(x: Tensor, p: BlockParams) -> Tensor:

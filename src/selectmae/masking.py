@@ -2,12 +2,12 @@
 the three baseline masking strategies used for ablation.
 
 The selection network scores every token with one pre-norm attention
-block plus a linear head; a softmax over the sequence turns scores into
-a categorical distribution. Visible tokens are drawn without
-replacement through the Gumbel top-M equivalence, which matches
-sequential renormalized categorical draws exactly. Sampling consumes
-RNG only and never carries gradient; training handles the
-non-differentiability through the selection loss.
+block plus a linear head; a log-softmax over the sequence turns scores
+into the log-probabilities of a categorical distribution. Visible
+tokens are drawn without replacement through the Gumbel top-M
+equivalence, which matches sequential renormalized categorical draws
+exactly. Sampling consumes RNG only and never carries gradient;
+training handles the non-differentiability through the selection loss.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .layers import AttentionParams, LayerNormParams, LinearParams, apply_layer_norm, attention, linear
-from .numerics import Tensor, add, log_softmax, reshape, softmax
+from .numerics import Tensor, add, log_softmax, reshape
 
 STRATEGIES = ("adaptive", "random", "tube", "frame")
 
@@ -104,40 +104,34 @@ class SelectionParams:
         return out
 
 
-@dataclass
-class ProbabilityMap:
-    probs: Tensor  # (B, N), positive, each row sums to 1
-    log_probs: Tensor  # (B, N), computed in the numerically safe form
-
-
-def select_probabilities(tokens: Tensor, params: SelectionParams) -> ProbabilityMap:
-    """Per-token selection distribution of each clip in a (B, N, dim)
-    stack; probabilities normalize over the token axis."""
+def select_probabilities(tokens: Tensor, params: SelectionParams) -> Tensor:
+    """(B, N) log-probabilities of selecting each token of each clip in a
+    (B, N, dim) stack, normalized over the token axis."""
     if tokens.ndim != 3:
         raise ShapeError(f"selection takes a (B, N, dim) token stack, got {tokens.shape}")
     if tokens.shape[-1] != params.dim:
         raise ConfigError(f"token dim {tokens.shape[-1]} != selection dim {params.dim}")
     y = add(tokens, attention(apply_layer_norm(tokens, params.ln), params.attn))
-    logits = reshape(linear(y, params.score), tokens.shape[:-1])
-    return ProbabilityMap(softmax(logits, axis=-1), log_softmax(logits, axis=-1))
+    return log_softmax(reshape(linear(y, params.score), tokens.shape[:-1]), axis=-1)
 
 
-def sample_visible(probs: np.ndarray, ratio: float, rng: np.random.Generator) -> MaskSpec:
+def sample_visible(log_probs: np.ndarray, ratio: float, rng: np.random.Generator) -> MaskSpec:
     """Draw the visible set without replacement from one clip's (N,)
-    categorical probabilities.
+    categorical log-probabilities.
 
-    Adds i.i.d. Gumbel noise to log-probabilities and keeps the top M,
-    which is distributionally identical to sequentially sampling M
-    distinct indices with renormalization after each draw.
+    Adds i.i.d. Gumbel noise to the log-probabilities and keeps the top
+    M, which is distributionally identical to sequentially sampling M
+    distinct indices with renormalization after each draw. Keys are
+    formed from the log-probabilities themselves, so tokens whose
+    probabilities would underflow to 0 keep their order.
     """
-    p = np.asarray(probs, dtype=np.float64)
-    if p.ndim != 1:
-        raise ShapeError(f"sample_visible takes one clip's (N,) probabilities, got {p.shape}")
-    n = p.shape[0]
+    log_p = np.asarray(log_probs, dtype=np.float64)
+    if log_p.ndim != 1:
+        raise ShapeError(f"sample_visible takes one clip's (N,) log-probabilities, got {log_p.shape}")
+    n = log_p.shape[0]
     m = visible_count(n, ratio)
     u = np.clip(rng.random(n), 1e-12, 1.0 - 1e-12)
-    gumbel = -np.log(-np.log(u))
-    keys = np.log(np.maximum(p, 1e-300)) + gumbel
+    keys = log_p - np.log(-np.log(u))
     visible = np.sort(np.argpartition(keys, n - m)[n - m:])
     return MaskSpec(n, ratio, visible)
 

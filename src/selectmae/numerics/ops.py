@@ -29,13 +29,19 @@ with ufunc methods such as `np.add.reduce` rather than through numpy's
 Python-level wrappers (`ndarray.sum`, `.mean`, `np.max`); they pass the
 same arguments, so the bits are the same.
 
-`attend` trades compute for memory, as in Chen et al. 2016 (*Training
-Deep Nets with Sublinear Memory Cost*): its closure keeps q, k, v, one
-log-sum-exp per score row and the output, not the (..., n, m) attention
-weights, and backward recomputes the weights a block at a time. It uses
-the algebra of FlashAttention-2 (Dao 2023, arXiv 2307.08691), with the
-row sums and backward's shift folded into the matmuls by an extra
-column on q, k and v; see `attend`.
+`attend` is multi-head self-attention over the packed (B, n, 3 dim)
+output of one q/k/v projection, as in VideoMAE (Tong et al. 2022,
+arXiv 2203.12602). It splits the heads with numpy views and returns
+them merged, so an attention layer is three nodes: the projection,
+`attend` and the output projection. It trades compute for memory, as
+in Chen et al. 2016 (*Training Deep Nets with Sublinear Memory Cost*):
+its closure keeps q, k, v, one log-sum-exp per score row and the
+output, not the (n, n) attention weights of each head, and backward
+recomputes the weights a block at a time. It uses the algebra of
+FlashAttention-2 (Dao 2023, arXiv 2307.08691), with the row sums and
+backward's shift folded into the matmuls by an extra column on q, k
+and v; see `attend`. `matmul`, `transpose` and `softmax` are no longer
+on its path; the tests build the unfused chain from them.
 """
 
 from __future__ import annotations
@@ -173,66 +179,67 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return out
 
 
-# attend runs over blocks of consecutive (n, m) slices whose buffers
-# total at most this, so that each block stays in a core's L2 cache
-# across the passes forward and backward make over it: 2 slices at
-# n = m = 256 in float32. Budgets from 256 KiB to 1 MiB measured alike.
+# attend runs over blocks of consecutive (n, n) head slices whose
+# buffers total at most this, so that each block stays in a core's L2
+# cache across the passes forward and backward make over it: 2 slices
+# at n = 256 in float32. Budgets from 256 KiB to 1 MiB measured alike.
 _ATTEND_BLOCK_BYTES = 512 * 1024
 
 
-def _augment(a: np.ndarray, s: float, dtype) -> np.ndarray:
+def _augment(a: np.ndarray, s: float) -> np.ndarray:
     """[a * s | 1]: (..., r, c) as a contiguous (L, r, c + 1) array, L the
     product of the leading dims, filled straight from `a`'s strides."""
-    out = np.empty((*a.shape[:-1], a.shape[-1] + 1), dtype)
+    out = np.empty((*a.shape[:-1], a.shape[-1] + 1), a.dtype)
     np.multiply(a, s, out=out[..., :-1])
     out[..., -1] = 1.0
     return out.reshape(-1, *out.shape[-2:])
 
 
-def attend(q: Tensor, k: Tensor, v: Tensor, s: float) -> Tensor:
-    """Scaled dot-product attention, softmax(q @ k^T * s) @ v, as one node.
+def attend(qkv: Tensor, heads: int) -> Tensor:
+    """Multi-head self-attention of a packed projection, as one node.
 
-    q is (..., n, d), k is (..., m, d) and v is (..., m, dv) with equal
-    leading dims. No (..., n, m) array outlives the call: forward and
-    backward walk the flattened leading slices a cache-sized block at a
-    time, each in its own reused scratch buffers.
+    qkv is (B, n, 3 dim) with columns [q | k | v], each block `heads`
+    heads of head_dim = dim / heads side by side; the result is the
+    (B, n, dim) context with the heads merged back in the same order,
+    softmax(q k^T / sqrt(head_dim)) v per head. The heads are split with
+    numpy views inside the call, so the split records no node, and the
+    gradient comes back packed like the input. No (n, n) array outlives
+    the call: forward and backward walk the B * heads slices a
+    cache-sized block at a time, each in its own reused scratch buffers.
 
     The algebra is FlashAttention-2's (Dao 2023, arXiv 2307.08691), with
     the per-row terms folded into matmuls by one extra column:
-    qa = [q s | -lse], ka = [k | 1] and va = [v | 1]. Forward takes the
-    scores transposed, k (q s)^T, so the row max is a reduction over the
-    slow axis; after the shift and exp, one matmul with va gives the
-    unnormalized context and the row sum together, and only the
-    (n, dv) result is divided. Each row's lse = max + log(sum) goes into
-    qa's last column, so backward rebuilds the weights as
-    P = exp(qa ka^T) and the score gradient as ([g | -D] va^T) * P,
-    with D = rowsum(g * out). The closure keeps qa, ka, va and the
-    output; the row max is the one reduction and no divide, scale or
-    row-dot runs over an (n, m) buffer. Each slice's results do not
-    depend on the other slices of its call.
+    qa = [q s | -lse], ka = [k | 1] and va = [v | 1], s = 1/sqrt(head_dim).
+    Forward takes the scores transposed, k (q s)^T, so the row max is a
+    reduction over the slow axis; after the shift and exp, one matmul
+    with va gives the unnormalized context and the row sum together,
+    and only the (n, head_dim) result is divided. Each row's
+    lse = max + log(sum) goes into qa's last column, so backward
+    rebuilds the weights as P = exp(qa ka^T) and the score gradient as
+    ([g | -D] va^T) * P, with D = rowsum(g * out) per head. The closure
+    keeps qa, ka, va and the output; the row max is the one reduction
+    and no divide, scale or row-dot runs over an (n, n) buffer. Each
+    slice's results do not depend on the other slices of its call.
     """
-    if (
-        q.ndim < 2
-        or not q.ndim == k.ndim == v.ndim
-        or not q.shape[:-2] == k.shape[:-2] == v.shape[:-2]
-        or q.shape[-1] != k.shape[-1]
-        or k.shape[-2] != v.shape[-2]
-    ):
-        raise ShapeError(f"attend: incompatible q/k/v shapes {q.shape} / {k.shape} / {v.shape}")
-    s = float(s)
-    q_shape, k_shape, v_shape = q.shape, k.shape, v.shape
-    dtype = np.result_type(q.data, k.data, v.data)
-    qa, ka, va = _augment(q.data, s, dtype), _augment(k.data, 1.0, dtype), _augment(v.data, 1.0, dtype)
-    count, n, m = qa.shape[0], qa.shape[1], ka.shape[1]
-    d, dv = q_shape[-1], v_shape[-1]
-    step = max(1, _ATTEND_BLOCK_BYTES // max(1, n * m * dtype.itemsize))
+    if qkv.ndim != 3 or qkv.shape[-1] % 3 or heads < 1 or (qkv.shape[-1] // 3) % heads:
+        raise ShapeError(f"attend: packed q/k/v {qkv.shape} does not split into {heads} heads")
+    batch, n, width = qkv.shape
+    dim = width // 3
+    d = dim // heads
+    s = 1.0 / math.sqrt(d)
+    dtype = qkv.data.dtype
+    # (3, B, heads, n, d) views of the q, k and v blocks
+    parts = qkv.data.reshape(batch, n, 3, heads, d).transpose(2, 0, 3, 1, 4)
+    qa, ka, va = _augment(parts[0], s), _augment(parts[1], 1.0), _augment(parts[2], 1.0)
+    count = batch * heads
+    step = max(1, _ATTEND_BLOCK_BYTES // max(1, n * n * dtype.itemsize))
     blocks = [slice(i, min(i + step, count)) for i in range(0, count, step)]
 
     def scratch(rows, cols):
         return np.empty((min(step, count), rows, cols), dtype)
 
-    ctx = np.empty((count, n, dv), dtype)
-    st_buf, acc_buf, max_buf = scratch(m, n), scratch(n, dv + 1), scratch(1, n)
+    ctx = np.empty((count, n, d), dtype)
+    st_buf, acc_buf, max_buf = scratch(n, n), scratch(n, d + 1), scratch(1, n)
     for b in blocks:
         size = b.stop - b.start
         st, acc, row_max = st_buf[:size], acc_buf[:size], max_buf[:size]
@@ -242,31 +249,34 @@ def attend(q: Tensor, k: Tensor, v: Tensor, s: float) -> Tensor:
         st -= row_max
         np.exp(st, out=st)
         np.matmul(_swap(st), va[b], out=acc)
-        np.divide(acc[..., :dv], acc[..., dv:], out=ctx[b])
-        qa[b, :, d] = -(row_max[:, 0] + np.log(acc[..., dv]))
-    out = Tensor(ctx.reshape(*q_shape[:-1], dv))
+        np.divide(acc[..., :d], acc[..., d:], out=ctx[b])
+        qa[b, :, d] = -(row_max[:, 0] + np.log(acc[..., d]))
+    merged = ctx.reshape(batch, heads, n, d).transpose(0, 2, 1, 3).reshape(batch, n, dim)
+    out = Tensor(merged)
 
     def bw(g):
-        ga = _augment(g, 1.0, dtype)
-        ga[..., dv] = -(ga[..., :dv] * ctx).sum(axis=-1)
-        dq = np.empty((count, n, d), dtype)
-        dk = np.empty((count, m, d), dtype)
-        dval = np.empty((count, m, dv), dtype)
-        p_buf, w_buf = scratch(n, m), scratch(n, m)
+        ga = _augment(g.reshape(batch, n, heads, d).transpose(0, 2, 1, 3), 1.0)
+        row_dot = np.add.reduce((g * merged).reshape(batch, n, heads, d), axis=-1)
+        ga.reshape(batch, heads, n, d + 1)[..., d] = -_swap(row_dot)
+        # dq, dk and dv of every slice, then one transpose into the packed layout
+        grads = np.empty((3, count, n, d), dtype)
+        dq, dk, dval = grads
+        p_buf, w_buf = scratch(n, n), scratch(n, n)
         for b in blocks:
             size = b.stop - b.start
             p, w = p_buf[:size], w_buf[:size]
             np.matmul(qa[b], _swap(ka[b]), out=p)
             np.exp(p, out=p)
-            np.matmul(_swap(p), ga[b, :, :dv], out=dval[b])
+            np.matmul(_swap(p), ga[b, :, :d], out=dval[b])
             np.matmul(ga[b], _swap(va[b]), out=w)
             w *= p
             np.matmul(w, ka[b, :, :d], out=dq[b])
             np.matmul(_swap(w), qa[b, :, :d], out=dk[b])
         dq *= s
-        return dq.reshape(q_shape), dk.reshape(k_shape), dval.reshape(v_shape)
+        packed = grads.reshape(3, batch, heads, n, d).transpose(1, 3, 0, 2, 4)
+        return (packed.reshape(batch, n, width),)
 
-    record_op((q, k, v), out, bw)
+    record_op((qkv,), out, bw)
     return out
 
 
@@ -448,32 +458,3 @@ def gather_rows_batched(x: Tensor, ids) -> Tensor:
 def stop_gradient(x: Tensor) -> Tensor:
     """Detach: the result carries the same values but no gradient path."""
     return Tensor(x.data)
-
-
-# Operator sugar on Tensor; scalars promote through scale().
-def _as_op(other):
-    return other if isinstance(other, Tensor) else None
-
-
-def _tensor_add(self, other):
-    o = _as_op(other)
-    return add(self, o) if o is not None else add(self, Tensor(np.asarray(other, dtype=self.data.dtype)))
-
-
-def _tensor_sub(self, other):
-    o = _as_op(other)
-    return sub(self, o) if o is not None else sub(self, Tensor(np.asarray(other, dtype=self.data.dtype)))
-
-
-def _tensor_mul(self, other):
-    if isinstance(other, Tensor):
-        return mul(self, other)
-    return scale(self, float(other))
-
-
-Tensor.__add__ = _tensor_add
-Tensor.__sub__ = _tensor_sub
-Tensor.__mul__ = _tensor_mul
-Tensor.__rmul__ = _tensor_mul
-Tensor.__matmul__ = matmul
-Tensor.__neg__ = lambda self: scale(self, -1.0)

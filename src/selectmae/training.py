@@ -93,7 +93,6 @@ class PretrainConfig:
     loss_kind: str = "mse"
     normalize_targets: bool = True
     strategy: str = "adaptive"
-    selection_weight: float = 1.0
     grad_clip: float | None = None
     seed: int = 0
     ckpt_every: int = 500
@@ -105,8 +104,6 @@ class PretrainConfig:
             raise ConfigError(f"loss_kind must be one of {LOSS_KINDS}, got '{self.loss_kind}'")
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"strategy must be one of {STRATEGIES}, got '{self.strategy}'")
-        if self.selection_weight < 0:
-            raise ConfigError("selection_weight must be >= 0")
         if self.batch_size < 1 or self.epochs < 1 or self.ckpt_every < 1:
             raise ConfigError("batch_size, epochs and ckpt_every must be positive")
         if self.max_steps is not None and self.max_steps < 1:
@@ -244,11 +241,11 @@ def _pretrain_half(batch, rngs, model, selector, cfg, share, step_index, tape):
     patches = Tensor(unfold_clip(np.stack(frames), tok_cfg.tubelet))
     tokens = embed_patches(patches, tok_cfg, model.proj.weight, model.proj.bias)
 
-    pmap = None
+    log_probs = None
     if adaptive:
-        pmap = select_probabilities(stop_gradient(tokens), selector)
+        log_probs = select_probabilities(stop_gradient(tokens), selector)
         specs = [
-            sample_visible(pmap.probs.data[i], cfg.mask_ratio, rng)
+            sample_visible(log_probs.data[i], cfg.mask_ratio, rng)
             for i, rng in enumerate(rngs)
         ]
     else:
@@ -267,9 +264,9 @@ def _pretrain_half(batch, rngs, model, selector, cfg, share, step_index, tape):
     select_value = 0.0
     total = recon
     if adaptive:
-        select = selection_loss(pmap.log_probs, stop_gradient(per_token), masked_ids)
+        select = selection_loss(log_probs, stop_gradient(per_token), masked_ids)
         select_value = select.item()
-        total = add(recon, scale(select, cfg.selection_weight))
+        total = add(recon, select)
     if not np.isfinite(total.item()):
         raise NumericError(f"non-finite loss at step {step_index}")
     backward(scale(total, share), tape)
@@ -277,7 +274,7 @@ def _pretrain_half(batch, rngs, model, selector, cfg, share, step_index, tape):
     masses = []
     if adaptive:
         masses = [
-            float(pmap.probs.data[i, item.fg_token_ids].sum())
+            float(np.exp(log_probs.data[i, item.fg_token_ids]).sum())
             for i, item in enumerate(batch)
             if item.fg_token_ids is not None
         ]
@@ -377,6 +374,10 @@ def array_to_config(arr: np.ndarray) -> dict:
 
 def checkpoint_config(arrays: dict[str, np.ndarray], path) -> dict:
     """The config document a pretraining checkpoint was written with."""
+    unpacked = sorted(name for name in arrays if ".attn.q." in name)
+    if unpacked:
+        raise FormatError(f"{path} holds separate attn.q/k/v entries, such as '{unpacked[0]}',"
+                          " where one packed 'attn.qkv.weight' is read")
     if CONFIG_ENTRY not in arrays:
         kind = ("it looks like a classifier checkpoint"
                 if any(k.startswith("classifier.head.") for k in arrays)

@@ -4,7 +4,7 @@ import pytest
 from selectmae import numerics as nm
 from selectmae.backbone import BackboneConfig, ModelParams, decode, encode
 from selectmae.errors import ConfigError, ContractError, ShapeError
-from selectmae.layers import apply_layer_norm, linear
+from selectmae.layers import LinearParams, apply_layer_norm, linear
 from selectmae.masking import MaskSpec, sample_visible
 from selectmae.numerics.gradcheck import check_param_gradients
 from selectmae.tokenizer import TokenizerConfig, positional_encoding
@@ -36,7 +36,7 @@ def _forward(tokens, spec, model):
 
 def test_encode_output_shape():
     model = _model()
-    spec = sample_visible(np.full(16, 1 / 16), 0.5, np.random.default_rng(2))
+    spec = sample_visible(np.full(16, -np.log(16)), 0.5, np.random.default_rng(2))
     latents = encode(nm.gather_rows_batched(_clip_tokens(), spec.visible_ids[None]), model)
     assert latents.shape == (1, spec.n_visible, 16)
 
@@ -69,7 +69,7 @@ def test_encode_requires_matching_dim():
 
 def test_decode_shapes_and_order():
     model = _model()
-    spec = sample_visible(np.full(16, 1 / 16), 0.75, np.random.default_rng(4))
+    spec = sample_visible(np.full(16, -np.log(16)), 0.75, np.random.default_rng(4))
     preds = _forward(_clip_tokens(), spec, model)
     assert preds.shape == (1, spec.n_masked, TOK.patch_len())
     # row j predicts masked token j: listing the masked ids in reverse
@@ -143,7 +143,7 @@ def test_every_parameter_reachable_from_reconstruction_loss():
     tok_cfg = TokenizerConfig(tubelet=(2, 2, 2), dim=16)
     model = ModelParams(tok_cfg, BB, np.random.default_rng(1))
     targets = patch_normalize_targets(clip.frames, tok_cfg)
-    spec = sample_visible(np.full(32, 1 / 32), 0.75, np.random.default_rng(2))
+    spec = sample_visible(np.full(32, -np.log(32)), 0.75, np.random.default_rng(2))
     with nm.Tape() as tape:
         tokens = tokenize(clip.frames[None], tok_cfg, model.proj.weight, model.proj.bias)
         preds = _forward(tokens, spec, model)
@@ -174,3 +174,70 @@ def test_backbone_config_validation():
         with pytest.raises(ConfigError):
             BackboneConfig(**bad)
     assert BackboneConfig(enc_depth=0, dec_depth=0).enc_depth == 0
+
+
+class _SeparateProjections:
+    """Attention parameters as separate q, k, v and o projections, each
+    weight drawn in that order: the layout the packed projection replaced."""
+
+    def __init__(self, rng, dim, heads):
+        self.parts = {name: LinearParams(rng, dim, dim) for name in "qkvo"}
+
+    def named(self, prefix):
+        out = {}
+        for name, p in self.parts.items():
+            out.update(p.named(f"{prefix}.{name}"))
+        return out
+
+
+def _unpack(named):
+    """Arrays by name, with each packed attn.qkv entry split into q, k and v."""
+    out = {}
+    for name, t in named.items():
+        if ".attn.qkv." in name:
+            for part, block in zip("qkv", np.split(t.data, 3, axis=-1)):
+                out[name.replace(".qkv.", f".{part}.")] = block
+        else:
+            out[name] = t.data
+    return out
+
+
+def test_packed_qkv_weights_keep_the_draws_of_separate_projections(monkeypatch):
+    from selectmae import layers, masking
+
+    def build():
+        model = ModelParams(TOK, BB, np.random.default_rng(7))
+        return {**model.named(), **masking.SelectionParams(np.random.default_rng(8), 16).named()}
+
+    packed = _unpack(build())
+    monkeypatch.setattr(layers, "AttentionParams", _SeparateProjections)
+    monkeypatch.setattr(masking, "AttentionParams", _SeparateProjections)
+    separate = {k: t.data for k, t in build().items()}
+    assert packed.keys() == separate.keys()
+    for name, arr in separate.items():
+        assert np.array_equal(packed[name], arr), name
+
+
+def test_attention_is_three_nodes_and_two_projections():
+    from selectmae.layers import AttentionParams, attention
+
+    params = AttentionParams(np.random.default_rng(0), 16, 2)
+    assert sorted(params.named("attn")) == [
+        "attn.o.bias", "attn.o.weight", "attn.qkv.bias", "attn.qkv.weight"]
+    assert params.qkv.weight.shape == (16, 48) and params.qkv.bias.shape == (48,)
+    with nm.Tape() as tape:
+        out = attention(nm.Tensor(np.ones((2, 5, 16), dtype=np.float32)), params)
+    assert out.shape == (2, 5, 16)
+    assert len(tape) == 3  # qkv projection, attend, output projection
+
+
+def test_parameter_tensor_counts_at_the_default_config():
+    from selectmae.downstream import ClassifierHead
+    from selectmae.masking import SelectionParams
+
+    tok = TokenizerConfig()
+    model = ModelParams(tok, BackboneConfig(), np.random.default_rng(0))
+    selector = SelectionParams(np.random.default_rng(1), tok.dim)
+    head = ClassifierHead(np.random.default_rng(2), tok.dim, 12)
+    assert len(model.named()) + len(selector.named()) == 115  # adaptive pretraining
+    assert len(model.encoder_named()) + len(head.named()) == 54  # fine-tuning

@@ -15,7 +15,7 @@ from selectmae.downstream import ClassifierHead
 from selectmae.errors import ConfigError
 from selectmae.masking import STRATEGIES
 from selectmae.ppm import read_ppm
-from selectmae.training import array_to_config, load_checkpoint, save_checkpoint
+from selectmae.training import array_to_config, config_to_array, load_checkpoint, save_checkpoint
 
 
 TINY = {
@@ -391,6 +391,28 @@ CHECKPOINTS = {  # artifact: (writer, exit code)
 WRONG_KIND = {"pretraining": (lambda path, pretrained: shutil.copy(pretrained, path), 4)}
 
 
+def _unpacked(write):
+    """The checkpoint `write` makes, in the layout from before q, k and v
+    were packed: separate attn.q/k/v entries, and `selection_weight` in
+    the embedded config."""
+    def make(path, pretrained):
+        write(path, pretrained)
+        arrays = load_checkpoint(path)
+        for name in [n for n in arrays if ".attn.qkv." in n]:
+            for part, block in zip("qkv", np.split(arrays.pop(name), 3, axis=-1)):
+                arrays[name.replace(".qkv.", f".{part}.")] = block
+        if "meta.config_utf8" in arrays:
+            doc = array_to_config(arrays["meta.config_utf8"])
+            doc["pretrain"]["selection_weight"] = 1.0
+            arrays["meta.config_utf8"] = config_to_array(doc)
+        save_checkpoint(path, arrays)
+    return make
+
+
+UNPACKED = {"unpacked-pretraining": (_unpacked(WRONG_KIND["pretraining"][0]), 4)}
+UNPACKED_CLASSIFIER = {"unpacked-classifier": (_unpacked(_classifier_checkpoint), 4)}
+
+
 def _without(prefix):
     """A pretraining checkpoint without the entries named `prefix`*."""
     def make(path, pretrained):
@@ -443,6 +465,7 @@ CONFIGS = {
     "betas-past-one": (_text({"pretrain": {"betas": [1.5, 2.0]}}), 2),
     "negative-min-lr": (_text({"pretrain": {"min_lr": -1e-6}}), 2),
     "zero-grad-clip": (_text({"pretrain": {"grad_clip": 0.0}}), 2),
+    "selection-weight": (_text({"pretrain": {"selection_weight": 1.0}}), 2),
     "negative-grad-clip": (_text({"pretrain": {"grad_clip": -1.0}}), 2),
     "finetune-beta-one": (_text({"finetune": {"betas": [0.9, 1.0]}}), 2),
     "finetune-negative-warmup": (_text({"finetune": {"warmup_steps": -1}}), 2),
@@ -471,6 +494,8 @@ def _argv(command, artifact, corpus, tiny_config, pretrained, tmp_path):
                  "--split", artifact, "--out", out],
         "eval --checkpoint": ["eval", "--config", tiny_config, *data, "--checkpoint", artifact,
                               "--split", "8,4,4", "--out", out],
+        "finetune --checkpoint": ["finetune", "--config", tiny_config, *data, "--checkpoint",
+                                  artifact, "--split", "8,4,4", "--out", out],
         "pretrain": ["pretrain", "--config", artifact, *data, "--out", out],
         "gen-data": ["gen-data", "--config", artifact, "--out", out, "--clips", "2"],
         "finetune --config": ["finetune", "--config", artifact, *data, "--scratch",
@@ -485,6 +510,8 @@ BAD_ARTIFACTS = [
     for commands, kind in (
         (("reconstruct", "pretrain --resume"), CHECKPOINTS),
         (("eval --checkpoint",), WRONG_KIND),
+        (("reconstruct", "pretrain --resume", "finetune --checkpoint"), UNPACKED),
+        (("eval --checkpoint",), UNPACKED_CLASSIFIER),
         (("pretrain --resume",), TRAINING_STATE),
         (("finetune", "eval"), SPLITS),
         (("pretrain", "gen-data"), CONFIGS),
@@ -512,3 +539,7 @@ def test_bad_artifact_exits_on_its_documented_code(
         assert "'meta.config_utf8'" in err and "classifier checkpoint" in err
     if name == "pretraining":
         assert "'classifier.head." in err
+    if name.startswith("unpacked"):
+        assert "attn.qkv.weight" in err
+    if name == "selection-weight":
+        assert "'selection_weight'" in err

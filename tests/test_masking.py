@@ -63,18 +63,17 @@ def test_identical_tokens_give_uniform_probabilities():
     rng = np.random.default_rng(0)
     params = SelectionParams(rng, dim=16, heads=2)
     tokens = nm.Tensor(np.tile(rng.standard_normal(16).astype(np.float32), (1, 10, 1)))
-    pmap = select_probabilities(tokens, params)
-    np.testing.assert_allclose(pmap.probs.data, np.full((1, 10), 0.1), atol=1e-6)
+    log_probs = select_probabilities(tokens, params)
+    np.testing.assert_allclose(log_probs.data, np.full((1, 10), np.log(0.1)), atol=1e-6)
 
 
 def test_probabilities_sum_to_one_and_positive():
     rng = np.random.default_rng(1)
     params = SelectionParams(rng, dim=16, heads=2)
     tokens = nm.Tensor(rng.standard_normal((1, 32, 16)).astype(np.float32))
-    pmap = select_probabilities(tokens, params)
-    assert pmap.probs.data.min() > 0
-    assert abs(pmap.probs.data.sum() - 1.0) < 1e-6
-    np.testing.assert_allclose(np.exp(pmap.log_probs.data), pmap.probs.data, atol=1e-6)
+    log_probs = select_probabilities(tokens, params).data
+    assert log_probs.shape == (1, 32) and np.isfinite(log_probs).all()
+    assert abs(np.exp(log_probs.astype(np.float64)).sum() - 1.0) < 1e-6
     with pytest.raises(ShapeError, match="stack"):
         select_probabilities(nm.Tensor(tokens.data[0]), params)  # one clip is a batch of one
 
@@ -85,8 +84,8 @@ def test_selection_permutation_equivariance():
     base = rng.standard_normal((12, 16)).astype(np.float32)
     tokens = base + positional_encoding(12, 16)
     perm = rng.permutation(12)
-    p_base = select_probabilities(nm.Tensor(tokens[None]), params).probs.data[0]
-    p_perm = select_probabilities(nm.Tensor(tokens[None, perm]), params).probs.data[0]
+    p_base = np.exp(select_probabilities(nm.Tensor(tokens[None]), params).data[0])
+    p_perm = np.exp(select_probabilities(nm.Tensor(tokens[None, perm]), params).data[0])
     np.testing.assert_allclose(p_perm, p_base[perm], atol=1e-5)
 
 
@@ -103,31 +102,31 @@ def test_selection_gradcheck_all_parameters():
         t.data = (rng.standard_normal(t.shape) * 0.4).astype(np.float32)
 
     def loss():
-        pmap = select_probabilities(nm.Tensor(tokens[None]), params)
-        return nm.reduce_sum(nm.mul(pmap.log_probs, nm.Tensor(weights)))
+        log_probs = select_probabilities(nm.Tensor(tokens[None]), params)
+        return nm.reduce_sum(nm.mul(log_probs, nm.Tensor(weights)))
 
     check_param_gradients(loss, params.named(), rel_tol=1e-3, max_entries=6)
 
 
 def test_sample_visible_counts_and_determinism():
-    probs = np.full(256, 1 / 256)
-    spec1 = sample_visible(probs, 0.95, np.random.default_rng(7))
-    spec2 = sample_visible(probs, 0.95, np.random.default_rng(7))
+    log_probs = np.full(256, -np.log(256))
+    spec1 = sample_visible(log_probs, 0.95, np.random.default_rng(7))
+    spec2 = sample_visible(log_probs, 0.95, np.random.default_rng(7))
     assert spec1.n_visible == 13
     np.testing.assert_array_equal(spec1.visible_ids, spec2.visible_ids)
     with pytest.raises(ConfigError):
-        sample_visible(probs, 1.2, np.random.default_rng(0))
+        sample_visible(log_probs, 1.2, np.random.default_rng(0))
     with pytest.raises(ShapeError, match="one clip"):
-        sample_visible(probs[None], 0.95, np.random.default_rng(0))
+        sample_visible(log_probs[None], 0.95, np.random.default_rng(0))
 
 
 def test_sample_visible_uniform_inclusion_statistics():
     n, draws = 64, 20000
-    probs = np.full(n, 1 / n)
+    log_probs = np.full(n, -np.log(n))
     rng = np.random.default_rng(11)
     counts = np.zeros(n)
     for _ in range(draws):
-        counts[sample_visible(probs, 0.9, rng).visible_ids] += 1
+        counts[sample_visible(log_probs, 0.9, rng).visible_ids] += 1
     m = visible_count(n, 0.9)
     p = m / n
     sigma = np.sqrt(p * (1 - p) / draws)
@@ -156,7 +155,7 @@ def test_sample_visible_matches_sequential_draws_without_replacement():
     rng = np.random.default_rng(13)
     counts = dict.fromkeys(exact, 0)
     for _ in range(draws):
-        counts[tuple(sample_visible(probs, ratio, rng).visible_ids.tolist())] += 1
+        counts[tuple(sample_visible(np.log(probs), ratio, rng).visible_ids.tolist())] += 1
     for key, p in exact.items():
         sigma = math.sqrt(p * (1 - p) / draws)
         assert abs(counts[key] / draws - p) <= 4 * sigma, (key, counts[key] / draws, p)
@@ -167,8 +166,22 @@ def test_sample_visible_concentrated_mass():
     probs = np.full(n, 0.1 / (n - 1))
     probs[17] = 0.9
     rng = np.random.default_rng(5)
-    hits = sum(17 in sample_visible(probs, 0.95, rng).visible_ids for _ in range(2000))
+    hits = sum(17 in sample_visible(np.log(probs), 0.95, rng).visible_ids for _ in range(2000))
     assert hits >= 0.99 * 2000
+
+
+def test_sample_visible_keeps_the_order_of_underflowing_tokens():
+    # 3 logits at 0, 6 at -200 and 7 at -400: every probability but the
+    # first three underflows to 0 in float32 (and -400's in float64), yet
+    # the 8 visible tokens are the first three and 5 of the -200 ones
+    logits = np.repeat(np.array([0.0, -200.0, -400.0], dtype=np.float32), [3, 6, 7])
+    log_probs = nm.log_softmax(nm.Tensor(logits[None])).data[0]
+    assert (np.exp(log_probs[3:]) == 0).all()
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        visible = sample_visible(log_probs, 0.5, rng).visible_ids
+        assert visible.size == 8
+        assert (visible[:3] == [0, 1, 2]).all() and (visible[3:] < 9).all()
 
 
 def test_sample_visible_monotone_in_probability():
@@ -179,7 +192,7 @@ def test_sample_visible_monotone_in_probability():
     counts = np.zeros(n)
     draws = 10000
     for _ in range(draws):
-        counts[sample_visible(probs, 0.75, rng).visible_ids] += 1
+        counts[sample_visible(np.log(probs), 0.75, rng).visible_ids] += 1
     freq = counts / draws
     # inclusion frequency ordering should follow probability ordering within 3 sigma
     sigma = np.sqrt(freq * (1 - freq) / draws + 1e-12)
@@ -209,7 +222,7 @@ def test_mask_partition_property(strategy, grid, ratio, seed):
     n = nt * nh * nw
     rng = np.random.default_rng(seed)
     if strategy == "adaptive":
-        spec = sample_visible(rng.dirichlet(np.ones(n)), ratio, rng)
+        spec = sample_visible(np.log(rng.dirichlet(np.ones(n))), ratio, rng)
     else:
         try:
             spec = baseline_mask(strategy, grid, ratio, rng)

@@ -360,6 +360,23 @@ def _reference_attention(q, k, v, s):
     return nm.matmul(nm.softmax(scores, axis=-1), v)
 
 
+def _reference_packed(qkv, heads):
+    """attend(qkv, heads) built from tape ops: `_reference_attention` on the
+    head-split q, k and v blocks, merged back. Each block is taken with a
+    0/1 selection matmul, which is exact both ways."""
+    b, n, width = qkv.shape
+    dim = width // 3
+    d = dim // heads
+    eye = np.eye(width, dtype=qkv.data.dtype)
+
+    def block(i):
+        pick = nm.Tensor(np.broadcast_to(eye[:, i * dim:(i + 1) * dim], (b, width, dim)).copy())
+        return nm.transpose(nm.reshape(nm.matmul(qkv, pick), (b, n, heads, d)), (0, 2, 1, 3))
+
+    ctx = _reference_attention(block(0), block(1), block(2), 1.0 / math.sqrt(d))
+    return nm.reshape(nm.transpose(ctx, (0, 2, 1, 3)), (b, n, dim))
+
+
 def _reference_gelu(x):
     """The plain-expression GELU that the in-place `gelu` replaces."""
     c, a = math.sqrt(2.0 / math.pi), 0.044715
@@ -386,108 +403,106 @@ def _grads_of(fn, arrays, weight):
     return out.data, [t.grad for t in inputs]
 
 
-def _attention_inputs(rng, lead, n, head_dim):
-    """q, k and v as layers.attention passes them: a 4-D input is a
-    strided head-split view of a (batch, n, heads, head_dim) array."""
-    if len(lead) == 2:
-        b, heads = lead
-        return tuple(
-            rng.standard_normal((b, n, heads, head_dim)).astype(np.float32).transpose(0, 2, 1, 3)
-            for _ in range(3)
-        )
-    return tuple(rng.standard_normal((*lead, n, head_dim)).astype(np.float32) for _ in range(3))
+def _packed_inputs(rng, batch, heads, n, head_dim):
+    """A (batch, n, 3 dim) packed projection and a (batch, n, dim) weight:
+    q, k and v drawn one after another as (batch, n, dim) arrays, then
+    the weight head by head."""
+    dim = heads * head_dim
+    qkv = np.concatenate([rng.standard_normal((batch, n, dim)).astype(np.float32)
+                          for _ in range(3)], axis=-1)
+    weight = rng.standard_normal((batch, heads, n, head_dim)).astype(np.float32)
+    return qkv, weight.transpose(0, 2, 1, 3).reshape(batch, n, dim)
 
 
 def _max_rel_err(got, want):
     return float(np.abs(got - want).max() / np.abs(want).max())
 
 
-# attend works through blocks of (n, n) float32 slices of at most 512 KiB:
-# n = 24 fits in one block; (8, 2, 256, hd) is the decoder's shape, 8
-# blocks of 2 slices; 5 slices at n = 256 end in a ragged block of one;
-# one slice at n = 384 alone is over the budget. With q and k scaled 12x
-# the scores reach the hundreds, so a row's lse nearly cancels its top
-# score in exp(q s k^T - lse).
-@pytest.mark.parametrize("lead, n, qk_scale", [
-    ((3,), 24, 1), ((2, 3), 24, 1), ((), 24, 1), ((8, 2), 256, 1), ((5,), 256, 1), ((3,), 384, 1),
-    ((8, 2), 256, 12),
+# attend works through blocks of (n, n) float32 head slices of at most
+# 512 KiB: n = 24 fits in one block; (8, 2) at n = 256 is the decoder's
+# shape, 8 blocks of 2 slices; 5 slices at n = 256 end in a ragged
+# block of one; one slice at n = 384 alone is over the budget. With q and k
+# scaled 12x the scores reach the hundreds, so a row's lse nearly
+# cancels its top score in exp(q s k^T - lse).
+@pytest.mark.parametrize("batch_heads, n, qk_scale", [
+    ((3, 1), 24, 1), ((2, 3), 24, 1), ((1, 1), 24, 1), ((8, 2), 256, 1), ((5, 1), 256, 1),
+    ((3, 1), 384, 1), ((8, 2), 256, 12),
 ], ids=["3d", "4d", "2d", "decoder", "ragged", "oversize", "decoder-x12"])
 @pytest.mark.parametrize("head_dim", [16, 32])
-def test_attend_matches_reference_chain_bitwise(lead, n, qk_scale, head_dim):
-    """attend against the chain matmul -> scale -> softmax -> matmul: equal
-    to 1e-10 in float64, and in float32 no further from the float64 chain
-    than twice the float32 chain's own error, for the output and the
-    gradients of q, k and v."""
-    rng = np.random.default_rng(12)
-    q, k, v = _attention_inputs(rng, lead, n, head_dim)
-    q *= qk_scale
-    k *= qk_scale
-    weight = rng.standard_normal((*lead, n, head_dim)).astype(np.float32)
-    s = 1.0 / math.sqrt(head_dim)  # 0.25 for head_dim 16
+def test_attend_matches_reference_chain_bitwise(batch_heads, n, qk_scale, head_dim):
+    """attend against the chain matmul -> scale -> softmax -> matmul on the
+    head-split blocks: equal to 1e-10 in float64, and in float32 no
+    further from the float64 chain than twice the float32 chain's own
+    error, for the output and each third of the packed gradient."""
+    batch, heads = batch_heads
+    qkv, weight = _packed_inputs(np.random.default_rng(12), batch, heads, n, head_dim)
+    qkv[..., :2 * heads * head_dim] *= qk_scale
 
-    def both(arrays, w):
-        fused = _grads_of(lambda *t: nm.attend(*t, s), arrays, w)
-        ref = _grads_of(lambda *t: _reference_attention(*t, s), arrays, w)
-        return [fused[0], *fused[1]], [ref[0], *ref[1]]
+    def both(qkv, w):
+        results = []
+        for fn in (lambda t: nm.attend(t, heads), lambda t: _reference_packed(t, heads)):
+            out, (grad,) = _grads_of(fn, [qkv], w)
+            results.append([out, *np.split(grad, 3, axis=-1)])
+        return results
 
     with tensor.precision(np.float64):
-        fused64, ref64 = both([a.astype(np.float64) for a in (q, k, v)], weight.astype(np.float64))
-    fused32, ref32 = both([q, k, v], weight)
+        fused64, ref64 = both(qkv.astype(np.float64), weight.astype(np.float64))
+    fused32, ref32 = both(qkv, weight)
     assert fused32[0].dtype == np.float32 and fused64[0].dtype == np.float64
     for got64, got32, chain32, want in zip(fused64, fused32, ref32, ref64):
         assert _max_rel_err(got64, want) <= 1e-10
         assert _max_rel_err(got32, want) <= 2 * _max_rel_err(chain32, want)
 
 
-@pytest.mark.parametrize("lead", [(8, 2), (5,)], ids=["blocked", "ragged"])
-def test_attend_slice_equals_the_slice_alone_bitwise(lead):
-    rng = np.random.default_rng(19)
-    q, k, v = _attention_inputs(rng, lead, 256, 16)
-    weight = rng.standard_normal(q.shape).astype(np.float32)
-    out, grads = _grads_of(lambda *t: nm.attend(*t, 0.25), [q, k, v], weight)
+def _head_columns(a, head, heads):
+    """Columns of one head from each of a packed array's (q, k, v) blocks."""
+    return np.concatenate([np.split(block, heads, axis=-1)[head]
+                           for block in np.split(a, 3, axis=-1)], axis=-1)
 
-    def flat(a):
-        return a.reshape(-1, *a.shape[-2:])
 
-    for i in range(math.prod(lead)):
-        alone, alone_grads = _grads_of(lambda *t: nm.attend(*t, 0.25),
-                                       [flat(a)[i] for a in (q, k, v)], flat(weight)[i])
-        assert np.array_equal(flat(out)[i], alone)
-        for got, want in zip(grads, alone_grads):
-            assert np.array_equal(flat(got)[i], want)
+@pytest.mark.parametrize("batch_heads", [(8, 2), (1, 5)], ids=["blocked", "ragged"])
+def test_attend_slice_equals_the_slice_alone_bitwise(batch_heads):
+    batch, heads = batch_heads
+    qkv, weight = _packed_inputs(np.random.default_rng(19), batch, heads, 256, 16)
+    out, (grad,) = _grads_of(lambda t: nm.attend(t, heads), [qkv], weight)
+    for b in range(batch):
+        for h in range(heads):
+            cols = slice(16 * h, 16 * (h + 1))
+            alone, (alone_grad,) = _grads_of(lambda t: nm.attend(t, 1),
+                                             [_head_columns(qkv[b:b + 1], h, heads)],
+                                             weight[b:b + 1, :, cols])
+            assert np.array_equal(out[b:b + 1, :, cols], alone)
+            assert np.array_equal(_head_columns(grad[b:b + 1], h, heads), alone_grad)
 
 
 def test_attend_gradcheck_float64():
     rng = np.random.default_rng(13)
-    q, k = rng.standard_normal((2, 5, 4)), rng.standard_normal((2, 6, 4))
-    v = rng.standard_normal((2, 6, 3))
-    w = rng.standard_normal((2, 5, 3))
+    qkv = rng.standard_normal((2, 5, 12))  # 2 heads of 2
+    w = rng.standard_normal((2, 5, 4))
 
     def loss(params):
-        out = nm.attend(params[0], params[1], params[2], 0.5)
-        return nm.reduce_sum(nm.mul(out, nm.Tensor(w)))
+        return nm.reduce_sum(nm.mul(nm.attend(params[0], 2), nm.Tensor(w)))
 
-    check_gradients(loss, [q, k, v], rel_tol=1e-5, dtype=np.float64)
+    check_gradients(loss, [qkv], rel_tol=1e-5, dtype=np.float64)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_attend_rejects_non_finite_scores(bad):
-    q = np.zeros((1, 3, 4), dtype=np.float32)
-    q[0, 1, 2] = bad
-    k = np.ones((1, 3, 4), dtype=np.float32)
+    qkv = np.ones((1, 3, 12), dtype=np.float32)
+    qkv[0, 1, 2] = bad  # in q
     # numpy's matmul flags an invalid value for an infinite operand even
     # where the product is just +/-inf; the check on the scores is under test
     with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="attend"):
-        nm.attend(nm.Tensor(q), nm.Tensor(k), nm.Tensor(k), 0.5)
+        nm.attend(nm.Tensor(qkv), 1)
 
 
 def test_attend_non_finite_in_last_block_records_nothing():
     rng = np.random.default_rng(17)
-    q, k, v = (rng.standard_normal((5, 256, 16)).astype(np.float32) for _ in range(3))
-    q[4, 100, 3] = np.nan  # slice 4 is the third block, after two clean ones
+    qkv = rng.standard_normal((5, 256, 48)).astype(np.float32)
+    qkv[4, 100, 3] = np.nan  # slice 4 is the third block, after two clean ones
     with nm.Tape() as tape:
         with pytest.raises(NumericError, match="attend"):
-            nm.attend(*(nm.Tensor(a, requires_grad=True) for a in (q, k, v)), 0.25)
+            nm.attend(nm.Tensor(qkv, requires_grad=True), 1)
     assert len(tape) == 0
 
 
@@ -504,34 +519,32 @@ def _captured_arrays(fn, seen=None) -> dict[int, np.ndarray]:
 
 
 def test_attend_backward_keeps_row_statistics_not_weights():
-    rng = np.random.default_rng(18)
-    lead, n, head_dim = (8, 2), 256, 16  # the decoder's shape
-    q, k, v = (nm.Tensor(a, requires_grad=True)
-               for a in _attention_inputs(rng, lead, n, head_dim))
+    batch, heads, n, head_dim = 8, 2, 256, 16  # the decoder's shape
+    qkv, _ = _packed_inputs(np.random.default_rng(18), batch, heads, n, head_dim)
     with nm.Tape() as tape:
-        nm.attend(q, k, v, 0.25)
+        out = nm.attend(nm.Tensor(qkv, requires_grad=True), heads)
     captured = _captured_arrays(tape._nodes[-1].backward_fn).values()
-    count = math.prod(lead)
-    # [q s | -lse], [k | 1], [v | 1] and the output: 1,097,728 bytes where
-    # the weights alone take 4 MiB
-    qkv_shape, ctx_shape = (count, n, head_dim + 1), (count, n, head_dim)
-    assert sorted(a.shape for a in captured) == [ctx_shape, qkv_shape, qkv_shape, qkv_shape]
+    count = batch * heads
+    # [q s | -lse], [k | 1], [v | 1] and the merged output: 1,097,728
+    # bytes where the weights alone take 4 MiB
+    aug_shape = (count, n, head_dim + 1)
+    assert sorted(a.shape for a in captured) == sorted([aug_shape] * 3 + [out.shape])
+    assert any(a is out.data for a in captured)
     assert all(a.dtype == np.float32 for a in captured)
     assert sum(a.nbytes for a in captured) == 4 * count * n * (3 * (head_dim + 1) + head_dim)
     assert all(a.shape[-2:] != (n, n) for a in captured)
 
 
-@pytest.mark.parametrize("q_shape, k_shape, v_shape", [
-    ((2, 4, 8), (2, 4, 6), (2, 4, 8)),  # head dims of q and k differ
-    ((2, 4, 8), (2, 5, 8), (2, 4, 8)),  # k and v sequence lengths differ
-    ((2, 4, 8), (3, 4, 8), (3, 4, 8)),  # leading dims differ
-    ((2, 4, 8), (4, 8), (4, 8)),  # ranks differ
-    ((8,), (8,), (8,)),  # not a matrix
-])
-def test_attend_shape_errors(q_shape, k_shape, v_shape):
-    q, k, v = (nm.Tensor(np.zeros(shape)) for shape in (q_shape, k_shape, v_shape))
-    with pytest.raises(ShapeError):
-        nm.attend(q, k, v, 1.0)
+@pytest.mark.parametrize("shape, heads", [
+    ((2, 4, 12), 3),  # 3 heads do not divide dim 4
+    ((2, 4, 13), 1),  # width not three blocks
+    ((4, 12), 1),  # not a (B, n, 3 dim) stack
+    ((1, 2, 4, 12), 1),
+    ((2, 4, 12), 0),
+], ids=["heads-do-not-divide-dim", "width-not-three-blocks", "2d", "4d", "zero-heads"])
+def test_attend_shape_errors(shape, heads):
+    with pytest.raises(ShapeError, match="attend"):
+        nm.attend(nm.Tensor(np.zeros(shape)), heads)
 
 
 def test_gelu_matches_reference_bitwise():
@@ -560,23 +573,22 @@ def test_backward_never_writes_into_shared_upstream_gradient():
     # it by gelu's or attend's backward would corrupt their gradients.
     rng = np.random.default_rng(15)
     shape = (2, 6, 4)
-    x, q, k, v, t1, t2 = (rng.standard_normal(shape).astype(np.float32) for _ in range(6))
+    x, t1, t2 = (rng.standard_normal(shape).astype(np.float32) for _ in range(3))
+    qkv = rng.standard_normal((2, 6, 12)).astype(np.float32)
     weight = rng.standard_normal(shape).astype(np.float32)
 
     def graph(gelu_fn, attend_fn):
-        return lambda x, q, k, v, t1, t2: nm.add(
-            nm.add(gelu_fn(x), t1), nm.add(attend_fn(q, k, v, 0.5), t2)
+        return lambda x, qkv, t1, t2: nm.add(
+            nm.add(gelu_fn(x), t1), nm.add(attend_fn(qkv, 2), t2)
         )
 
-    _, grads = _grads_of(graph(nm.gelu, nm.attend), [x, q, k, v, t1, t2], weight)
-    _, ref_grads = _grads_of(graph(_reference_gelu, _reference_attention),
-                             [x, q, k, v, t1, t2], weight)
-    for i in (0, 4, 5):  # x, t1 and t2
+    _, grads = _grads_of(graph(nm.gelu, nm.attend), [x, qkv, t1, t2], weight)
+    _, ref_grads = _grads_of(graph(_reference_gelu, _reference_packed), [x, qkv, t1, t2], weight)
+    for i in (0, 2, 3):  # x, t1 and t2
         assert np.array_equal(grads[i], ref_grads[i])
-    for got, want in zip(grads[1:4], ref_grads[1:4]):  # q, k and v
-        np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-6)
-    assert np.array_equal(grads[4], weight)
-    assert np.array_equal(grads[5], weight)
+    np.testing.assert_allclose(grads[1], ref_grads[1], rtol=1e-5, atol=1e-6)
+    assert np.array_equal(grads[2], weight)
+    assert np.array_equal(grads[3], weight)
 
 
 def test_gather_rows_batched_gradcheck_with_duplicates():
@@ -616,7 +628,7 @@ def _kernel_calls(rng):
         "affine": lambda: [nm.affine(t(2, 3, 4), t(4, 5), t(5)),
                            nm.affine(nm.Tensor(np.ones((3, 4), np.float32)), t(4, 5), t(5))],
         "softmax": lambda: [nm.softmax(t(2, 3))],
-        "attend": lambda: [nm.attend(t(2, 3, 4), t(2, 5, 4), t(2, 5, 6), 0.5)],
+        "attend": lambda: [nm.attend(t(2, 3, 12), 2)],
         "log_softmax": lambda: [nm.log_softmax(t(2, 3))],
         "layer_norm": lambda: [nm.layer_norm(t(2, 3), t(3), t(3))],
         "gelu": lambda: [nm.gelu(t(2, 3))],

@@ -20,7 +20,6 @@ from selectmae.data import (
 from selectmae.errors import ConfigError, ContractError, FormatError, NumericError, ShapeError
 from selectmae.masking import (
     MaskSpec,
-    ProbabilityMap,
     SelectionParams,
     sample_visible,
     select_probabilities,
@@ -77,16 +76,11 @@ def test_reconstruction_loss_shape_mismatch():
         reconstruction_loss(nm.Tensor(np.zeros((1, 3, 3), dtype=np.float32)), target_rows)
 
 
-def _pmap_from_logits(logits: nm.Tensor) -> ProbabilityMap:
-    return ProbabilityMap(nm.softmax(logits, axis=-1), nm.log_softmax(logits, axis=-1))
-
-
 def test_selection_loss_hand_value():
     # N=2, one masked token (index 1), P = [0.5, 0.5], error 2
     logits = nm.Tensor(np.zeros((1, 2), dtype=np.float32))
-    pmap = _pmap_from_logits(logits)
     errors = nm.Tensor(np.array([[2.0]], dtype=np.float32))
-    loss = selection_loss(pmap.log_probs, errors, [[1]])
+    loss = selection_loss(nm.log_softmax(logits), errors, [[1]])
     assert loss.item() == pytest.approx(-np.log(0.5) * 2.0, abs=1e-6)
     assert loss.item() == pytest.approx(1.3863, abs=1e-4)
 
@@ -94,9 +88,8 @@ def test_selection_loss_hand_value():
 def test_selection_loss_zero_errors_zero_gradient():
     logits = nm.Tensor(np.array([[0.3, -0.2, 0.1]], dtype=np.float32), requires_grad=True)
     with nm.Tape() as tape:
-        pmap = _pmap_from_logits(logits)
         spec = MaskSpec(3, 0.67, np.array([0]))
-        loss = selection_loss(pmap.log_probs, nm.Tensor(np.zeros((1, 2), dtype=np.float32)),
+        loss = selection_loss(nm.log_softmax(logits), nm.Tensor(np.zeros((1, 2), dtype=np.float32)),
                               spec.masked_ids[None])
     assert loss.item() == 0.0
     nm.backward(loss, tape)
@@ -114,14 +107,14 @@ def test_selection_loss_gradient_sign_and_sum():
     hot = 2  # one masked token with high error
     errors[0, hot] = 3.0
     with nm.Tape() as tape:
-        pmap = _pmap_from_logits(logits)
-        loss = selection_loss(pmap.log_probs, nm.Tensor(errors), masked[None])
+        log_probs = nm.log_softmax(logits)
+        loss = selection_loss(log_probs, nm.Tensor(errors), masked[None])
     nm.backward(loss, tape)
     g = logits.grad[0].astype(np.float64)
     assert g[masked[hot]] < 0  # probability of the hot token pushed up
     assert abs(g.sum()) < 1e-6
     # analytic softmax-gradient oracle: d/dz_l = -(c/|I_m|) * (delta - P_l)
-    p = pmap.probs.data[0].astype(np.float64)
+    p = np.exp(log_probs.data[0].astype(np.float64))
     expected = (3.0 / spec.n_masked) * p
     expected[masked[hot]] -= 3.0 / spec.n_masked
     np.testing.assert_allclose(g, expected, atol=1e-6)
@@ -130,10 +123,9 @@ def test_selection_loss_gradient_sign_and_sum():
 def test_selection_loss_rejects_attached_errors():
     logits = nm.Tensor(np.zeros((1, 2), dtype=np.float32), requires_grad=True)
     with nm.Tape() as tape:
-        pmap = _pmap_from_logits(logits)
         attached = nm.scale(nm.Tensor(np.ones((1, 1), dtype=np.float32), requires_grad=True), 2.0)
         with pytest.raises(ContractError):
-            selection_loss(pmap.log_probs, attached, [[1]])
+            selection_loss(nm.log_softmax(logits), attached, [[1]])
 
 
 def test_selection_loss_shape_mismatch():
@@ -189,19 +181,6 @@ def test_pretrain_step_updates_and_reports():
     assert report.recon == pytest.approx(np.mean(per_clip), rel=1e-6)
 
 
-def test_pretrain_step_zero_selection_weight_zeroes_selector_grads():
-    cfg = _cfg(selection_weight=0.0)
-    model = ModelParams(TOK, BB, np.random.default_rng(0))
-    selector = SelectionParams(np.random.default_rng(1), TOK.dim)
-    opt = AdamW(dict(model.named()), lr=1e-3)  # selector outside the optimizer
-    items = _items(2)
-    rngs = [np.random.default_rng([3, j]) for j in range(2)]
-    pretrain_step(items, model, selector, opt, cfg, rngs, step_index=0)
-    for name, t in selector.named().items():
-        assert t.grad is not None, name
-        np.testing.assert_array_equal(t.grad, np.zeros_like(t.grad))
-
-
 def test_pretrain_step_baseline_never_touches_selector():
     cfg = _cfg(strategy="random")
     model = ModelParams(TOK, BB, np.random.default_rng(0))
@@ -247,7 +226,7 @@ def test_node_budget_of_a_default_pretraining_half(monkeypatch):
     monkeypatch.setattr(training, "backward", counting_backward)
     rngs = [np.random.default_rng([6, 0, j]) for j in range(8)]
     pretrain_step(items, model, selector, opt, PretrainConfig(strategy="adaptive"), rngs)
-    assert recorded == [205, 205]  # the share scale included
+    assert recorded == [113, 113]  # the share scale included
 
 
 @pytest.mark.skipif(
@@ -438,10 +417,10 @@ def _predict(model, items, specs):
 def _losses(model, selector, item, spec):
     """L_R and L_select of one clip as a batch of one, as pretrain_step forms them."""
     tokens, _, preds = _predict(model, [item], [spec])
-    pmap = select_probabilities(nm.stop_gradient(tokens), selector)
+    log_probs = select_probabilities(nm.stop_gradient(tokens), selector)
     targets = patch_normalize_targets(item.frames, TOK)
     recon, per_token = reconstruction_loss(preds, targets.values[spec.masked_ids][None])
-    sel = selection_loss(pmap.log_probs, nm.stop_gradient(per_token), spec.masked_ids[None])
+    sel = selection_loss(log_probs, nm.stop_gradient(per_token), spec.masked_ids[None])
     return recon, sel
 
 
@@ -449,7 +428,7 @@ def test_batched_forward_matches_each_clip_alone():
     # slice i of a batch of three equals clip i run as a batch of one, bit for bit
     model = ModelParams(TOK, BB, np.random.default_rng(3))
     items = _items(3)
-    specs = [sample_visible(np.full(32, 1 / 32), 0.75, np.random.default_rng([2, i]))
+    specs = [sample_visible(np.full(32, -np.log(32)), 0.75, np.random.default_rng([2, i]))
              for i in range(3)]
     assert len({tuple(spec.visible_ids) for spec in specs}) == 3
     _, latents, preds = _predict(model, items, specs)
@@ -464,7 +443,7 @@ def test_gradient_isolation_structural():
     model = ModelParams(TOK, BB, np.random.default_rng(0))
     selector = SelectionParams(np.random.default_rng(1), TOK.dim)
     item = _items(1)[0]
-    spec = sample_visible(np.full(32, 1 / 32), 0.75, np.random.default_rng(2))
+    spec = sample_visible(np.full(32, -np.log(32)), 0.75, np.random.default_rng(2))
 
     def forward(which: str):
         for t in list(model.named().values()) + list(selector.named().values()):
@@ -487,7 +466,7 @@ def test_gradient_isolation_finite_difference():
     model = ModelParams(TOK, BB, np.random.default_rng(0))
     selector = SelectionParams(np.random.default_rng(1), TOK.dim)
     item = _items(1)[0]
-    spec = sample_visible(np.full(32, 1 / 32), 0.75, np.random.default_rng(2))
+    spec = sample_visible(np.full(32, -np.log(32)), 0.75, np.random.default_rng(2))
 
     def losses():
         recon, sel = _losses(model, selector, item, spec)
@@ -589,7 +568,7 @@ def test_config_snapshot_roundtrip():
 def test_checkpoint_forward_is_bitwise_identical(tmp_path):
     model = ModelParams(TOK, BB, np.random.default_rng(3))
     item = _items(1)[0]
-    spec = sample_visible(np.full(32, 1 / 32), 0.75, np.random.default_rng(2))
+    spec = sample_visible(np.full(32, -np.log(32)), 0.75, np.random.default_rng(2))
 
     def forward(m):
         return _predict(m, [item], [spec])[2].data
@@ -676,8 +655,6 @@ def test_pretrain_config_validation():
         PretrainConfig(loss_kind="huber")
     with pytest.raises(ConfigError):
         PretrainConfig(strategy="blocks")
-    with pytest.raises(ConfigError):
-        PretrainConfig(selection_weight=-1.0)
     for bad, message in (
         ({"max_steps": -2}, "max_steps"),
         ({"max_steps": 0}, "max_steps"),
