@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from .data import (
     load_manifest,
     patch_normalize_targets,
 )
-from .downstream import SplitSpec, evaluate_checkpoint, finetune_run
+from .downstream import SplitSpec, evaluate_checkpoint, finetune_run, phase_round_robin
 from .errors import ConfigError, FormatError, SelectMAEError
 from .masking import STRATEGIES, SelectionParams, baseline_mask, sample_visible, select_probabilities
 from .numerics import Tensor, gather_rows_batched
@@ -136,19 +137,9 @@ def _split_with_fraction(args, entries) -> SplitSpec:
 def _apply_label_fraction(split: SplitSpec, entries, fraction: float) -> SplitSpec:
     if not 0 < fraction <= 1:
         raise ConfigError(f"label fraction must be in (0, 1], got {fraction}")
-    import math
-
     want = math.ceil(fraction * len(split.train_ids))
-    by_phase: dict[int, list[int]] = {}
-    for i in split.train_ids:
-        if entries[i]["labeled"]:
-            by_phase.setdefault(entries[i]["phase_index"], []).append(i)
-    chosen: list[int] = []
-    queues = {p: list(ids) for p, ids in sorted(by_phase.items())}
-    while len(chosen) < want and any(queues.values()):
-        for p in sorted(queues):
-            if queues[p] and len(chosen) < want:
-                chosen.append(queues[p].pop(0))
+    labeled = [i for i in split.train_ids if entries[i]["labeled"]]
+    chosen = phase_round_robin(entries, labeled)[:want]
     if len(chosen) < want:
         raise ConfigError(
             f"need {want} labeled train clips for fraction {fraction}, "

@@ -315,10 +315,22 @@ def generate_corpus(cfg: SynthConfig, n_clips: int, label_fraction: float, seed:
 
 
 def load_manifest(manifest_path) -> list[dict]:
-    entries = json.loads(Path(manifest_path).read_text())
-    base = Path(manifest_path).parent
-    for e in entries:
-        e["path"] = str(base / e["path"])
+    """The clip entries of a corpus manifest, each path made relative to
+    the manifest's directory. The manifest must hold a list of objects,
+    each with a str `path`, an int `phase_index` and a bool `labeled`."""
+    path = Path(manifest_path)
+    try:
+        entries = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise FormatError(f"corpus manifest {path} is not UTF-8 JSON: {exc}") from exc
+    if not isinstance(entries, list):
+        raise FormatError(f"corpus manifest {path} must hold a list of clip entries")
+    for i, e in enumerate(entries):
+        if not (isinstance(e, dict) and type(e.get("path")) is str
+                and type(e.get("phase_index")) is int and type(e.get("labeled")) is bool):
+            raise FormatError(f"corpus manifest {path} entry {i} needs a str 'path', an int"
+                              f" 'phase_index' and a bool 'labeled', got {e!r}")
+        e["path"] = str(path.parent / e["path"])
     return entries
 
 

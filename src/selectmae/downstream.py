@@ -94,6 +94,18 @@ def compute_metrics(predictions, labels, num_steps: int) -> MetricsReport:
     )
 
 
+def phase_round_robin(entries: list[dict], ids) -> list[int]:
+    """`ids` interleaved by phase: the first clip of each phase in phase
+    order, then the second of each, and so on; each phase's clips keep
+    their order in `ids`."""
+    by_phase: dict[int, list[int]] = {}
+    for i in ids:
+        by_phase.setdefault(entries[i]["phase_index"], []).append(i)
+    queues = [by_phase[p] for p in sorted(by_phase)]
+    depth = max(map(len, queues), default=0)
+    return [q[k] for k in range(depth) for q in queues if k < len(q)]
+
+
 @dataclass
 class SplitSpec:
     train_ids: list
@@ -114,16 +126,7 @@ class SplitSpec:
             raise ConfigError(
                 f"split sizes {n_train}+{n_val}+{n_test} exceed corpus of {len(entries)}"
             )
-        by_phase: dict[int, list[int]] = {}
-        for i, e in enumerate(entries):
-            by_phase.setdefault(e["phase_index"], []).append(i)
-        phases = sorted(by_phase)
-        queues = {p: list(by_phase[p]) for p in phases}
-        ordered = []
-        while any(queues.values()):
-            for p in phases:
-                if queues[p]:
-                    ordered.append(queues[p].pop(0))
+        ordered = phase_round_robin(entries, range(len(entries)))
         train = sorted(ordered[:n_train])
         val = sorted(ordered[n_train:n_train + n_val])
         test = sorted(ordered[n_train + n_val:n_train + n_val + n_test])
@@ -292,7 +295,7 @@ def finetune_run(
                 break
     if best["arrays"] is not None:
         for k, t in trained.items():
-            t.data = best["arrays"][k]
+            t.data[...] = best["arrays"][k]
 
     test_preds = _evaluate(store, split.test_ids, model, head, "test")
     test_truth = np.array([entries[i]["phase_index"] for i in split.test_ids])

@@ -11,19 +11,24 @@ from .tensor import Tensor
 
 
 class AdamW:
-    """Decoupled-weight-decay Adam over a dict of named parameters.
+    """Decoupled-weight-decay Adam that owns the buffers of a dict of
+    named parameters.
 
-    Parameters with `grad is None` are skipped entirely for the step
-    (no moment update, no decay), so untouched sub-networks stay put.
+    The values, gradients and both moments of all parameters live in
+    four flat buffers, every parameter a slice of each in dict order.
+    The constructor copies each parameter's values into the flat value
+    buffer and rebinds its `data` and `grad` to its views, so `backward`
+    adds each gradient into the flat gradient buffer in place and a step
+    makes a fixed number of numpy passes over the whole model: its
+    Python work does not grow with the parameter count. Each pass is one
+    operation of the per-parameter update, in its order, so the bits are
+    those of updating each parameter on its own.
 
-    The moments live in two flat buffers, every parameter a slice of
-    each in dict order; `m` and `v` map names to views of them. A step
-    gathers the gradients and values of the parameters that have a
-    gradient into flat buffers of their own and makes a fixed number of
-    numpy passes over each contiguous span of them, so its Python work
-    does not grow with the parameter count. Each pass is one operation
-    of the per-parameter update, in its order, so the bits are those of
-    updating each parameter on its own.
+    Whatever loads values into a parameter must write into its `data`
+    (`data[...] = values`), never rebind it: a rebound array is not the
+    optimizer's, and the step neither reads nor updates it. A parameter
+    that no loss reaches keeps a zero gradient and is updated as such:
+    its moments decay and weight decay shrinks it.
     """
 
     def __init__(
@@ -46,58 +51,43 @@ class AdamW:
         if len(dtypes) > 1:
             raise ContractError(f"AdamW needs parameters of one dtype, got {sorted(map(str, dtypes))}")
         dtype = dtypes.pop() if dtypes else np.float32
-        # (start, stop) of each parameter in the flat moment buffers
-        self._spans = {}
+        size = sum(p.data.size for p in self.params.values())
+        self._value, self._grad, self._m, self._v = (np.zeros(size, dtype) for _ in range(4))
+        self.m, self.v = {}, {}
         start = 0
         for name, p in self.params.items():
-            self._spans[name] = (start, start + p.data.size)
-            start += p.data.size
-        self._m = np.zeros(start, dtype)
-        self._v = np.zeros(start, dtype)
-        self.m = {name: self._m[lo:hi].reshape(self.params[name].shape)
-                  for name, (lo, hi) in self._spans.items()}
-        self.v = {name: self._v[lo:hi].reshape(self.params[name].shape)
-                  for name, (lo, hi) in self._spans.items()}
+            stop = start + p.data.size
+            shape = p.data.shape
+            self._value[start:stop] = p.data.ravel()
+            p.data = self._value[start:stop].reshape(shape)
+            p.grad = self._grad[start:stop].reshape(shape)
+            self.m[name] = self._m[start:stop].reshape(shape)
+            self.v[name] = self._v[start:stop].reshape(shape)
+            start = stop
 
-    def step(self, lr: float | None = None):
+    def step(self, lr: float | None = None, max_norm: float | None = None):
+        """One update of every parameter from its gradient. With `max_norm`
+        the gradient is first scaled so that its global L2 norm is at most
+        `max_norm`. The gradient buffer serves as scratch, so it holds no
+        gradient afterwards; `zero_grad` clears it for the next step."""
         lr = float(self.lr if lr is None else lr)
+        if not np.isfinite(self._grad).all():
+            name = next(name for name, p in self.params.items() if not np.isfinite(p.grad).all())
+            raise NumericError(f"non-finite gradient for parameter '{name}'")
+        if max_norm is not None:
+            # float64 sums one parameter at a time in dict order: clipped runs keep their bits
+            norm = math.sqrt(sum(float((p.grad.astype(np.float64) ** 2).sum())
+                                 for p in self.params.values()))
+            if norm > max_norm:
+                self._grad *= max_norm / (norm + 1e-12)
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - self.beta1**t
-        bc2 = 1.0 - self.beta2**t
-        live = [(name, p) for name, p in self.params.items() if p.grad is not None]
-        if not live:
-            return
-        grads = np.concatenate([p.grad.ravel() for _, p in live])
-        if not np.isfinite(grads).all():
-            name = next(name for name, p in live if not np.isfinite(p.grad).all())
-            raise NumericError(f"non-finite gradient for parameter '{name}'")
-        values = np.concatenate([p.data.ravel() for _, p in live])
-        scratch = np.empty_like(grads)
-        at = 0  # offset of the span in the gathered buffers
-        for lo, hi in self._live_spans(live):
-            end = at + hi - lo
-            self._update(grads[at:end], self._m[lo:hi], self._v[lo:hi], values[at:end],
-                         scratch[at:end], lr, bc1, bc2)
-            at = end
-        at = 0
-        for _, p in live:
-            p.data = values[at:at + p.data.size].reshape(p.data.shape)
-            at += p.data.size
+        self._update(lr, 1.0 - self.beta1**t, 1.0 - self.beta2**t)
 
-    def _live_spans(self, live) -> list[tuple[int, int]]:
-        """The maximal runs of consecutive moment slices among `live`."""
-        spans: list[tuple[int, int]] = []
-        for name, _ in live:
-            lo, hi = self._spans[name]
-            if spans and spans[-1][1] == lo:
-                spans[-1] = (spans[-1][0], hi)
-            else:
-                spans.append((lo, hi))
-        return spans
-
-    def _update(self, g, m, v, p, u, lr, bc1, bc2):
-        """Update m, v and p in place from g, overwriting g; u is scratch."""
+    def _update(self, lr, bc1, bc2):
+        """Update the moments and values in place, overwriting the gradient."""
+        g, m, v, p = self._grad, self._m, self._v, self._value
+        u = np.empty_like(g)
         m *= self.beta1
         np.multiply(g, 1.0 - self.beta1, out=u)
         m += u
@@ -118,8 +108,7 @@ class AdamW:
         p -= u
 
     def zero_grad(self):
-        for p in self.params.values():
-            p.grad = None
+        self._grad.fill(0)
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         """Moment buffers and step counter, keyed for checkpointing."""

@@ -126,7 +126,7 @@ class Tensor:
         if self.grad is None:
             self.grad = g.copy()
         else:
-            self.grad = self.grad + g
+            self.grad += g  # in place, so a view of an optimizer's flat buffer is written there
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -215,8 +215,8 @@ def backward(loss: Tensor, tape: Tape):
     closure is released once it has run, so the tape cannot be replayed.
     Writes into `.grad` hold one lock, so two passes over separate tapes
     that share leaves leave each leaf the sum of both gradients; from an
-    empty `.grad` that sum has two addends, and the same bits whichever
-    pass ends first.
+    empty or zeroed `.grad` that sum has two addends, and the same bits
+    whichever pass ends first.
     """
     if loss.size != 1:
         raise ContractError(f"backward expects a scalar loss, got shape {loss.shape}")

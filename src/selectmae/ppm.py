@@ -1,4 +1,4 @@
-"""Minimal binary PPM (P6) reader/writer for reconstruction dumps."""
+"""Minimal binary PPM (P6) writer for reconstruction dumps."""
 
 from __future__ import annotations
 
@@ -19,20 +19,3 @@ def write_ppm(path, image: np.ndarray):
         f.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
         f.write(img.tobytes())
 
-
-def read_ppm(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        magic = f.readline().strip()
-        if magic != b"P6":
-            raise FormatError(f"not a P6 ppm: {magic!r}")
-        line = f.readline()
-        while line.startswith(b"#"):
-            line = f.readline()
-        w, h = (int(v) for v in line.split())
-        maxval = int(f.readline())
-        if maxval != 255:
-            raise FormatError(f"unsupported maxval {maxval}")
-        payload = f.read(w * h * 3)
-    if len(payload) != w * h * 3:
-        raise FormatError("ppm payload truncated")
-    return np.frombuffer(payload, dtype=np.uint8).reshape(h, w, 3)

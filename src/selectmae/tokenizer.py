@@ -113,14 +113,6 @@ def token_cell(token_id: int, grid: tuple[int, int, int]) -> tuple[int, int, int
     return t, h, w
 
 
-def cell_token(cell: tuple[int, int, int], grid: tuple[int, int, int]) -> int:
-    nt, nh, nw = grid
-    t, h, w = cell
-    if not (0 <= t < nt and 0 <= h < nh and 0 <= w < nw):
-        raise IndexError(f"cell {cell} out of range for grid {grid}")
-    return (t * nh + h) * nw + w
-
-
 def embed_patches(patches: Tensor, cfg: TokenizerConfig, weight: Tensor, bias: Tensor) -> Tensor:
     """Project flattened patches (..., N, patch_len) and add the positional table."""
     if weight.shape[0] != patches.shape[-1] or weight.shape[1] != cfg.dim:

@@ -1,7 +1,9 @@
 """Losses, the isolated-gradient pretraining step, and the run loop.
 
 A step runs its batch as two half-batches at once, each with its own
-tape and one joint backward pass that serves both objectives.
+tape and one joint backward pass that serves both objectives; the
+optimizer then clips (when `grad_clip` is set) and applies the summed
+gradient in one step.
 Stop-gradient barriers keep them apart: the selection network reads
 detached token values, so its score-function loss trains only the
 selector; the reconstruction loss never touches the selector because
@@ -199,10 +201,11 @@ def pretrain_step(
     and both losses operate on stacked (half, ...) tensors, so every clip
     in the batch shares the token-count geometry. Each half's loss is
     scaled by its share of the clips, so the gradients its backward
-    leaves summed in `.grad` are those of the batch mean; they are
-    clipped and applied once both halves have ended. An error in either
-    half is raised after both have ended, before the optimizer runs,
-    and leaves no gradient behind.
+    leaves summed in `.grad` are those of the batch mean. Once both
+    halves have ended, one `AdamW.step` clips them to `cfg.grad_clip`
+    (when set) and applies them. An error in either half is raised after
+    both have ended, before the optimizer runs, and leaves every
+    gradient zero.
     """
     if len(rngs) != len(batch):
         raise ContractError(f"{len(rngs)} rng streams for {len(batch)} clips")
@@ -214,9 +217,7 @@ def pretrain_step(
     try:
         with Tape() as tape:
             halves = run_halves(tape, len(batch), half)
-        if cfg.grad_clip is not None:
-            _clip_grad_norm(optimizer.params.values(), cfg.grad_clip)
-        optimizer.step(lr)
+        optimizer.step(lr, max_norm=cfg.grad_clip)
     finally:
         optimizer.zero_grad()
 
@@ -279,18 +280,6 @@ def _pretrain_half(batch, rngs, model, selector, cfg, share, step_index, tape):
             if item.fg_token_ids is not None
         ]
     return share, recon.item(), select_value, [row.copy() for row in per_token.data], masses
-
-
-def _clip_grad_norm(params, max_norm: float):
-    total = 0.0
-    grads = [p.grad for p in params if p.grad is not None]
-    for g in grads:
-        total += float((g.astype(np.float64) ** 2).sum())
-    norm = math.sqrt(total)
-    if norm > max_norm:
-        factor = max_norm / (norm + 1e-12)
-        for g in grads:
-            g *= factor
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +376,8 @@ def checkpoint_config(arrays: dict[str, np.ndarray], path) -> dict:
 
 
 def assign_named(tensors: dict[str, Tensor], arrays: dict[str, np.ndarray], context: str = ""):
+    """Write each named array into its tensor's `data` in place, which
+    keeps a parameter the view of its optimizer's buffer."""
     for name, tensor in tensors.items():
         if name not in arrays:
             raise FormatError(f"checkpoint missing tensor '{name}' {context}")
@@ -395,7 +386,7 @@ def assign_named(tensors: dict[str, Tensor], arrays: dict[str, np.ndarray], cont
             raise ConfigError(
                 f"checkpoint tensor '{name}' has shape {arr.shape}, expected {tensor.shape}"
             )
-        tensor.data = arr.astype(tensor.data.dtype).copy()
+        tensor.data[...] = arr
 
 
 def config_diff(expected: dict, actual: dict, prefix: str = "") -> list[str]:
@@ -505,14 +496,9 @@ class PretrainRun:
     def run(self) -> dict:
         cfg = self.cfg
         log_path = self.out_dir / "metrics.jsonl"
-        # A resume in place keeps the complete lines of the steps before the
-        # checkpoint and drops those an interrupted run logged after it.
         kept = []
         if self.start_step > 0 and log_path.exists():
-            kept = [
-                line for line in log_path.read_text().splitlines(keepends=True)
-                if line.endswith("\n") and json.loads(line)["step"] < self.start_step
-            ]
+            kept = _logged_before(log_path, self.start_step)
         last_ckpt = self.resumed_from
         final_recon = float("nan")
         with open(log_path, "w") as log:
@@ -550,6 +536,30 @@ class PretrainRun:
             "final_recon": final_recon,
             "total_steps": self.total_steps,
         }
+
+
+def _logged_before(log_path: Path, step: int) -> list[str]:
+    """The complete lines of a metrics log that log a step before `step`:
+    a resume in place keeps those and drops what an interrupted run
+    logged after its checkpoint."""
+    try:
+        lines = log_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{log_path} is not UTF-8: {exc}") from exc
+    kept = []
+    for number, line in enumerate(lines, 1):
+        if not line.endswith("\n"):
+            continue  # the last line of an interrupted write
+        try:
+            record = json.loads(line)
+        except ValueError:
+            record = None
+        if not (isinstance(record, dict) and type(record.get("step")) is int):
+            raise FormatError(
+                f"{log_path} line {number} is not a JSON object with an integer 'step'")
+        if record["step"] < step:
+            kept.append(line)
+    return kept
 
 
 def pretrain_run(

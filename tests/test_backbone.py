@@ -6,8 +6,9 @@ from selectmae.backbone import BackboneConfig, ModelParams, decode, encode
 from selectmae.errors import ConfigError, ContractError, ShapeError
 from selectmae.layers import LinearParams, apply_layer_norm, linear
 from selectmae.masking import MaskSpec, sample_visible
-from selectmae.numerics.gradcheck import check_param_gradients
 from selectmae.tokenizer import TokenizerConfig, positional_encoding
+
+from testkit import check_param_gradients
 
 TOK = TokenizerConfig(tubelet=(2, 2, 2), dim=16)
 BB = BackboneConfig(enc_depth=2, enc_dim=16, enc_heads=2, dec_depth=2, dec_dim=8, dec_heads=2)

@@ -9,13 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from selectmae.backbone import ModelParams
-from selectmae.cli import main
+from selectmae.cli import _apply_label_fraction, main
 from selectmae.config import RunConfig
-from selectmae.downstream import ClassifierHead
+from selectmae.downstream import ClassifierHead, SplitSpec
 from selectmae.errors import ConfigError
 from selectmae.masking import STRATEGIES
-from selectmae.ppm import read_ppm
 from selectmae.training import array_to_config, config_to_array, load_checkpoint, save_checkpoint
+
+from testkit import read_ppm
 
 
 TINY = {
@@ -543,3 +544,81 @@ def test_bad_artifact_exits_on_its_documented_code(
         assert "attn.qkv.weight" in err
     if name == "selection-weight":
         assert "'selection_weight'" in err
+
+
+# A resume in place reads the run's metrics log; a corrupt complete line
+# exits 4 naming the file and the line, where it raised from json before.
+BAD_LOG_LINES = {
+    "garbage": b"garbage\n",
+    "list": b"[1, 2]\n",
+    "not-utf8": b"\xff\xfe\n",
+    "no-step": b'{"L_R": 1.0}\n',
+    "string-step": b'{"step": "1"}\n',
+    "float-step": b'{"step": 1.0}\n',
+    "blank": b"\n",
+}
+
+
+@pytest.mark.parametrize("line", BAD_LOG_LINES.values(), ids=BAD_LOG_LINES)
+def test_resume_in_place_over_a_corrupt_metrics_log_exits_4(
+    line, corpus, tiny_config, pretrained, tmp_path, capsys
+):
+    run = tmp_path / "run"
+    shutil.copytree(pretrained.parent, run)
+    log = run / "metrics.jsonl"
+    lines = log.read_bytes().splitlines(keepends=True)
+    log.write_bytes(b"".join([lines[0], line, *lines[1:]]))
+    code = main([
+        "pretrain", "--config", tiny_config, "--corpus", str(corpus), "--out", str(run),
+        "--strategy", "adaptive", "--resume", str(run / "checkpoint_000003.csma"),
+    ])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("corrupt artifact: ") and "Traceback" not in err
+    assert str(log) in err
+    if line != b"\xff\xfe\n":
+        assert "line 2 " in err
+
+
+BAD_MANIFESTS = {
+    "not-json": b"not json",
+    "not-utf8": b"\xff\xfe[]",
+    "object": b'{"a": 1}',
+    "entry-not-object": b"[1]",
+    "no-path": b'[{"phase_index": 0, "labeled": true}]',
+    "no-labeled": b'[{"path": "clip_00000.csvc", "phase_index": 0}]',
+    "float-phase": b'[{"path": "clip_00000.csvc", "phase_index": 0.0, "labeled": true}]',
+    "bool-phase": b'[{"path": "clip_00000.csvc", "phase_index": true, "labeled": true}]',
+    "int-labeled": b'[{"path": "clip_00000.csvc", "phase_index": 0, "labeled": 1}]',
+}
+
+
+@pytest.mark.parametrize("command", ["pretrain", "finetune", "eval", "ablate"])
+@pytest.mark.parametrize("manifest", BAD_MANIFESTS.values(), ids=BAD_MANIFESTS)
+def test_corrupt_manifest_exits_4(command, manifest, tiny_config, pretrained, tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "manifest.json").write_bytes(manifest)
+    out = str(tmp_path / "out")
+    common = ["--config", tiny_config, "--corpus", str(corpus)]
+    argv = {
+        "pretrain": ["pretrain", *common, "--out", out],
+        "finetune": ["finetune", *common, "--scratch", "--split", "1,0,0", "--out", out],
+        "eval": ["eval", *common, "--checkpoint", str(pretrained), "--split", "1,0,0",
+                 "--out", out],
+        "ablate": ["ablate", *common, "--axis", "ratio", "--values", "0.5", "--split", "1,0,0",
+                   "--out-dir", out],
+    }[command]
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("corrupt artifact: corpus manifest ") and "Traceback" not in err
+
+
+def test_label_fraction_takes_each_phase_in_the_given_train_order():
+    # ceil(0.5 * 6) = 3 clips, phases interleaved 0, 1, 0; within a phase the
+    # split file's order decides, not the clip ids
+    entries = [{"phase_index": p, "labeled": True} for p in (0, 1, 0, 1, 0, 1)]
+    split = SplitSpec([4, 1, 0, 5, 2, 3], [], [])
+    assert _apply_label_fraction(split, entries, 0.5).explicit_labeled == [0, 1, 4]
+    with pytest.raises(ConfigError, match="need 3 labeled"):
+        _apply_label_fraction(split, [{**e, "labeled": i < 2} for i, e in enumerate(entries)], 0.5)

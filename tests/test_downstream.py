@@ -20,6 +20,8 @@ from selectmae.downstream import (
 from selectmae.errors import ConfigError, DataError
 from selectmae.tokenizer import TokenizerConfig
 
+from testkit import assert_owned_by
+
 TOK = TokenizerConfig(tubelet=(2, 4, 4), dim=16)
 BB = BackboneConfig(enc_depth=1, enc_dim=16, enc_heads=2, dec_depth=1, dec_dim=8, dec_heads=2)
 SYNTH = SynthConfig(frames=4, height=16, width=16, num_phases=3)
@@ -357,3 +359,44 @@ def test_two_half_finetune_step_matches_the_step_on_one_tape(corpus, monkeypatch
     assert sorted(grads) == sorted(one_tape)
     for name, grad in grads.items():
         np.testing.assert_allclose(grad, one_tape[name], rtol=1e-5, atol=1e-7, err_msg=name)
+
+
+def _recording_optimizer(monkeypatch):
+    """Make finetune_run build an AdamW that keeps itself in `made` and
+    notes, at each step, the parameters whose gradient is all zero."""
+    made, unreached = [], []
+
+    class Recording(nm.AdamW):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+        def step(self, lr=None, max_norm=None):
+            unreached.extend(name for name, t in self.params.items() if not t.grad.any())
+            super().step(lr, max_norm)
+
+    monkeypatch.setattr(downstream, "AdamW", Recording)
+    return made, unreached
+
+
+def test_a_default_finetune_step_reaches_every_optimizer_parameter(monkeypatch, tmp_path):
+    # AdamW updates a parameter no loss reaches as if its gradient were zero;
+    # no parameter of the shipped fine-tune path is one
+    synth = SynthConfig()
+    manifest = generate_corpus(synth, 6, 1.0, 2, tmp_path / "corpus")
+    made, unreached = _recording_optimizer(monkeypatch)
+    split = SplitSpec.from_manifest(load_manifest(manifest), 4, 1, 1)
+    finetune_run(manifest, split, FinetuneConfig(epochs=1), num_steps=synth.num_phases)
+    assert made[0].step_count == 1 and unreached == []
+
+
+def test_best_weights_restore_writes_into_the_optimizer_buffers(corpus, monkeypatch):
+    made, _ = _recording_optimizer(monkeypatch)
+    split = SplitSpec.from_manifest(load_manifest(corpus), 12, 6, 3)
+    result = finetune_run(corpus, split, FinetuneConfig(epochs=3, batch_size=6, seed=4),
+                          num_steps=3, tok_cfg=TOK, bb_cfg=BB)
+    assert result["val_accuracy"] is not None  # the best weights were restored
+    (opt,) = made
+    assert_owned_by(opt)
+    trained = {**result["model"].encoder_named(), **result["head"].named()}
+    assert all(opt.params[name] is t for name, t in trained.items())

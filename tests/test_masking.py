@@ -17,8 +17,9 @@ from selectmae.masking import (
     select_probabilities,
     visible_count,
 )
-from selectmae.numerics.gradcheck import check_param_gradients
 from selectmae.tokenizer import positional_encoding
+
+from testkit import check_param_gradients
 
 
 def test_visible_count_arithmetic():

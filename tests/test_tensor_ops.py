@@ -11,8 +11,9 @@ import pytest
 from selectmae import numerics as nm
 from selectmae.errors import ContractError, NumericError, ShapeError
 from selectmae.numerics import tensor
-from selectmae.numerics.gradcheck import check_gradients
 from selectmae.numerics.tensor import record_op
+
+from testkit import check_gradients
 
 
 def test_matmul_identity():

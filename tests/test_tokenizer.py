@@ -6,10 +6,8 @@ from hypothesis import strategies as st
 from selectmae import numerics as nm
 from selectmae.data import SynthConfig, generate_clip, patch_normalize_targets
 from selectmae.errors import ConfigError, ShapeError
-from selectmae.numerics.gradcheck import check_gradients
 from selectmae.tokenizer import (
     TokenizerConfig,
-    cell_token,
     detokenize_patches,
     fold_patches,
     positional_encoding,
@@ -17,6 +15,8 @@ from selectmae.tokenizer import (
     tokenize,
     unfold_clip,
 )
+
+from testkit import cell_token, check_gradients
 
 
 def _random_params(cfg: TokenizerConfig, rng, channels=3):

@@ -41,6 +41,8 @@ from selectmae.training import (
     selection_loss,
 )
 
+from testkit import assert_owned_by
+
 TOK = TokenizerConfig(tubelet=(2, 4, 4), dim=16)
 BB = BackboneConfig(enc_depth=1, enc_dim=16, enc_heads=2, dec_depth=1, dec_dim=8, dec_heads=2)
 SYNTH = SynthConfig(frames=4, height=16, width=16, num_phases=4)
@@ -229,6 +231,28 @@ def test_node_budget_of_a_default_pretraining_half(monkeypatch):
     assert recorded == [113, 113]  # the share scale included
 
 
+@pytest.mark.parametrize("strategy", ["adaptive", "random"])
+def test_a_default_step_reaches_every_optimizer_parameter(strategy):
+    # AdamW updates a parameter no loss reaches as if its gradient were
+    # zero; no parameter of a shipped pretraining path is one
+    model, selector, _, items = _default_adaptive_setup()
+    trained = dict(model.named())
+    if strategy == "adaptive":
+        trained.update(selector.named())
+    opt = AdamW(trained, lr=1e-4)
+    unreached = []
+    real_step = opt.step
+
+    def step(lr=None, max_norm=None):
+        unreached.extend(name for name, t in opt.params.items() if not t.grad.any())
+        real_step(lr, max_norm)
+
+    opt.step = step
+    rngs = [np.random.default_rng([6, 0, j]) for j in range(8)]
+    pretrain_step(items, model, selector, opt, PretrainConfig(strategy=strategy), rngs)
+    assert opt.step_count == 1 and unreached == []
+
+
 @pytest.mark.skipif(
     not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
     reason="the allocator setting and the fault count are glibc's",
@@ -258,7 +282,8 @@ def _one_tape(tape, n, half):
 
 def _two_half_step(n_clips, strategy="adaptive", **cfg):
     """Run one pretrain_step from a fixed start; returns the gradients the
-    optimizer was handed, each clip's visible ids and the report."""
+    optimizer step was handed, each clip's visible ids, the report and the
+    optimizer after its step."""
     model = ModelParams(TOK, BB, np.random.default_rng(0))
     selector = SelectionParams(np.random.default_rng(1), TOK.dim)
     trained = dict(model.named())
@@ -266,8 +291,14 @@ def _two_half_step(n_clips, strategy="adaptive", **cfg):
         trained.update(selector.named())
     opt = AdamW(trained, lr=1e-3)
     grads = {}
-    opt.step = lambda lr=None: grads.update(
-        {k: t.grad.copy() for k, t in trained.items() if t.grad is not None})
+    real_step = opt.step
+
+    def step(lr=None, max_norm=None):
+        assert not grads and max_norm == cfg.get("grad_clip")
+        grads.update({k: t.grad.copy() for k, t in trained.items()})
+        real_step(lr, max_norm)
+
+    opt.step = step
     rngs = [np.random.default_rng([9, j]) for j in range(n_clips)]
     visible = {}
 
@@ -284,15 +315,15 @@ def _two_half_step(n_clips, strategy="adaptive", **cfg):
         report = pretrain_step(_items(n_clips), model, selector, opt,
                                _cfg(strategy=strategy, **cfg), rngs)
     assert sorted(grads) == sorted(trained)
-    return grads, [visible[id(rng)] for rng in rngs], report
+    return grads, [visible[id(rng)] for rng in rngs], report, opt
 
 
 @pytest.mark.parametrize("strategy", ["adaptive", "random"])
 @pytest.mark.parametrize("n_clips", [8, 3])
 def test_two_half_step_matches_the_step_on_one_tape(monkeypatch, strategy, n_clips):
-    grads, visible, report = _two_half_step(n_clips, strategy)
+    grads, visible, report, _ = _two_half_step(n_clips, strategy)
     monkeypatch.setattr(training, "run_halves", _one_tape)
-    one_grads, one_visible, one_report = _two_half_step(n_clips, strategy)
+    one_grads, one_visible, one_report, _ = _two_half_step(n_clips, strategy)
     for name, grad in grads.items():
         np.testing.assert_allclose(grad, one_grads[name], rtol=1e-5, atol=1e-7, err_msg=name)
     for ids, one_ids in zip(visible, one_visible):
@@ -306,9 +337,9 @@ def test_two_half_step_matches_the_step_on_one_tape(monkeypatch, strategy, n_cli
 
 
 def test_two_half_steps_are_bitwise_repeatable():
-    first, visible, report = _two_half_step(8)
+    first, visible, report, _ = _two_half_step(8)
     for _ in range(4):
-        grads, again, repeat = _two_half_step(8)
+        grads, again, repeat, _ = _two_half_step(8)
         for name, grad in grads.items():
             assert np.array_equal(grad, first[name]), name
         assert all(np.array_equal(a, b) for a, b in zip(again, visible))
@@ -316,21 +347,15 @@ def test_two_half_steps_are_bitwise_repeatable():
             report.recon, report.select, report.fg_mass)
 
 
-def test_grad_clip_runs_once_on_the_summed_gradient(monkeypatch):
-    unclipped, _, _ = _two_half_step(4)
-    seen = []
-    real_clip = training._clip_grad_norm
-
-    def spy(params, max_norm):
-        params = list(params)
-        seen.append([None if p.grad is None else p.grad.copy() for p in params])
-        real_clip(params, max_norm)
-
-    monkeypatch.setattr(training, "_clip_grad_norm", spy)
-    clipped, _, _ = _two_half_step(4, grad_clip=1e-3)
-    assert len(seen) == 1
-    assert all(np.array_equal(g, unclipped[name]) for g, name in zip(seen[0], unclipped))
-    norm = math.sqrt(sum(float((g.astype(np.float64) ** 2).sum()) for g in clipped.values()))
+def test_grad_clip_runs_once_on_the_summed_gradient():
+    # the one optimizer step is handed the summed, unclipped gradient and
+    # max_norm; from zero moments it leaves m = (1 - beta1) * the clipped one
+    unclipped, _, _, _ = _two_half_step(4)
+    handed, _, _, opt = _two_half_step(4, grad_clip=1e-3)
+    assert all(np.array_equal(handed[name], g) for name, g in unclipped.items())
+    assert opt.step_count == 1
+    clipped = [m.astype(np.float64) / (1.0 - opt.beta1) for m in opt.m.values()]
+    norm = math.sqrt(sum(float((g ** 2).sum()) for g in clipped))
     assert norm == pytest.approx(1e-3, rel=1e-5)
 
 
@@ -342,7 +367,7 @@ def _adaptive_setup():
 
 def _assert_untouched(opt, before):
     for name, t in opt.params.items():
-        assert t.grad is None, name
+        assert not t.grad.any(), name
         assert np.array_equal(t.data, before[name]), name
     assert opt.step_count == 0
     assert all(not m.any() for m in opt.m.values()) and all(not v.any() for v in opt.v.values())
@@ -733,3 +758,20 @@ def test_pretrain_resume_in_place_after_every_step(tmp_path, monkeypatch):
         )
         assert (out / "metrics.jsonl").read_bytes() == full_log, k
         assert resumed["checkpoint"].read_bytes() == full["checkpoint"].read_bytes(), k
+
+
+def test_loaders_write_into_the_optimizer_buffers(tmp_path):
+    manifest = _corpus(tmp_path)
+    pretrain_run(manifest, tmp_path / "base", _cfg(), TOK, BB)
+    checkpoint = tmp_path / "base" / "checkpoint_000003.csma"
+    run = PretrainRun(manifest, tmp_path / "resumed", _cfg(), TOK, BB)
+    run.resume(checkpoint)
+    assert_owned_by(run.optimizer)
+    arrays = load_checkpoint(checkpoint)
+    for name, t in run.optimizer.params.items():
+        assert np.array_equal(t.data, arrays[name]), name
+    other = load_checkpoint(tmp_path / "base" / "checkpoint_000006.csma")
+    assign_named(run.model.named(), other)
+    assert_owned_by(run.optimizer)
+    for name, t in run.model.named().items():
+        assert np.array_equal(t.data, other[name]), name

@@ -1,16 +1,22 @@
-"""Central finite-difference gradient checking.
+"""Helpers that only the tests use.
 
-The analytic gradient is produced by the tape at the dtype under test
-(32-bit by default). The difference quotient is evaluated at 64-bit so
-the oracle itself contributes no roundoff at the tolerance being
-asserted; a pure 64-bit mode tightens the tolerance to 1e-5.
+Central finite-difference gradient checking: the analytic gradient is
+produced by the tape at the dtype under test (32-bit by default). The
+difference quotient is evaluated at 64-bit so the oracle itself
+contributes no roundoff at the tolerance being asserted; a pure 64-bit
+mode tightens the tolerance to 1e-5.
+
+Also the inverse of `tokenizer.token_cell`, a PPM reader for the images
+`reconstruct` writes, and a check that an optimizer still owns its
+parameters' buffers.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tape, Tensor, backward, precision
+from selectmae.errors import FormatError
+from selectmae.numerics import Tape, Tensor, backward, precision
 
 
 def _inf_norm(a: np.ndarray) -> float:
@@ -151,3 +157,39 @@ def check_gradients(
                 f"analytic {analytic[entry]:.6g} vs numeric {fd:.6g} (rel {err:.2e})"
             )
     return worst
+
+
+def cell_token(cell: tuple[int, int, int], grid: tuple[int, int, int]) -> int:
+    """The token id of a (t, h, w) cell: the inverse of `tokenizer.token_cell`."""
+    nt, nh, nw = grid
+    t, h, w = cell
+    if not (0 <= t < nt and 0 <= h < nh and 0 <= w < nw):
+        raise IndexError(f"cell {cell} out of range for grid {grid}")
+    return (t * nh + h) * nw + w
+
+
+def read_ppm(path) -> np.ndarray:
+    with open(path, "rb") as f:
+        magic = f.readline().strip()
+        if magic != b"P6":
+            raise FormatError(f"not a P6 ppm: {magic!r}")
+        line = f.readline()
+        while line.startswith(b"#"):
+            line = f.readline()
+        w, h = (int(v) for v in line.split())
+        maxval = int(f.readline())
+        if maxval != 255:
+            raise FormatError(f"unsupported maxval {maxval}")
+        payload = f.read(w * h * 3)
+    if len(payload) != w * h * 3:
+        raise FormatError("ppm payload truncated")
+    return np.frombuffer(payload, dtype=np.uint8).reshape(h, w, 3)
+
+
+def assert_owned_by(opt):
+    """Every parameter's `data` and `grad`, and each moment, is still a
+    view of the optimizer's flat buffers."""
+    for name, p in opt.params.items():
+        for array, flat in ((p.data, opt._value), (p.grad, opt._grad),
+                            (opt.m[name], opt._m), (opt.v[name], opt._v)):
+            assert array.base is flat, name
