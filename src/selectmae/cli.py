@@ -19,21 +19,22 @@ from pathlib import Path
 
 import numpy as np
 
-from .backbone import ModelParams, decode, encode
+from .backbone import ModelParams
 from .config import RunConfig
-from .data import (
-    generate_corpus,
-    load_clip,
-    load_manifest,
-    patch_normalize_targets,
-)
+from .data import denormalize_targets, generate_corpus, load_clip, load_manifest
 from .downstream import SplitSpec, evaluate_checkpoint, finetune_run, phase_round_robin
 from .errors import ConfigError, FormatError, SelectMAEError
-from .masking import STRATEGIES, SelectionParams, baseline_mask, sample_visible, select_probabilities
-from .numerics import Tensor, gather_rows_batched
+from .masking import STRATEGIES, SelectionParams
 from .ppm import write_ppm
-from .tokenizer import detokenize_patches, embed_patches, unfold_clip
-from .training import assign_named, checkpoint_config, load_checkpoint, pretrain_run, save_checkpoint
+from .tokenizer import detokenize_patches
+from .training import (
+    assign_named,
+    checkpoint_config,
+    load_checkpoint,
+    masked_forward,
+    pretrain_run,
+    save_checkpoint,
+)
 
 
 def _load_config(args) -> RunConfig:
@@ -208,32 +209,20 @@ def _model_from_checkpoint(arrays: dict, path):
 def cmd_reconstruct(args) -> int:
     arrays = load_checkpoint(args.checkpoint)
     model, selector, pre_cfg = _model_from_checkpoint(arrays, args.checkpoint)
-    tok_cfg = model.tok_cfg
     frames = load_clip(args.clip).frames
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    rng = np.random.default_rng(args.seed)
-    raw_patches = unfold_clip(frames, tok_cfg.tubelet)
     # one clip is a batch of one through the pretraining forward
-    tokens = embed_patches(Tensor(raw_patches[None]), tok_cfg, model.proj.weight, model.proj.bias)
-    strategy = args.strategy or pre_cfg.strategy
-    ratio = args.ratio if args.ratio is not None else pre_cfg.mask_ratio
-    if strategy == "adaptive":
-        spec = sample_visible(select_probabilities(tokens, selector).data[0], ratio, rng)
-    else:
-        spec = baseline_mask(strategy, tok_cfg.grid_dims(frames.shape), ratio, rng)
-    visible_ids, masked_ids = spec.visible_ids[None], spec.masked_ids[None]
-    latents = encode(gather_rows_batched(tokens, visible_ids), model)
-    preds = decode(latents, visible_ids, masked_ids, model).data[0]
-
-    targets = patch_normalize_targets(frames, tok_cfg, normalize=pre_cfg.normalize_targets)
-    recon_masked, _ = detokenize_patches(
-        targets.denormalize(preds, spec.masked_ids), spec.masked_ids, frames.shape, tok_cfg
+    patches, _, visible_ids, masked_ids, preds = masked_forward(
+        frames[None], model, selector, args.strategy or pre_cfg.strategy,
+        args.ratio if args.ratio is not None else pre_cfg.mask_ratio,
+        [np.random.default_rng(args.seed)],
     )
-    visible_frames, _ = detokenize_patches(
-        raw_patches[spec.visible_ids], spec.visible_ids, frames.shape, tok_cfg
-    )
+    rows, visible, masked = patches[0], visible_ids[0], masked_ids[0]
+    predicted = denormalize_targets(preds.data[0], rows[masked], pre_cfg.normalize_targets)
+    recon_masked, _ = detokenize_patches(predicted, masked, frames.shape, model.tok_cfg)
+    visible_frames, _ = detokenize_patches(rows[visible], visible, frames.shape, model.tok_cfg)
     reconstruction = np.clip(visible_frames + recon_masked, 0.0, 1.0)
     overlay = visible_frames  # masked tubelets stay black
 
@@ -266,22 +255,30 @@ def cmd_ablate(args) -> int:
     base = _load_config(args)
     manifest = _resolve_manifest(args.corpus)
     entries = load_manifest(manifest)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    # every input is checked before the first row trains
+    split = _split_with_fraction(args, entries)
     section, key, cast = _ABLATION_AXES[args.axis]
-    rows = []
+    configs = []
     for raw_value in args.values.split(","):
         raw_value = raw_value.strip()
         if args.axis == "loss":
             if raw_value not in _LOSS_VALUES:
                 raise ConfigError(f"loss value must be one of {sorted(_LOSS_VALUES)}")
-            cfg = base.with_overrides(pretrain=_LOSS_VALUES[raw_value])
-        else:
-            cfg = base.with_overrides(**{section: {key: cast(raw_value)}})
+            configs.append((raw_value, base.with_overrides(pretrain=_LOSS_VALUES[raw_value])))
+            continue
+        try:
+            value = cast(raw_value)
+        except ValueError:
+            raise ConfigError(f"--values for --axis {args.axis} must be {cast.__name__}s,"
+                              f" got '{raw_value}'") from None
+        configs.append((raw_value, base.with_overrides(**{section: {key: value}})))
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    rows = []
+    for raw_value, cfg in configs:
         row_dir = out_dir / f"{args.axis}_{raw_value.replace('.', 'p')}"
         _write_resolved_config(cfg, row_dir)
         result = pretrain_run(manifest, row_dir, cfg.pretrain, cfg.tokenizer, cfg.backbone)
-        split = _split_with_fraction(args, entries)
         ft = finetune_run(
             manifest, split, cfg.finetune, cfg.data.num_phases, cfg.tokenizer,
             cfg.backbone, init_arrays=load_checkpoint(result["checkpoint"]),

@@ -2,7 +2,8 @@
 
 A clip has one stored form, on disk and in memory: (T, C, H, W) uint8
 pixels. Float frames, tubelet patches and normalized targets are derived
-from the pixels where they are used, and never cached beside them.
+from the pixels where they are used, and never cached beside them; the
+targets come from the patch rows the training step has already unfolded.
 
 Clips show a static eye-like textured background with one or two moving
 foreground shapes whose color, count, form, and trajectory depend on the
@@ -24,7 +25,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, ContractError, FormatError
-from .tokenizer import TokenizerConfig, unfold_clip
 
 CLIP_MAGIC = b"CSVC"
 CLIP_VERSION = 1
@@ -335,38 +335,28 @@ def load_manifest(manifest_path) -> list[dict]:
 
 
 # ---------------------------------------------------------------------------
-# Reconstruction targets.
+# Reconstruction targets: MAE's per-patch normalized pixels (He et al.,
+# arXiv 2111.06377), computed from the patch rows a forward already
+# unfolded, with statistics in float64 so a constant patch normalizes to
+# exactly zero.
 
-@dataclass
-class PatchTargets:
-    values: np.ndarray  # (N, patch_len)
-    mean: np.ndarray  # (N, 1) raw per-token mean
-    std: np.ndarray  # (N, 1) raw per-token std
-    normalized: bool
-    eps: float
-
-    def denormalize(self, values: np.ndarray, ids=None) -> np.ndarray:
-        if not self.normalized:
-            return np.asarray(values)
-        mean, std = self.mean, self.std
-        if ids is not None:
-            ids = np.asarray(ids, dtype=np.int64)
-            mean, std = mean[ids], std[ids]
-        return np.asarray(values) * (std + self.eps) + mean
-
-
-def patch_normalize_targets(
-    frames: np.ndarray, tokenizer_cfg: TokenizerConfig, normalize: bool = True, eps: float = 1e-6
-) -> PatchTargets:
-    """Per-token flattened pixels of one clip's (T, C, H, W) float frames,
-    optionally normalized to zero mean/unit std."""
-    tokenizer_cfg.grid_dims(frames.shape)  # divisibility check
-    patches = unfold_clip(frames, tokenizer_cfg.tubelet).astype(np.float64)
-    # float64 statistics so constant patches normalize to exactly zero
-    mean = patches.mean(axis=1, keepdims=True)
-    std = patches.std(axis=1, keepdims=True)
+def patch_normalize_targets(rows: np.ndarray, normalize: bool = True,
+                            eps: float = 1e-6) -> np.ndarray:
+    """The float32 targets of (..., patch_len) patch rows: each row's
+    pixels, normalized to zero mean and unit std when `normalize` is set."""
+    rows = np.asarray(rows, dtype=np.float64)
     if normalize:
-        values = (patches - mean) / (std + eps)
-    else:
-        values = patches
-    return PatchTargets(values.astype(np.float32), mean, std, normalize, eps)
+        mean, std = rows.mean(axis=-1, keepdims=True), rows.std(axis=-1, keepdims=True)
+        rows = (rows - mean) / (std + eps)
+    return rows.astype(np.float32)
+
+
+def denormalize_targets(values: np.ndarray, rows: np.ndarray, normalize: bool = True,
+                        eps: float = 1e-6) -> np.ndarray:
+    """The inverse of `patch_normalize_targets`: target-space `values` put
+    back into pixels with the statistics of the patch `rows` they stand for."""
+    if not normalize:
+        return np.asarray(values)
+    rows = np.asarray(rows, dtype=np.float64)
+    mean, std = rows.mean(axis=-1, keepdims=True), rows.std(axis=-1, keepdims=True)
+    return np.asarray(values) * (std + eps) + mean

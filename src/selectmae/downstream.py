@@ -13,6 +13,7 @@ the labels, skipping zero-denominator classes per metric.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,14 +115,24 @@ class SplitSpec:
     explicit_labeled: list | None = None  # overrides manifest flags when set
 
     def __post_init__(self):
-        groups = [set(self.train_ids), set(self.val_ids), set(self.test_ids)]
-        total = sum(len(g) for g in groups)
-        if len(groups[0] | groups[1] | groups[2]) != total:
+        groups = []
+        for name, ids in (("train", self.train_ids), ("val", self.val_ids),
+                          ("test", self.test_ids)):
+            counts = Counter(ids)
+            repeated = [i for i, count in counts.items() if count > 1]
+            if repeated:
+                raise ConfigError(f"split id {repeated[0]} appears"
+                                  f" {counts[repeated[0]]} times in the {name} list")
+            groups.append(set(counts))
+        if len(set.union(*groups)) != sum(map(len, groups)):
             raise ConfigError("split id lists must be disjoint")
 
     @classmethod
     def from_manifest(cls, entries: list[dict], n_train: int, n_val: int, n_test: int) -> "SplitSpec":
         """Phase-balanced split; labeled clips land in the train list."""
+        for name, count in (("train", n_train), ("val", n_val), ("test", n_test)):
+            if count < 0:
+                raise ConfigError(f"split {name} count must be >= 0, got {count}")
         if n_train + n_val + n_test > len(entries):
             raise ConfigError(
                 f"split sizes {n_train}+{n_val}+{n_test} exceed corpus of {len(entries)}"

@@ -11,8 +11,8 @@ two threads can each build and replay their own tape at once, with
 
 A recorded node holds no intermediate Tensor: only its inputs' uids
 (None for an untracked input), the input Tensor where that input is a
-leaf of the tape (`requires_grad` and not produced on it), its output's
-uid and the backward closure. `backward` routes gradients by uid, and
+leaf (`requires_grad`; every recorded output is a fresh tensor that is
+not), its output's uid and the backward closure. `backward` routes gradients by uid, and
 each closure reads the arrays the forward saw, which it captured itself.
 An intermediate that no closure captured is freed as soon as the caller
 drops it, during forward; a closure, with what it captured, is dropped
@@ -147,7 +147,6 @@ class Tape:
 
     def __init__(self):
         self._nodes: list[_Node] = []
-        self._produced: set[int] = set()
 
     def __enter__(self):
         _ACTIVE.tapes.append(self)
@@ -163,26 +162,19 @@ class Tape:
     def record(self, inputs: tuple[Tensor, ...], output: Tensor, backward_fn):
         """Record the op if any input can carry gradient; one pass over the
         inputs, since every op of a step pays for it."""
-        produced = self._produced
         input_uids, leaves = [], []
         live = False
         for t in inputs:
             if t.tracked:
                 live = True
-                uid = t.uid
-                input_uids.append(uid)
-                leaves.append(t if t.requires_grad and uid not in produced else None)
+                input_uids.append(t.uid)
+                leaves.append(t if t.requires_grad else None)
             else:
                 input_uids.append(None)
                 leaves.append(None)
         if live:
             self._nodes.append(_Node(input_uids, leaves, output.uid, backward_fn))
-            produced.add(output.uid)
             output.tracked = True
-
-    def produced(self, t: Tensor) -> bool:
-        """True when `t` is the output of an operation recorded here."""
-        return t.uid in self._produced
 
 
 class _ActiveTapes(threading.local):
@@ -222,7 +214,7 @@ def backward(loss: Tensor, tape: Tape):
         raise ContractError(f"backward expects a scalar loss, got shape {loss.shape}")
     grads: dict[int, np.ndarray] = {loss.uid: np.ones_like(loss.data)}
     leaves: dict[int, Tensor] = {}
-    if loss.requires_grad and not tape.produced(loss):
+    if loss.requires_grad:
         leaves[loss.uid] = loss
     for node in reversed(tape._nodes):
         backward_fn, node.backward_fn = node.backward_fn, None

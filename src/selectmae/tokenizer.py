@@ -4,7 +4,10 @@ A clip of shape T x C x H x W is cut into non-overlapping tubelets of
 shape (t_p, h_p, w_p) spanning all channels, flattened in
 (t, channel, row, col) order, linearly projected, and given a fixed
 sinusoidal positional encoding over the flattened token index. Token
-order is temporal-major, then rows, then columns.
+order is temporal-major, then rows, then columns. `unfold_clip` cuts a
+clip into one row per token and `detokenize_patches` is its inverse:
+it scatters rows back by token id and undoes the same reshape and
+transpose, so no per-token index arithmetic is kept.
 """
 
 from __future__ import annotations
@@ -79,40 +82,6 @@ def unfold_clip(frames: np.ndarray, tubelet: tuple[int, int, int]) -> np.ndarray
     return np.ascontiguousarray(cells.reshape(*lead, nt * nh * nw, tp * channels * hp * wp))
 
 
-def fold_patches(
-    values: np.ndarray, ids: np.ndarray, grid: tuple[int, int, int],
-    tubelet: tuple[int, int, int], channels: int = 3,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Write per-token pixel vectors back into a clip; returns (frames, covered)."""
-    nt, nh, nw = grid
-    tp, hp, wp = tubelet
-    n = nt * nh * nw
-    ids = np.asarray(ids, dtype=np.int64)
-    if ids.size and (ids.min() < 0 or ids.max() >= n):
-        raise IndexError(f"token id out of range for {n} tokens")
-    if values.shape != (ids.size, tp * channels * hp * wp):
-        raise ShapeError(
-            f"patch values {values.shape} do not match {(ids.size, tp * channels * hp * wp)}"
-        )
-    frames = np.zeros((nt * tp, channels, nh * hp, nw * wp), dtype=values.dtype)
-    covered = np.zeros(n, dtype=bool)
-    for row, token_id in enumerate(ids):
-        t, h, w = token_cell(int(token_id), grid)
-        patch = values[row].reshape(tp, channels, hp, wp)
-        frames[t * tp:(t + 1) * tp, :, h * hp:(h + 1) * hp, w * wp:(w + 1) * wp] = patch
-        covered[token_id] = True
-    return frames, covered
-
-
-def token_cell(token_id: int, grid: tuple[int, int, int]) -> tuple[int, int, int]:
-    nt, nh, nw = grid
-    if not 0 <= token_id < nt * nh * nw:
-        raise IndexError(f"token id {token_id} out of range")
-    t, rest = divmod(token_id, nh * nw)
-    h, w = divmod(rest, nw)
-    return t, h, w
-
-
 def embed_patches(patches: Tensor, cfg: TokenizerConfig, weight: Tensor, bias: Tensor) -> Tensor:
     """Project flattened patches (..., N, patch_len) and add the positional table."""
     if weight.shape[0] != patches.shape[-1] or weight.shape[1] != cfg.dim:
@@ -141,9 +110,26 @@ def detokenize_patches(
     clip_shape: tuple[int, int, int, int],
     cfg: TokenizerConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Place per-token pixel vectors into clip coordinates. Returns the
-    partially filled clip and the per-token coverage flags."""
-    grid = cfg.grid_dims(clip_shape)
-    return fold_patches(
-        np.asarray(values, dtype=np.float32), ids, grid, cfg.tubelet, clip_shape[1]
-    )
+    """Place per-token pixel rows in clip coordinates: the rows are
+    scattered into an (N, patch_len) array, zero where no id was given,
+    and `unfold_clip`'s reshape and transpose are undone. Returns the
+    float32 (T, C, H, W) clip and the per-token coverage flags."""
+    nt, nh, nw = cfg.grid_dims(clip_shape)
+    tp, hp, wp = cfg.tubelet
+    channels = clip_shape[1]
+    n = nt * nh * nw
+    ids = np.asarray(ids, dtype=np.int64)
+    if ids.size and (ids.min() < 0 or ids.max() >= n):
+        raise IndexError(f"token id out of range for {n} tokens")
+    values = np.asarray(values, dtype=np.float32)
+    if values.shape != (ids.size, cfg.patch_len(channels)):
+        raise ShapeError(
+            f"patch values {values.shape} do not match {(ids.size, cfg.patch_len(channels))}"
+        )
+    rows = np.zeros((n, values.shape[1]), dtype=np.float32)
+    rows[ids] = values
+    covered = np.zeros(n, dtype=bool)
+    covered[ids] = True
+    # (nt, nh, nw, tp, C, hp, wp) back to (nt, tp, C, nh, hp, nw, wp)
+    cells = rows.reshape(nt, nh, nw, tp, channels, hp, wp).transpose(0, 3, 4, 1, 5, 2, 6)
+    return cells.reshape(clip_shape), covered

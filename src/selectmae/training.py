@@ -1,4 +1,11 @@
-"""Losses, the isolated-gradient pretraining step, and the run loop.
+"""Losses, the masked forward, the isolated-gradient pretraining step,
+and the run loop.
+
+`masked_forward` is the autoencoder's one forward: a (B, T, C, H, W)
+stack is unfolded once into patch rows, embedded, masked per clip from
+each clip's own RNG stream, and the visible tokens are encoded and the
+masked ones decoded. The pretraining step and `reconstruct` both call
+it; the step takes its targets from the same rows.
 
 A step runs its batch as two half-batches at once, each with its own
 tape and one joint backward pass that serves both objectives; the
@@ -160,31 +167,39 @@ def selection_loss(log_probs: Tensor, errors: Tensor, masked_ids) -> Tensor:
     return scale(reduce_mean(mul(reshape(log_p, errors.shape), errors)), -1.0)
 
 
-@dataclass
-class ClipBatchItem:
-    """A clip prepared for the training step: its stored pixels, its token
-    grid and the tokens that touch the foreground. The step derives the
-    float frames, patches and targets of each batch from the pixels."""
-    clip: VideoClip
-    grid: tuple[int, int, int]
-    fg_token_ids: np.ndarray | None = None
+def masked_forward(frames: np.ndarray, model: ModelParams, selector: SelectionParams,
+                   strategy: str, ratio: float, rngs: list[np.random.Generator]):
+    """The masked autoencoder forward of a (B, T, C, H, W) float stack.
 
-    @property
-    def frames(self) -> np.ndarray:
-        return self.clip.frames
+    Each clip's mask is drawn from its own stream in `rngs`: from the
+    selector's log-probabilities for `adaptive`, else from
+    `baseline_mask` on the clips' token grid. Returns the (B, N,
+    patch_len) patch rows, the (B, N) log-probabilities (None unless
+    adaptive), the (B, n_visible) visible and (B, n_masked) masked token
+    ids, and the (B, n_masked, patch_len) predictions.
+    """
+    tok_cfg = model.tok_cfg
+    grid = tok_cfg.grid_dims(frames.shape[1:])
+    patches = unfold_clip(frames, tok_cfg.tubelet)
+    tokens = embed_patches(Tensor(patches), tok_cfg, model.proj.weight, model.proj.bias)
 
+    log_probs = None
+    if strategy == "adaptive":
+        log_probs = select_probabilities(stop_gradient(tokens), selector)
+        specs = [sample_visible(log_probs.data[i], ratio, rng) for i, rng in enumerate(rngs)]
+    else:
+        specs = [baseline_mask(strategy, grid, ratio, rng) for rng in rngs]
+    visible_ids = np.stack([s.visible_ids for s in specs])
+    masked_ids = np.stack([s.masked_ids for s in specs])
 
-def prepare_clip(clip: VideoClip, tok_cfg: TokenizerConfig,
-                 fg_mask: np.ndarray | None = None) -> ClipBatchItem:
-    fg_ids = None
-    if fg_mask is not None:
-        cells = unfold_clip(fg_mask[:, None, :, :].astype(np.float32), tok_cfg.tubelet)
-        fg_ids = np.flatnonzero(cells.max(axis=1) > 0)
-    return ClipBatchItem(clip, tok_cfg.grid_dims(clip.pixels.shape), fg_ids)
+    latents = encode(gather_rows_batched(tokens, visible_ids), model)
+    preds = decode(latents, visible_ids, masked_ids, model)
+    return patches, log_probs, visible_ids, masked_ids, preds
 
 
 def pretrain_step(
-    batch: list[ClipBatchItem],
+    batch: list[VideoClip],
+    fg_ids: list[np.ndarray | None],
     model: ModelParams,
     selector: SelectionParams,
     optimizer: AdamW,
@@ -195,11 +210,12 @@ def pretrain_step(
 ) -> LossReport:
     """One optimization step over a batch of clips; updates parameters.
 
-    The batch runs as two half-batches at once (`run_halves`), each one
-    batched graph on its own tape: masks are sampled per clip from
-    per-clip RNG streams, then visible gathering, encoding, decoding,
-    and both losses operate on stacked (half, ...) tensors, so every clip
-    in the batch shares the token-count geometry. Each half's loss is
+    `fg_ids[i]` holds the foreground token ids of `batch[i]`, or None;
+    they feed only the logged foreground mass. The batch runs as two
+    half-batches at once (`run_halves`), each one `masked_forward` on
+    its own tape, whose patch rows at the masked ids give the targets;
+    both losses operate on stacked (half, ...) tensors, so every clip in
+    the batch shares the token-count geometry. Each half's loss is
     scaled by its share of the clips, so the gradients its backward
     leaves summed in `.grad` are those of the batch mean. Once both
     halves have ended, one `AdamW.step` clips them to `cfg.grad_clip`
@@ -207,11 +223,12 @@ def pretrain_step(
     both have ended, before the optimizer runs, and leaves every
     gradient zero.
     """
-    if len(rngs) != len(batch):
-        raise ContractError(f"{len(rngs)} rng streams for {len(batch)} clips")
+    if not len(rngs) == len(fg_ids) == len(batch):
+        raise ContractError(f"{len(rngs)} rng streams and {len(fg_ids)} foreground id sets"
+                            f" for {len(batch)} clips")
 
     def half(lo: int, hi: int, tape: Tape):
-        return _pretrain_half(batch[lo:hi], rngs[lo:hi], model, selector, cfg,
+        return _pretrain_half(batch[lo:hi], fg_ids[lo:hi], rngs[lo:hi], model, selector, cfg,
                               (hi - lo) / len(batch), step_index, tape)
 
     try:
@@ -232,53 +249,32 @@ def pretrain_step(
     )
 
 
-def _pretrain_half(batch, rngs, model, selector, cfg, share, step_index, tape):
+def _pretrain_half(batch, fg_ids, rngs, model, selector, cfg, share, step_index, tape):
     """Forward and backward of some clips of a step, their loss scaled by
     `share`. Returns (share, L_R, L_select, per-clip masked-token errors,
     per-clip foreground masses); the masses only for the adaptive strategy."""
-    adaptive = cfg.strategy == "adaptive"
-    tok_cfg = model.tok_cfg
-    frames = [item.frames for item in batch]
-    patches = Tensor(unfold_clip(np.stack(frames), tok_cfg.tubelet))
-    tokens = embed_patches(patches, tok_cfg, model.proj.weight, model.proj.bias)
-
-    log_probs = None
-    if adaptive:
-        log_probs = select_probabilities(stop_gradient(tokens), selector)
-        specs = [
-            sample_visible(log_probs.data[i], cfg.mask_ratio, rng)
-            for i, rng in enumerate(rngs)
-        ]
-    else:
-        specs = [baseline_mask(cfg.strategy, batch[0].grid, cfg.mask_ratio, rng) for rng in rngs]
-    visible_ids = np.stack([s.visible_ids for s in specs])
-    masked_ids = np.stack([s.masked_ids for s in specs])
-
-    latents = encode(gather_rows_batched(tokens, visible_ids), model)
-    preds = decode(latents, visible_ids, masked_ids, model)
+    patches, log_probs, _, masked_ids, preds = masked_forward(
+        np.stack([clip.frames for clip in batch]), model, selector,
+        cfg.strategy, cfg.mask_ratio, rngs,
+    )
     target_rows = np.stack([
-        patch_normalize_targets(f, tok_cfg, normalize=cfg.normalize_targets).values[ids]
-        for f, ids in zip(frames, masked_ids)
+        patch_normalize_targets(rows[ids], cfg.normalize_targets)
+        for rows, ids in zip(patches, masked_ids)
     ])
     recon, per_token = reconstruction_loss(preds, target_rows, cfg.loss_kind)
 
     select_value = 0.0
     total = recon
-    if adaptive:
+    masses = []
+    if log_probs is not None:
         select = selection_loss(log_probs, stop_gradient(per_token), masked_ids)
         select_value = select.item()
         total = add(recon, select)
+        masses = [float(np.exp(log_probs.data[i, ids]).sum())
+                  for i, ids in enumerate(fg_ids) if ids is not None]
     if not np.isfinite(total.item()):
         raise NumericError(f"non-finite loss at step {step_index}")
     backward(scale(total, share), tape)
-
-    masses = []
-    if adaptive:
-        masses = [
-            float(np.exp(log_probs.data[i, item.fg_token_ids]).sum())
-            for i, item in enumerate(batch)
-            if item.fg_token_ids is not None
-        ]
     return share, recon.item(), select_value, [row.copy() for row in per_token.data], masses
 
 
@@ -431,13 +427,20 @@ class PretrainRun:
         entries = load_manifest(manifest_path)
         if not entries:
             raise ConfigError(f"empty corpus manifest {manifest_path}")
-        self.items: list[ClipBatchItem] = []
+        # each clip as stored, and the ids of its tokens that touch the foreground
+        self.items: list[VideoClip] = []
+        self.fg_ids: list[np.ndarray | None] = []
         for entry in entries:
+            clip = load_clip(entry["path"])
+            self.tok_cfg.grid_dims(clip.pixels.shape)  # divisibility check, before any step
             fg = None
             mask_file = mask_path_for(entry["path"])
             if mask_file.exists():
-                fg = load_mask(mask_file)
-            self.items.append(prepare_clip(load_clip(entry["path"]), self.tok_cfg, fg))
+                cells = unfold_clip(load_mask(mask_file)[:, None].astype(np.float32),
+                                    self.tok_cfg.tubelet)
+                fg = np.flatnonzero(cells.max(axis=1) > 0)
+            self.items.append(clip)
+            self.fg_ids.append(fg)
 
         self.model = ModelParams(self.tok_cfg, self.bb_cfg, np.random.default_rng([cfg.seed, 0]))
         self.selector = SelectionParams(np.random.default_rng([cfg.seed, 1]), self.tok_cfg.dim)
@@ -505,14 +508,14 @@ class PretrainRun:
             log.writelines(kept)
             for step in range(self.start_step, self.total_steps):
                 ids = self._batch_ids(step)
-                batch = [self.items[i] for i in ids]
-                rngs = [np.random.default_rng([cfg.seed, 3, step, j]) for j in range(len(batch))]
+                rngs = [np.random.default_rng([cfg.seed, 3, step, j]) for j in range(len(ids))]
                 lr = cosine_warmup_lr(
                     step, self.total_steps, cfg.base_lr, cfg.min_lr, cfg.warmup_steps
                 )
                 try:
                     report = pretrain_step(
-                        batch, self.model, self.selector, self.optimizer, cfg, rngs,
+                        [self.items[i] for i in ids], [self.fg_ids[i] for i in ids],
+                        self.model, self.selector, self.optimizer, cfg, rngs,
                         lr=lr, step_index=step,
                     )
                 except NumericError as exc:

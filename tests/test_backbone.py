@@ -136,20 +136,19 @@ def test_mask_token_gradient_flows():
 def test_every_parameter_reachable_from_reconstruction_loss():
     # coverage assertion: no dead parameters after one backward pass
     from selectmae.data import SynthConfig, generate_clip, patch_normalize_targets
-    from selectmae.tokenizer import tokenize
+    from selectmae.tokenizer import tokenize, unfold_clip
     from selectmae.training import reconstruction_loss
 
     cfg = SynthConfig(frames=4, height=8, width=8)
     clip = generate_clip(cfg, 0, 0)
     tok_cfg = TokenizerConfig(tubelet=(2, 2, 2), dim=16)
     model = ModelParams(tok_cfg, BB, np.random.default_rng(1))
-    targets = patch_normalize_targets(clip.frames, tok_cfg)
     spec = sample_visible(np.full(32, -np.log(32)), 0.75, np.random.default_rng(2))
+    rows = unfold_clip(clip.frames, tok_cfg.tubelet)[spec.masked_ids]
     with nm.Tape() as tape:
         tokens = tokenize(clip.frames[None], tok_cfg, model.proj.weight, model.proj.bias)
         preds = _forward(tokens, spec, model)
-        target_rows = targets.values[spec.masked_ids][None]
-        loss, _ = reconstruction_loss(preds, target_rows, "mse")
+        loss, _ = reconstruction_loss(preds, patch_normalize_targets(rows)[None], "mse")
     nm.backward(loss, tape)
     missing = [name for name, t in model.named().items() if t.grad is None]
     assert missing == []

@@ -347,6 +347,54 @@ def test_ablate_invalid_axis_exits_2(corpus, tiny_config, tmp_path):
     assert code == 2
 
 
+def test_split_refuses_a_repeated_id_naming_it_and_its_list():
+    with pytest.raises(ConfigError, match="split id 1 appears 2 times in the train list"):
+        SplitSpec([1, 1, 2, 5], [8], [9])
+    with pytest.raises(ConfigError, match="split id 4 appears 3 times in the val list"):
+        SplitSpec([0], [4, 4, 4], [9])
+    with pytest.raises(ConfigError, match="disjoint"):
+        SplitSpec([0, 1], [1], [9])
+
+
+@pytest.mark.parametrize("counts,name", [("8,4,-4", "test"), ("8,-4,4", "val"),
+                                         ("-1,4,4", "train")])
+def test_split_counts_refuse_a_negative_count(counts, name, corpus, tiny_config, tmp_path, capsys):
+    code = main([
+        "finetune", "--config", tiny_config, "--corpus", str(corpus), "--scratch",
+        f"--split={counts}", "--out", str(tmp_path / "m.json"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"split {name} count must be >= 0, got -" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("axis,values", [
+    ("ratio", "0.9,abc"), ("ratio", "0.9,,0.8"), ("decoder-depth", "1.5"),
+    ("ratio", "0.9,1.5"), ("loss", "mse-norm,mse-raw2"),
+])
+def test_ablate_bad_value_exits_2_before_any_row(axis, values, corpus, tiny_config, tmp_path,
+                                                  capsys):
+    out = tmp_path / "ablation"
+    code = main([
+        "ablate", "--config", tiny_config, "--corpus", str(corpus),
+        "--axis", axis, "--values", values, "--split", "8,4,4", "--out-dir", str(out),
+    ])
+    assert code == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()  # no row trained or written
+
+
+def test_ablate_bad_split_exits_2_before_any_row(corpus, tiny_config, tmp_path, capsys):
+    out = tmp_path / "ablation"
+    code = main([
+        "ablate", "--config", tiny_config, "--corpus", str(corpus),
+        "--axis", "ratio", "--values", "0.9", "--split", "100,4,4", "--out-dir", str(out),
+    ])
+    assert code == 2
+    assert "exceed corpus of 16" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # Every bad artifact a command reads exits on its documented code: 2 for a
 # config or split, 4 for a corrupt or wrong-kind checkpoint.
@@ -448,6 +496,8 @@ SPLITS = {
     "negative-id": (_text({"train": [0, 1], "val": [-1], "test": [15]}), 2),
     "float-id": (_text({"train": [0, 1], "val": [3.0], "test": [2]}), 2),
     "empty-test": (_text({"train": [0, 1, 2, 3, 4, 5, 6, 7], "val": [8], "test": []}), 2),
+    "repeated-train-id": (_text({"train": [1, 1, 2, 5], "val": [8], "test": [9]}), 2),
+    "repeated-test-id": (_text({"train": [1, 2], "val": [8], "test": [9, 10, 9]}), 2),
 }
 CONFIGS = {
     "not-json": (_text("{"), 2),
@@ -544,6 +594,8 @@ def test_bad_artifact_exits_on_its_documented_code(
         assert "attn.qkv.weight" in err
     if name == "selection-weight":
         assert "'selection_weight'" in err
+    if name.startswith("repeated"):
+        assert "appears 2 times in the" in err
 
 
 # A resume in place reads the run's metrics log; a corrupt complete line

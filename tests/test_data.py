@@ -13,12 +13,13 @@ from selectmae.data import (
     load_clip,
     load_manifest,
     load_mask,
+    denormalize_targets,
     mask_path_for,
     patch_normalize_targets,
     save_clip,
 )
 from selectmae.errors import ConfigError, ContractError, FormatError
-from selectmae.tokenizer import TokenizerConfig
+from selectmae.tokenizer import unfold_clip
 
 
 CFG = SynthConfig()
@@ -213,53 +214,50 @@ def test_corpus_rejects_bad_fraction(tmp_path):
         generate_corpus(CFG, 10, 0.0, 0, tmp_path / "x")
 
 
+def _rows(shape, seed):
+    """The (..., N, patch_len) rows of random frames in (2, 4, 4) tubelets."""
+    frames = np.random.default_rng(seed).random(shape).astype(np.float32)
+    return unfold_clip(frames, (2, 4, 4))
+
+
 def test_patch_targets_constant_patch_is_zero():
-    frames = np.full((2, 3, 4, 4), 0.7, dtype=np.float32)
-    targets = patch_normalize_targets(frames, TokenizerConfig(tubelet=(2, 4, 4)))
-    np.testing.assert_allclose(targets.values, 0.0, atol=1e-4)
+    rows = unfold_clip(np.full((2, 3, 4, 4), 0.7, dtype=np.float32), (2, 4, 4))
+    targets = patch_normalize_targets(rows)
+    assert targets.dtype == np.float32 and targets.shape == rows.shape
+    np.testing.assert_allclose(targets, 0.0, atol=1e-4)
 
 
 def test_patch_targets_identity_when_off():
-    rng = np.random.default_rng(0)
-    frames = rng.random((4, 3, 8, 8)).astype(np.float32)
-    targets = patch_normalize_targets(
-        frames, TokenizerConfig(tubelet=(2, 4, 4)), normalize=False
-    )
-    from selectmae.tokenizer import unfold_clip
-
-    np.testing.assert_array_equal(targets.values, unfold_clip(frames, (2, 4, 4)))
+    rows = _rows((4, 3, 8, 8), 0)
+    targets = patch_normalize_targets(rows, normalize=False)
+    np.testing.assert_array_equal(targets, rows)
+    np.testing.assert_array_equal(denormalize_targets(targets, rows, normalize=False), rows)
 
 
 def test_patch_targets_statistics():
-    rng = np.random.default_rng(1)
-    frames = rng.random((4, 3, 16, 16)).astype(np.float32)
-    targets = patch_normalize_targets(
-        frames, TokenizerConfig(tubelet=(2, 4, 4)), eps=1e-6
-    )
-    means = targets.values.mean(axis=1)
-    variances = targets.values.var(axis=1)
+    targets = patch_normalize_targets(_rows((4, 3, 16, 16), 1), eps=1e-6)
+    means = targets.mean(axis=1)
+    variances = targets.var(axis=1)
     assert np.abs(means).max() < 1e-5
     assert np.abs(variances - 1.0).max() < 1e-2
 
 
 def test_patch_targets_denormalize_roundtrip():
-    rng = np.random.default_rng(2)
-    frames = rng.random((2, 3, 8, 8)).astype(np.float32)
-    cfg = TokenizerConfig(tubelet=(2, 4, 4))
-    targets = patch_normalize_targets(frames, cfg)
-    from selectmae.tokenizer import unfold_clip
-
-    raw = unfold_clip(frames, (2, 4, 4))
-    back = targets.denormalize(targets.values)
-    np.testing.assert_allclose(back, raw, atol=1e-5)
+    # any leading shape: a (B, N, patch_len) stack is normalized row by row
+    rows = _rows((2, 2, 3, 8, 8), 2)
+    targets = patch_normalize_targets(rows)
+    for i in range(2):
+        assert np.array_equal(targets[i], patch_normalize_targets(rows[i])), i
+    np.testing.assert_allclose(denormalize_targets(targets, rows), rows, atol=1e-5)
+    some = np.array([3, 0])  # the rows of some tokens, as the step takes them
+    np.testing.assert_allclose(
+        denormalize_targets(targets[0][some], rows[0][some]), rows[0][some], atol=1e-5)
 
 
 def test_patch_targets_affine_shift_invariance():
-    rng = np.random.default_rng(3)
-    frames = rng.random((2, 3, 8, 8)).astype(np.float32) * 0.5
-    cfg = TokenizerConfig(tubelet=(2, 4, 4))
-    base = patch_normalize_targets(frames, cfg)
+    frames = np.random.default_rng(3).random((2, 3, 8, 8)).astype(np.float32) * 0.5
     shifted = frames.copy()
     shifted[0:2, :, 0:4, 0:4] += 0.25  # shift exactly one tubelet
-    other = patch_normalize_targets(shifted, cfg)
-    np.testing.assert_allclose(base.values, other.values, atol=1e-3)
+    base = patch_normalize_targets(unfold_clip(frames, (2, 4, 4)))
+    other = patch_normalize_targets(unfold_clip(shifted, (2, 4, 4)))
+    np.testing.assert_allclose(base, other, atol=1e-3)

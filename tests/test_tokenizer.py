@@ -4,14 +4,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from selectmae import numerics as nm
-from selectmae.data import SynthConfig, generate_clip, patch_normalize_targets
+from selectmae.data import (
+    SynthConfig,
+    denormalize_targets,
+    generate_clip,
+    patch_normalize_targets,
+)
 from selectmae.errors import ConfigError, ShapeError
 from selectmae.tokenizer import (
     TokenizerConfig,
     detokenize_patches,
-    fold_patches,
     positional_encoding,
-    token_cell,
     tokenize,
     unfold_clip,
 )
@@ -94,15 +97,6 @@ def test_positional_encoding_rows_distinct():
     assert not adjacent_equal.any()
 
 
-def test_index_map_roundtrip():
-    grid = (4, 8, 8)
-    for token_id in range(4 * 8 * 8):
-        cell = token_cell(token_id, grid)
-        assert cell_token(cell, grid) == token_id
-    with pytest.raises(IndexError):
-        token_cell(256, grid)
-
-
 _small_dims = st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4))
 
 
@@ -115,7 +109,8 @@ def test_unfold_fold_roundtrip_property(grid, tubelet, channels, seed):
     frames = rng.standard_normal(shape).astype(np.float32)
     patches = unfold_clip(frames, tubelet)
     order = rng.permutation(patches.shape[0])  # rows in any order, each with its id
-    folded, covered = fold_patches(patches[order], order, grid, tubelet, channels)
+    cfg = TokenizerConfig(tubelet=tubelet)
+    folded, covered = detokenize_patches(patches[order], order, shape, cfg)
     assert np.array_equal(folded, frames)
     assert covered.all()
     # a stack unfolds clip by clip: pure data movement
@@ -124,14 +119,20 @@ def test_unfold_fold_roundtrip_property(grid, tubelet, channels, seed):
 
 
 @settings(max_examples=50, deadline=None)
-@given(grid=st.tuples(st.integers(1, 16), st.integers(1, 16), st.integers(1, 16)),
-       data=st.data())
-def test_token_cell_and_cell_token_are_inverses(grid, data):
-    n = grid[0] * grid[1] * grid[2]
-    token_id = data.draw(st.integers(0, n - 1))
-    assert cell_token(token_cell(token_id, grid), grid) == token_id
+@given(grid=_small_dims, tubelet=_small_dims, channels=st.integers(1, 3), data=st.data())
+def test_a_single_token_row_lands_in_its_cell(grid, tubelet, channels, data):
     cell = tuple(data.draw(st.integers(0, d - 1)) for d in grid)
-    assert token_cell(cell_token(cell, grid), grid) == cell
+    shape = (grid[0] * tubelet[0], channels, grid[1] * tubelet[1], grid[2] * tubelet[2])
+    cfg = TokenizerConfig(tubelet=tubelet)
+    row = np.arange(1, cfg.patch_len(channels) + 1, dtype=np.float32)
+    token_id = cell_token(cell, grid)
+    frames, covered = detokenize_patches(row[None], [token_id], shape, cfg)
+    assert np.flatnonzero(covered).tolist() == [token_id]
+    (t, h, w), (tp, hp, wp) = cell, tubelet
+    block = frames[t * tp:(t + 1) * tp, :, h * hp:(h + 1) * hp, w * wp:(w + 1) * wp]
+    assert np.array_equal(block.reshape(-1), row)  # in (t, channel, row, col) order
+    block[...] = 0.0
+    assert not frames.any()  # and nowhere else
 
 
 def test_tokenize_is_linear_without_pe():
@@ -187,11 +188,10 @@ def test_detokenize_single_token_touches_one_cell():
 def test_detokenize_denormalizes_with_stats():
     cfg = TokenizerConfig(tubelet=(2, 4, 4), dim=64)
     clip = generate_clip(SynthConfig(), 2, 3)
-    targets = patch_normalize_targets(clip.frames, cfg)
-    ids = np.arange(targets.values.shape[0])
-    frames, _ = detokenize_patches(
-        targets.denormalize(targets.values, ids), ids, clip.frames.shape, cfg
-    )
+    rows = unfold_clip(clip.frames, cfg.tubelet)
+    ids = np.random.default_rng(0).permutation(rows.shape[0])
+    values = denormalize_targets(patch_normalize_targets(rows[ids]), rows[ids])
+    frames, _ = detokenize_patches(values, ids, clip.frames.shape, cfg)
     np.testing.assert_allclose(frames, clip.frames, atol=1e-5)
 
 
@@ -200,6 +200,12 @@ def test_detokenize_rejects_bad_ids():
     values = np.zeros((1, cfg.patch_len()), dtype=np.float32)
     with pytest.raises(IndexError):
         detokenize_patches(values, [256], (8, 3, 32, 32), cfg)
+    with pytest.raises(IndexError):
+        detokenize_patches(values, [-1], (8, 3, 32, 32), cfg)
+    with pytest.raises(ShapeError):  # one row for two ids
+        detokenize_patches(values, [0, 1], (8, 3, 32, 32), cfg)
+    with pytest.raises(ConfigError, match="axis H"):  # no grid of whole tubelets
+        detokenize_patches(values, [0], (8, 3, 30, 32), cfg)
 
 
 def test_config_validation():

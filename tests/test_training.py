@@ -19,8 +19,10 @@ from selectmae.data import (
 )
 from selectmae.errors import ConfigError, ContractError, FormatError, NumericError, ShapeError
 from selectmae.masking import (
+    STRATEGIES,
     MaskSpec,
     SelectionParams,
+    baseline_mask,
     sample_visible,
     select_probabilities,
 )
@@ -33,7 +35,7 @@ from selectmae.training import (
     assign_named,
     config_to_array,
     load_checkpoint,
-    prepare_clip,
+    masked_forward,
     pretrain_run,
     pretrain_step,
     reconstruction_loss,
@@ -156,12 +158,20 @@ def _cfg(**kw):
     return PretrainConfig(**defaults)
 
 
-def _items(n=3, seed=0):
-    items = []
+def _fg_ids(fg_mask, tok):
+    """The ids of the tokens a (T, H, W) foreground mask touches."""
+    cells = unfold_clip(fg_mask[:, None].astype(np.float32), tok.tubelet)
+    return np.flatnonzero(cells.max(axis=1) > 0)
+
+
+def _items(n=3, seed=0, synth=SYNTH, tok=TOK):
+    """n clips and their foreground token ids, as a pretraining run holds them."""
+    clips, fg_ids = [], []
     for i in range(n):
-        clip, fg = generate_clip_with_mask(SYNTH, i % SYNTH.num_phases, [seed, i])
-        items.append(prepare_clip(clip, TOK, fg))
-    return items
+        clip, fg = generate_clip_with_mask(synth, i % synth.num_phases, [seed, i])
+        clips.append(clip)
+        fg_ids.append(_fg_ids(fg, tok))
+    return clips, fg_ids
 
 
 def test_pretrain_step_updates_and_reports():
@@ -171,10 +181,10 @@ def test_pretrain_step_updates_and_reports():
     trained = dict(model.named())
     trained.update(selector.named())
     opt = AdamW(trained, lr=1e-3)
-    items = _items(3)
+    clips, fg_ids = _items(3)
     before = model.proj.weight.data.copy()
     rngs = [np.random.default_rng([9, j]) for j in range(3)]
-    report = pretrain_step(items, model, selector, opt, cfg, rngs, lr=1e-3, step_index=0)
+    report = pretrain_step(clips, fg_ids, model, selector, opt, cfg, rngs, lr=1e-3, step_index=0)
     assert not np.array_equal(model.proj.weight.data, before)
     assert np.isfinite(report.recon) and np.isfinite(report.select)
     assert report.fg_mass is not None and 0 < report.fg_mass < 1
@@ -188,11 +198,11 @@ def test_pretrain_step_baseline_never_touches_selector():
     model = ModelParams(TOK, BB, np.random.default_rng(0))
     selector = SelectionParams(np.random.default_rng(1), TOK.dim)
     opt = AdamW(dict(model.named()), lr=1e-3)
-    items = _items(2)
+    clips, fg_ids = _items(2)
     before = {k: t.data.copy() for k, t in selector.named().items()}
     for step in range(3):
         rngs = [np.random.default_rng([4, step, j]) for j in range(2)]
-        pretrain_step(items, model, selector, opt, cfg, rngs, step_index=step)
+        pretrain_step(clips, fg_ids, model, selector, opt, cfg, rngs, step_index=step)
     for name, t in selector.named().items():
         assert t.grad is None
         np.testing.assert_array_equal(t.data, before[name])
@@ -206,12 +216,7 @@ def _default_adaptive_setup():
     trained = dict(model.named())
     trained.update(selector.named())
     opt = AdamW(trained, lr=1e-4)
-    synth = SynthConfig()
-    items = []
-    for i in range(8):
-        clip, fg = generate_clip_with_mask(synth, i % synth.num_phases, [5, i])
-        items.append(prepare_clip(clip, tok, fg))
-    return model, selector, opt, items
+    return model, selector, opt, _items(8, 5, SynthConfig(), tok)
 
 
 def test_node_budget_of_a_default_pretraining_half(monkeypatch):
@@ -227,7 +232,7 @@ def test_node_budget_of_a_default_pretraining_half(monkeypatch):
 
     monkeypatch.setattr(training, "backward", counting_backward)
     rngs = [np.random.default_rng([6, 0, j]) for j in range(8)]
-    pretrain_step(items, model, selector, opt, PretrainConfig(strategy="adaptive"), rngs)
+    pretrain_step(*items, model, selector, opt, PretrainConfig(strategy="adaptive"), rngs)
     assert recorded == [113, 113]  # the share scale included
 
 
@@ -249,7 +254,7 @@ def test_a_default_step_reaches_every_optimizer_parameter(strategy):
 
     opt.step = step
     rngs = [np.random.default_rng([6, 0, j]) for j in range(8)]
-    pretrain_step(items, model, selector, opt, PretrainConfig(strategy=strategy), rngs)
+    pretrain_step(*items, model, selector, opt, PretrainConfig(strategy=strategy), rngs)
     assert opt.step_count == 1 and unreached == []
 
 
@@ -270,7 +275,7 @@ def test_warm_adaptive_step_keeps_its_memory():
     for step in range(8):
         rngs = [np.random.default_rng([6, step, j]) for j in range(8)]
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        pretrain_step(items, model, selector, opt, cfg, rngs, lr=1e-4, step_index=step)
+        pretrain_step(*items, model, selector, opt, cfg, rngs, lr=1e-4, step_index=step)
         faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
     assert np.median(faults[3:]) < 200, faults
 
@@ -312,7 +317,7 @@ def _two_half_step(n_clips, strategy="adaptive", **cfg):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(training, "sample_visible", recording(training.sample_visible))
         mp.setattr(training, "baseline_mask", recording(training.baseline_mask))
-        report = pretrain_step(_items(n_clips), model, selector, opt,
+        report = pretrain_step(*_items(n_clips), model, selector, opt,
                                _cfg(strategy=strategy, **cfg), rngs)
     assert sorted(grads) == sorted(trained)
     return grads, [visible[id(rng)] for rng in rngs], report, opt
@@ -379,7 +384,7 @@ def test_non_finite_loss_in_both_halves_moves_nothing():
     before = {k: t.data.copy() for k, t in opt.params.items()}
     rngs = [np.random.default_rng([9, j]) for j in range(2)]
     with pytest.raises(NumericError, match="non-finite loss at step 4"):
-        pretrain_step(_items(2), model, selector, opt, _cfg(), rngs, step_index=4)
+        pretrain_step(*_items(2), model, selector, opt, _cfg(), rngs, step_index=4)
     _assert_untouched(opt, before)
 
 
@@ -403,7 +408,7 @@ def test_an_error_in_either_half_waits_for_the_other(monkeypatch, failing):
     monkeypatch.setattr(training, "backward", backward)
     rngs = [np.random.default_rng([9, j]) for j in range(4)]
     with pytest.raises(NumericError, match=f"injected on the {failing}"):
-        pretrain_step(_items(4), model, selector, opt, _cfg(), rngs)
+        pretrain_step(*_items(4), model, selector, opt, _cfg(), rngs)
     assert finished == [True]
     _assert_untouched(opt, before)
 
@@ -414,7 +419,7 @@ def test_steps_reuse_one_worker_thread():
     before = threading.active_count()
     for step in range(5):
         rngs = [np.random.default_rng([9, step, j]) for j in range(2)]
-        pretrain_step(items, model, selector, opt, _cfg(), rngs, step_index=step)
+        pretrain_step(*items, model, selector, opt, _cfg(), rngs, step_index=step)
         assert threading.active_count() <= before + 1
 
 
@@ -424,14 +429,14 @@ def test_a_one_clip_step_never_touches_the_worker(monkeypatch):
 
     monkeypatch.setattr(halves, "_executor", no_worker)
     model, selector, opt = _adaptive_setup()
-    pretrain_step(_items(1), model, selector, opt, _cfg(), [np.random.default_rng(0)])
+    pretrain_step(*_items(1), model, selector, opt, _cfg(), [np.random.default_rng(0)])
     assert opt.step_count == 1
 
 
-def _predict(model, items, specs):
+def _predict(model, clips, specs):
     """Tokens, latents and (B, n_masked, patch_len) predictions for clips
-    with their own masks, through the calls pretrain_step makes."""
-    patches = nm.Tensor(np.stack([unfold_clip(item.frames, TOK.tubelet) for item in items]))
+    with their own masks, through the calls masked_forward makes."""
+    patches = nm.Tensor(np.stack([unfold_clip(clip.frames, TOK.tubelet) for clip in clips]))
     tokens = embed_patches(patches, TOK, model.proj.weight, model.proj.bias)
     visible_ids = np.stack([spec.visible_ids for spec in specs])
     masked_ids = np.stack([spec.masked_ids for spec in specs])
@@ -439,26 +444,69 @@ def _predict(model, items, specs):
     return tokens, latents, decode(latents, visible_ids, masked_ids, model)
 
 
-def _losses(model, selector, item, spec):
+def _losses(model, selector, clip, spec):
     """L_R and L_select of one clip as a batch of one, as pretrain_step forms them."""
-    tokens, _, preds = _predict(model, [item], [spec])
+    tokens, _, preds = _predict(model, [clip], [spec])
     log_probs = select_probabilities(nm.stop_gradient(tokens), selector)
-    targets = patch_normalize_targets(item.frames, TOK)
-    recon, per_token = reconstruction_loss(preds, targets.values[spec.masked_ids][None])
+    rows = unfold_clip(clip.frames, TOK.tubelet)[spec.masked_ids]
+    recon, per_token = reconstruction_loss(preds, patch_normalize_targets(rows)[None])
     sel = selection_loss(log_probs, nm.stop_gradient(per_token), spec.masked_ids[None])
     return recon, sel
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_masked_forward_draws_each_clip_from_its_own_stream(strategy):
+    # clip i of a 3-clip stack gets the mask its own stream gives it alone
+    model = ModelParams(TOK, BB, np.random.default_rng(3))
+    selector = SelectionParams(np.random.default_rng(4), TOK.dim)
+    frames = np.stack([clip.frames for clip in _items(3)[0]])
+    streams = lambda: [np.random.default_rng([7, i]) for i in range(3)]
+    patches, log_probs, visible, masked, preds = masked_forward(
+        frames, model, selector, strategy, 0.5, streams())
+    assert np.array_equal(patches, unfold_clip(frames, TOK.tubelet))
+    assert (log_probs is None) == (strategy != "adaptive")
+    assert preds.shape == (3, masked.shape[1], TOK.patch_len())
+    for i, rng in enumerate(streams()):
+        if strategy == "adaptive":
+            spec = sample_visible(log_probs.data[i], 0.5, rng)
+        else:
+            spec = baseline_mask(strategy, TOK.grid_dims(frames.shape[1:]), 0.5, rng)
+        assert np.array_equal(visible[i], spec.visible_ids), i
+        assert np.array_equal(masked[i], spec.masked_ids), i
+    if strategy in ("adaptive", "random"):
+        assert len({tuple(ids) for ids in visible}) == 3
+
+
+@pytest.mark.parametrize("normalize", [True, False])
+def test_a_step_scores_the_rows_at_its_masked_ids(normalize):
+    # the step's L_R is that of its own patch rows at the masked ids
+    model = ModelParams(TOK, BB, np.random.default_rng(0))
+    selector = SelectionParams(np.random.default_rng(1), TOK.dim)
+    clips, fg_ids = _items(1)
+    spec = baseline_mask("random", TOK.grid_dims(clips[0].pixels.shape), 0.75,
+                         np.random.default_rng(5))
+    _, _, preds = _predict(model, clips, [spec])
+    rows = unfold_clip(clips[0].frames, TOK.tubelet)[spec.masked_ids]
+    expected, per_token = reconstruction_loss(
+        preds, patch_normalize_targets(rows, normalize)[None])
+    opt = AdamW(dict(model.named()), lr=1e-3)
+    report = pretrain_step(clips, fg_ids, model, selector, opt,
+                           _cfg(strategy="random", normalize_targets=normalize),
+                           [np.random.default_rng(5)])
+    assert report.recon == expected.item()
+    assert np.array_equal(report.per_token[0], per_token.data[0])
 
 
 def test_batched_forward_matches_each_clip_alone():
     # slice i of a batch of three equals clip i run as a batch of one, bit for bit
     model = ModelParams(TOK, BB, np.random.default_rng(3))
-    items = _items(3)
+    clips, _ = _items(3)
     specs = [sample_visible(np.full(32, -np.log(32)), 0.75, np.random.default_rng([2, i]))
              for i in range(3)]
     assert len({tuple(spec.visible_ids) for spec in specs}) == 3
-    _, latents, preds = _predict(model, items, specs)
+    _, latents, preds = _predict(model, clips, specs)
     for i in range(3):
-        _, latents_i, preds_i = _predict(model, items[i:i + 1], specs[i:i + 1])
+        _, latents_i, preds_i = _predict(model, clips[i:i + 1], specs[i:i + 1])
         assert np.array_equal(latents.data[i], latents_i.data[0]), i
         assert np.array_equal(preds.data[i], preds_i.data[0]), i
 
@@ -467,14 +515,14 @@ def test_gradient_isolation_structural():
     # with a frozen mask: d L_R / d theta = 0 and d L_select / d phi = 0, exactly
     model = ModelParams(TOK, BB, np.random.default_rng(0))
     selector = SelectionParams(np.random.default_rng(1), TOK.dim)
-    item = _items(1)[0]
+    clip = _items(1)[0][0]
     spec = sample_visible(np.full(32, -np.log(32)), 0.75, np.random.default_rng(2))
 
     def forward(which: str):
         for t in list(model.named().values()) + list(selector.named().values()):
             t.grad = None
         with nm.Tape() as tape:
-            recon, sel = _losses(model, selector, item, spec)
+            recon, sel = _losses(model, selector, clip, spec)
             nm.backward(recon if which == "recon" else sel, tape)
 
     forward("recon")
@@ -490,11 +538,11 @@ def test_gradient_isolation_finite_difference():
     # while the same perturbation moves L_select
     model = ModelParams(TOK, BB, np.random.default_rng(0))
     selector = SelectionParams(np.random.default_rng(1), TOK.dim)
-    item = _items(1)[0]
+    clip = _items(1)[0][0]
     spec = sample_visible(np.full(32, -np.log(32)), 0.75, np.random.default_rng(2))
 
     def losses():
-        recon, sel = _losses(model, selector, item, spec)
+        recon, sel = _losses(model, selector, clip, spec)
         return recon.item(), sel.item()
 
     base_recon, base_sel = losses()
@@ -513,10 +561,10 @@ def test_pretrain_step_rejects_non_finite_loss():
     model = ModelParams(TOK, BB, np.random.default_rng(0))
     selector = SelectionParams(np.random.default_rng(1), TOK.dim)
     opt = AdamW(dict(model.named()), lr=1e-3)
-    item = _items(1)[0]
+    clip = _items(1)[0][0]
     model.head.bias.data[:] = np.inf  # uint8 pixels cannot hold inf, so the predictions do
     with pytest.raises(NumericError):
-        pretrain_step([item], model, selector, opt, cfg, [np.random.default_rng(0)])
+        pretrain_step([clip], [None], model, selector, opt, cfg, [np.random.default_rng(0)])
 
 
 def test_checkpoint_roundtrip_bitwise(tmp_path):
@@ -592,11 +640,11 @@ def test_config_snapshot_roundtrip():
 
 def test_checkpoint_forward_is_bitwise_identical(tmp_path):
     model = ModelParams(TOK, BB, np.random.default_rng(3))
-    item = _items(1)[0]
+    clip = _items(1)[0][0]
     spec = sample_visible(np.full(32, -np.log(32)), 0.75, np.random.default_rng(2))
 
     def forward(m):
-        return _predict(m, [item], [spec])[2].data
+        return _predict(m, [clip], [spec])[2].data
 
     reference = forward(model)
     save_checkpoint(tmp_path / "m.csma", {k: t.data for k, t in model.named().items()})
@@ -700,17 +748,16 @@ def test_pretrain_config_validation():
 
 def test_pretrain_run_caches_only_the_stored_pixels(tmp_path):
     # a cached clip is its file's uint8 payload (8x3x32x32 at the default
-    # config) plus its foreground ids: no float frames, patches or targets
+    # config), held beside its foreground ids: no float frames, patches or targets
     manifest = generate_corpus(SynthConfig(), 2, 1.0, 0, tmp_path / "corpus")
     run = PretrainRun(manifest, tmp_path / "run", PretrainConfig(max_steps=1))
-    for item in run.items:
-        arrays = {name: value for name, value in vars(item).items()
-                  if isinstance(value, np.ndarray)}
-        arrays.update({f"clip.{name}": value for name, value in vars(item.clip).items()})
-        assert sorted(arrays) == ["clip.pixels", "fg_token_ids"]
-        assert arrays["clip.pixels"].dtype == np.uint8
-        assert arrays["clip.pixels"].nbytes == 8 * 3 * 32 * 32 == 24_576
-        assert item.frames.tobytes() == (item.clip.pixels.astype(np.float32) / 255.0).tobytes()
+    assert len(run.items) == len(run.fg_ids) == 2
+    for clip, fg_ids in zip(run.items, run.fg_ids):
+        assert sorted(vars(clip)) == ["pixels"]
+        assert clip.pixels.dtype == np.uint8
+        assert clip.pixels.nbytes == 8 * 3 * 32 * 32 == 24_576
+        assert clip.frames.tobytes() == (clip.pixels.astype(np.float32) / 255.0).tobytes()
+        assert fg_ids.dtype == np.int64 and 0 < fg_ids.size < 256
 
 
 def test_pretrain_resume_in_place_matches_uninterrupted(tmp_path, monkeypatch):

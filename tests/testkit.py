@@ -6,7 +6,8 @@ difference quotient is evaluated at 64-bit so the oracle itself
 contributes no roundoff at the tolerance being asserted; a pure 64-bit
 mode tightens the tolerance to 1e-5.
 
-Also the inverse of `tokenizer.token_cell`, a PPM reader for the images
+Also the token id of a grid cell (the order `tokenizer.unfold_clip`
+gives its rows in), a PPM reader for the images
 `reconstruct` writes, and a check that an optimizer still owns its
 parameters' buffers.
 """
@@ -160,7 +161,7 @@ def check_gradients(
 
 
 def cell_token(cell: tuple[int, int, int], grid: tuple[int, int, int]) -> int:
-    """The token id of a (t, h, w) cell: the inverse of `tokenizer.token_cell`."""
+    """The token id of a (t, h, w) cell: temporal-major, then rows, then columns."""
     nt, nh, nw = grid
     t, h, w = cell
     if not (0 <= t < nt and 0 <= h < nh and 0 <= w < nw):
