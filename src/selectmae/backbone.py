@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, ShapeError
 from .layers import BlockParams, LinearParams, LayerNormParams, apply_layer_norm, linear, transformer_block
-from .numerics import Tensor, add, concat_rows, gather_rows_batched, mul, reshape
+from .numerics import Tensor, add, concat_rows, gather_rows_batched, reshape
 from .tokenizer import TokenizerConfig, positional_encoding
 
 
@@ -152,12 +152,8 @@ def decode(latents: Tensor, visible_ids, masked_ids, params: ModelParams) -> Ten
     dec_dim = params.bb_cfg.dec_dim
     dtype = latents.data.dtype
     vis = linear(latents, params.dec_embed)
-    mask_rows = mul(
-        Tensor(np.ones((n_batch, n_masked, 1), dtype=dtype)),
-        reshape(params.mask_token, (1, 1, dec_dim)),
-    )
     pe = positional_encoding(n_tokens, dec_dim, dtype=dtype)
-    mask_rows = add(mask_rows, Tensor(pe[masked_ids]))
+    mask_rows = add(reshape(params.mask_token, (1, 1, dec_dim)), Tensor(pe[masked_ids]))
     stacked = concat_rows([vis, mask_rows], axis=1)
     order = np.empty((n_batch, n_tokens), dtype=np.int64)
     rows = np.arange(n_batch)[:, None]

@@ -146,8 +146,7 @@ def _apply_label_fraction(split: SplitSpec, entries, fraction: float) -> SplitSp
             f"need {want} labeled train clips for fraction {fraction}, "
             f"corpus provides {len(chosen)}"
         )
-    return SplitSpec(split.train_ids, split.val_ids, split.test_ids,
-                     explicit_labeled=sorted(chosen))
+    return SplitSpec(sorted(chosen), split.val_ids, split.test_ids)
 
 
 def cmd_finetune(args) -> int:
@@ -157,11 +156,9 @@ def cmd_finetune(args) -> int:
     manifest = _resolve_manifest(args.corpus)
     entries = load_manifest(manifest)
     split = _split_with_fraction(args, entries)
-    init_arrays = None
-    if not args.scratch:
-        if not args.checkpoint:
-            raise ConfigError("finetune needs --checkpoint or --scratch")
-        init_arrays = load_checkpoint(args.checkpoint)
+    if args.scratch == bool(args.checkpoint):
+        raise ConfigError("finetune needs exactly one of --checkpoint and --scratch")
+    init_arrays = None if args.scratch else load_checkpoint(args.checkpoint)
     result = finetune_run(
         manifest, split, cfg.finetune, cfg.data.num_phases,
         cfg.tokenizer, cfg.backbone, init_arrays=init_arrays,
@@ -272,6 +269,12 @@ def cmd_ablate(args) -> int:
             raise ConfigError(f"--values for --axis {args.axis} must be {cast.__name__}s,"
                               f" got '{raw_value}'") from None
         configs.append((raw_value, base.with_overrides(**{section: {key: value}})))
+    seen = {}
+    for raw_value, cfg in configs:
+        digest = cfg.config_hash()
+        if digest in seen:
+            raise ConfigError(f"--values '{seen[digest]}' and '{raw_value}' give the same config")
+        seen[digest] = raw_value
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []

@@ -16,7 +16,7 @@ import json
 import math
 import types
 import typing
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 from .backbone import BackboneConfig
@@ -24,7 +24,7 @@ from .data import SynthConfig
 from .downstream import FinetuneConfig
 from .errors import ConfigError
 from .tokenizer import TokenizerConfig
-from .training import PretrainConfig
+from .training import PretrainConfig, config_snapshot
 
 _SECTIONS = {
     "data": SynthConfig,
@@ -35,12 +35,8 @@ _SECTIONS = {
 }
 
 
-def _section_defaults(instance) -> dict:
-    return json.loads(json.dumps(asdict(instance)))
-
-
 def default_document() -> dict:
-    return {"seed": 0, **{name: _section_defaults(cls()) for name, cls in _SECTIONS.items()}}
+    return {"seed": 0, **config_snapshot(**{name: cls() for name, cls in _SECTIONS.items()})}
 
 
 def _fits(value, hint) -> bool:

@@ -5,9 +5,13 @@ masked) of each clip in a (B, ...) stack, mean-pools the token
 features, and applies a linear head; one clip is B = 1. Fine-tuning
 trains the head together with the tokenizer projection and encoder;
 a step runs its batch as two stacked half-batches at once, each with
-its own tape and backward pass. Evaluation classifies one clip per call.
-Precision/recall/Jaccard are macro-averaged over classes present in
-the labels, skipping zero-denominator classes per metric.
+its own tape and backward pass. `finetune_run` reads every clip it
+uses (labeled train, val and test) once, before its first step, so a
+corrupt clip stops the run before any training. Validation, the test
+pass and `evaluate_checkpoint` share one evaluation, which classifies
+one clip per call. Precision/recall/Jaccard are macro-averaged over
+classes present in the labels, skipping zero-denominator classes per
+metric.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backbone import BackboneConfig, ModelParams, encode
-from .data import VideoClip, load_clip, load_manifest
+from .data import load_clip, load_manifest
 from .errors import ConfigError, DataError
 from .layers import LinearParams, linear
 from .numerics import (
@@ -38,7 +42,7 @@ from .numerics import (
     scale,
 )
 from .tokenizer import TokenizerConfig, tokenize
-from .training import assign_named
+from .training import CONFIG_ENTRY, assign_named, checkpoint_config, config_diff, config_snapshot
 
 
 @dataclass
@@ -112,7 +116,6 @@ class SplitSpec:
     train_ids: list
     val_ids: list
     test_ids: list
-    explicit_labeled: list | None = None  # overrides manifest flags when set
 
     def __post_init__(self):
         groups = []
@@ -142,11 +145,6 @@ class SplitSpec:
         val = sorted(ordered[n_train:n_train + n_val])
         test = sorted(ordered[n_train + n_val:n_train + n_val + n_test])
         return cls(train, val, test)
-
-    def labeled_train_ids(self, entries: list[dict]) -> list:
-        if self.explicit_labeled is not None:
-            return list(self.explicit_labeled)
-        return [i for i in self.train_ids if entries[i]["labeled"]]
 
 
 class ClassifierHead:
@@ -205,27 +203,12 @@ def _check_labels(entries: list[dict], ids, num_steps: int):
             )
 
 
-class _ClipStore:
-    """Caches each clip as it is stored and records every access."""
-
-    def __init__(self, entries: list[dict], access_log: list | None):
-        self.entries = entries
-        self.access_log = access_log if access_log is not None else []
-        self._cache: dict[int, VideoClip] = {}
-
-    def frames(self, clip_id: int, stage: str) -> np.ndarray:
-        self.access_log.append((stage, self.entries[clip_id]["path"]))
-        if clip_id not in self._cache:
-            self._cache[clip_id] = load_clip(self.entries[clip_id]["path"])
-        return self._cache[clip_id].frames
-
-
-def _evaluate(store: _ClipStore, ids, model, head, stage: str) -> np.ndarray:
-    preds = []
-    for i in ids:
-        logits = classification_logits(store.frames(i, stage), model, head)
-        preds.append(int(np.argmax(logits.data)))
-    return np.asarray(preds, dtype=np.int64)
+def _classify(clips: dict, ids, entries: list[dict], model, head) -> MetricsReport:
+    """Metrics of the clips `ids` against their manifest labels, one clip per call."""
+    preds = [int(np.argmax(classification_logits(clips[i].frames, model, head).data))
+             for i in ids]
+    truth = [entries[i]["phase_index"] for i in ids]
+    return compute_metrics(preds, truth, head.num_steps)
 
 
 def finetune_run(
@@ -236,25 +219,35 @@ def finetune_run(
     tok_cfg: TokenizerConfig | None = None,
     bb_cfg: BackboneConfig | None = None,
     init_arrays: dict | None = None,
-    access_log: list | None = None,
 ) -> dict:
     """Cross-entropy fine-tuning of encoder+head on labeled train clips.
 
     `init_arrays` holds pretrained checkpoint tensors (scratch when
-    None). Early-stops on validation accuracy and reports test metrics
-    with the best-validation weights. With no validation clips it trains
-    every epoch, keeps the final weights and reports `val_accuracy` None.
+    None); a pretraining checkpoint's tokenizer and backbone config must
+    equal the run's. Early-stops on validation accuracy and reports test
+    metrics with the best-validation weights. With no validation clips it
+    trains every epoch, keeps the final weights and reports `val_accuracy`
+    None.
     """
     tok_cfg = tok_cfg or TokenizerConfig()
     bb_cfg = bb_cfg or BackboneConfig()
+    if init_arrays is not None and CONFIG_ENTRY in init_arrays:  # a classifier has no config
+        pretrained = checkpoint_config(init_arrays, "the encoder init")
+        run = config_snapshot(tokenizer=tok_cfg, backbone=bb_cfg)
+        diff = config_diff({k: pretrained[k] for k in run if k in pretrained}, run)
+        if diff:
+            raise ConfigError(
+                "checkpoint architecture does not match the run config:\n" + "\n".join(diff)
+            )
     entries = load_manifest(manifest_path)
-    labeled = split.labeled_train_ids(entries)
+    labeled = [i for i in split.train_ids if entries[i]["labeled"]]
     if not labeled:
         raise ConfigError("no labeled clips in the training split")
     if not split.test_ids:
         raise ConfigError("the test split is empty: no clips to report metrics on")
-    _check_labels(entries, [*labeled, *split.val_ids, *split.test_ids], num_steps)
-    store = _ClipStore(entries, access_log)
+    used = [*labeled, *split.val_ids, *split.test_ids]
+    _check_labels(entries, used, num_steps)
+    clips = {i: load_clip(entries[i]["path"]) for i in used}
 
     model = ModelParams(tok_cfg, bb_cfg, np.random.default_rng([cfg.seed, 0]))
     if init_arrays is not None:
@@ -276,7 +269,7 @@ def finetune_run(
             lr = cosine_warmup_lr(step, total_steps, cfg.lr, cfg.min_lr, cfg.warmup_steps)
             labels = np.array([entries[i]["phase_index"] for i in ids])
             with Tape() as tape:
-                frames = np.stack([store.frames(i, "train") for i in ids])
+                frames = np.stack([clips[i].frames for i in ids])
 
                 def half(lo, hi, half_tape):
                     logits = classification_logits(frames[lo:hi], model, head)
@@ -290,9 +283,7 @@ def finetune_run(
         if not split.val_ids:
             best["epoch"] = epoch
             continue
-        val_preds = _evaluate(store, split.val_ids, model, head, "val")
-        val_truth = np.array([entries[i]["phase_index"] for i in split.val_ids])
-        val_acc = float((val_preds == val_truth).mean())
+        val_acc = _classify(clips, split.val_ids, entries, model, head).accuracy
         if best["arrays"] is None or val_acc > best["val_accuracy"]:
             best = {
                 "val_accuracy": val_acc,
@@ -308,11 +299,8 @@ def finetune_run(
         for k, t in trained.items():
             t.data[...] = best["arrays"][k]
 
-    test_preds = _evaluate(store, split.test_ids, model, head, "test")
-    test_truth = np.array([entries[i]["phase_index"] for i in split.test_ids])
-    report = compute_metrics(test_preds, test_truth, num_steps)
     return {
-        "report": report,
+        "report": _classify(clips, split.test_ids, entries, model, head),
         "model": model,
         "head": head,
         "val_accuracy": best["val_accuracy"],
@@ -328,7 +316,6 @@ def evaluate_checkpoint(
     num_steps: int,
     tok_cfg: TokenizerConfig | None = None,
     bb_cfg: BackboneConfig | None = None,
-    access_log: list | None = None,
 ) -> MetricsReport:
     """Eval-only path: classifier checkpoint -> MetricsReport on given ids."""
     tok_cfg = tok_cfg or TokenizerConfig()
@@ -337,11 +324,9 @@ def evaluate_checkpoint(
         raise ConfigError("the test split is empty: no clips to report metrics on")
     entries = load_manifest(manifest_path)
     _check_labels(entries, split_ids, num_steps)
-    store = _ClipStore(entries, access_log)
+    clips = {i: load_clip(entries[i]["path"]) for i in split_ids}
     model = ModelParams(tok_cfg, bb_cfg, np.random.default_rng(0))
     assign_named(model.encoder_named(), arrays, "(encoder)")
     head = ClassifierHead(np.random.default_rng(1), bb_cfg.enc_dim, num_steps)
     assign_named(head.named(), arrays, "(classifier head)")
-    preds = _evaluate(store, split_ids, model, head, "test")
-    truth = np.array([entries[i]["phase_index"] for i in split_ids])
-    return compute_metrics(preds, truth, num_steps)
+    return _classify(clips, split_ids, entries, model, head)

@@ -337,6 +337,12 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
 CONFIG_ENTRY = "meta.config_utf8"
 
 
+def config_snapshot(**sections) -> dict:
+    """The JSON form of config dataclasses, one per named section, as run
+    documents and checkpoints hold them: tuples become lists."""
+    return json.loads(json.dumps({name: asdict(cfg) for name, cfg in sections.items()}))
+
+
 def config_to_array(config: dict) -> np.ndarray:
     """The container's encoding of a config document: its sorted-key JSON,
     one UTF-8 byte per float32 value."""
@@ -417,12 +423,7 @@ class PretrainRun:
         self.bb_cfg = bb_cfg or BackboneConfig()
         self.out_dir = Path(out_dir)
         self.out_dir.mkdir(parents=True, exist_ok=True)
-        # the JSON form this run's config takes in its checkpoints
-        self.snapshot = json.loads(json.dumps({
-            "tokenizer": asdict(self.tok_cfg),
-            "backbone": asdict(self.bb_cfg),
-            "pretrain": asdict(cfg),
-        }))
+        self.snapshot = config_snapshot(tokenizer=self.tok_cfg, backbone=self.bb_cfg, pretrain=cfg)
 
         entries = load_manifest(manifest_path)
         if not entries:

@@ -261,6 +261,17 @@ def test_finetune_without_init_exits_2(corpus, tiny_config, tmp_path):
     assert code == 2
 
 
+def test_finetune_with_both_checkpoint_and_scratch_exits_2(corpus, tiny_config, pretrained,
+                                                          tmp_path, capsys):
+    code = main([
+        "finetune", "--config", tiny_config, "--corpus", str(corpus), "--scratch",
+        "--checkpoint", str(pretrained), "--split", "8,4,4", "--out", str(tmp_path / "m.json"),
+    ])
+    assert code == 2
+    assert "exactly one of --checkpoint and --scratch" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_eval_corrupt_checkpoint_exits_4(corpus, tiny_config, tmp_path):
     bad = tmp_path / "bad.csma"
     bad.write_bytes(b"JUNKJUNKJUNK")
@@ -370,7 +381,7 @@ def test_split_counts_refuse_a_negative_count(counts, name, corpus, tiny_config,
 
 @pytest.mark.parametrize("axis,values", [
     ("ratio", "0.9,abc"), ("ratio", "0.9,,0.8"), ("decoder-depth", "1.5"),
-    ("ratio", "0.9,1.5"), ("loss", "mse-norm,mse-raw2"),
+    ("ratio", "0.9,1.5"), ("loss", "mse-norm,mse-raw2"), ("ratio", "0.9,0.90"),
 ])
 def test_ablate_bad_value_exits_2_before_any_row(axis, values, corpus, tiny_config, tmp_path,
                                                   capsys):
@@ -525,6 +536,12 @@ CONFIGS = {
     "zero-frames": (_text({"data": {"frames": 0}}), 2),
     "reversed-speed-range": (_text({"data": {"motion_speed_range": [2.0, 1.0]}}), 2),
 }
+# the pretrained checkpoint's parameter shapes fit both, so only its config can tell
+ARCHITECTURES = {
+    "other-heads": (_text({**TINY, "backbone": {**TINY["backbone"], "enc_heads": 4}}), 2),
+    "other-tubelet": (_text({**TINY, "tokenizer": {**TINY["tokenizer"], "tubelet": [1, 4, 8]}}),
+                      2),
+}
 # the corpus holds phases 0..3; a 3-way head cannot score phase 3
 LABELS = {
     "phase-past-num-phases": (_text({**TINY, "data": {**TINY["data"], "num_phases": 3}}), 2),
@@ -553,6 +570,9 @@ def _argv(command, artifact, corpus, tiny_config, pretrained, tmp_path):
                               "--split", "8,4,4", "--out", out],
         "eval --config": ["eval", "--config", artifact, *data, "--checkpoint", str(pretrained),
                           "--split", "8,4,4", "--out", out],
+        "finetune --checkpoint --config": ["finetune", "--config", artifact, *data,
+                                           "--checkpoint", str(pretrained), "--split", "8,4,4",
+                                           "--out", out],
     }[command]
 
 
@@ -567,6 +587,7 @@ BAD_ARTIFACTS = [
         (("finetune", "eval"), SPLITS),
         (("pretrain", "gen-data"), CONFIGS),
         (("finetune --config", "eval --config"), LABELS),
+        (("finetune --checkpoint --config",), ARCHITECTURES),
     )
     for command in commands
     for name in kind
@@ -596,6 +617,8 @@ def test_bad_artifact_exits_on_its_documented_code(
         assert "'selection_weight'" in err
     if name.startswith("repeated"):
         assert "appears 2 times in the" in err
+    if name.startswith("other-"):
+        assert "checkpoint architecture does not match the run config:\n~ " in err
 
 
 # A resume in place reads the run's metrics log; a corrupt complete line
@@ -671,6 +694,6 @@ def test_label_fraction_takes_each_phase_in_the_given_train_order():
     # split file's order decides, not the clip ids
     entries = [{"phase_index": p, "labeled": True} for p in (0, 1, 0, 1, 0, 1)]
     split = SplitSpec([4, 1, 0, 5, 2, 3], [], [])
-    assert _apply_label_fraction(split, entries, 0.5).explicit_labeled == [0, 1, 4]
+    assert _apply_label_fraction(split, entries, 0.5) == SplitSpec([0, 1, 4], [], [])
     with pytest.raises(ConfigError, match="need 3 labeled"):
         _apply_label_fraction(split, [{**e, "labeled": i < 2} for i, e in enumerate(entries)], 0.5)

@@ -1,5 +1,7 @@
 import json
 import threading
+from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ import pytest
 from selectmae import downstream
 from selectmae import numerics as nm
 from selectmae.backbone import BackboneConfig, ModelParams
-from selectmae.data import SynthConfig, generate_clip, generate_corpus, load_manifest
+from selectmae.data import SynthConfig, generate_clip, generate_corpus, load_clip, load_manifest
 from selectmae.downstream import (
     ClassifierHead,
     FinetuneConfig,
@@ -17,8 +19,9 @@ from selectmae.downstream import (
     evaluate_checkpoint,
     finetune_run,
 )
-from selectmae.errors import ConfigError, DataError
+from selectmae.errors import ConfigError, DataError, FormatError
 from selectmae.tokenizer import TokenizerConfig
+from selectmae.training import CONFIG_ENTRY, PretrainConfig, config_snapshot, config_to_array
 
 from testkit import assert_owned_by
 
@@ -225,24 +228,58 @@ def test_split_from_manifest_balanced(corpus):
         SplitSpec([0, 1], [1, 2], [3])
 
 
-def test_finetune_reaches_full_accuracy_on_separable_corpus(corpus):
+def _consumed(monkeypatch, entries):
+    """Spy on `downstream.classification_logits` and `downstream.load_clip`.
+
+    Returns (calls, loads): `calls` gets one (training, clip id) pair per
+    clip that a classification call consumes, in order, where training
+    means the call ran under an active tape; `loads` gets each loaded path."""
+    ids_by_pixels = {load_clip(e["path"]).frames.tobytes(): i for i, e in enumerate(entries)}
+    assert len(ids_by_pixels) == len(entries)  # every clip is told apart by its pixels
+    calls, loads = [], []
+    real_logits, real_load = downstream.classification_logits, downstream.load_clip
+
+    def logits(frames, model, head):
+        training = nm.active_tape() is not None
+        for clip in frames.reshape(-1, *frames.shape[-4:]):
+            calls.append((training, ids_by_pixels[clip.tobytes()]))
+        return real_logits(frames, model, head)
+
+    def load(path):
+        loads.append(path)
+        return real_load(path)
+
+    monkeypatch.setattr(downstream, "classification_logits", logits)
+    monkeypatch.setattr(downstream, "load_clip", load)
+    return calls, loads
+
+
+def _assert_test_clips_consumed_once_after_training(calls, test_ids):
+    last_train = max(k for k, (training, _) in enumerate(calls) if training)
+    test_calls = [(k, i) for k, (training, i) in enumerate(calls) if i in test_ids]
+    assert sorted(i for _, i in test_calls) == sorted(test_ids)
+    assert all(k > last_train and not calls[k][0] for k, _ in test_calls)
+
+
+def test_finetune_reaches_full_accuracy_on_separable_corpus(corpus, monkeypatch):
     entries = load_manifest(corpus)
     split = SplitSpec.from_manifest(entries, 18, 6, 12)
-    log = []
+    calls, loads = _consumed(monkeypatch, entries)
     tok = TokenizerConfig(tubelet=(2, 4, 4), dim=32)
     bb = BackboneConfig(enc_depth=2, enc_dim=32, enc_heads=2, dec_depth=1, dec_dim=8, dec_heads=2)
     result = finetune_run(
         corpus, split, FinetuneConfig(epochs=40, batch_size=6, lr=1e-2, patience=40, seed=0),
-        num_steps=3, tok_cfg=tok, bb_cfg=bb, access_log=log,
+        num_steps=3, tok_cfg=tok, bb_cfg=bb,
     )
     assert result["labeled_train"] == 18
     assert result["report"].accuracy == 1.0
-    # access audit: training touches only labeled train clips
-    train_paths = {entries[i]["path"] for i in split.train_ids if entries[i]["labeled"]}
-    test_paths = {entries[i]["path"] for i in split.test_ids}
-    seen_train = {p for stage, p in log if stage == "train"}
-    assert seen_train <= train_paths
-    assert all(stage == "test" for stage, p in log if p in test_paths)
+    # access audit: training consumes only labeled train clips, and every
+    # clip the run uses is read once
+    labeled = {i for i in split.train_ids if entries[i]["labeled"]}
+    assert {i for training, i in calls if training} <= labeled
+    _assert_test_clips_consumed_once_after_training(calls, split.test_ids)
+    used = [*labeled, *split.val_ids, *split.test_ids]
+    assert sorted(loads) == sorted(entries[i]["path"] for i in used)
 
 
 def test_finetune_requires_labeled_clips(corpus):
@@ -250,9 +287,6 @@ def test_finetune_requires_labeled_clips(corpus):
     split = SplitSpec.from_manifest(entries, 18, 6, 12)
     for e in entries:
         e["labeled"] = False
-    import json
-    from pathlib import Path
-
     unlabeled = Path(str(corpus)).parent / "manifest_unlabeled.json"
     rel = [dict(e, path=Path(e["path"]).name) for e in entries]
     unlabeled.write_text(json.dumps(rel, indent=2, sort_keys=True))
@@ -278,20 +312,22 @@ def test_evaluate_checkpoint_roundtrip(corpus, tmp_path):
     assert report.accuracy == pytest.approx(result["report"].accuracy)
 
 
-def test_empty_validation_split_keeps_the_final_epoch(corpus, tmp_path):
+def test_empty_validation_split_keeps_the_final_epoch(corpus, tmp_path, monkeypatch):
     from selectmae.training import load_checkpoint, save_checkpoint
 
     entries = load_manifest(corpus)
     split = SplitSpec.from_manifest(entries, 12, 0, 8)
-    log = []
+    calls, _ = _consumed(monkeypatch, entries)
     # with patience 1 an epoch scored against no clips must not count as stale
     result = finetune_run(
         corpus, split, FinetuneConfig(epochs=3, batch_size=6, patience=1, seed=2),
-        num_steps=3, tok_cfg=TOK, bb_cfg=BB, access_log=log,
+        num_steps=3, tok_cfg=TOK, bb_cfg=BB,
     )
     assert result["best_epoch"] == 2
     assert result["val_accuracy"] is None
-    assert sum(stage == "train" for stage, _ in log) == 3 * 12
+    trained = [i for training, i in calls if training]
+    assert len(trained) == 3 * 12 and set(trained) <= set(split.train_ids)
+    _assert_test_clips_consumed_once_after_training(calls, split.test_ids)
     arrays = {k: t.data for k, t in result["model"].encoder_named().items()}
     arrays.update({k: t.data for k, t in result["head"].named().items()})
     save_checkpoint(tmp_path / "cls.csma", arrays)
@@ -400,3 +436,39 @@ def test_best_weights_restore_writes_into_the_optimizer_buffers(corpus, monkeypa
     assert_owned_by(opt)
     trained = {**result["model"].encoder_named(), **result["head"].named()}
     assert all(opt.params[name] is t for name, t in trained.items())
+
+
+@pytest.mark.parametrize("stage", ["val", "test"])
+def test_a_truncated_clip_fails_the_run_before_its_first_step(stage, corpus, tmp_path,
+                                                              monkeypatch):
+    entries = load_manifest(corpus)
+    split = SplitSpec.from_manifest(entries, 12, 6, 6)
+    ids = {"val": split.val_ids, "test": split.test_ids}[stage]
+    for e in entries:
+        clip = Path(e["path"])
+        data = clip.read_bytes()
+        if e is entries[ids[-1]]:
+            data = data[:-1]
+        (tmp_path / clip.name).write_bytes(data)
+    rel = [dict(e, path=Path(e["path"]).name) for e in entries]
+    (tmp_path / "manifest.json").write_text(json.dumps(rel))
+    steps = []
+    monkeypatch.setattr(downstream.AdamW, "step", lambda opt, *args, **kwargs: steps.append(1))
+    with pytest.raises(FormatError, match="clip payload"):
+        finetune_run(tmp_path / "manifest.json", split, FinetuneConfig(epochs=2), 3, TOK, BB)
+    assert steps == []
+
+
+def test_finetune_init_checks_the_architecture_a_checkpoint_was_pretrained_with(corpus):
+    split = SplitSpec.from_manifest(load_manifest(corpus), 6, 0, 3)
+    cfg = FinetuneConfig(epochs=1)
+    arrays = {k: t.data for k, t in ModelParams(TOK, BB, np.random.default_rng(0))
+              .encoder_named().items()}
+    finetune_run(corpus, split, cfg, 3, TOK, BB, init_arrays=arrays)  # no config: a classifier
+    arrays[CONFIG_ENTRY] = config_to_array(
+        config_snapshot(tokenizer=TOK, backbone=BB, pretrain=PretrainConfig()))
+    finetune_run(corpus, split, cfg, 3, TOK, BB, init_arrays=arrays)
+    # 4 heads of 4 dims hold the same parameter shapes as 2 heads of 8
+    four_heads = BackboneConfig(**{**asdict(BB), "enc_heads": 4})
+    with pytest.raises(ConfigError, match=r"architecture(.|\n)*~ backbone\.enc_heads: 2 -> 4$"):
+        finetune_run(corpus, split, cfg, 3, TOK, four_heads, init_arrays=arrays)
