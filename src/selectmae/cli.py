@@ -28,8 +28,11 @@ from .masking import STRATEGIES, SelectionParams
 from .ppm import write_ppm
 from .tokenizer import detokenize_patches
 from .training import (
+    CONFIG_ENTRY,
     assign_named,
     checkpoint_config,
+    config_snapshot,
+    config_to_array,
     load_checkpoint,
     masked_forward,
     pretrain_run,
@@ -173,6 +176,8 @@ def cmd_finetune(args) -> int:
     if args.save_classifier:
         arrays = {k: t.data for k, t in result["model"].encoder_named().items()}
         arrays.update({k: t.data for k, t in result["head"].named().items()})
+        arrays[CONFIG_ENTRY] = config_to_array(
+            config_snapshot(tokenizer=cfg.tokenizer, backbone=cfg.backbone))
         save_checkpoint(args.save_classifier, arrays)
     print(json.dumps({k: report[k] for k in ("accuracy", "precision", "recall", "jaccard")}))
     return 0

@@ -42,7 +42,7 @@ from .numerics import (
     scale,
 )
 from .tokenizer import TokenizerConfig, tokenize
-from .training import CONFIG_ENTRY, assign_named, checkpoint_config, config_diff, config_snapshot
+from .training import assign_named, config_diff, config_snapshot, written_config
 
 
 @dataclass
@@ -203,6 +203,21 @@ def _check_labels(entries: list[dict], ids, num_steps: int):
             )
 
 
+def _check_architecture(arrays: dict, tok_cfg: TokenizerConfig, bb_cfg: BackboneConfig, path):
+    """Raise ConfigError where the tokenizer or backbone config a checkpoint
+    was written with differs from the run's. A checkpoint without a
+    config, as perfbench writes its classifiers, is not checked."""
+    written = written_config(arrays, path)
+    if written is None:
+        return
+    run = config_snapshot(tokenizer=tok_cfg, backbone=bb_cfg)
+    diff = config_diff({k: written[k] for k in run if k in written}, run)
+    if diff:
+        raise ConfigError(
+            "checkpoint architecture does not match the run config:\n" + "\n".join(diff)
+        )
+
+
 def _classify(clips: dict, ids, entries: list[dict], model, head) -> MetricsReport:
     """Metrics of the clips `ids` against their manifest labels, one clip per call."""
     preds = [int(np.argmax(classification_logits(clips[i].frames, model, head).data))
@@ -231,14 +246,8 @@ def finetune_run(
     """
     tok_cfg = tok_cfg or TokenizerConfig()
     bb_cfg = bb_cfg or BackboneConfig()
-    if init_arrays is not None and CONFIG_ENTRY in init_arrays:  # a classifier has no config
-        pretrained = checkpoint_config(init_arrays, "the encoder init")
-        run = config_snapshot(tokenizer=tok_cfg, backbone=bb_cfg)
-        diff = config_diff({k: pretrained[k] for k in run if k in pretrained}, run)
-        if diff:
-            raise ConfigError(
-                "checkpoint architecture does not match the run config:\n" + "\n".join(diff)
-            )
+    if init_arrays is not None:
+        _check_architecture(init_arrays, tok_cfg, bb_cfg, "the encoder init")
     entries = load_manifest(manifest_path)
     labeled = [i for i in split.train_ids if entries[i]["labeled"]]
     if not labeled:
@@ -317,9 +326,12 @@ def evaluate_checkpoint(
     tok_cfg: TokenizerConfig | None = None,
     bb_cfg: BackboneConfig | None = None,
 ) -> MetricsReport:
-    """Eval-only path: classifier checkpoint -> MetricsReport on given ids."""
+    """Eval-only path: classifier checkpoint -> MetricsReport on given ids.
+    A checkpoint's tokenizer and backbone config, where it holds one,
+    must equal the run's."""
     tok_cfg = tok_cfg or TokenizerConfig()
     bb_cfg = bb_cfg or BackboneConfig()
+    _check_architecture(arrays, tok_cfg, bb_cfg, "the classifier")
     if not len(split_ids):
         raise ConfigError("the test split is empty: no clips to report metrics on")
     entries = load_manifest(manifest_path)

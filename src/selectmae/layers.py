@@ -2,7 +2,11 @@
 
 Parameters are plain Tensors grouped in small holder classes that know
 how to enumerate themselves by name for checkpointing. Blocks are
-pre-norm: x + MHA(LN(x)) followed by x + MLP(LN(x)).
+pre-norm: x + MHA(LN(x)) followed by x + MLP(LN(x)). Each layer norm
+is one node with the projection it feeds (`norm_affine`), and the
+MLP's GELU one node with its second layer (`gelu_affine`), so a block
+records 7 nodes and its tape keeps neither the normalized nor the GELU
+output; backward rebuilds them.
 """
 
 from __future__ import annotations
@@ -10,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError
-from .numerics import Tensor, add, affine, attend, gelu, layer_norm
+from .numerics import Tensor, add, affine, attend, gelu_affine, layer_norm, norm_affine
 
 
 def _normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:
@@ -78,12 +82,19 @@ def apply_layer_norm(x: Tensor, p: LayerNormParams) -> Tensor:
     return layer_norm(x, p.gain, p.bias)
 
 
-def attention(x: Tensor, p: AttentionParams) -> Tensor:
-    """Multi-head self-attention over a (B, n, dim) stack of token sequences."""
-    return linear(attend(linear(x, p.qkv), p.heads), p.out)
+def norm_linear(x: Tensor, ln: LayerNormParams, p: LinearParams) -> Tensor:
+    """linear(apply_layer_norm(x, ln), p) as one node."""
+    return norm_affine(x, ln.gain, ln.bias, p.weight, p.bias)
+
+
+def attention(x: Tensor, ln: LayerNormParams, p: AttentionParams) -> Tensor:
+    """Pre-norm multi-head self-attention over a (B, n, dim) stack of
+    token sequences: three nodes, the normalized q/k/v projection,
+    `attend` and the output projection."""
+    return linear(attend(norm_linear(x, ln, p.qkv), p.heads), p.out)
 
 
 def transformer_block(x: Tensor, p: BlockParams) -> Tensor:
-    x = add(x, attention(apply_layer_norm(x, p.ln1), p.attn))
-    x = add(x, linear(gelu(linear(apply_layer_norm(x, p.ln2), p.fc1)), p.fc2))
+    x = add(x, attention(x, p.ln1, p.attn))
+    x = add(x, gelu_affine(norm_linear(x, p.ln2, p.fc1), p.fc2.weight, p.fc2.bias))
     return x

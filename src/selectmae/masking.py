@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .layers import AttentionParams, LayerNormParams, LinearParams, apply_layer_norm, attention, linear
+from .layers import AttentionParams, LayerNormParams, LinearParams, attention, linear
 from .numerics import Tensor, add, log_softmax, reshape
 
 STRATEGIES = ("adaptive", "random", "tube", "frame")
@@ -111,7 +111,7 @@ def select_probabilities(tokens: Tensor, params: SelectionParams) -> Tensor:
         raise ShapeError(f"selection takes a (B, N, dim) token stack, got {tokens.shape}")
     if tokens.shape[-1] != params.dim:
         raise ConfigError(f"token dim {tokens.shape[-1]} != selection dim {params.dim}")
-    y = add(tokens, attention(apply_layer_norm(tokens, params.ln), params.attn))
+    y = add(tokens, attention(tokens, params.ln, params.attn))
     return log_softmax(reshape(linear(y, params.score), tokens.shape[:-1]), axis=-1)
 
 

@@ -21,23 +21,35 @@ another tensor's gradient.
 `affine` is a linear layer, x @ w + b, recorded as one node where the
 chain add(matmul(x, w), b) took two, with the same products and sums
 in backward. Each node costs Python work under the GIL, paid by both
-half-batches of a training step; as two nodes, the 56 linear layers of
-a default pretraining half took 112 of its 261. Its backward skips dx
-when x carries no gradient, as for the tokenizer's patch rows, and
-`layer_norm` does the same. For the same reason the hot ops reduce
-with ufunc methods such as `np.add.reduce` rather than through numpy's
-Python-level wrappers (`ndarray.sum`, `.mean`, `np.max`); they pass the
-same arguments, so the bits are the same.
+half-batches of a training step. Its backward skips dx when x carries
+no gradient, as for the tokenizer's patch rows, and `layer_norm` does
+the same. For the same reason the hot ops reduce with ufunc methods
+such as `np.add.reduce` rather than through numpy's Python-level
+wrappers (`ndarray.sum`, `.mean`, `np.max`); they pass the same
+arguments, so the bits are the same.
+
+`norm_affine` (a pre-norm projection) and `gelu_affine` (an MLP's
+second layer) fold the op that feeds a linear layer into its node and
+keep less for backward, which rebuilds the linear layer's input in one
+or two elementwise passes. `norm_affine` keeps `layer_norm`'s xhat and
+inv, not the normalized output, and rebuilds it as xhat * gain + bias;
+`gelu_affine` keeps `gelu`'s input and tanh(...), not the GELU output,
+and rebuilds it as (t + 1) * (0.5 h). Each rebuild runs forward's own
+operations through the same private helper, so the results are the
+bits of the two-node chains. A transformer block records 7 nodes, and
+its tape holds 14.2 U, U being one (B, n, dim) float32 activation; the
+chains would keep another 6 U.
 
 `attend` is multi-head self-attention over the packed (B, n, 3 dim)
 output of one q/k/v projection, as in VideoMAE (Tong et al. 2022,
 arXiv 2203.12602). It splits the heads with numpy views and returns
-them merged, so an attention layer is three nodes: the projection,
-`attend` and the output projection. It trades compute for memory, as
-in Chen et al. 2016 (*Training Deep Nets with Sublinear Memory Cost*):
-its closure keeps q, k, v, one log-sum-exp per score row and the
-output, not the (n, n) attention weights of each head, and backward
-recomputes the weights a block at a time. It uses the algebra of
+them merged, so an attention layer is three nodes: the pre-norm
+projection (`norm_affine`), `attend` and the output projection. It
+trades compute for memory, as in Chen et al. 2016 (*Training Deep
+Nets with Sublinear Memory Cost*): its closure keeps q, k, v, one
+log-sum-exp per score row and the output, not the (n, n) attention
+weights of each head, and backward recomputes the weights a block at
+a time. It uses the algebra of
 FlashAttention-2 (Dao 2023, arXiv 2307.08691), with the row sums and
 backward's shift folded into the matmuls by an extra column on q, k
 and v; see `attend`. `matmul`, `transpose` and `softmax` are no longer
@@ -128,31 +140,39 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
+def _check_affine(op: str, x_shape: tuple[int, ...], w: Tensor, b: Tensor):
+    if len(x_shape) < 2 or w.ndim != 2 or x_shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise ShapeError(f"{op}: incompatible shapes {x_shape} @ {w.shape} + {b.shape}")
+
+
+def _project(xd: np.ndarray, wd: np.ndarray, bd: np.ndarray) -> np.ndarray:
+    """x @ w + b, the bias added in place to the product."""
+    y = xd @ wd
+    y += bd
+    return y
+
+
+def _project_grads(xd: np.ndarray, wd: np.ndarray, g: np.ndarray, x_tracked: bool):
+    """(dx, dw, db) of x @ w + b: dx is g @ w^T, or None when x carries no
+    gradient; dw one product over x and g flattened to rows; db sums g
+    over its leading axes."""
+    dx = g @ wd.T if x_tracked else None
+    dw = xd.reshape(-1, xd.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+    return dx, dw, np.add.reduce(g, axis=tuple(range(g.ndim - 1)))
+
+
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b as one node: a (k, n) weight and an (n,) bias applied to
     every leading slice of a (..., k) input.
 
-    The bias is added in place to the product. Backward makes the same
-    products and sums as the two-node chain add(matmul(x, w), b): dx is
-    g @ w^T, dw one product over x and g flattened to rows, and db sums
-    g over its leading axes. dx is None when x carries no gradient, so
-    the product for it is skipped.
+    Backward makes the same products and sums as the two-node chain
+    add(matmul(x, w), b); dx is skipped when x carries no gradient.
     """
-    if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
-        raise ShapeError(f"affine: incompatible shapes {x.shape} @ {w.shape} + {b.shape}")
+    _check_affine("affine", x.shape, w, b)
     xd, wd = x.data, w.data
-    y = xd @ wd
-    y += b.data
-    out = Tensor(y)
+    out = Tensor(_project(xd, wd, b.data))
     x_tracked = x.tracked
-    lead = tuple(range(y.ndim - 1))
-
-    def bw(g):
-        dx = g @ wd.T if x_tracked else None
-        dw = xd.reshape(-1, xd.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-        return dx, dw, np.add.reduce(g, axis=lead)
-
-    record_op((x, w, b), out, bw)
+    record_op((x, w, b), out, lambda g: _project_grads(xd, wd, g, x_tracked))
     return out
 
 
@@ -294,34 +314,111 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     return out
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
-    k = x.shape[-1]
+def _check_norm(op: str, k: int, gain: Tensor, bias: Tensor):
     if gain.shape != (k,) or bias.shape != (k,):
-        raise ShapeError(f"layer_norm: gain/bias {gain.shape}/{bias.shape} vs feature dim {k}")
-    # centers once; each step is one of the operations of x.var and
-    # (x - mean) * inv, in their order, so the bits match them
-    xhat = x.data - _mean_last(x.data)
+        raise ShapeError(f"{op}: gain/bias {gain.shape}/{bias.shape} vs feature dim {k}")
+
+
+def _normalize(xd: np.ndarray, eps: float):
+    """(xhat, inv) over the last axis: xhat = (x - mean) * inv with
+    inv = 1 / sqrt(var + eps). Centres once; each step is one of the
+    operations of x.var and (x - mean) * inv, in their order, so the
+    bits match them."""
+    xhat = xd - _mean_last(xd)
     var = np.add.reduce(np.multiply(xhat, xhat), axis=-1, keepdims=True)
-    var /= k
+    var /= xd.shape[-1]
     inv = 1.0 / np.sqrt(var + eps)
     xhat *= inv
-    gd = gain.data
-    out = Tensor(xhat * gd + bias.data)
-    x_tracked = x.tracked
+    return xhat, inv
+
+
+def _scale_shift(xhat: np.ndarray, gd: np.ndarray, bd: np.ndarray) -> np.ndarray:
+    """The normalized output, xhat * gain + bias."""
+    return xhat * gd + bd
+
+
+def _normalize_grads(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, gd: np.ndarray,
+                     x_tracked: bool):
+    """(dx, dgain, dbias) from the gradient g of xhat * gain + bias; dx is
+    None when x carries no gradient."""
     lead = tuple(range(xhat.ndim - 1))
+    dgain = np.add.reduce(g * xhat, axis=lead)
+    dbias = np.add.reduce(g, axis=lead)
+    if not x_tracked:
+        return None, dgain, dbias
+    dxhat = g * gd
+    dx = inv * (dxhat - _mean_last(dxhat) - xhat * _mean_last(dxhat * xhat))
+    return dx, dgain, dbias
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance, then affine.
+    Its closure keeps xhat and inv."""
+    _check_norm("layer_norm", x.shape[-1], gain, bias)
+    xhat, inv = _normalize(x.data, eps)
+    gd = gain.data
+    out = Tensor(_scale_shift(xhat, gd, bias.data))
+    x_tracked = x.tracked
+    record_op((x, gain, bias), out, lambda g: _normalize_grads(g, xhat, inv, gd, x_tracked))
+    return out
+
+
+def norm_affine(x: Tensor, gain: Tensor, bias: Tensor, w: Tensor, b: Tensor,
+                eps: float = 1e-5) -> Tensor:
+    """affine(layer_norm(x, gain, bias), w, b) as one node, with the same
+    bits forward and back.
+
+    The closure keeps xhat and inv, as `layer_norm`'s does, but not the
+    normalized output: backward rebuilds it as xhat * gain + bias, with
+    forward's own operations, for dw. dx is skipped when x carries no
+    gradient.
+    """
+    _check_norm("norm_affine", x.shape[-1], gain, bias)
+    _check_affine("norm_affine", x.shape, w, b)
+    xhat, inv = _normalize(x.data, eps)
+    gd, bd, wd = gain.data, bias.data, w.data
+    out = Tensor(_project(_scale_shift(xhat, gd, bd), wd, b.data))
+    x_tracked = x.tracked
 
     def bw(g):
-        dgain = np.add.reduce(g * xhat, axis=lead)
-        dbias = np.add.reduce(g, axis=lead)
-        if not x_tracked:
-            return None, dgain, dbias
-        dxhat = g * gd
-        dx = inv * (dxhat - _mean_last(dxhat) - xhat * _mean_last(dxhat * xhat))
-        return dx, dgain, dbias
+        dy, dw, db = _project_grads(_scale_shift(xhat, gd, bd), wd, g, True)
+        return (*_normalize_grads(dy, xhat, inv, gd, x_tracked), dw, db)
 
-    record_op((x, gain, bias), out, bw)
+    record_op((x, gain, bias, w, b), out, bw)
     return out
+
+
+def _gelu_tanh(xd: np.ndarray) -> np.ndarray:
+    """t = tanh(c (x + a x^3))."""
+    t = xd * (xd * xd)
+    t *= _GELU_A
+    t += xd
+    t *= _GELU_C
+    return np.tanh(t, out=t)
+
+
+def _gelu_value(xd: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The GELU output, (t + 1) * (0.5 x)."""
+    y = t + 1.0
+    y *= np.multiply(xd, 0.5)
+    return y
+
+
+def _gelu_grad(xd: np.ndarray, t: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """g * (0.5 (1 + t) + 0.5 x ((1 - t^2) c (1 + 3 a x^2)))."""
+    du = xd * xd
+    du *= 3.0 * _GELU_A
+    du += 1.0
+    du *= _GELU_C
+    dt = t * t
+    np.subtract(1.0, dt, out=dt)
+    dt *= du
+    dt *= np.multiply(xd, 0.5, out=du)
+    np.add(t, 1.0, out=du)
+    du *= 0.5
+    du += dt
+    du *= g
+    return du
 
 
 def gelu(x: Tensor) -> Tensor:
@@ -333,33 +430,30 @@ def gelu(x: Tensor) -> Tensor:
     the bits match it. Only tanh(...) is kept for backward.
     """
     xd = x.data
-    sq = xd * xd
-    t = xd * sq
-    t *= _GELU_A
-    t += xd
-    t *= _GELU_C
-    np.tanh(t, out=t)
-    y = t + 1.0
-    y *= np.multiply(xd, 0.5, out=sq)
-    out = Tensor(y)
+    t = _gelu_tanh(xd)
+    out = Tensor(_gelu_value(xd, t))
+    record_op((x,), out, lambda g: (_gelu_grad(xd, t, g),))
+    return out
+
+
+def gelu_affine(h: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """affine(gelu(h), w, b) as one node, with the same bits forward and
+    back.
+
+    The closure keeps h and tanh(...), as `gelu`'s does, but not the GELU
+    output: backward rebuilds it as (t + 1) * (0.5 h) for dw.
+    """
+    _check_affine("gelu_affine", h.shape, w, b)
+    hd, wd = h.data, w.data
+    t = _gelu_tanh(hd)
+    out = Tensor(_project(_gelu_value(hd, t), wd, b.data))
+    h_tracked = h.tracked
 
     def bw(g):
-        # g * (0.5 (1 + t) + 0.5 x ((1 - t^2) c (1 + 3 a x^2)))
-        du = xd * xd
-        du *= 3.0 * _GELU_A
-        du += 1.0
-        du *= _GELU_C
-        dt = t * t
-        np.subtract(1.0, dt, out=dt)
-        dt *= du
-        dt *= np.multiply(xd, 0.5, out=du)
-        np.add(t, 1.0, out=du)
-        du *= 0.5
-        du += dt
-        du *= g
-        return (du,)
+        dy, dw, db = _project_grads(_gelu_value(hd, t), wd, g, h_tracked)
+        return (_gelu_grad(hd, t, dy) if h_tracked else None), dw, db
 
-    record_op((x,), out, bw)
+    record_op((h, w, b), out, bw)
     return out
 
 

@@ -363,18 +363,27 @@ def array_to_config(arr: np.ndarray) -> dict:
     return doc
 
 
-def checkpoint_config(arrays: dict[str, np.ndarray], path) -> dict:
-    """The config document a pretraining checkpoint was written with."""
+def written_config(arrays: dict[str, np.ndarray], path) -> dict | None:
+    """The config document a checkpoint was written with, or None where it
+    holds none."""
     unpacked = sorted(name for name in arrays if ".attn.q." in name)
     if unpacked:
         raise FormatError(f"{path} holds separate attn.q/k/v entries, such as '{unpacked[0]}',"
                           " where one packed 'attn.qkv.weight' is read")
-    if CONFIG_ENTRY not in arrays:
-        kind = ("it looks like a classifier checkpoint"
-                if any(k.startswith("classifier.head.") for k in arrays)
+    return array_to_config(arrays[CONFIG_ENTRY]) if CONFIG_ENTRY in arrays else None
+
+
+def checkpoint_config(arrays: dict[str, np.ndarray], path) -> dict:
+    """The config document a pretraining checkpoint was written with."""
+    config = written_config(arrays, path)
+    classifier = any(k.startswith("classifier.head.") for k in arrays)
+    if config is None:
+        kind = ("it looks like a classifier checkpoint" if classifier
                 else "it is not a pretraining checkpoint")
         raise FormatError(f"{path} has no '{CONFIG_ENTRY}' entry: {kind}")
-    return array_to_config(arrays[CONFIG_ENTRY])
+    if classifier:
+        raise FormatError(f"{path} is a classifier checkpoint, not a pretraining one")
+    return config
 
 
 def assign_named(tensors: dict[str, Tensor], arrays: dict[str, np.ndarray], context: str = ""):

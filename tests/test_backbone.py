@@ -219,16 +219,17 @@ def test_packed_qkv_weights_keep_the_draws_of_separate_projections(monkeypatch):
 
 
 def test_attention_is_three_nodes_and_two_projections():
-    from selectmae.layers import AttentionParams, attention
+    from selectmae.layers import AttentionParams, LayerNormParams, attention
 
     params = AttentionParams(np.random.default_rng(0), 16, 2)
     assert sorted(params.named("attn")) == [
         "attn.o.bias", "attn.o.weight", "attn.qkv.bias", "attn.qkv.weight"]
     assert params.qkv.weight.shape == (16, 48) and params.qkv.bias.shape == (48,)
     with nm.Tape() as tape:
-        out = attention(nm.Tensor(np.ones((2, 5, 16), dtype=np.float32)), params)
+        out = attention(nm.Tensor(np.ones((2, 5, 16), dtype=np.float32)), LayerNormParams(16),
+                        params)
     assert out.shape == (2, 5, 16)
-    assert len(tape) == 3  # qkv projection, attend, output projection
+    assert len(tape) == 3  # normalized qkv projection, attend, output projection
 
 
 def test_parameter_tensor_counts_at_the_default_config():

@@ -234,6 +234,41 @@ def test_finetune_and_eval_roundtrip(corpus, tiny_config, pretrained, tmp_path):
     assert eval_doc["accuracy"] == doc["accuracy"]
 
 
+def test_eval_refuses_a_classifier_of_another_architecture(corpus, tiny_config, tmp_path, capsys):
+    # 4 heads of 4 dims hold the same parameter shapes as 2 heads of 8, so
+    # only the config the classifier was saved with can tell them apart
+    classifier = tmp_path / "classifier.csma"
+    assert main([
+        "finetune", "--config", tiny_config, "--corpus", str(corpus), "--scratch",
+        "--split", "8,4,4", "--out", str(tmp_path / "m.json"), "--save-classifier", str(classifier),
+    ]) == 0
+    arrays = load_checkpoint(classifier)
+    resolved = json.loads((tmp_path / "config.resolved.json").read_text())
+    embedded = array_to_config(arrays.pop("meta.config_utf8"))
+    assert embedded == {k: resolved[k] for k in ("tokenizer", "backbone")}
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps({**TINY, "backbone": {**TINY["backbone"], "enc_heads": 4}}))
+    out = tmp_path / "eval.json"
+
+    def evaluate(checkpoint, config):
+        return main(["eval", "--config", config, "--corpus", str(corpus), "--checkpoint",
+                     str(checkpoint), "--split", "8,4,4", "--out", str(out)])
+
+    capsys.readouterr()
+    assert evaluate(classifier, str(other)) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: checkpoint architecture does not match the run config:\n"
+        "~ backbone.enc_heads: 2 -> 4")
+    assert not out.exists()
+    assert evaluate(classifier, tiny_config) == 0
+    matched = out.read_bytes()
+    # a classifier saved without a config is evaluated as before
+    bare = tmp_path / "bare.csma"
+    save_checkpoint(bare, arrays)
+    assert evaluate(bare, tiny_config) == 0
+    assert out.read_bytes() == matched
+
+
 def test_finetune_scratch_vs_checkpoint(corpus, tiny_config, pretrained, tmp_path):
     for mode, extra in (("scratch", ["--scratch"]), ("warm", ["--checkpoint", str(pretrained)])):
         code = main([
@@ -419,6 +454,15 @@ def _classifier_checkpoint(path, pretrained):
     save_checkpoint(path, arrays)
 
 
+def _configured_classifier_checkpoint(path, pretrained):
+    """A classifier that holds its tokenizer and backbone config, as
+    `finetune --save-classifier` writes one."""
+    _classifier_checkpoint(path, pretrained)
+    arrays = load_checkpoint(path)
+    arrays["meta.config_utf8"] = config_to_array({k: TINY[k] for k in ("tokenizer", "backbone")})
+    save_checkpoint(path, arrays)
+
+
 def _config_entry(value):
     """A pretraining checkpoint whose embedded config entry is `value`."""
     if isinstance(value, bytes):
@@ -439,6 +483,7 @@ def _text(content):
 
 CHECKPOINTS = {  # artifact: (writer, exit code)
     "classifier": (_classifier_checkpoint, 4),
+    "configured-classifier": (_configured_classifier_checkpoint, 4),
     "config-over-255": (_config_entry([3e9]), 4),
     "config-fraction": (_config_entry([123.5]), 4),
     "config-not-utf8": (_config_entry(b"\xff\xfe"), 4),
@@ -609,6 +654,8 @@ def test_bad_artifact_exits_on_its_documented_code(
     assert "Traceback" not in err
     if name == "classifier":
         assert "'meta.config_utf8'" in err and "classifier checkpoint" in err
+    if name == "configured-classifier":
+        assert "is a classifier checkpoint, not a pretraining one" in err
     if name == "pretraining":
         assert "'classifier.head." in err
     if name.startswith("unpacked"):

@@ -23,7 +23,7 @@ from selectmae.errors import ConfigError, DataError, FormatError
 from selectmae.tokenizer import TokenizerConfig
 from selectmae.training import CONFIG_ENTRY, PretrainConfig, config_snapshot, config_to_array
 
-from testkit import assert_owned_by
+from testkit import assert_owned_by, tape_held_bytes
 
 TOK = TokenizerConfig(tubelet=(2, 4, 4), dim=16)
 BB = BackboneConfig(enc_depth=1, enc_dim=16, enc_heads=2, dec_depth=1, dec_dim=8, dec_heads=2)
@@ -141,15 +141,30 @@ def test_classify_mean_pool_permutation_invariance():
     np.testing.assert_allclose(permuted, base, atol=1e-5)
 
 
-def test_node_budget_of_a_default_classification_forward():
-    # a change that adds nodes to the fine-tune forward does so on purpose
+def _default_classification_tape():
+    """The tape of a 3-clip default classification forward, and the
+    optimizer fine-tuning builds over its parameters."""
     tok, synth = TokenizerConfig(), SynthConfig()
     model = ModelParams(tok, BackboneConfig(), np.random.default_rng(0))
     head = ClassifierHead(np.random.default_rng(1), model.bb_cfg.enc_dim, synth.num_phases)
+    opt = nm.AdamW({**model.encoder_named(), **head.named()}, lr=1e-3)
     frames = np.stack([generate_clip(synth, i, [2, i]).frames for i in range(3)])
     with nm.Tape() as tape:
         classification_logits(frames, model, head)
-    assert len(tape) == 46
+    return tape, opt
+
+
+def test_node_budget_of_a_default_classification_forward():
+    # a change that adds nodes to the fine-tune forward does so on purpose
+    tape, _ = _default_classification_tape()
+    assert len(tape) == 34
+
+
+def test_memory_budget_of_a_default_classification_forward():
+    # a change that keeps more arrays on the fine-tune tape until
+    # backward, AdamW's flat buffers left out, does so on purpose
+    tape, opt = _default_classification_tape()
+    assert tape_held_bytes(tape, (opt._value, opt._grad, opt._m, opt._v)) == 11_677_440
 
 
 def _pooled_features(frames, model):

@@ -7,6 +7,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from selectmae import numerics as nm
 from selectmae.errors import ContractError, NumericError, ShapeError
@@ -558,6 +560,110 @@ def test_gelu_matches_reference_bitwise():
     assert np.array_equal(grad, ref_grad)
 
 
+def _norm_affine_chain(x, gain, bias, w, b):
+    return nm.affine(nm.layer_norm(x, gain, bias), w, b)
+
+
+def _gelu_affine_chain(h, w, b):
+    return nm.affine(nm.gelu(h), w, b)
+
+
+# kernel: (fused, its two-node chain, the shapes of its parameters for
+# feature dim k and output dim n)
+FUSED = {
+    "norm_affine": (nm.norm_affine, _norm_affine_chain, lambda k, n: [(k,), (k,), (k, n), (n,)]),
+    "gelu_affine": (nm.gelu_affine, _gelu_affine_chain, lambda k, n: [(k, n), (n,)]),
+}
+
+
+def _fused_run(fn, arrays, weight, x_tracked):
+    """Output, then the gradient of x and of each parameter, of
+    sum(fn(x, *params) * weight) at the arrays' dtype."""
+    with tensor.precision(arrays[0].dtype):
+        x = nm.Tensor(arrays[0], requires_grad=x_tracked)
+        params = [nm.Tensor(a, requires_grad=True) for a in arrays[1:]]
+        with nm.Tape() as tape:
+            y = fn(x, *params)
+            loss = nm.reduce_sum(nm.mul(y, nm.Tensor(weight)))
+        nm.backward(loss, tape)
+    return [y.data, x.grad, *(p.grad for p in params)]
+
+
+def _fused_inputs(op, rng, lead, k, n, dtype):
+    shapes = [(*lead, k), *FUSED[op][2](k, n)]
+    arrays = [(rng.standard_normal(shape) * 2.0).astype(dtype) for shape in shapes]
+    return arrays, rng.standard_normal((*lead, n)).astype(dtype)
+
+
+@settings(max_examples=60, deadline=None)
+@given(op=st.sampled_from(sorted(FUSED)), lead=st.lists(st.integers(1, 5), min_size=1, max_size=3),
+       k=st.integers(1, 24), n=st.integers(1, 24), x_tracked=st.booleans(),
+       dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**32 - 1))
+def test_fused_kernel_matches_its_chain_bitwise(op, lead, k, n, x_tracked, dtype, seed):
+    fused, chain, _ = FUSED[op]
+    arrays, weight = _fused_inputs(op, np.random.default_rng(seed), lead, k, n, dtype)
+    got, want = (_fused_run(fn, arrays, weight, x_tracked) for fn in (fused, chain))
+    assert (got[1] is None) == (want[1] is None) == (not x_tracked)
+    for a, b in zip(got, want):
+        if b is not None:
+            assert a.dtype == b.dtype == dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("op", sorted(FUSED))
+def test_fused_kernel_gradcheck_float64(op):
+    arrays, weight = _fused_inputs(op, np.random.default_rng(33), (2, 3), 5, 4, np.float64)
+
+    def loss(params):
+        return nm.reduce_sum(nm.mul(FUSED[op][0](*params), nm.Tensor(weight)))
+
+    check_gradients(loss, arrays, rel_tol=1e-5, dtype=np.float64)
+
+
+@pytest.mark.parametrize("op, helper", [("norm_affine", "_scale_shift"),
+                                        ("gelu_affine", "_gelu_value")])
+def test_fused_kernel_frees_the_projection_input_during_forward(monkeypatch, op, helper):
+    # the chain's affine keeps the normalized or GELU output for dw; the
+    # fused kernel drops it when forward returns and rebuilds it in
+    # backward, through the same helper, with the same gradients
+    made = []
+    real = getattr(nm.ops, helper)
+
+    def spy(*args):
+        out = real(*args)
+        made.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(nm.ops, helper, spy)
+    arrays, weight = _fused_inputs(op, np.random.default_rng(34), (2, 5), 4, 6, np.float32)
+
+    def run(fn):
+        made.clear()
+        x = nm.Tensor(arrays[0], requires_grad=True)
+        params = [nm.Tensor(a, requires_grad=True) for a in arrays[1:]]
+        with nm.Tape() as tape:
+            loss = nm.reduce_sum(nm.mul(fn(x, *params), nm.Tensor(weight)))
+        alive = [ref() is not None for ref in made]
+        nm.backward(loss, tape)
+        return alive, [t.grad for t in (x, *params)]
+
+    fused, chain, _ = FUSED[op]
+    (freed, grads), (kept, chain_grads) = run(fused), run(chain)
+    assert freed == [False] and kept == [True]
+    for got, want in zip(grads, chain_grads):
+        assert np.array_equal(got, want)
+
+
+def test_fused_kernel_shape_errors_name_the_kernel():
+    x = nm.Tensor(np.zeros((2, 3, 4)))
+    gain, w, b = nm.Tensor(np.ones(4)), nm.Tensor(np.zeros((4, 5))), nm.Tensor(np.zeros(5))
+    with pytest.raises(ShapeError, match=r"norm_affine: gain/bias \(3,\)"):
+        nm.norm_affine(x, nm.Tensor(np.ones(3)), gain, w, b)
+    with pytest.raises(ShapeError, match=r"norm_affine: incompatible shapes \(2, 3, 4\) @ \(5, 5\)"):
+        nm.norm_affine(x, gain, gain, nm.Tensor(np.zeros((5, 5))), b)
+    with pytest.raises(ShapeError, match=r"gelu_affine: incompatible shapes .* \+ \(4,\)"):
+        nm.gelu_affine(x, w, gain)
+
+
 def test_layer_norm_matches_variance_formula_bitwise():
     rng = np.random.default_rng(20)
     x = (rng.standard_normal((8, 64, 32)) * 4.0 + 3.0).astype(np.float32)
@@ -632,7 +738,9 @@ def _kernel_calls(rng):
         "attend": lambda: [nm.attend(t(2, 3, 12), 2)],
         "log_softmax": lambda: [nm.log_softmax(t(2, 3))],
         "layer_norm": lambda: [nm.layer_norm(t(2, 3), t(3), t(3))],
+        "norm_affine": lambda: [nm.norm_affine(t(2, 3, 4), t(4), t(4), t(4, 5), t(5))],
         "gelu": lambda: [nm.gelu(t(2, 3))],
+        "gelu_affine": lambda: [nm.gelu_affine(t(2, 3, 4), t(4, 5), t(5))],
         "absolute": lambda: [nm.absolute(t(2, 3))],
         "reduce_sum": lambda: [nm.reduce_sum(t(2, 3)), nm.reduce_sum(t(2, 3), axis=0)],
         "reduce_mean": lambda: [nm.reduce_mean(t(2, 3)), nm.reduce_mean(t(2, 3), axis=-1)],
@@ -652,7 +760,7 @@ def test_no_backward_closure_holds_a_tensor():
     with nm.Tape() as tape:
         for call in calls.values():
             call()
-    assert len(tape) == 22  # every call but stop_gradient's
+    assert len(tape) == 24  # every call but stop_gradient's
     for node in tape._nodes:
         assert not _holds_tensor(node.backward_fn), node.backward_fn.__qualname__
 

@@ -43,7 +43,7 @@ from selectmae.training import (
     selection_loss,
 )
 
-from testkit import assert_owned_by
+from testkit import assert_owned_by, tape_held_bytes
 
 TOK = TokenizerConfig(tubelet=(2, 4, 4), dim=16)
 BB = BackboneConfig(enc_depth=1, enc_dim=16, enc_heads=2, dec_depth=1, dec_dim=8, dec_heads=2)
@@ -219,21 +219,33 @@ def _default_adaptive_setup():
     return model, selector, opt, _items(8, 5, SynthConfig(), tok)
 
 
-def test_node_budget_of_a_default_pretraining_half(monkeypatch):
-    # each op a half records costs it Python work under the GIL, paid by
-    # both halves: a change that adds nodes has to update this on purpose
+def _default_pretraining_halves(monkeypatch):
+    """(nodes, held bytes) of each half's tape of one default adaptive
+    step, as backward receives it; AdamW's flat buffers are left out."""
     model, selector, opt, items = _default_adaptive_setup()
     recorded = []
     real_backward = training.backward
 
     def counting_backward(loss, tape):
-        recorded.append(len(tape))
+        recorded.append((len(tape), tape_held_bytes(tape, (opt._value, opt._grad, opt._m, opt._v))))
         return real_backward(loss, tape)
 
     monkeypatch.setattr(training, "backward", counting_backward)
     rngs = [np.random.default_rng([6, 0, j]) for j in range(8)]
     pretrain_step(*items, model, selector, opt, PretrainConfig(strategy="adaptive"), rngs)
-    assert recorded == [112, 112]  # the share scale included
+    return recorded
+
+
+def test_node_budget_of_a_default_pretraining_half(monkeypatch):
+    # each op a half records costs it Python work under the GIL, paid by
+    # both halves: a change that adds nodes has to update this on purpose
+    assert [nodes for nodes, _ in _default_pretraining_halves(monkeypatch)] == [87, 87]
+
+
+def test_memory_budget_of_a_default_pretraining_half(monkeypatch):
+    # the arrays a half's tape holds until backward count twice in a
+    # step's peak memory: a change that keeps more does so on purpose
+    assert [held for _, held in _default_pretraining_halves(monkeypatch)] == [10_911_040] * 2
 
 
 @pytest.mark.parametrize("strategy", ["adaptive", "random"])

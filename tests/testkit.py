@@ -8,8 +8,8 @@ mode tightens the tolerance to 1e-5.
 
 Also the token id of a grid cell (the order `tokenizer.unfold_clip`
 gives its rows in), a PPM reader for the images
-`reconstruct` writes, and a check that an optimizer still owns its
-parameters' buffers.
+`reconstruct` writes, a check that an optimizer still owns its
+parameters' buffers, and the bytes a tape's closures hold.
 """
 
 from __future__ import annotations
@@ -194,3 +194,29 @@ def assert_owned_by(opt):
         for array, flat in ((p.data, opt._value), (p.grad, opt._grad),
                             (opt.m[name], opt._m), (opt.v[name], opt._v)):
             assert array.base is flat, name
+
+
+def _base(a: np.ndarray) -> np.ndarray:
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+def tape_held_bytes(tape: Tape, owned=()) -> int:
+    """Bytes of the distinct arrays a tape's backward closures hold, each
+    counted once through the array that owns its memory, nested closures
+    included. Arrays in `owned` (an optimizer's flat buffers, which
+    exist with or without a tape) and their views are left out."""
+    skip = {id(a) for a in owned}
+    held: dict[int, int] = {}
+    pending = [node.backward_fn for node in tape._nodes]
+    while pending:
+        for cell in pending.pop().__closure__ or ():
+            obj = cell.cell_contents
+            if isinstance(obj, np.ndarray):
+                base = _base(obj)
+                if id(base) not in skip:
+                    held[id(base)] = base.nbytes
+            elif callable(obj) and getattr(obj, "__closure__", None):
+                pending.append(obj)
+    return sum(held.values())
