@@ -6,6 +6,14 @@ artifact, which includes a checkpoint of the wrong kind (a classifier
 given to `reconstruct` or `pretrain --resume`, a pretraining checkpoint
 given to `eval`). Every command writes its resolved config next to its
 outputs so any run can be reproduced from (config, seed).
+
+Every command that reads `--config` takes a repeatable `--set KEY=VALUE`:
+KEY is `seed` or `section.key`, VALUE is JSON or else a bare string
+(`tube`, `0.9`, `null`, `true`, `[0.9,0.95]`). Overrides go into the
+`--config` document before it is resolved, so section seeds follow
+`--set seed=N`. A KEY named more than once is swept: `ablate` trains one
+row per combination, in the order the keys first appear; any other
+command exits 2.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .backbone import ModelParams
-from .config import RunConfig
+from .config import RunConfig, config_grid
 from .data import denormalize_targets, generate_corpus, load_clip, load_manifest
 from .downstream import SplitSpec, evaluate_checkpoint, finetune_run, phase_round_robin
 from .errors import ConfigError, FormatError, SelectMAEError
@@ -41,9 +49,10 @@ from .training import (
 
 
 def _load_config(args) -> RunConfig:
-    if getattr(args, "config", None):
-        return RunConfig.from_file(args.config)
-    return RunConfig.from_document({})
+    (swept, cfg), *others = config_grid(args.config, args.set)
+    if others:
+        raise ConfigError(f"--set names {', '.join(swept)} more than once; only ablate sweeps")
+    return cfg
 
 
 def _resolve_manifest(corpus) -> Path:
@@ -92,8 +101,6 @@ def _parse_split(spec: str, entries) -> SplitSpec:
 
 def cmd_gen_data(args) -> int:
     cfg = _load_config(args)
-    if args.seed is not None:
-        cfg = cfg.with_overrides(seed=args.seed)
     out = Path(args.out)
     generate_corpus(cfg.data, args.clips, args.label_fraction, cfg.seed, out)
     _write_resolved_config(cfg, out)
@@ -101,24 +108,8 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def _pretrain_overrides(args) -> dict:
-    over = {}
-    if args.strategy is not None:
-        over["strategy"] = args.strategy
-    if args.ratio is not None:
-        over["mask_ratio"] = args.ratio
-    if args.steps is not None:
-        over["max_steps"] = args.steps
-    if args.seed is not None:
-        over["seed"] = args.seed
-    return over
-
-
 def cmd_pretrain(args) -> int:
     cfg = _load_config(args)
-    over = _pretrain_overrides(args)
-    if over:
-        cfg = cfg.with_overrides(pretrain=over)
     manifest = _resolve_manifest(args.corpus)
     out = Path(args.out)
     _write_resolved_config(cfg, out)
@@ -154,8 +145,6 @@ def _apply_label_fraction(split: SplitSpec, entries, fraction: float) -> SplitSp
 
 def cmd_finetune(args) -> int:
     cfg = _load_config(args)
-    if args.seed is not None:
-        cfg = cfg.with_overrides(finetune={"seed": args.seed})
     manifest = _resolve_manifest(args.corpus)
     entries = load_manifest(manifest)
     split = _split_with_fraction(args, entries)
@@ -236,55 +225,24 @@ def cmd_reconstruct(args) -> int:
     return 0
 
 
-_ABLATION_AXES = {
-    "ratio": ("pretrain", "mask_ratio", float),
-    "decoder-depth": ("backbone", "dec_depth", int),
-    "strategy": ("pretrain", "strategy", str),
-    "loss": ("pretrain", None, str),  # handled specially: kind-norm pairs
-}
-
-_LOSS_VALUES = {
-    "mse-norm": {"loss_kind": "mse", "normalize_targets": True},
-    "mse-raw": {"loss_kind": "mse", "normalize_targets": False},
-    "l1-norm": {"loss_kind": "l1", "normalize_targets": True},
-    "l1-raw": {"loss_kind": "l1", "normalize_targets": False},
-}
-
-
 def cmd_ablate(args) -> int:
-    if args.axis not in _ABLATION_AXES:
-        raise ConfigError(f"--axis must be one of {sorted(_ABLATION_AXES)}, got '{args.axis}'")
-    base = _load_config(args)
+    grid = config_grid(args.config, args.set)
     manifest = _resolve_manifest(args.corpus)
     entries = load_manifest(manifest)
     # every input is checked before the first row trains
     split = _split_with_fraction(args, entries)
-    section, key, cast = _ABLATION_AXES[args.axis]
-    configs = []
-    for raw_value in args.values.split(","):
-        raw_value = raw_value.strip()
-        if args.axis == "loss":
-            if raw_value not in _LOSS_VALUES:
-                raise ConfigError(f"loss value must be one of {sorted(_LOSS_VALUES)}")
-            configs.append((raw_value, base.with_overrides(pretrain=_LOSS_VALUES[raw_value])))
-            continue
-        try:
-            value = cast(raw_value)
-        except ValueError:
-            raise ConfigError(f"--values for --axis {args.axis} must be {cast.__name__}s,"
-                              f" got '{raw_value}'") from None
-        configs.append((raw_value, base.with_overrides(**{section: {key: value}})))
     seen = {}
-    for raw_value, cfg in configs:
+    for swept, cfg in grid:
         digest = cfg.config_hash()
         if digest in seen:
-            raise ConfigError(f"--values '{seen[digest]}' and '{raw_value}' give the same config")
-        seen[digest] = raw_value
+            raise ConfigError(f"--set values {json.dumps(seen[digest])} and {json.dumps(swept)}"
+                              " give the same config")
+        seen[digest] = swept
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
-    for raw_value, cfg in configs:
-        row_dir = out_dir / f"{args.axis}_{raw_value.replace('.', 'p')}"
+    for index, (swept, cfg) in enumerate(grid):
+        row_dir = out_dir / f"row{index:03d}"
         _write_resolved_config(cfg, row_dir)
         result = pretrain_run(manifest, row_dir, cfg.pretrain, cfg.tokenizer, cfg.backbone)
         ft = finetune_run(
@@ -294,8 +252,8 @@ def cmd_ablate(args) -> int:
         report = ft["report"]
         rows.append(
             {
-                "axis": args.axis,
-                "value": raw_value,
+                "row": row_dir.name,
+                **{k: v if isinstance(v, str) else json.dumps(v) for k, v in swept.items()},
                 "final_L_R": round(result["final_recon"], 6),
                 "accuracy": round(report.accuracy, 4),
                 "precision": round(report.precision, 4),
@@ -324,27 +282,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def config_options(command):
+        command.add_argument("--config")
+        command.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                             help="override config KEY ('seed' or 'section.key'); "
+                                  "naming a KEY again sweeps it (ablate only)")
+
     g = sub.add_parser("gen-data", help="generate a synthetic labeled corpus")
-    g.add_argument("--config")
+    config_options(g)
     g.add_argument("--out", required=True)
     g.add_argument("--clips", type=int, default=120)
     g.add_argument("--label-fraction", type=float, default=0.1)
-    g.add_argument("--seed", type=int)
     g.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("pretrain", help="self-supervised pretraining")
-    p.add_argument("--config")
+    config_options(p)
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--strategy", choices=STRATEGIES)
-    p.add_argument("--ratio", type=float)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--seed", type=int)
     p.add_argument("--resume")
     p.set_defaults(func=cmd_pretrain)
 
     f = sub.add_parser("finetune", help="fine-tune step recognition from a checkpoint or scratch")
-    f.add_argument("--config")
+    config_options(f)
     f.add_argument("--corpus", required=True)
     f.add_argument("--checkpoint")
     f.add_argument("--scratch", action="store_true")
@@ -352,11 +311,10 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--label-fraction", type=float)
     f.add_argument("--out", required=True, help="metrics JSON path")
     f.add_argument("--save-classifier", help="write the fine-tuned classifier checkpoint here")
-    f.add_argument("--seed", type=int)
     f.set_defaults(func=cmd_finetune)
 
     e = sub.add_parser("eval", help="evaluate a fine-tuned classifier checkpoint")
-    e.add_argument("--config")
+    config_options(e)
     e.add_argument("--corpus", required=True)
     e.add_argument("--checkpoint", required=True)
     e.add_argument("--split", required=True)
@@ -372,11 +330,10 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--seed", type=int, default=0)
     r.set_defaults(func=cmd_reconstruct)
 
-    a = sub.add_parser("ablate", help="sweep one config axis, emit Markdown/CSV table")
-    a.add_argument("--config")
+    a = sub.add_parser("ablate", help="train every combination of the swept --set values, "
+                                      "emit Markdown/CSV table")
+    config_options(a)
     a.add_argument("--corpus", required=True)
-    a.add_argument("--axis", required=True)
-    a.add_argument("--values", required=True)
     a.add_argument("--split", required=True)
     a.add_argument("--label-fraction", type=float)
     a.add_argument("--out-dir", required=True)

@@ -6,14 +6,17 @@ checkpoint embeds its tokenizer, backbone and pretrain sections.
 `RunConfig.from_document` is the one way back to dataclasses, with the
 same checks for a `--config` file and a checkpoint: unknown keys and
 values of the wrong type are rejected at every level, so typos cannot
-silently fall back to defaults.
+silently fall back to defaults. A command's `--set KEY=VALUE` overrides
+are put into its `--config` document before that (`config_grid`).
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
+import re
 import types
 import typing
 from dataclasses import dataclass
@@ -123,14 +126,6 @@ class RunConfig:
         sections = {name: _build(c, doc[name]) for name, c in _SECTIONS.items()}
         return cls(seed=seed, document=doc, **sections)
 
-    @classmethod
-    def from_file(cls, path) -> "RunConfig":
-        try:
-            user = json.loads(Path(path).read_text())
-        except ValueError as exc:  # not UTF-8, or not JSON
-            raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-        return cls.from_document(user)
-
     def dumps(self) -> str:
         return json.dumps(self.document, indent=2, sort_keys=True)
 
@@ -138,13 +133,40 @@ class RunConfig:
         raw = json.dumps(self.document, sort_keys=True).encode("utf-8")
         return hashlib.sha256(raw).hexdigest()[:12]
 
-    def with_overrides(self, **sections) -> "RunConfig":
-        """New config with section-level key overrides, e.g.
-        with_overrides(pretrain={"strategy": "tube"})."""
-        doc = json.loads(json.dumps(self.document))
-        for section, values in sections.items():
-            if section == "seed":
-                doc["seed"] = values
-                continue
-            doc[section].update(values)
-        return RunConfig.from_document(doc)
+
+def config_grid(path, sets) -> list[tuple[dict, RunConfig]]:
+    """The configs a command runs: the `--config` document at `path` (all
+    defaults without one) with each `--set KEY=VALUE` put in place before
+    it is resolved. A KEY named more than once is swept: one config per
+    combination, in product order over the keys as they first appear,
+    each with its {KEY: value} of the swept keys."""
+    user = {}
+    if path:
+        try:
+            user = json.loads(Path(path).read_text())
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+        if not isinstance(user, dict):
+            raise ConfigError(f"config {path} must hold an object")
+    values = {}
+    for text in sets:
+        key, sep, raw = text.partition("=")
+        if not sep or not re.fullmatch(r"seed|\w+\.\w+", key):
+            raise ConfigError(f"--set takes KEY=VALUE, KEY 'seed' or 'section.key', got {text!r}")
+        try:
+            value = json.loads(raw)
+        except ValueError:  # not JSON: a bare string
+            value = raw
+        values.setdefault(key, []).append(value)
+    grid = []
+    for combo in itertools.product(*values.values()):
+        doc = json.loads(json.dumps(user))
+        for key, value in zip(values, combo):
+            section, _, name = key.rpartition(".")
+            where = doc.setdefault(section, {}) if section else doc
+            if not isinstance(where, dict):
+                raise ConfigError(f"config section '{section}' must be an object")
+            where[name] = value
+        swept = {key: value for key, value in zip(values, combo) if len(values[key]) > 1}
+        grid.append((swept, RunConfig.from_document(doc)))
+    return grid

@@ -190,6 +190,8 @@ class FinetuneConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be positive")
+        if self.patience < 1:
+            raise ConfigError(f"patience must be >= 1, got {self.patience}")
         check_schedule(self.betas, self.weight_decay, self.warmup_steps, self.min_lr)
 
 

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import shutil
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from selectmae.backbone import ModelParams
 from selectmae.cli import _apply_label_fraction, main
-from selectmae.config import RunConfig
+from selectmae.config import RunConfig, config_grid
 from selectmae.downstream import ClassifierHead, SplitSpec
 from selectmae.errors import ConfigError
 from selectmae.masking import STRATEGIES
@@ -46,7 +47,7 @@ def corpus(tmp_path_factory, tiny_config):
     out = tmp_path_factory.mktemp("cli_corpus")
     code = main([
         "gen-data", "--config", tiny_config, "--out", str(out),
-        "--clips", "16", "--label-fraction", "0.5", "--seed", "3",
+        "--clips", "16", "--label-fraction", "0.5", "--set", "seed=3",
     ])
     assert code == 0
     return out
@@ -89,6 +90,8 @@ def test_run_config_type_checks_every_value():
         {"pretrain": {"base_lr": float("nan")}},
         {"pretrain": {"betas": [0.9, float("inf")]}},
         {"pretrain": {"grad_clip": float("-inf")}},
+        {"finetune": {"patience": 0}},
+        {"finetune": {"patience": -5}},
     ):
         with pytest.raises(ConfigError, match="must be"):
             RunConfig.from_document(bad)
@@ -140,11 +143,28 @@ def test_resolved_document_round_trips(user):
         assert getattr(again, name) == getattr(cfg, name)
 
 
+@settings(max_examples=60, deadline=None)
+@given(SECTION_OVERRIDES)
+def test_set_overrides_resolve_like_the_document_they_spell(user):
+    sets = [f"seed={json.dumps(user['seed'])}"] if "seed" in user else []
+    sets += [f"{name}.{key}={json.dumps(value)}"
+             for name, section in user.items() if name != "seed"
+             for key, value in section.items()]
+    [(swept, cfg)] = config_grid(None, sets)
+    assert swept == {}
+    assert cfg.document == RunConfig.from_document(user).document
+
+
 def test_gen_data_manifest_counts(corpus):
     entries = json.loads((corpus / "manifest.json").read_text())
     assert len(entries) == 16
     assert sum(e["labeled"] for e in entries) == 8
     assert (corpus / "config.resolved.json").exists()
+
+
+def test_gen_data_set_seed_reaches_every_section_seed(corpus):
+    resolved = json.loads((corpus / "config.resolved.json").read_text())
+    assert resolved["seed"] == resolved["pretrain"]["seed"] == resolved["finetune"]["seed"] == 3
 
 
 def test_gen_data_missing_out_exits_2(capsys):
@@ -157,7 +177,7 @@ def test_gen_data_rerun_is_byte_identical(tmp_path, tiny_config):
     for name in ("a", "b"):
         code = main([
             "gen-data", "--config", tiny_config, "--out", str(tmp_path / name),
-            "--clips", "8", "--label-fraction", "0.5", "--seed", "9",
+            "--clips", "8", "--label-fraction", "0.5", "--set", "seed=9",
         ])
         assert code == 0
     assert _dir_hash(tmp_path / "a") == _dir_hash(tmp_path / "b")
@@ -166,18 +186,17 @@ def test_gen_data_rerun_is_byte_identical(tmp_path, tiny_config):
 def test_pretrain_invalid_ratio_exits_2(corpus, tiny_config, tmp_path):
     code = main([
         "pretrain", "--config", tiny_config, "--corpus", str(corpus),
-        "--out", str(tmp_path / "run"), "--ratio", "1.5",
+        "--out", str(tmp_path / "run"), "--set", "pretrain.mask_ratio=1.5",
     ])
     assert code == 2
 
 
 def test_pretrain_invalid_strategy_exits_2(corpus, tiny_config, tmp_path, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main([
-            "pretrain", "--config", tiny_config, "--corpus", str(corpus),
-            "--out", str(tmp_path / "run"), "--strategy", "zigzag",
-        ])
-    assert exc.value.code == 2
+    code = main([
+        "pretrain", "--config", tiny_config, "--corpus", str(corpus),
+        "--out", str(tmp_path / "run"), "--set", "pretrain.strategy=zigzag",
+    ])
+    assert code == 2
 
 
 @pytest.fixture(scope="module")
@@ -185,7 +204,7 @@ def pretrained(tmp_path_factory, corpus, tiny_config):
     out = tmp_path_factory.mktemp("cli_pretrain")
     code = main([
         "pretrain", "--config", tiny_config, "--corpus", str(corpus),
-        "--out", str(out), "--strategy", "adaptive",
+        "--out", str(out), "--set", "pretrain.strategy=adaptive",
     ])
     assert code == 0
     return out / "checkpoint_000006.csma"
@@ -195,7 +214,7 @@ def test_pretrain_determinism(tmp_path_factory, corpus, tiny_config, pretrained)
     out2 = tmp_path_factory.mktemp("cli_pretrain2")
     code = main([
         "pretrain", "--config", tiny_config, "--corpus", str(corpus),
-        "--out", str(out2), "--strategy", "adaptive",
+        "--out", str(out2), "--set", "pretrain.strategy=adaptive",
     ])
     assert code == 0
     assert (out2 / "checkpoint_000006.csma").read_bytes() == pretrained.read_bytes()
@@ -207,7 +226,7 @@ def test_checkpoint_embeds_the_resolved_config(pretrained):
     embedded = array_to_config(load_checkpoint(pretrained)["meta.config_utf8"])
     assert embedded == {k: resolved[k] for k in ("tokenizer", "backbone", "pretrain")}
     rebuilt = RunConfig.from_document(embedded)
-    logged = RunConfig.from_file(resolved_path)
+    logged = RunConfig.from_document(resolved)
     for name in ("tokenizer", "backbone", "pretrain"):
         assert getattr(rebuilt, name) == getattr(logged, name)
 
@@ -373,13 +392,26 @@ def test_ablate_table(corpus, tiny_config, tmp_path):
     out = tmp_path / "ablation"
     code = main([
         "ablate", "--config", tiny_config, "--corpus", str(corpus),
-        "--axis", "strategy", "--values", "random,adaptive",
+        "--set", "pretrain.strategy=random", "--set", "seed=0",
+        "--set", "pretrain.strategy=adaptive", "--set", "seed=1",
         "--split", "8,4,4", "--out-dir", str(out),
     ])
     assert code == 0
-    rows = (out / "table.csv").read_text().strip().splitlines()
-    assert len(rows) == 3  # header + 2 values
+    with open(out / "table.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    # one row per combination, in product order over the keys as they first appear
+    grid = [("random", 0), ("random", 1), ("adaptive", 0), ("adaptive", 1)]
+    assert list(rows[0])[:3] == ["row", "pretrain.strategy", "seed"]
     assert "config_hash" in rows[0]
+    for index, (row, (strategy, seed)) in enumerate(zip(rows, grid, strict=True)):
+        assert row["row"] == f"row{index:03d}"
+        assert (row["pretrain.strategy"], row["seed"]) == (strategy, str(seed))
+        resolved = json.loads((out / row["row"] / "config.resolved.json").read_text())
+        assert resolved["pretrain"]["strategy"] == strategy
+        assert resolved["pretrain"]["seed"] == resolved["finetune"]["seed"] == seed
+        assert resolved["seed"] == seed
+        assert (out / row["row"] / "checkpoint_000006.csma").exists()
+    assert len({row["config_hash"] for row in rows}) == 4
     md = (out / "table.md").read_text()
     assert md.count("|") > 6
 
@@ -387,10 +419,51 @@ def test_ablate_table(corpus, tiny_config, tmp_path):
 def test_ablate_invalid_axis_exits_2(corpus, tiny_config, tmp_path):
     code = main([
         "ablate", "--config", tiny_config, "--corpus", str(corpus),
-        "--axis", "optimizer", "--values", "adam", "--split", "8,4,4",
+        "--set", "optimizer.kind=adam", "--split", "8,4,4",
         "--out-dir", str(tmp_path / "x"),
     ])
     assert code == 2
+
+
+BAD_SETS = {  # name: (--config document or the tiny one, --set texts, error text)
+    "no-equals": (None, ["foo"], "--set takes KEY=VALUE"),
+    "three-part-key": (None, ["a.b.c=1"], "--set takes KEY=VALUE"),
+    "empty-key": (None, ["=1"], "--set takes KEY=VALUE"),
+    "bare-section": (None, ["pretrain=1"], "--set takes KEY=VALUE"),
+    "unknown-key": (None, ["pretrain.masking_ratio=0.9"], "unknown config key"),
+    "unknown-section": (None, ["optimizer.lr=0.1"], "unknown config key"),
+    "repeated-key": (None, ["seed=1", "seed=2"], "--set names seed more than once"),
+    "section-not-object": ({"pretrain": 5}, ["pretrain.seed=1"], "'pretrain' must be an object"),
+    "config-not-object": ([1], ["seed=1"], "must hold an object"),
+}
+SET_REFUSALS = [
+    (command, name) for command in ("gen-data", "pretrain", "finetune", "eval", "ablate")
+    for name in BAD_SETS if (command, name) != ("ablate", "repeated-key")  # ablate sweeps
+]
+
+
+@pytest.mark.parametrize("command,name", SET_REFUSALS, ids=[f"{c}-{n}" for c, n in SET_REFUSALS])
+def test_bad_set_exits_2_before_any_output(command, name, corpus, tiny_config, pretrained,
+                                           tmp_path, capsys):
+    document, sets, message = BAD_SETS[name]
+    config = tiny_config
+    if document is not None:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(document))
+    out = tmp_path / "out"
+    common = ["--config", str(config), *(arg for text in sets for arg in ("--set", text))]
+    data = ["--corpus", str(corpus), "--split", "8,4,4"]
+    argv = {
+        "gen-data": ["gen-data", *common, "--out", str(out), "--clips", "2"],
+        "pretrain": ["pretrain", *common, "--corpus", str(corpus), "--out", str(out)],
+        "finetune": ["finetune", *common, *data, "--scratch", "--out", str(out)],
+        "eval": ["eval", *common, *data, "--checkpoint", str(pretrained), "--out", str(out)],
+        "ablate": ["ablate", *common, *data, "--out-dir", str(out)],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_split_refuses_a_repeated_id_naming_it_and_its_list():
@@ -414,16 +487,26 @@ def test_split_counts_refuse_a_negative_count(counts, name, corpus, tiny_config,
     assert f"split {name} count must be >= 0, got -" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("axis,values", [
-    ("ratio", "0.9,abc"), ("ratio", "0.9,,0.8"), ("decoder-depth", "1.5"),
-    ("ratio", "0.9,1.5"), ("loss", "mse-norm,mse-raw2"), ("ratio", "0.9,0.90"),
-])
-def test_ablate_bad_value_exits_2_before_any_row(axis, values, corpus, tiny_config, tmp_path,
-                                                  capsys):
+def _sets(key, *values):
+    return [arg for value in values for arg in ("--set", f"{key}={value}")]
+
+
+BAD_SWEEPS = {  # named for the --axis/--values form they replace
+    "ratio-0.9,abc": _sets("pretrain.mask_ratio", "0.9", "abc"),
+    "ratio-0.9,,0.8": _sets("pretrain.mask_ratio", "0.9", "", "0.8"),
+    "decoder-depth-1.5": _sets("backbone.dec_depth", "1.5"),
+    "ratio-0.9,1.5": _sets("pretrain.mask_ratio", "0.9", "1.5"),
+    "loss-mse-norm,mse-raw2": _sets("pretrain.loss_kind", "mse", "mse2"),
+    "ratio-0.9,0.90": _sets("pretrain.mask_ratio", "0.9", "0.90"),
+}
+
+
+@pytest.mark.parametrize("sets", BAD_SWEEPS.values(), ids=BAD_SWEEPS)
+def test_ablate_bad_value_exits_2_before_any_row(sets, corpus, tiny_config, tmp_path, capsys):
     out = tmp_path / "ablation"
     code = main([
         "ablate", "--config", tiny_config, "--corpus", str(corpus),
-        "--axis", axis, "--values", values, "--split", "8,4,4", "--out-dir", str(out),
+        *sets, "--split", "8,4,4", "--out-dir", str(out),
     ])
     assert code == 2
     assert "Traceback" not in capsys.readouterr().err
@@ -434,7 +517,7 @@ def test_ablate_bad_split_exits_2_before_any_row(corpus, tiny_config, tmp_path, 
     out = tmp_path / "ablation"
     code = main([
         "ablate", "--config", tiny_config, "--corpus", str(corpus),
-        "--axis", "ratio", "--values", "0.9", "--split", "100,4,4", "--out-dir", str(out),
+        "--set", "pretrain.mask_ratio=0.9", "--split", "100,4,4", "--out-dir", str(out),
     ])
     assert code == 2
     assert "exceed corpus of 16" in capsys.readouterr().err
@@ -600,7 +683,7 @@ def _argv(command, artifact, corpus, tiny_config, pretrained, tmp_path):
         "reconstruct": ["reconstruct", "--checkpoint", artifact,
                         "--clip", str(corpus / "clip_00000.csvc"), "--out-dir", out],
         "pretrain --resume": ["pretrain", "--config", tiny_config, *data, "--out", out,
-                              "--strategy", "adaptive", "--resume", artifact],
+                              "--set", "pretrain.strategy=adaptive", "--resume", artifact],
         "finetune": ["finetune", "--config", tiny_config, *data, "--checkpoint",
                      str(pretrained), "--split", artifact, "--out", out],
         "eval": ["eval", "--config", tiny_config, *data, "--checkpoint", str(pretrained),
@@ -692,7 +775,7 @@ def test_resume_in_place_over_a_corrupt_metrics_log_exits_4(
     log.write_bytes(b"".join([lines[0], line, *lines[1:]]))
     code = main([
         "pretrain", "--config", tiny_config, "--corpus", str(corpus), "--out", str(run),
-        "--strategy", "adaptive", "--resume", str(run / "checkpoint_000003.csma"),
+        "--set", "pretrain.strategy=adaptive", "--resume", str(run / "checkpoint_000003.csma"),
     ])
     assert code == 4
     err = capsys.readouterr().err
@@ -728,7 +811,7 @@ def test_corrupt_manifest_exits_4(command, manifest, tiny_config, pretrained, tm
         "finetune": ["finetune", *common, "--scratch", "--split", "1,0,0", "--out", out],
         "eval": ["eval", *common, "--checkpoint", str(pretrained), "--split", "1,0,0",
                  "--out", out],
-        "ablate": ["ablate", *common, "--axis", "ratio", "--values", "0.5", "--split", "1,0,0",
+        "ablate": ["ablate", *common, "--set", "pretrain.mask_ratio=0.5", "--split", "1,0,0",
                    "--out-dir", out],
     }[command]
     assert main(argv) == 4
