@@ -17,11 +17,12 @@ import numpy as np
 from .errors import ConfigError, ContractError, ShapeError
 from .layers import BlockParams, LinearParams, LayerNormParams, apply_layer_norm, linear, transformer_block
 from .numerics import Tensor, add, concat_rows, gather_rows_batched, reshape
-from .tokenizer import TokenizerConfig, positional_encoding
+from .tokenizer import patch_len, positional_encoding
 
 
 @dataclass
 class BackboneConfig:
+    tubelet: tuple[int, int, int] = (2, 4, 4)  # (t, h, w) pixels per token
     enc_depth: int = 4
     enc_dim: int = 64
     enc_heads: int = 4
@@ -32,6 +33,8 @@ class BackboneConfig:
     dec_mlp_ratio: float = 4.0
 
     def __post_init__(self):
+        if min(self.tubelet) < 1:
+            raise ConfigError(f"tubelet dims must be positive, got {self.tubelet}")
         if min(self.enc_depth, self.dec_depth) < 0:
             raise ConfigError(f"depths must be >= 0, got {self.enc_depth} and {self.dec_depth}")
         if min(self.enc_dim, self.enc_heads, self.dec_dim, self.dec_heads) < 1:
@@ -42,32 +45,21 @@ class BackboneConfig:
             raise ConfigError(f"encoder dim {self.enc_dim} not divisible by {self.enc_heads} heads")
         if self.dec_dim % self.dec_heads != 0:
             raise ConfigError(f"decoder dim {self.dec_dim} not divisible by {self.dec_heads} heads")
-        if self.dec_dim % 2 != 0:
-            raise ConfigError("decoder dim must be even for the positional table")
+        if self.enc_dim % 2 != 0 or self.dec_dim % 2 != 0:
+            raise ConfigError(f"encoder dim {self.enc_dim} and decoder dim {self.dec_dim}"
+                              " must be even for the positional table")
 
 
 class ModelParams:
     """Every trainable tensor of the autoencoder: tokenizer projection,
     encoder blocks, decoder embed/blocks/head, and the mask vector."""
 
-    def __init__(
-        self,
-        tok_cfg: TokenizerConfig,
-        bb_cfg: BackboneConfig,
-        rng: np.random.Generator,
-        channels: int = 3,
-    ):
-        if tok_cfg.dim != bb_cfg.enc_dim:
-            raise ConfigError(
-                f"token dim {tok_cfg.dim} must equal encoder dim {bb_cfg.enc_dim}"
-            )
-        self.tok_cfg = tok_cfg
+    def __init__(self, bb_cfg: BackboneConfig, rng: np.random.Generator):
         self.bb_cfg = bb_cfg
-        self.channels = channels
-        patch_len = tok_cfg.patch_len(channels)
+        rows = patch_len(bb_cfg.tubelet)
         # LeCun-scale init keeps patch content comparable to the O(1)
         # positional table; a 0.02 init buries it and stalls training
-        self.proj = LinearParams(rng, patch_len, tok_cfg.dim, std=1.0 / math.sqrt(patch_len))
+        self.proj = LinearParams(rng, rows, bb_cfg.enc_dim, std=1.0 / math.sqrt(rows))
         self.enc_blocks = [
             BlockParams(rng, bb_cfg.enc_dim, bb_cfg.enc_heads, bb_cfg.enc_mlp_ratio)
             for _ in range(bb_cfg.enc_depth)
@@ -83,21 +75,7 @@ class ModelParams:
             for _ in range(bb_cfg.dec_depth)
         ]
         self.dec_norm = LayerNormParams(bb_cfg.dec_dim)
-        self.head = LinearParams(rng, bb_cfg.dec_dim, patch_len)
-
-    def named(self, prefix: str = "model") -> dict[str, Tensor]:
-        out = {}
-        out.update(self.proj.named(f"{prefix}.tokenizer.proj"))
-        for i, block in enumerate(self.enc_blocks):
-            out.update(block.named(f"{prefix}.encoder.block{i}"))
-        out.update(self.enc_norm.named(f"{prefix}.encoder.norm"))
-        out.update(self.dec_embed.named(f"{prefix}.decoder.embed"))
-        out[f"{prefix}.decoder.mask_token"] = self.mask_token
-        for i, block in enumerate(self.dec_blocks):
-            out.update(block.named(f"{prefix}.decoder.block{i}"))
-        out.update(self.dec_norm.named(f"{prefix}.decoder.norm"))
-        out.update(self.head.named(f"{prefix}.decoder.head"))
-        return out
+        self.head = LinearParams(rng, bb_cfg.dec_dim, rows)
 
     def encoder_named(self, prefix: str = "model") -> dict[str, Tensor]:
         """The subset used by the downstream classification path."""
@@ -106,6 +84,18 @@ class ModelParams:
         for i, block in enumerate(self.enc_blocks):
             out.update(block.named(f"{prefix}.encoder.block{i}"))
         out.update(self.enc_norm.named(f"{prefix}.encoder.norm"))
+        return out
+
+    def named(self, prefix: str = "model") -> dict[str, Tensor]:
+        """Every tensor: the encoder's first, in `encoder_named` order,
+        then the decoder's. AdamW's flat layout follows this order."""
+        out = self.encoder_named(prefix)
+        out.update(self.dec_embed.named(f"{prefix}.decoder.embed"))
+        out[f"{prefix}.decoder.mask_token"] = self.mask_token
+        for i, block in enumerate(self.dec_blocks):
+            out.update(block.named(f"{prefix}.decoder.block{i}"))
+        out.update(self.dec_norm.named(f"{prefix}.decoder.norm"))
+        out.update(self.head.named(f"{prefix}.decoder.head"))
         return out
 
 

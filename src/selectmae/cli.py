@@ -4,8 +4,13 @@ Commands: gen-data, pretrain, finetune, eval, reconstruct, ablate.
 Exit codes: 0 success, 2 config/usage error, 3 I/O error, 4 corrupt
 artifact, which includes a checkpoint of the wrong kind (a classifier
 given to `reconstruct` or `pretrain --resume`, a pretraining checkpoint
-given to `eval`). Every command writes its resolved config next to its
-outputs so any run can be reproduced from (config, seed).
+given to `eval`). `gen-data`, `pretrain`, `finetune` and each `ablate`
+row write their resolved config next to their outputs; `eval` and
+`reconstruct` write none. The resolved config and the corpus reproduce
+a `pretrain` run; the other commands also read options it does not
+record: `--clips` and `--label-fraction` of `gen-data`; `--split`,
+`--label-fraction` and `--checkpoint` of `finetune`; `--split` and
+`--label-fraction` of `ablate`.
 
 Every command that reads `--config` takes a repeatable `--set KEY=VALUE`:
 KEY is `seed` or `section.key`, VALUE is JSON or else a bare string
@@ -114,8 +119,7 @@ def cmd_pretrain(args) -> int:
     out = Path(args.out)
     _write_resolved_config(cfg, out)
     result = pretrain_run(
-        manifest, out, cfg.pretrain, cfg.tokenizer, cfg.backbone,
-        resume_from=args.resume,
+        manifest, out, cfg.pretrain, cfg.backbone, resume_from=args.resume,
     )
     print(f"final L_R {result['final_recon']:.6f} after {result['total_steps']} steps")
     print(f"checkpoint: {result['checkpoint']}")
@@ -152,8 +156,8 @@ def cmd_finetune(args) -> int:
         raise ConfigError("finetune needs exactly one of --checkpoint and --scratch")
     init_arrays = None if args.scratch else load_checkpoint(args.checkpoint)
     result = finetune_run(
-        manifest, split, cfg.finetune, cfg.data.num_phases,
-        cfg.tokenizer, cfg.backbone, init_arrays=init_arrays,
+        manifest, split, cfg.finetune, cfg.data.num_phases, cfg.backbone,
+        init_arrays=init_arrays,
     )
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -165,8 +169,7 @@ def cmd_finetune(args) -> int:
     if args.save_classifier:
         arrays = {k: t.data for k, t in result["model"].encoder_named().items()}
         arrays.update({k: t.data for k, t in result["head"].named().items()})
-        arrays[CONFIG_ENTRY] = config_to_array(
-            config_snapshot(tokenizer=cfg.tokenizer, backbone=cfg.backbone))
+        arrays[CONFIG_ENTRY] = config_to_array(config_snapshot(backbone=cfg.backbone))
         save_checkpoint(args.save_classifier, arrays)
     print(json.dumps({k: report[k] for k in ("accuracy", "precision", "recall", "jaccard")}))
     return 0
@@ -179,7 +182,7 @@ def cmd_eval(args) -> int:
     split = _parse_split(args.split, entries)
     arrays = load_checkpoint(args.checkpoint)
     report = evaluate_checkpoint(
-        manifest, split.test_ids, arrays, cfg.data.num_phases, cfg.tokenizer, cfg.backbone
+        manifest, split.test_ids, arrays, cfg.data.num_phases, cfg.backbone
     )
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -190,9 +193,9 @@ def cmd_eval(args) -> int:
 
 def _model_from_checkpoint(arrays: dict, path):
     cfg = RunConfig.from_document(checkpoint_config(arrays, path))
-    model = ModelParams(cfg.tokenizer, cfg.backbone, np.random.default_rng(0))
+    model = ModelParams(cfg.backbone, np.random.default_rng(0))
     assign_named(model.named(), arrays, "(model)")
-    selector = SelectionParams(np.random.default_rng(1), cfg.tokenizer.dim)
+    selector = SelectionParams(np.random.default_rng(1), cfg.backbone.enc_dim)
     assign_named(selector.named(), arrays, "(selector)")
     return model, selector, cfg.pretrain
 
@@ -212,8 +215,9 @@ def cmd_reconstruct(args) -> int:
     )
     rows, visible, masked = patches[0], visible_ids[0], masked_ids[0]
     predicted = denormalize_targets(preds.data[0], rows[masked], pre_cfg.normalize_targets)
-    recon_masked, _ = detokenize_patches(predicted, masked, frames.shape, model.tok_cfg)
-    visible_frames, _ = detokenize_patches(rows[visible], visible, frames.shape, model.tok_cfg)
+    tubelet = model.bb_cfg.tubelet
+    recon_masked, _ = detokenize_patches(predicted, masked, frames.shape, tubelet)
+    visible_frames, _ = detokenize_patches(rows[visible], visible, frames.shape, tubelet)
     reconstruction = np.clip(visible_frames + recon_masked, 0.0, 1.0)
     overlay = visible_frames  # masked tubelets stay black
 
@@ -244,10 +248,10 @@ def cmd_ablate(args) -> int:
     for index, (swept, cfg) in enumerate(grid):
         row_dir = out_dir / f"row{index:03d}"
         _write_resolved_config(cfg, row_dir)
-        result = pretrain_run(manifest, row_dir, cfg.pretrain, cfg.tokenizer, cfg.backbone)
+        result = pretrain_run(manifest, row_dir, cfg.pretrain, cfg.backbone)
         ft = finetune_run(
-            manifest, split, cfg.finetune, cfg.data.num_phases, cfg.tokenizer,
-            cfg.backbone, init_arrays=load_checkpoint(result["checkpoint"]),
+            manifest, split, cfg.finetune, cfg.data.num_phases, cfg.backbone,
+            init_arrays=load_checkpoint(result["checkpoint"]),
         )
         report = ft["report"]
         rows.append(

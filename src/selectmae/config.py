@@ -1,8 +1,11 @@
 """Strict JSON run configuration mirroring every component's settings.
 
 The resolved document is the one form a config takes outside Python:
-every command logs it, its hash identifies the run, and a pretraining
-checkpoint embeds its tokenizer, backbone and pretrain sections.
+every command that trains or writes a corpus logs it, its hash
+identifies the run, a pretraining
+checkpoint embeds its backbone and pretrain sections, and a classifier
+its backbone section. The backbone section is the whole model
+architecture, tubelet included; the token width is its `enc_dim`.
 `RunConfig.from_document` is the one way back to dataclasses, with the
 same checks for a `--config` file and a checkpoint: unknown keys and
 values of the wrong type are rejected at every level, so typos cannot
@@ -26,12 +29,10 @@ from .backbone import BackboneConfig
 from .data import SynthConfig
 from .downstream import FinetuneConfig
 from .errors import ConfigError
-from .tokenizer import TokenizerConfig
 from .training import PretrainConfig, config_snapshot
 
 _SECTIONS = {
     "data": SynthConfig,
-    "tokenizer": TokenizerConfig,
     "backbone": BackboneConfig,
     "pretrain": PretrainConfig,
     "finetune": FinetuneConfig,
@@ -107,7 +108,6 @@ def _build(cls, section: dict):
 class RunConfig:
     seed: int
     data: SynthConfig
-    tokenizer: TokenizerConfig
     backbone: BackboneConfig
     pretrain: PretrainConfig
     finetune: FinetuneConfig

@@ -41,7 +41,7 @@ from .numerics import (
     run_halves,
     scale,
 )
-from .tokenizer import TokenizerConfig, tokenize
+from .tokenizer import tokenize
 from .training import assign_named, config_diff, config_snapshot, written_config
 
 
@@ -161,7 +161,7 @@ def classification_logits(frames: np.ndarray, model: ModelParams, head: Classifi
     leading dims are flattened into one batch, tokenized with everything
     visible, encoded, mean-pooled over the tokens and put through the head."""
     lead = frames.shape[:-4]
-    tokens = tokenize(frames.reshape(-1, *frames.shape[-4:]), model.tok_cfg,
+    tokens = tokenize(frames.reshape(-1, *frames.shape[-4:]), model.bb_cfg.tubelet,
                       model.proj.weight, model.proj.bias)
     pooled = reduce_mean(encode(tokens, model), axis=1)
     return reshape(linear(pooled, head.proj), (*lead, head.num_steps))
@@ -205,14 +205,14 @@ def _check_labels(entries: list[dict], ids, num_steps: int):
             )
 
 
-def _check_architecture(arrays: dict, tok_cfg: TokenizerConfig, bb_cfg: BackboneConfig, path):
-    """Raise ConfigError where the tokenizer or backbone config a checkpoint
-    was written with differs from the run's. A checkpoint without a
-    config, as perfbench writes its classifiers, is not checked."""
+def _check_architecture(arrays: dict, bb_cfg: BackboneConfig, path):
+    """Raise ConfigError where the backbone config a checkpoint was
+    written with differs from the run's. A checkpoint without a config,
+    as perfbench writes its classifiers, is not checked."""
     written = written_config(arrays, path)
     if written is None:
         return
-    run = config_snapshot(tokenizer=tok_cfg, backbone=bb_cfg)
+    run = config_snapshot(backbone=bb_cfg)
     diff = config_diff({k: written[k] for k in run if k in written}, run)
     if diff:
         raise ConfigError(
@@ -233,23 +233,21 @@ def finetune_run(
     split: SplitSpec,
     cfg: FinetuneConfig,
     num_steps: int,
-    tok_cfg: TokenizerConfig | None = None,
     bb_cfg: BackboneConfig | None = None,
     init_arrays: dict | None = None,
 ) -> dict:
     """Cross-entropy fine-tuning of encoder+head on labeled train clips.
 
     `init_arrays` holds pretrained checkpoint tensors (scratch when
-    None); a pretraining checkpoint's tokenizer and backbone config must
-    equal the run's. Early-stops on validation accuracy and reports test
+    None); the backbone config a checkpoint embeds, tubelet included,
+    must equal `bb_cfg`. Early-stops on validation accuracy and reports test
     metrics with the best-validation weights. With no validation clips it
     trains every epoch, keeps the final weights and reports `val_accuracy`
     None.
     """
-    tok_cfg = tok_cfg or TokenizerConfig()
     bb_cfg = bb_cfg or BackboneConfig()
     if init_arrays is not None:
-        _check_architecture(init_arrays, tok_cfg, bb_cfg, "the encoder init")
+        _check_architecture(init_arrays, bb_cfg, "the encoder init")
     entries = load_manifest(manifest_path)
     labeled = [i for i in split.train_ids if entries[i]["labeled"]]
     if not labeled:
@@ -260,7 +258,7 @@ def finetune_run(
     _check_labels(entries, used, num_steps)
     clips = {i: load_clip(entries[i]["path"]) for i in used}
 
-    model = ModelParams(tok_cfg, bb_cfg, np.random.default_rng([cfg.seed, 0]))
+    model = ModelParams(bb_cfg, np.random.default_rng([cfg.seed, 0]))
     if init_arrays is not None:
         assign_named(model.encoder_named(), init_arrays, "(encoder init)")
     head = ClassifierHead(np.random.default_rng([cfg.seed, 2]), bb_cfg.enc_dim, num_steps)
@@ -325,21 +323,19 @@ def evaluate_checkpoint(
     split_ids,
     arrays: dict,
     num_steps: int,
-    tok_cfg: TokenizerConfig | None = None,
     bb_cfg: BackboneConfig | None = None,
 ) -> MetricsReport:
     """Eval-only path: classifier checkpoint -> MetricsReport on given ids.
-    A checkpoint's tokenizer and backbone config, where it holds one,
-    must equal the run's."""
-    tok_cfg = tok_cfg or TokenizerConfig()
+    The backbone config a checkpoint embeds, where it holds one, must
+    equal `bb_cfg`."""
     bb_cfg = bb_cfg or BackboneConfig()
-    _check_architecture(arrays, tok_cfg, bb_cfg, "the classifier")
+    _check_architecture(arrays, bb_cfg, "the classifier")
     if not len(split_ids):
         raise ConfigError("the test split is empty: no clips to report metrics on")
     entries = load_manifest(manifest_path)
     _check_labels(entries, split_ids, num_steps)
     clips = {i: load_clip(entries[i]["path"]) for i in split_ids}
-    model = ModelParams(tok_cfg, bb_cfg, np.random.default_rng(0))
+    model = ModelParams(bb_cfg, np.random.default_rng(0))
     assign_named(model.encoder_named(), arrays, "(encoder)")
     head = ClassifierHead(np.random.default_rng(1), bb_cfg.enc_dim, num_steps)
     assign_named(head.named(), arrays, "(classifier head)")

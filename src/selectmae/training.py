@@ -67,11 +67,7 @@ from .numerics import (
     stored_count,
     sub,
 )
-from .tokenizer import (
-    TokenizerConfig,
-    embed_patches,
-    unfold_clip,
-)
+from .tokenizer import embed_patches, grid_dims, unfold_clip
 
 CKPT_MAGIC = b"CSMA"
 CKPT_VERSION = 1
@@ -91,9 +87,8 @@ class LossReport:
 @dataclass
 class PretrainConfig:
     mask_ratio: float = 0.95
-    epochs: int = 800
     batch_size: int = 8
-    max_steps: int | None = 2000  # desk-scale cap; None runs all epochs
+    max_steps: int = 2000  # the run's length in optimizer steps
     base_lr: float = 1.5e-4
     min_lr: float = 1e-6
     warmup_steps: int = 100
@@ -113,10 +108,8 @@ class PretrainConfig:
             raise ConfigError(f"loss_kind must be one of {LOSS_KINDS}, got '{self.loss_kind}'")
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"strategy must be one of {STRATEGIES}, got '{self.strategy}'")
-        if self.batch_size < 1 or self.epochs < 1 or self.ckpt_every < 1:
-            raise ConfigError("batch_size, epochs and ckpt_every must be positive")
-        if self.max_steps is not None and self.max_steps < 1:
-            raise ConfigError(f"max_steps must be >= 1 when set, got {self.max_steps}")
+        if min(self.batch_size, self.max_steps, self.ckpt_every) < 1:
+            raise ConfigError("batch_size, max_steps and ckpt_every must be positive")
         if self.grad_clip is not None and not self.grad_clip > 0:
             raise ConfigError(f"grad_clip must be > 0 when set, got {self.grad_clip}")
         check_schedule(self.betas, self.weight_decay, self.warmup_steps, self.min_lr)
@@ -178,10 +171,10 @@ def masked_forward(frames: np.ndarray, model: ModelParams, selector: SelectionPa
     adaptive), the (B, n_visible) visible and (B, n_masked) masked token
     ids, and the (B, n_masked, patch_len) predictions.
     """
-    tok_cfg = model.tok_cfg
-    grid = tok_cfg.grid_dims(frames.shape[1:])
-    patches = unfold_clip(frames, tok_cfg.tubelet)
-    tokens = embed_patches(Tensor(patches), tok_cfg, model.proj.weight, model.proj.bias)
+    tubelet = model.bb_cfg.tubelet
+    grid = grid_dims(frames.shape[1:], tubelet)
+    patches = unfold_clip(frames, tubelet)
+    tokens = embed_patches(Tensor(patches), model.proj.weight, model.proj.bias)
 
     log_probs = None
     if strategy == "adaptive":
@@ -424,15 +417,14 @@ class PretrainRun:
         manifest_path,
         out_dir,
         cfg: PretrainConfig,
-        tok_cfg: TokenizerConfig | None = None,
         bb_cfg: BackboneConfig | None = None,
     ):
         self.cfg = cfg
-        self.tok_cfg = tok_cfg or TokenizerConfig()
         self.bb_cfg = bb_cfg or BackboneConfig()
+        tubelet = self.bb_cfg.tubelet
         self.out_dir = Path(out_dir)
         self.out_dir.mkdir(parents=True, exist_ok=True)
-        self.snapshot = config_snapshot(tokenizer=self.tok_cfg, backbone=self.bb_cfg, pretrain=cfg)
+        self.snapshot = config_snapshot(backbone=self.bb_cfg, pretrain=cfg)
 
         entries = load_manifest(manifest_path)
         if not entries:
@@ -442,29 +434,26 @@ class PretrainRun:
         self.fg_ids: list[np.ndarray | None] = []
         for entry in entries:
             clip = load_clip(entry["path"])
-            self.tok_cfg.grid_dims(clip.pixels.shape)  # divisibility check, before any step
+            grid_dims(clip.pixels.shape, tubelet)  # divisibility check, before any step
             fg = None
             mask_file = mask_path_for(entry["path"])
             if mask_file.exists():
-                cells = unfold_clip(load_mask(mask_file)[:, None].astype(np.float32),
-                                    self.tok_cfg.tubelet)
+                cells = unfold_clip(load_mask(mask_file)[:, None].astype(np.float32), tubelet)
                 fg = np.flatnonzero(cells.max(axis=1) > 0)
             self.items.append(clip)
             self.fg_ids.append(fg)
 
-        self.model = ModelParams(self.tok_cfg, self.bb_cfg, np.random.default_rng([cfg.seed, 0]))
-        self.selector = SelectionParams(np.random.default_rng([cfg.seed, 1]), self.tok_cfg.dim)
+        self.model = ModelParams(self.bb_cfg, np.random.default_rng([cfg.seed, 0]))
+        self.selector = SelectionParams(np.random.default_rng([cfg.seed, 1]), self.bb_cfg.enc_dim)
         trained = dict(self.model.named())
         if cfg.strategy == "adaptive":
             trained.update(self.selector.named())
         self.optimizer = AdamW(
             trained, lr=cfg.base_lr, betas=cfg.betas, weight_decay=cfg.weight_decay
         )
-        steps_per_epoch = math.ceil(len(self.items) / cfg.batch_size)
-        self.total_steps = steps_per_epoch * cfg.epochs
-        if cfg.max_steps is not None:
-            self.total_steps = min(self.total_steps, cfg.max_steps)
-        self.steps_per_epoch = steps_per_epoch
+        self.total_steps = cfg.max_steps
+        # each epoch shuffles the corpus anew
+        self.steps_per_epoch = math.ceil(len(self.items) / cfg.batch_size)
         self.start_step = 0
         self.resumed_from: Path | None = None
 
@@ -579,12 +568,11 @@ def pretrain_run(
     manifest_path,
     out_dir,
     cfg: PretrainConfig,
-    tok_cfg: TokenizerConfig | None = None,
     bb_cfg: BackboneConfig | None = None,
     resume_from=None,
 ) -> dict:
     """Run (or resume) pretraining; returns checkpoint/log paths and final loss."""
-    run = PretrainRun(manifest_path, out_dir, cfg, tok_cfg, bb_cfg)
+    run = PretrainRun(manifest_path, out_dir, cfg, bb_cfg)
     if resume_from is not None:
         run.resume(resume_from)
     return run.run()

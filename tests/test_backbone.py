@@ -6,16 +6,16 @@ from selectmae.backbone import BackboneConfig, ModelParams, decode, encode
 from selectmae.errors import ConfigError, ContractError, ShapeError
 from selectmae.layers import LinearParams, apply_layer_norm, linear
 from selectmae.masking import MaskSpec, sample_visible
-from selectmae.tokenizer import TokenizerConfig, positional_encoding
+from selectmae.tokenizer import patch_len, positional_encoding
 
 from testkit import check_param_gradients
 
-TOK = TokenizerConfig(tubelet=(2, 2, 2), dim=16)
-BB = BackboneConfig(enc_depth=2, enc_dim=16, enc_heads=2, dec_depth=2, dec_dim=8, dec_heads=2)
+BB = BackboneConfig(tubelet=(2, 2, 2), enc_depth=2, enc_dim=16, enc_heads=2, dec_depth=2,
+                    dec_dim=8, dec_heads=2)
 
 
 def _model(seed=0):
-    return ModelParams(TOK, BB, np.random.default_rng(seed))
+    return ModelParams(BB, np.random.default_rng(seed))
 
 
 def _tokens(n=16, seed=1):
@@ -43,8 +43,9 @@ def test_encode_output_shape():
 
 
 def test_encode_depth_zero_is_final_norm_only():
-    cfg = BackboneConfig(enc_depth=0, enc_dim=16, enc_heads=2, dec_depth=1, dec_dim=8, dec_heads=2)
-    model = ModelParams(TOK, cfg, np.random.default_rng(0))
+    cfg = BackboneConfig(tubelet=(2, 2, 2), enc_depth=0, enc_dim=16, enc_heads=2, dec_depth=1,
+                         dec_dim=8, dec_heads=2)
+    model = ModelParams(cfg, np.random.default_rng(0))
     x = _clip_tokens(4)
     out = encode(x, model)
     expected = nm.layer_norm(x, model.enc_norm.gain, model.enc_norm.bias)
@@ -72,7 +73,7 @@ def test_decode_shapes_and_order():
     model = _model()
     spec = sample_visible(np.full(16, -np.log(16)), 0.75, np.random.default_rng(4))
     preds = _forward(_clip_tokens(), spec, model)
-    assert preds.shape == (1, spec.n_masked, TOK.patch_len())
+    assert preds.shape == (1, spec.n_masked, patch_len(BB.tubelet))
     # row j predicts masked token j: listing the masked ids in reverse
     # reverses the rows and changes nothing else
     reversed_preds = decode(
@@ -96,8 +97,9 @@ def test_decode_mismatched_spec_rejected():
 def test_decode_without_blocks_reads_mask_vector_and_own_position():
     # with no decoder blocks each slot sees only itself, so masked token j
     # must come out as head(norm(mask vector + positional encoding of j))
-    cfg = BackboneConfig(enc_depth=1, enc_dim=16, enc_heads=2, dec_depth=0, dec_dim=8, dec_heads=2)
-    model = ModelParams(TOK, cfg, np.random.default_rng(0))
+    cfg = BackboneConfig(tubelet=(2, 2, 2), enc_depth=1, enc_dim=16, enc_heads=2, dec_depth=0,
+                         dec_dim=8, dec_heads=2)
+    model = ModelParams(cfg, np.random.default_rng(0))
     spec = MaskSpec(16, 0.75, np.array([1, 6, 7, 12]))
     preds = _forward(_clip_tokens(), spec, model).data[0]
     slots = nm.Tensor(model.mask_token.data + positional_encoding(16, 8)[spec.masked_ids])
@@ -141,12 +143,11 @@ def test_every_parameter_reachable_from_reconstruction_loss():
 
     cfg = SynthConfig(frames=4, height=8, width=8)
     clip = generate_clip(cfg, 0, 0)
-    tok_cfg = TokenizerConfig(tubelet=(2, 2, 2), dim=16)
-    model = ModelParams(tok_cfg, BB, np.random.default_rng(1))
+    model = ModelParams(BB, np.random.default_rng(1))
     spec = sample_visible(np.full(32, -np.log(32)), 0.75, np.random.default_rng(2))
-    rows = unfold_clip(clip.frames, tok_cfg.tubelet)[spec.masked_ids]
+    rows = unfold_clip(clip.frames, BB.tubelet)[spec.masked_ids]
     with nm.Tape() as tape:
-        tokens = tokenize(clip.frames[None], tok_cfg, model.proj.weight, model.proj.bias)
+        tokens = tokenize(clip.frames[None], BB.tubelet, model.proj.weight, model.proj.bias)
         preds = _forward(tokens, spec, model)
         loss, _ = reconstruction_loss(preds, patch_normalize_targets(rows)[None], "mse")
     nm.backward(loss, tape)
@@ -164,7 +165,10 @@ def test_full_visibility_mode_for_downstream():
 def test_backbone_config_validation():
     for bad in (
         {"enc_dim": 10, "enc_heads": 4},
+        {"enc_dim": 15, "enc_heads": 3},  # odd: no sinusoidal pairs
         {"dec_dim": 9, "dec_heads": 3},
+        {"tubelet": (2, 0, 4)},
+        {"tubelet": (-1, 4, 4)},
         {"enc_depth": -1},
         {"dec_depth": -2},
         {"enc_heads": 0},
@@ -206,7 +210,7 @@ def test_packed_qkv_weights_keep_the_draws_of_separate_projections(monkeypatch):
     from selectmae import layers, masking
 
     def build():
-        model = ModelParams(TOK, BB, np.random.default_rng(7))
+        model = ModelParams(BB, np.random.default_rng(7))
         return {**model.named(), **masking.SelectionParams(np.random.default_rng(8), 16).named()}
 
     packed = _unpack(build())
@@ -236,9 +240,20 @@ def test_parameter_tensor_counts_at_the_default_config():
     from selectmae.downstream import ClassifierHead
     from selectmae.masking import SelectionParams
 
-    tok = TokenizerConfig()
-    model = ModelParams(tok, BackboneConfig(), np.random.default_rng(0))
-    selector = SelectionParams(np.random.default_rng(1), tok.dim)
-    head = ClassifierHead(np.random.default_rng(2), tok.dim, 12)
+    bb = BackboneConfig()
+    model = ModelParams(bb, np.random.default_rng(0))
+    selector = SelectionParams(np.random.default_rng(1), bb.enc_dim)
+    head = ClassifierHead(np.random.default_rng(2), bb.enc_dim, 12)
     assert len(model.named()) + len(selector.named()) == 115  # adaptive pretraining
     assert len(model.encoder_named()) + len(head.named()) == 54  # fine-tuning
+
+
+def test_named_starts_with_the_encoder_in_order():
+    """AdamW lays its flat buffers out, and sums the clipped norm, in
+    `named()` order; the encoder's tensors lead it, as `encoder_named()`
+    lists them, then come the decoder's."""
+    model = _model()
+    names, encoder = list(model.named()), list(model.encoder_named())
+    assert names[:len(encoder)] == encoder
+    assert all(".decoder." in name for name in names[len(encoder):])
+    assert all(model.named()[k] is t for k, t in model.encoder_named().items())

@@ -22,13 +22,12 @@ from testkit import read_ppm
 
 TINY = {
     "data": {"frames": 4, "height": 16, "width": 16, "num_phases": 4},
-    "tokenizer": {"tubelet": [2, 4, 4], "dim": 16},
     "backbone": {
-        "enc_depth": 1, "enc_dim": 16, "enc_heads": 2,
+        "tubelet": [2, 4, 4], "enc_depth": 1, "enc_dim": 16, "enc_heads": 2,
         "dec_depth": 1, "dec_dim": 8, "dec_heads": 2,
     },
     "pretrain": {
-        "mask_ratio": 0.75, "epochs": 4, "batch_size": 4, "max_steps": 6,
+        "mask_ratio": 0.75, "batch_size": 4, "max_steps": 6,
         "warmup_steps": 2, "ckpt_every": 3,
     },
     "finetune": {"epochs": 3, "batch_size": 4, "patience": 3},
@@ -77,16 +76,17 @@ def test_run_config_seed_propagation():
 
 def test_run_config_type_checks_every_value():
     cfg = RunConfig.from_document(
-        {"pretrain": {"base_lr": 1, "max_steps": None, "grad_clip": 2, "betas": [0.5, 0.9]}}
+        {"pretrain": {"base_lr": 1, "max_steps": 7, "grad_clip": 2, "betas": [0.5, 0.9]}}
     )
-    assert cfg.pretrain.base_lr == 1 and cfg.pretrain.max_steps is None
+    assert cfg.pretrain.base_lr == 1 and cfg.pretrain.max_steps == 7
     assert cfg.pretrain.betas == (0.5, 0.9)
     for bad in (
         {"seed": "1"},
-        {"pretrain": {"epochs": 2.5}},
+        {"pretrain": {"max_steps": 2.5}},
+        {"pretrain": {"max_steps": None}},
         {"pretrain": {"normalize_targets": 1}},
         {"pretrain": {"batch_size": True}},
-        {"tokenizer": {"tubelet": 2}},
+        {"backbone": {"tubelet": 2}},
         {"pretrain": {"base_lr": float("nan")}},
         {"pretrain": {"betas": [0.9, float("inf")]}},
         {"pretrain": {"grad_clip": float("-inf")}},
@@ -107,11 +107,8 @@ SECTION_OVERRIDES = st.fixed_dictionaries({}, optional={
         "motion_speed_range": st.lists(_positive, min_size=2, max_size=2).map(sorted),
         "shape_palette": st.lists(st.lists(_unit, min_size=3, max_size=3), min_size=1, max_size=4),
     }),
-    "tokenizer": st.fixed_dictionaries({}, optional={
-        "tubelet": st.lists(st.integers(1, 4), min_size=3, max_size=3),
-        "pos_encoding": st.sampled_from(["sinusoidal", "none"]),
-    }),
     "backbone": st.fixed_dictionaries({}, optional={
+        "tubelet": st.lists(st.integers(1, 4), min_size=3, max_size=3),
         "enc_depth": st.integers(0, 8),
         "dec_depth": st.integers(0, 8),
         "enc_mlp_ratio": st.floats(0.25, 8.0),
@@ -119,7 +116,7 @@ SECTION_OVERRIDES = st.fixed_dictionaries({}, optional={
     "pretrain": st.fixed_dictionaries({}, optional={
         "mask_ratio": st.floats(0.01, 0.99),
         "strategy": st.sampled_from(STRATEGIES),
-        "max_steps": st.none() | st.integers(1, 10**6),
+        "max_steps": st.integers(1, 10**6),
         "grad_clip": st.none() | _positive,
         "betas": st.lists(_beta, min_size=2, max_size=2),
         "normalize_targets": st.booleans(),
@@ -139,7 +136,7 @@ def test_resolved_document_round_trips(user):
     again = RunConfig.from_document(json.loads(cfg.dumps()))
     assert again.document == cfg.document
     assert again.config_hash() == cfg.config_hash()
-    for name in ("data", "tokenizer", "backbone", "pretrain", "finetune"):
+    for name in ("data", "backbone", "pretrain", "finetune"):
         assert getattr(again, name) == getattr(cfg, name)
 
 
@@ -224,10 +221,10 @@ def test_checkpoint_embeds_the_resolved_config(pretrained):
     resolved_path = pretrained.parent / "config.resolved.json"
     resolved = json.loads(resolved_path.read_text())
     embedded = array_to_config(load_checkpoint(pretrained)["meta.config_utf8"])
-    assert embedded == {k: resolved[k] for k in ("tokenizer", "backbone", "pretrain")}
+    assert embedded == {k: resolved[k] for k in ("backbone", "pretrain")}
     rebuilt = RunConfig.from_document(embedded)
     logged = RunConfig.from_document(resolved)
-    for name in ("tokenizer", "backbone", "pretrain"):
+    for name in ("backbone", "pretrain"):
         assert getattr(rebuilt, name) == getattr(logged, name)
 
 
@@ -264,7 +261,7 @@ def test_eval_refuses_a_classifier_of_another_architecture(corpus, tiny_config, 
     arrays = load_checkpoint(classifier)
     resolved = json.loads((tmp_path / "config.resolved.json").read_text())
     embedded = array_to_config(arrays.pop("meta.config_utf8"))
-    assert embedded == {k: resolved[k] for k in ("tokenizer", "backbone")}
+    assert embedded == {"backbone": resolved["backbone"]}
     other = tmp_path / "other.json"
     other.write_text(json.dumps({**TINY, "backbone": {**TINY["backbone"], "enc_heads": 4}}))
     out = tmp_path / "eval.json"
@@ -435,6 +432,8 @@ BAD_SETS = {  # name: (--config document or the tiny one, --set texts, error tex
     "repeated-key": (None, ["seed=1", "seed=2"], "--set names seed more than once"),
     "section-not-object": ({"pretrain": 5}, ["pretrain.seed=1"], "'pretrain' must be an object"),
     "config-not-object": ([1], ["seed=1"], "must hold an object"),
+    # the token width is enc_dim, and the positional table pairs its columns
+    "odd-enc-dim": (None, ["backbone.enc_dim=15", "backbone.enc_heads=3"], "must be even"),
 }
 SET_REFUSALS = [
     (command, name) for command in ("gen-data", "pretrain", "finetune", "eval", "ablate")
@@ -530,7 +529,7 @@ def test_ablate_bad_split_exits_2_before_any_row(corpus, tiny_config, tmp_path, 
 
 def _classifier_checkpoint(path, pretrained):
     cfg = RunConfig.from_document(TINY)
-    model = ModelParams(cfg.tokenizer, cfg.backbone, np.random.default_rng(0))
+    model = ModelParams(cfg.backbone, np.random.default_rng(0))
     head = ClassifierHead(np.random.default_rng(1), cfg.backbone.enc_dim, cfg.data.num_phases)
     arrays = {k: t.data for k, t in model.encoder_named().items()}
     arrays.update({k: t.data for k, t in head.named().items()})
@@ -538,11 +537,11 @@ def _classifier_checkpoint(path, pretrained):
 
 
 def _configured_classifier_checkpoint(path, pretrained):
-    """A classifier that holds its tokenizer and backbone config, as
+    """A classifier that holds its backbone config, as
     `finetune --save-classifier` writes one."""
     _classifier_checkpoint(path, pretrained)
     arrays = load_checkpoint(path)
-    arrays["meta.config_utf8"] = config_to_array({k: TINY[k] for k in ("tokenizer", "backbone")})
+    arrays["meta.config_utf8"] = config_to_array({"backbone": TINY["backbone"]})
     save_checkpoint(path, arrays)
 
 
@@ -572,7 +571,7 @@ CHECKPOINTS = {  # artifact: (writer, exit code)
     "config-not-utf8": (_config_entry(b"\xff\xfe"), 4),
     "config-not-json": (_config_entry(b"{tokenizer"), 4),
     "config-not-object": (_config_entry(b"[1, 2]"), 4),
-    "config-unknown-key": (_config_entry(json.dumps({"tokenizer": {"size": 4}}).encode()), 2),
+    "config-unknown-key": (_config_entry(json.dumps({"backbone": {"size": 4}}).encode()), 2),
     "config-negative-depth": (
         _config_entry(json.dumps({"backbone": {"enc_depth": -1}}).encode()), 2),
 }
@@ -641,8 +640,8 @@ SPLITS = {
 CONFIGS = {
     "not-json": (_text("{"), 2),
     "ratio-string": (_text({"pretrain": {"mask_ratio": "x"}}), 2),
-    "short-tubelet": (_text({"tokenizer": {"tubelet": [2, 4]}}), 2),
-    "null-epochs": (_text({"pretrain": {"epochs": None}}), 2),
+    "short-tubelet": (_text({"backbone": {"tubelet": [2, 4]}}), 2),
+    "null-max-steps": (_text({"pretrain": {"max_steps": None}}), 2),
     "negative-depth": (_text({"backbone": {"enc_depth": -1}}), 2),
     "zero-heads": (_text({"backbone": {"enc_heads": 0}}), 2),
     "zero-mlp-ratio": (_text({"backbone": {"dec_mlp_ratio": 0.0}}), 2),
@@ -667,7 +666,7 @@ CONFIGS = {
 # the pretrained checkpoint's parameter shapes fit both, so only its config can tell
 ARCHITECTURES = {
     "other-heads": (_text({**TINY, "backbone": {**TINY["backbone"], "enc_heads": 4}}), 2),
-    "other-tubelet": (_text({**TINY, "tokenizer": {**TINY["tokenizer"], "tubelet": [1, 4, 8]}}),
+    "other-tubelet": (_text({**TINY, "backbone": {**TINY["backbone"], "tubelet": [1, 4, 8]}}),
                       2),
 }
 # the corpus holds phases 0..3; a 3-way head cannot score phase 3
@@ -749,6 +748,52 @@ def test_bad_artifact_exits_on_its_documented_code(
         assert "appears 2 times in the" in err
     if name.startswith("other-"):
         assert "checkpoint architecture does not match the run config:\n~ " in err
+
+
+
+def _with_earlier_config(checkpoint, path):
+    """`checkpoint` copied to `path` with its config written as before the
+    tubelet joined `backbone`: a `tokenizer` section holding the tubelet,
+    the token width and the positional-encoding kind, and, in a
+    pretraining checkpoint, `pretrain.epochs`."""
+    arrays = load_checkpoint(checkpoint)
+    doc = array_to_config(arrays["meta.config_utf8"])
+    doc["tokenizer"] = {"tubelet": doc["backbone"].pop("tubelet"),
+                        "dim": doc["backbone"]["enc_dim"], "pos_encoding": "sinusoidal"}
+    if "pretrain" in doc:
+        doc["pretrain"]["epochs"] = 800
+    arrays["meta.config_utf8"] = config_to_array(doc)
+    save_checkpoint(path, arrays)
+    return str(path)
+
+
+EARLIER_CONFIG_DIFFS = {  # command: what its refusal names
+    "reconstruct": ["unknown config key(s) ['tokenizer']"],
+    "pretrain --resume": ["+ backbone.tubelet = [2, 4, 4]", "- pretrain.epochs = 800",
+                          "- tokenizer = {"],
+    "finetune --checkpoint": ["+ backbone.tubelet = [2, 4, 4]"],
+    "eval --checkpoint": ["+ backbone.tubelet = [2, 4, 4]"],
+}
+
+
+@pytest.mark.parametrize("command", EARLIER_CONFIG_DIFFS)
+def test_a_checkpoint_with_the_earlier_tokenizer_section_exits_2(
+    command, corpus, tiny_config, pretrained, tmp_path, capsys
+):
+    source = pretrained
+    if command == "eval --checkpoint":
+        source = tmp_path / "classifier.csma"
+        assert main(["finetune", "--config", tiny_config, "--corpus", str(corpus), "--scratch",
+                     "--split", "8,4,4", "--out", str(tmp_path / "m.json"),
+                     "--save-classifier", str(source)]) == 0
+    artifact = _with_earlier_config(source, tmp_path / "earlier.csma")
+    argv = _argv(command, artifact, corpus, tiny_config, pretrained, tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "Traceback" not in err
+    for line in EARLIER_CONFIG_DIFFS[command]:
+        assert line in err
 
 
 # A resume in place reads the run's metrics log; a corrupt complete line

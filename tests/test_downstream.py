@@ -20,12 +20,10 @@ from selectmae.downstream import (
     finetune_run,
 )
 from selectmae.errors import ConfigError, DataError, FormatError
-from selectmae.tokenizer import TokenizerConfig
 from selectmae.training import CONFIG_ENTRY, PretrainConfig, config_snapshot, config_to_array
 
 from testkit import assert_owned_by, tape_held_bytes
 
-TOK = TokenizerConfig(tubelet=(2, 4, 4), dim=16)
 BB = BackboneConfig(enc_depth=1, enc_dim=16, enc_heads=2, dec_depth=1, dec_dim=8, dec_heads=2)
 SYNTH = SynthConfig(frames=4, height=16, width=16, num_phases=3)
 
@@ -107,7 +105,7 @@ def test_jaccard_bounded_by_precision_and_recall_fuzz():
 
 def test_classify_clip_shape_and_zero_head():
     clip = generate_clip(SYNTH, 0, 0)
-    model = ModelParams(TOK, BB, np.random.default_rng(0))
+    model = ModelParams(BB, np.random.default_rng(0))
     head = ClassifierHead(np.random.default_rng(1), 16, 3)
     logits = classification_logits(clip.frames, model, head).data
     assert logits.shape == (3,)
@@ -128,9 +126,9 @@ def test_classify_mean_pool_permutation_invariance():
     from selectmae.tokenizer import tokenize
 
     clip = generate_clip(SYNTH, 1, 3)
-    model = ModelParams(TOK, BB, np.random.default_rng(0))
+    model = ModelParams(BB, np.random.default_rng(0))
     head = ClassifierHead(np.random.default_rng(1), 16, 3)
-    tokens = tokenize(clip.frames[None], TOK, model.proj.weight, model.proj.bias)
+    tokens = tokenize(clip.frames[None], BB.tubelet, model.proj.weight, model.proj.bias)
     perm = np.random.default_rng(4).permutation(tokens.shape[1])
 
     def pooled_logits(tokens):
@@ -144,8 +142,8 @@ def test_classify_mean_pool_permutation_invariance():
 def _default_classification_tape():
     """The tape of a 3-clip default classification forward, and the
     optimizer fine-tuning builds over its parameters."""
-    tok, synth = TokenizerConfig(), SynthConfig()
-    model = ModelParams(tok, BackboneConfig(), np.random.default_rng(0))
+    synth = SynthConfig()
+    model = ModelParams(BackboneConfig(), np.random.default_rng(0))
     head = ClassifierHead(np.random.default_rng(1), model.bb_cfg.enc_dim, synth.num_phases)
     opt = nm.AdamW({**model.encoder_named(), **head.named()}, lr=1e-3)
     frames = np.stack([generate_clip(synth, i, [2, i]).frames for i in range(3)])
@@ -172,7 +170,7 @@ def _pooled_features(frames, model):
     from selectmae.backbone import encode
     from selectmae.tokenizer import tokenize
 
-    tokens = tokenize(frames, model.tok_cfg, model.proj.weight, model.proj.bias)
+    tokens = tokenize(frames, model.bb_cfg.tubelet, model.proj.weight, model.proj.bias)
     return encode(tokens, model).data.mean(axis=1)
 
 
@@ -180,7 +178,7 @@ def test_batched_classification_matches_each_clip_alone():
     # the default widths: a (1, 64) @ head product takes another BLAS
     # kernel than a (3, 64) one, so the logits may differ in the last
     # bits while everything up to the pooled features stays bitwise
-    model = ModelParams(TokenizerConfig(), BackboneConfig(), np.random.default_rng(0))
+    model = ModelParams(BackboneConfig(), np.random.default_rng(0))
     head = ClassifierHead(np.random.default_rng(1), model.bb_cfg.enc_dim, 3)
     stack = np.stack([generate_clip(SYNTH, phase, [5, phase]).frames for phase in range(3)])
     batched = classification_logits(stack, model, head).data
@@ -198,7 +196,7 @@ def test_batched_loss_gradient_is_the_mean_of_per_clip_gradients():
     from selectmae import numerics as nm
     from selectmae.downstream import _cross_entropy
 
-    model = ModelParams(TOK, BB, np.random.default_rng(0))
+    model = ModelParams(BB, np.random.default_rng(0))
     head = ClassifierHead(np.random.default_rng(1), 16, 3)
     params = {**model.encoder_named(), **head.named()}
     stack = np.stack([generate_clip(SYNTH, phase, [6, phase]).frames for phase in range(3)])
@@ -280,11 +278,10 @@ def test_finetune_reaches_full_accuracy_on_separable_corpus(corpus, monkeypatch)
     entries = load_manifest(corpus)
     split = SplitSpec.from_manifest(entries, 18, 6, 12)
     calls, loads = _consumed(monkeypatch, entries)
-    tok = TokenizerConfig(tubelet=(2, 4, 4), dim=32)
     bb = BackboneConfig(enc_depth=2, enc_dim=32, enc_heads=2, dec_depth=1, dec_dim=8, dec_heads=2)
     result = finetune_run(
         corpus, split, FinetuneConfig(epochs=40, batch_size=6, lr=1e-2, patience=40, seed=0),
-        num_steps=3, tok_cfg=tok, bb_cfg=bb,
+        num_steps=3, bb_cfg=bb,
     )
     assert result["labeled_train"] == 18
     assert result["report"].accuracy == 1.0
@@ -306,7 +303,7 @@ def test_finetune_requires_labeled_clips(corpus):
     rel = [dict(e, path=Path(e["path"]).name) for e in entries]
     unlabeled.write_text(json.dumps(rel, indent=2, sort_keys=True))
     with pytest.raises(ConfigError, match="labeled"):
-        finetune_run(unlabeled, split, FinetuneConfig(epochs=1), 3, TOK, BB)
+        finetune_run(unlabeled, split, FinetuneConfig(epochs=1), 3, BB)
 
 
 def test_evaluate_checkpoint_roundtrip(corpus, tmp_path):
@@ -316,13 +313,13 @@ def test_evaluate_checkpoint_roundtrip(corpus, tmp_path):
     split = SplitSpec.from_manifest(entries, 18, 6, 12)
     result = finetune_run(
         corpus, split, FinetuneConfig(epochs=5, batch_size=6, seed=1),
-        num_steps=3, tok_cfg=TOK, bb_cfg=BB,
+        num_steps=3, bb_cfg=BB,
     )
     arrays = {k: t.data for k, t in result["model"].encoder_named().items()}
     arrays.update({k: t.data for k, t in result["head"].named().items()})
     save_checkpoint(tmp_path / "cls.csma", arrays)
     report = evaluate_checkpoint(
-        corpus, split.test_ids, load_checkpoint(tmp_path / "cls.csma"), 3, TOK, BB
+        corpus, split.test_ids, load_checkpoint(tmp_path / "cls.csma"), 3, BB
     )
     assert report.accuracy == pytest.approx(result["report"].accuracy)
 
@@ -336,7 +333,7 @@ def test_empty_validation_split_keeps_the_final_epoch(corpus, tmp_path, monkeypa
     # with patience 1 an epoch scored against no clips must not count as stale
     result = finetune_run(
         corpus, split, FinetuneConfig(epochs=3, batch_size=6, patience=1, seed=2),
-        num_steps=3, tok_cfg=TOK, bb_cfg=BB,
+        num_steps=3, bb_cfg=BB,
     )
     assert result["best_epoch"] == 2
     assert result["val_accuracy"] is None
@@ -347,7 +344,7 @@ def test_empty_validation_split_keeps_the_final_epoch(corpus, tmp_path, monkeypa
     arrays.update({k: t.data for k, t in result["head"].named().items()})
     save_checkpoint(tmp_path / "cls.csma", arrays)
     report = evaluate_checkpoint(
-        corpus, split.test_ids, load_checkpoint(tmp_path / "cls.csma"), 3, TOK, BB
+        corpus, split.test_ids, load_checkpoint(tmp_path / "cls.csma"), 3, BB
     )
     assert report.to_json_dict() == result["report"].to_json_dict()
 
@@ -361,7 +358,7 @@ def test_finetune_is_deterministic(corpus, tmp_path):
     for run in range(2):
         result = finetune_run(
             corpus, split, FinetuneConfig(epochs=3, batch_size=6, seed=4),
-            num_steps=3, tok_cfg=TOK, bb_cfg=BB,
+            num_steps=3, bb_cfg=BB,
         )
         report = result["report"].to_json_dict()
         report.update(val_accuracy=result["val_accuracy"], best_epoch=result["best_epoch"])
@@ -395,7 +392,7 @@ def _first_step_gradients(corpus, monkeypatch, batch_size):
         mp.setattr(downstream, "Tape", SeenTape)
         split = SplitSpec.from_manifest(load_manifest(corpus), 12, 0, 3)
         finetune_run(corpus, split, FinetuneConfig(epochs=1, batch_size=batch_size, seed=5),
-                     num_steps=3, tok_cfg=TOK, bb_cfg=BB)
+                     num_steps=3, bb_cfg=BB)
     return grads[0], entered
 
 
@@ -445,7 +442,7 @@ def test_best_weights_restore_writes_into_the_optimizer_buffers(corpus, monkeypa
     made, _ = _recording_optimizer(monkeypatch)
     split = SplitSpec.from_manifest(load_manifest(corpus), 12, 6, 3)
     result = finetune_run(corpus, split, FinetuneConfig(epochs=3, batch_size=6, seed=4),
-                          num_steps=3, tok_cfg=TOK, bb_cfg=BB)
+                          num_steps=3, bb_cfg=BB)
     assert result["val_accuracy"] is not None  # the best weights were restored
     (opt,) = made
     assert_owned_by(opt)
@@ -470,20 +467,20 @@ def test_a_truncated_clip_fails_the_run_before_its_first_step(stage, corpus, tmp
     steps = []
     monkeypatch.setattr(downstream.AdamW, "step", lambda opt, *args, **kwargs: steps.append(1))
     with pytest.raises(FormatError, match="clip payload"):
-        finetune_run(tmp_path / "manifest.json", split, FinetuneConfig(epochs=2), 3, TOK, BB)
+        finetune_run(tmp_path / "manifest.json", split, FinetuneConfig(epochs=2), 3, BB)
     assert steps == []
 
 
 def test_finetune_init_checks_the_architecture_a_checkpoint_was_pretrained_with(corpus):
     split = SplitSpec.from_manifest(load_manifest(corpus), 6, 0, 3)
     cfg = FinetuneConfig(epochs=1)
-    arrays = {k: t.data for k, t in ModelParams(TOK, BB, np.random.default_rng(0))
+    arrays = {k: t.data for k, t in ModelParams(BB, np.random.default_rng(0))
               .encoder_named().items()}
-    finetune_run(corpus, split, cfg, 3, TOK, BB, init_arrays=arrays)  # no config: a classifier
+    finetune_run(corpus, split, cfg, 3, BB, init_arrays=arrays)  # no config: a classifier
     arrays[CONFIG_ENTRY] = config_to_array(
-        config_snapshot(tokenizer=TOK, backbone=BB, pretrain=PretrainConfig()))
-    finetune_run(corpus, split, cfg, 3, TOK, BB, init_arrays=arrays)
+        config_snapshot(backbone=BB, pretrain=PretrainConfig()))
+    finetune_run(corpus, split, cfg, 3, BB, init_arrays=arrays)
     # 4 heads of 4 dims hold the same parameter shapes as 2 heads of 8
     four_heads = BackboneConfig(**{**asdict(BB), "enc_heads": 4})
     with pytest.raises(ConfigError, match=r"architecture(.|\n)*~ backbone\.enc_heads: 2 -> 4$"):
-        finetune_run(corpus, split, cfg, 3, TOK, four_heads, init_arrays=arrays)
+        finetune_run(corpus, split, cfg, 3, four_heads, init_arrays=arrays)

@@ -421,6 +421,83 @@ def _max_rel_err(got, want):
     return float(np.abs(got - want).max() / np.abs(want).max())
 
 
+def _attend_error_bounds(qkv, weight, heads):
+    """Element by element bounds on the float32 error of attend's output
+    and of the q, k and v thirds of its gradient, in their packed
+    layouts, given (B, n, 3 dim) inputs and the (B, n, dim) output
+    gradient.
+
+    Each bound counts the roundings on the paths into its element, each
+    at most u = 2^-24 of the value it rounds, with gamma(k) = k u / (1 - k u)
+    for a k-term sum or dot product of magnitudes |a| . |b| (Higham 2002,
+    ch. 3). Forward: a score is a d-term dot product of q s and k, then
+    the row max is subtracted, exp adds 2 u, the weights' (n + 1)-term
+    matmul with [v | 1] gives the context and the row sum, and one divide
+    follows. Backward rebuilds each weight from a (d + 1)-term dot product
+    with -lse, where lse carries the forward's errors; [g | -D] [v | 1]^T,
+    with D a d-term dot product of g and the computed output, times the
+    weight gives the score gradient, and n-term matmuls give dq, dk and
+    dv. An absolute error e of an exponent is a relative error expm1(e)
+    of its weight. Below the normal range a rounding may instead be off
+    by up to `tiny`, the smallest subnormal: at 12x scores most weights
+    underflow. Magnitudes come from the exact float64 attention, so the
+    bounds grow with the scores, as the rounding does. They hold to first
+    order in u; the terms in u^2 are left out.
+    """
+    u, tiny = 2.0 ** -24, 2.0 ** -149
+
+    def gamma(k):
+        return k * u / (1 - k * u)
+
+    def t(a):
+        return np.swapaxes(a, -1, -2)
+
+    batch, n, width = qkv.shape
+    dim = width // 3
+    d = dim // heads
+    s = 1.0 / math.sqrt(d)
+    # (B, heads, n, d) float64 views of q, k, v and the output gradient g
+    q, k, v, g = (a.astype(np.float64).reshape(batch, n, heads, d).transpose(0, 2, 1, 3)
+                  for a in (*np.split(qkv, 3, axis=-1), weight))
+    scores = s * q @ t(k)
+    lse = np.log(np.exp(scores - scores.max(axis=-1, keepdims=True)).sum(axis=-1, keepdims=True))
+    lse += scores.max(axis=-1, keepdims=True)
+    p = np.exp(scores - lse)
+    out = p @ v
+    row_dot = (g * out).sum(axis=-1, keepdims=True)
+    ds = p * (g @ t(v) - row_dot)
+
+    # forward: each row's shifted scores, weights, then the normalized matmul
+    score_abs = s * np.abs(q) @ t(np.abs(k))
+    row_abs = score_abs.max(axis=-1, keepdims=True)  # bounds every |score| of the row
+    e_weight = np.expm1(2 * gamma(d + 2) * row_abs) + 2 * u
+    out_err = (2 * (e_weight + gamma(n + 1)) + u) * (p @ np.abs(v)) + (n + 2) * tiny
+    # backward: lse, the rebuilt weights, and dS = P * ([g | -D] [v | 1]^T)
+    e_lse = (gamma(d + 1) * row_abs + e_weight + gamma(n) + 2 * u * math.log(n)
+             + u * np.abs(lse))
+    p_err = p * (np.expm1(gamma(d + 2) * (score_abs + np.abs(lse)) + e_lse) + 2 * u) + tiny
+    d_err = (gamma(d) * np.abs(g) * np.abs(out) + np.abs(g) * out_err).sum(axis=-1, keepdims=True)
+    w_abs = np.abs(g) @ t(np.abs(v)) + np.abs(row_dot)
+    ds_err = (p + p_err) * (gamma(d + 1) * w_abs + d_err) + w_abs * (p_err + u * p) + tiny
+    ds_abs = np.abs(ds) + ds_err
+    e_sum = gamma(n) + 2 * u  # an n-term matmul, with q s or a final s rounded
+    dq_err = s * (e_sum * ds_abs + ds_err) @ np.abs(k) + n * tiny
+    dk_err = s * t(e_sum * ds_abs + ds_err) @ np.abs(q) + n * tiny
+    dv_err = t(gamma(n) * p + (1 + gamma(n)) * p_err) @ np.abs(g) + n * tiny
+
+    def packed(a):
+        return a.transpose(0, 2, 1, 3).reshape(batch, n, dim)
+
+    return [packed(out_err), packed(dq_err), packed(dk_err), packed(dv_err)]
+
+
+def _attend_results(qkv, weight, heads, fn):
+    """The output of fn(qkv, heads) and the q, k and v thirds of its
+    gradient under `weight`."""
+    out, (grad,) = _grads_of(lambda t: fn(t, heads), [qkv], weight)
+    return [out, *np.split(grad, 3, axis=-1)]
+
+
 # attend works through blocks of (n, n) float32 head slices of at most
 # 512 KiB: n = 24 fits in one block; (8, 2) at n = 256 is the decoder's
 # shape, 8 blocks of 2 slices; 5 slices at n = 256 end in a ragged
@@ -434,27 +511,24 @@ def _max_rel_err(got, want):
 @pytest.mark.parametrize("head_dim", [16, 32])
 def test_attend_matches_reference_chain_bitwise(batch_heads, n, qk_scale, head_dim):
     """attend against the chain matmul -> scale -> softmax -> matmul on the
-    head-split blocks: equal to 1e-10 in float64, and in float32 no
-    further from the float64 chain than twice the float32 chain's own
-    error, for the output and each third of the packed gradient."""
+    head-split blocks: equal to 1e-10 in float64, and in float32 within
+    `_attend_error_bounds` of the float64 chain, for the output and each
+    third of the packed gradient."""
     batch, heads = batch_heads
     qkv, weight = _packed_inputs(np.random.default_rng(12), batch, heads, n, head_dim)
     qkv[..., :2 * heads * head_dim] *= qk_scale
 
-    def both(qkv, w):
-        results = []
-        for fn in (lambda t: nm.attend(t, heads), lambda t: _reference_packed(t, heads)):
-            out, (grad,) = _grads_of(fn, [qkv], w)
-            results.append([out, *np.split(grad, 3, axis=-1)])
-        return results
-
     with tensor.precision(np.float64):
-        fused64, ref64 = both(qkv.astype(np.float64), weight.astype(np.float64))
-    fused32, ref32 = both(qkv, weight)
+        qkv64, weight64 = qkv.astype(np.float64), weight.astype(np.float64)
+        fused64 = _attend_results(qkv64, weight64, heads, nm.attend)
+        want = _attend_results(qkv64, weight64, heads, _reference_packed)
+    fused32 = _attend_results(qkv, weight, heads, nm.attend)
     assert fused32[0].dtype == np.float32 and fused64[0].dtype == np.float64
-    for got64, got32, chain32, want in zip(fused64, fused32, ref32, ref64):
-        assert _max_rel_err(got64, want) <= 1e-10
-        assert _max_rel_err(got32, want) <= 2 * _max_rel_err(chain32, want)
+    bounds = _attend_error_bounds(qkv, weight, heads)
+    for name, got64, got32, exact, bound in zip(("out", "dq", "dk", "dv"), fused64, fused32,
+                                                want, bounds):
+        assert _max_rel_err(got64, exact) <= 1e-10, name
+        assert (np.abs(got32 - exact) <= bound).all(), name
 
 
 def _head_columns(a, head, heads):

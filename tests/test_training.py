@@ -27,7 +27,7 @@ from selectmae.masking import (
     select_probabilities,
 )
 from selectmae.numerics import AdamW, halves
-from selectmae.tokenizer import TokenizerConfig, embed_patches, unfold_clip
+from selectmae.tokenizer import embed_patches, grid_dims, patch_len, unfold_clip
 from selectmae.training import (
     PretrainConfig,
     PretrainRun,
@@ -45,7 +45,6 @@ from selectmae.training import (
 
 from testkit import assert_owned_by, tape_held_bytes
 
-TOK = TokenizerConfig(tubelet=(2, 4, 4), dim=16)
 BB = BackboneConfig(enc_depth=1, enc_dim=16, enc_heads=2, dec_depth=1, dec_dim=8, dec_heads=2)
 SYNTH = SynthConfig(frames=4, height=16, width=16, num_phases=4)
 
@@ -151,33 +150,33 @@ def _corpus(tmp_path, n_clips=6, label_fraction=1.0, seed=0):
 
 def _cfg(**kw):
     defaults = dict(
-        mask_ratio=0.75, epochs=10, batch_size=3, max_steps=6, base_lr=1e-3,
+        mask_ratio=0.75, batch_size=3, max_steps=6, base_lr=1e-3,
         min_lr=1e-5, warmup_steps=2, ckpt_every=3, seed=1,
     )
     defaults.update(kw)
     return PretrainConfig(**defaults)
 
 
-def _fg_ids(fg_mask, tok):
+def _fg_ids(fg_mask, tubelet):
     """The ids of the tokens a (T, H, W) foreground mask touches."""
-    cells = unfold_clip(fg_mask[:, None].astype(np.float32), tok.tubelet)
+    cells = unfold_clip(fg_mask[:, None].astype(np.float32), tubelet)
     return np.flatnonzero(cells.max(axis=1) > 0)
 
 
-def _items(n=3, seed=0, synth=SYNTH, tok=TOK):
+def _items(n=3, seed=0, synth=SYNTH, tubelet=BB.tubelet):
     """n clips and their foreground token ids, as a pretraining run holds them."""
     clips, fg_ids = [], []
     for i in range(n):
         clip, fg = generate_clip_with_mask(synth, i % synth.num_phases, [seed, i])
         clips.append(clip)
-        fg_ids.append(_fg_ids(fg, tok))
+        fg_ids.append(_fg_ids(fg, tubelet))
     return clips, fg_ids
 
 
 def test_pretrain_step_updates_and_reports():
     cfg = _cfg()
-    model = ModelParams(TOK, BB, np.random.default_rng(0))
-    selector = SelectionParams(np.random.default_rng(1), TOK.dim)
+    model = ModelParams(BB, np.random.default_rng(0))
+    selector = SelectionParams(np.random.default_rng(1), BB.enc_dim)
     trained = dict(model.named())
     trained.update(selector.named())
     opt = AdamW(trained, lr=1e-3)
@@ -195,8 +194,8 @@ def test_pretrain_step_updates_and_reports():
 
 def test_pretrain_step_baseline_never_touches_selector():
     cfg = _cfg(strategy="random")
-    model = ModelParams(TOK, BB, np.random.default_rng(0))
-    selector = SelectionParams(np.random.default_rng(1), TOK.dim)
+    model = ModelParams(BB, np.random.default_rng(0))
+    selector = SelectionParams(np.random.default_rng(1), BB.enc_dim)
     opt = AdamW(dict(model.named()), lr=1e-3)
     clips, fg_ids = _items(2)
     before = {k: t.data.copy() for k, t in selector.named().items()}
@@ -210,13 +209,13 @@ def test_pretrain_step_baseline_never_touches_selector():
 
 def _default_adaptive_setup():
     """Model, selector, optimizer and 8 clips at the default config."""
-    tok = TokenizerConfig()
-    model = ModelParams(tok, BackboneConfig(), np.random.default_rng(0))
-    selector = SelectionParams(np.random.default_rng(1), tok.dim)
+    bb = BackboneConfig()
+    model = ModelParams(bb, np.random.default_rng(0))
+    selector = SelectionParams(np.random.default_rng(1), bb.enc_dim)
     trained = dict(model.named())
     trained.update(selector.named())
     opt = AdamW(trained, lr=1e-4)
-    return model, selector, opt, _items(8, 5, SynthConfig(), tok)
+    return model, selector, opt, _items(8, 5, SynthConfig(), bb.tubelet)
 
 
 def _default_pretraining_halves(monkeypatch):
@@ -301,8 +300,8 @@ def _two_half_step(n_clips, strategy="adaptive", **cfg):
     """Run one pretrain_step from a fixed start; returns the gradients the
     optimizer step was handed, each clip's visible ids, the report and the
     optimizer after its step."""
-    model = ModelParams(TOK, BB, np.random.default_rng(0))
-    selector = SelectionParams(np.random.default_rng(1), TOK.dim)
+    model = ModelParams(BB, np.random.default_rng(0))
+    selector = SelectionParams(np.random.default_rng(1), BB.enc_dim)
     trained = dict(model.named())
     if strategy == "adaptive":
         trained.update(selector.named())
@@ -377,8 +376,8 @@ def test_grad_clip_runs_once_on_the_summed_gradient():
 
 
 def _adaptive_setup():
-    model = ModelParams(TOK, BB, np.random.default_rng(0))
-    selector = SelectionParams(np.random.default_rng(1), TOK.dim)
+    model = ModelParams(BB, np.random.default_rng(0))
+    selector = SelectionParams(np.random.default_rng(1), BB.enc_dim)
     return model, selector, AdamW({**model.named(), **selector.named()}, lr=1e-3)
 
 
@@ -448,8 +447,8 @@ def test_a_one_clip_step_never_touches_the_worker(monkeypatch):
 def _predict(model, clips, specs):
     """Tokens, latents and (B, n_masked, patch_len) predictions for clips
     with their own masks, through the calls masked_forward makes."""
-    patches = nm.Tensor(np.stack([unfold_clip(clip.frames, TOK.tubelet) for clip in clips]))
-    tokens = embed_patches(patches, TOK, model.proj.weight, model.proj.bias)
+    patches = nm.Tensor(np.stack([unfold_clip(clip.frames, BB.tubelet) for clip in clips]))
+    tokens = embed_patches(patches, model.proj.weight, model.proj.bias)
     visible_ids = np.stack([spec.visible_ids for spec in specs])
     masked_ids = np.stack([spec.masked_ids for spec in specs])
     latents = encode(nm.gather_rows_batched(tokens, visible_ids), model)
@@ -460,7 +459,7 @@ def _losses(model, selector, clip, spec):
     """L_R and L_select of one clip as a batch of one, as pretrain_step forms them."""
     tokens, _, preds = _predict(model, [clip], [spec])
     log_probs = select_probabilities(nm.stop_gradient(tokens), selector)
-    rows = unfold_clip(clip.frames, TOK.tubelet)[spec.masked_ids]
+    rows = unfold_clip(clip.frames, BB.tubelet)[spec.masked_ids]
     recon, per_token = reconstruction_loss(preds, patch_normalize_targets(rows)[None])
     sel = selection_loss(log_probs, nm.stop_gradient(per_token), spec.masked_ids[None])
     return recon, sel
@@ -469,20 +468,20 @@ def _losses(model, selector, clip, spec):
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_masked_forward_draws_each_clip_from_its_own_stream(strategy):
     # clip i of a 3-clip stack gets the mask its own stream gives it alone
-    model = ModelParams(TOK, BB, np.random.default_rng(3))
-    selector = SelectionParams(np.random.default_rng(4), TOK.dim)
+    model = ModelParams(BB, np.random.default_rng(3))
+    selector = SelectionParams(np.random.default_rng(4), BB.enc_dim)
     frames = np.stack([clip.frames for clip in _items(3)[0]])
     streams = lambda: [np.random.default_rng([7, i]) for i in range(3)]
     patches, log_probs, visible, masked, preds = masked_forward(
         frames, model, selector, strategy, 0.5, streams())
-    assert np.array_equal(patches, unfold_clip(frames, TOK.tubelet))
+    assert np.array_equal(patches, unfold_clip(frames, BB.tubelet))
     assert (log_probs is None) == (strategy != "adaptive")
-    assert preds.shape == (3, masked.shape[1], TOK.patch_len())
+    assert preds.shape == (3, masked.shape[1], patch_len(BB.tubelet))
     for i, rng in enumerate(streams()):
         if strategy == "adaptive":
             spec = sample_visible(log_probs.data[i], 0.5, rng)
         else:
-            spec = baseline_mask(strategy, TOK.grid_dims(frames.shape[1:]), 0.5, rng)
+            spec = baseline_mask(strategy, grid_dims(frames.shape[1:], BB.tubelet), 0.5, rng)
         assert np.array_equal(visible[i], spec.visible_ids), i
         assert np.array_equal(masked[i], spec.masked_ids), i
     if strategy in ("adaptive", "random"):
@@ -492,13 +491,13 @@ def test_masked_forward_draws_each_clip_from_its_own_stream(strategy):
 @pytest.mark.parametrize("normalize", [True, False])
 def test_a_step_scores_the_rows_at_its_masked_ids(normalize):
     # the step's L_R is that of its own patch rows at the masked ids
-    model = ModelParams(TOK, BB, np.random.default_rng(0))
-    selector = SelectionParams(np.random.default_rng(1), TOK.dim)
+    model = ModelParams(BB, np.random.default_rng(0))
+    selector = SelectionParams(np.random.default_rng(1), BB.enc_dim)
     clips, fg_ids = _items(1)
-    spec = baseline_mask("random", TOK.grid_dims(clips[0].pixels.shape), 0.75,
+    spec = baseline_mask("random", grid_dims(clips[0].pixels.shape, BB.tubelet), 0.75,
                          np.random.default_rng(5))
     _, _, preds = _predict(model, clips, [spec])
-    rows = unfold_clip(clips[0].frames, TOK.tubelet)[spec.masked_ids]
+    rows = unfold_clip(clips[0].frames, BB.tubelet)[spec.masked_ids]
     expected, per_token = reconstruction_loss(
         preds, patch_normalize_targets(rows, normalize)[None])
     opt = AdamW(dict(model.named()), lr=1e-3)
@@ -511,7 +510,7 @@ def test_a_step_scores_the_rows_at_its_masked_ids(normalize):
 
 def test_batched_forward_matches_each_clip_alone():
     # slice i of a batch of three equals clip i run as a batch of one, bit for bit
-    model = ModelParams(TOK, BB, np.random.default_rng(3))
+    model = ModelParams(BB, np.random.default_rng(3))
     clips, _ = _items(3)
     specs = [sample_visible(np.full(32, -np.log(32)), 0.75, np.random.default_rng([2, i]))
              for i in range(3)]
@@ -525,8 +524,8 @@ def test_batched_forward_matches_each_clip_alone():
 
 def test_gradient_isolation_structural():
     # with a frozen mask: d L_R / d theta = 0 and d L_select / d phi = 0, exactly
-    model = ModelParams(TOK, BB, np.random.default_rng(0))
-    selector = SelectionParams(np.random.default_rng(1), TOK.dim)
+    model = ModelParams(BB, np.random.default_rng(0))
+    selector = SelectionParams(np.random.default_rng(1), BB.enc_dim)
     clip = _items(1)[0][0]
     spec = sample_visible(np.full(32, -np.log(32)), 0.75, np.random.default_rng(2))
 
@@ -548,8 +547,8 @@ def test_gradient_isolation_structural():
 def test_gradient_isolation_finite_difference():
     # finite difference of L_R w.r.t. a selector entry (mask frozen) is zero,
     # while the same perturbation moves L_select
-    model = ModelParams(TOK, BB, np.random.default_rng(0))
-    selector = SelectionParams(np.random.default_rng(1), TOK.dim)
+    model = ModelParams(BB, np.random.default_rng(0))
+    selector = SelectionParams(np.random.default_rng(1), BB.enc_dim)
     clip = _items(1)[0][0]
     spec = sample_visible(np.full(32, -np.log(32)), 0.75, np.random.default_rng(2))
 
@@ -570,8 +569,8 @@ def test_gradient_isolation_finite_difference():
 
 def test_pretrain_step_rejects_non_finite_loss():
     cfg = _cfg()
-    model = ModelParams(TOK, BB, np.random.default_rng(0))
-    selector = SelectionParams(np.random.default_rng(1), TOK.dim)
+    model = ModelParams(BB, np.random.default_rng(0))
+    selector = SelectionParams(np.random.default_rng(1), BB.enc_dim)
     opt = AdamW(dict(model.named()), lr=1e-3)
     clip = _items(1)[0][0]
     model.head.bias.data[:] = np.inf  # uint8 pixels cannot hold inf, so the predictions do
@@ -651,7 +650,7 @@ def test_config_snapshot_roundtrip():
 
 
 def test_checkpoint_forward_is_bitwise_identical(tmp_path):
-    model = ModelParams(TOK, BB, np.random.default_rng(3))
+    model = ModelParams(BB, np.random.default_rng(3))
     clip = _items(1)[0][0]
     spec = sample_visible(np.full(32, -np.log(32)), 0.75, np.random.default_rng(2))
 
@@ -660,7 +659,7 @@ def test_checkpoint_forward_is_bitwise_identical(tmp_path):
 
     reference = forward(model)
     save_checkpoint(tmp_path / "m.csma", {k: t.data for k, t in model.named().items()})
-    fresh = ModelParams(TOK, BB, np.random.default_rng(99))
+    fresh = ModelParams(BB, np.random.default_rng(99))
     assign_named(fresh.named(), load_checkpoint(tmp_path / "m.csma"))
     assert np.array_equal(forward(fresh), reference)
 
@@ -668,7 +667,7 @@ def test_checkpoint_forward_is_bitwise_identical(tmp_path):
 def test_pretrain_run_log_and_schedule(tmp_path):
     manifest = _corpus(tmp_path)
     cfg = _cfg()
-    result = pretrain_run(manifest, tmp_path / "run", cfg, TOK, BB)
+    result = pretrain_run(manifest, tmp_path / "run", cfg, BB)
     lines = [json.loads(l) for l in (tmp_path / "run" / "metrics.jsonl").read_text().splitlines()]
     assert len(lines) == result["total_steps"] == 6
     assert lines[-1]["lr"] == pytest.approx(cfg.min_lr)
@@ -679,8 +678,8 @@ def test_pretrain_run_log_and_schedule(tmp_path):
 
 def test_pretrain_run_determinism(tmp_path):
     manifest = _corpus(tmp_path)
-    r1 = pretrain_run(manifest, tmp_path / "r1", _cfg(), TOK, BB)
-    r2 = pretrain_run(manifest, tmp_path / "r2", _cfg(), TOK, BB)
+    r1 = pretrain_run(manifest, tmp_path / "r1", _cfg(), BB)
+    r2 = pretrain_run(manifest, tmp_path / "r2", _cfg(), BB)
     assert r1["checkpoint"].read_bytes() == r2["checkpoint"].read_bytes()
     assert (tmp_path / "r1" / "metrics.jsonl").read_text() == (
         tmp_path / "r2" / "metrics.jsonl"
@@ -689,11 +688,11 @@ def test_pretrain_run_determinism(tmp_path):
 
 def test_pretrain_resume_matches_uninterrupted(tmp_path):
     manifest = _corpus(tmp_path)
-    full = pretrain_run(manifest, tmp_path / "full", _cfg(), TOK, BB)
+    full = pretrain_run(manifest, tmp_path / "full", _cfg(), BB)
     full_lines = (tmp_path / "full" / "metrics.jsonl").read_text().splitlines()
 
     resumed = pretrain_run(
-        manifest, tmp_path / "resumed", _cfg(), TOK, BB,
+        manifest, tmp_path / "resumed", _cfg(), BB,
         resume_from=tmp_path / "full" / "checkpoint_000003.csma",
     )
     resumed_lines = (tmp_path / "resumed" / "metrics.jsonl").read_text().splitlines()
@@ -703,9 +702,9 @@ def test_pretrain_resume_matches_uninterrupted(tmp_path):
 
 def test_pretrain_resume_config_mismatch_refused(tmp_path):
     manifest = _corpus(tmp_path)
-    pretrain_run(manifest, tmp_path / "base", _cfg(), TOK, BB)
+    pretrain_run(manifest, tmp_path / "base", _cfg(), BB)
     other = _cfg(mask_ratio=0.5)
-    run = PretrainRun(manifest, tmp_path / "other", other, TOK, BB)
+    run = PretrainRun(manifest, tmp_path / "other", other, BB)
     with pytest.raises(ConfigError, match="mask_ratio"):
         run.resume(tmp_path / "base" / "checkpoint_000006.csma")
 
@@ -727,7 +726,7 @@ def _crash_after(monkeypatch, calls_ok: int):
 def test_pretrain_run_abort_references_checkpoint(tmp_path, monkeypatch):
     manifest = _corpus(tmp_path)
     cfg = _cfg()
-    run = PretrainRun(manifest, tmp_path / "abort", cfg, TOK, BB)
+    run = PretrainRun(manifest, tmp_path / "abort", cfg, BB)
     _crash_after(monkeypatch, 4)
     with pytest.raises(NumericError, match="checkpoint_000003"):
         run.run()
@@ -754,7 +753,7 @@ def test_pretrain_config_validation():
     ):
         with pytest.raises(ConfigError, match=message):
             PretrainConfig(**bad)
-    PretrainConfig(max_steps=None, warmup_steps=0, weight_decay=0.0, betas=(0.0, 0.0), min_lr=0.0,
+    PretrainConfig(max_steps=1, warmup_steps=0, weight_decay=0.0, betas=(0.0, 0.0), min_lr=0.0,
                    grad_clip=1e-6)
 
 
@@ -774,14 +773,14 @@ def test_pretrain_run_caches_only_the_stored_pixels(tmp_path):
 
 def test_pretrain_resume_in_place_matches_uninterrupted(tmp_path, monkeypatch):
     manifest = _corpus(tmp_path)
-    full = pretrain_run(manifest, tmp_path / "full", _cfg(), TOK, BB)
+    full = pretrain_run(manifest, tmp_path / "full", _cfg(), BB)
 
     with monkeypatch.context() as patch:
         _crash_after(patch, 4)  # steps 0-3 logged, checkpoint_000003 written
         with pytest.raises(NumericError):
-            pretrain_run(manifest, tmp_path / "crashed", _cfg(), TOK, BB)
+            pretrain_run(manifest, tmp_path / "crashed", _cfg(), BB)
     resumed = pretrain_run(
-        manifest, tmp_path / "crashed", _cfg(), TOK, BB,
+        manifest, tmp_path / "crashed", _cfg(), BB,
         resume_from=tmp_path / "crashed" / "checkpoint_000003.csma",
     )
     assert (tmp_path / "crashed" / "metrics.jsonl").read_bytes() == (
@@ -792,9 +791,9 @@ def test_pretrain_resume_in_place_matches_uninterrupted(tmp_path, monkeypatch):
 
 def test_pretrain_abort_after_resume_names_resume_checkpoint(tmp_path, monkeypatch):
     manifest = _corpus(tmp_path)
-    pretrain_run(manifest, tmp_path / "base", _cfg(), TOK, BB)
+    pretrain_run(manifest, tmp_path / "base", _cfg(), BB)
     ckpt = tmp_path / "base" / "checkpoint_000003.csma"
-    run = PretrainRun(manifest, tmp_path / "resumed", _cfg(), TOK, BB)
+    run = PretrainRun(manifest, tmp_path / "resumed", _cfg(), BB)
     run.resume(ckpt)
     _crash_after(monkeypatch, 0)
     with pytest.raises(NumericError, match="last good checkpoint: .*checkpoint_000003"):
@@ -803,16 +802,16 @@ def test_pretrain_abort_after_resume_names_resume_checkpoint(tmp_path, monkeypat
 
 def test_pretrain_resume_in_place_after_every_step(tmp_path, monkeypatch):
     manifest = _corpus(tmp_path)
-    full = pretrain_run(manifest, tmp_path / "full", _cfg(ckpt_every=1), TOK, BB)
+    full = pretrain_run(manifest, tmp_path / "full", _cfg(ckpt_every=1), BB)
     full_log = (tmp_path / "full" / "metrics.jsonl").read_bytes()
     for k in range(1, 6):
         out = tmp_path / f"crash{k}"
         with monkeypatch.context() as patch:
             _crash_after(patch, k)  # steps 0..k-1 logged, checkpoint_{k} written
             with pytest.raises(NumericError):
-                pretrain_run(manifest, out, _cfg(ckpt_every=1), TOK, BB)
+                pretrain_run(manifest, out, _cfg(ckpt_every=1), BB)
         resumed = pretrain_run(
-            manifest, out, _cfg(ckpt_every=1), TOK, BB,
+            manifest, out, _cfg(ckpt_every=1), BB,
             resume_from=out / f"checkpoint_{k:06d}.csma",
         )
         assert (out / "metrics.jsonl").read_bytes() == full_log, k
@@ -821,9 +820,9 @@ def test_pretrain_resume_in_place_after_every_step(tmp_path, monkeypatch):
 
 def test_loaders_write_into_the_optimizer_buffers(tmp_path):
     manifest = _corpus(tmp_path)
-    pretrain_run(manifest, tmp_path / "base", _cfg(), TOK, BB)
+    pretrain_run(manifest, tmp_path / "base", _cfg(), BB)
     checkpoint = tmp_path / "base" / "checkpoint_000003.csma"
-    run = PretrainRun(manifest, tmp_path / "resumed", _cfg(), TOK, BB)
+    run = PretrainRun(manifest, tmp_path / "resumed", _cfg(), BB)
     run.resume(checkpoint)
     assert_owned_by(run.optimizer)
     arrays = load_checkpoint(checkpoint)
