@@ -7,17 +7,22 @@ given to `reconstruct` or `pretrain --resume`, a pretraining checkpoint
 given to `eval`). `gen-data`, `pretrain`, `finetune` and each `ablate`
 row write their resolved config next to their outputs; `eval` and
 `reconstruct` write none. The resolved config and the corpus reproduce
-a `pretrain` run; the other commands also read options it does not
-record: `--clips` and `--label-fraction` of `gen-data`; `--split`,
-`--label-fraction` and `--checkpoint` of `finetune`; `--split` and
-`--label-fraction` of `ablate`.
+a `pretrain` run. A `finetune` report records the labeled train, val
+and test clip ids it used and the SHA-256 of its `--checkpoint` (null
+with `--scratch`), so its resolved config, those ids as a `--split`
+file and that checkpoint reproduce it; an `eval` report records its
+test ids and the classifier's SHA-256. Not recorded: `--clips` and
+`--label-fraction` of `gen-data`; `--split` and `--label-fraction` of
+`ablate`.
 
-Every command that reads `--config` takes a repeatable `--set KEY=VALUE`:
-KEY is `seed` or `section.key`, VALUE is JSON or else a bare string
-(`tube`, `0.9`, `null`, `true`, `[0.9,0.95]`). Overrides go into the
-`--config` document before it is resolved, so section seeds follow
-`--set seed=N`. A KEY named more than once is swept: `ablate` trains one
-row per combination, in the order the keys first appear; any other
+Every command takes a repeatable `--set KEY=VALUE`: KEY is `seed` or
+`section.key`, VALUE is JSON or else a bare string (`tube`, `0.9`,
+`null`, `true`, `[0.9,0.95]`). Overrides go into the `--config`
+document before it is resolved, so section seeds follow `--set seed=N`;
+`reconstruct` puts them into the config its checkpoint embeds, and
+masks from its `pretrain.strategy`, `pretrain.mask_ratio` and `seed`
+(0 unless set). A KEY named more than once is swept: `ablate` trains
+one row per combination, in the order the keys first appear; any other
 command exits 2.
 """
 
@@ -25,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import json
 import math
 import sys
@@ -37,27 +43,49 @@ from .config import RunConfig, config_grid
 from .data import denormalize_targets, generate_corpus, load_clip, load_manifest
 from .downstream import SplitSpec, evaluate_checkpoint, finetune_run, phase_round_robin
 from .errors import ConfigError, FormatError, SelectMAEError
-from .masking import STRATEGIES, SelectionParams
+from .masking import SelectionParams
 from .ppm import write_ppm
 from .tokenizer import detokenize_patches
 from .training import (
     CONFIG_ENTRY,
-    assign_named,
     checkpoint_config,
     config_snapshot,
     config_to_array,
     load_checkpoint,
     masked_forward,
     pretrain_run,
+    restore,
     save_checkpoint,
 )
 
 
-def _load_config(args) -> RunConfig:
-    (swept, cfg), *others = config_grid(args.config, args.set)
+def _json_object(path, what: str) -> dict:
+    try:
+        document = json.loads(Path(path).read_text())
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(document, dict):
+        raise ConfigError(f"{what} {path} must hold an object")
+    return document
+
+
+def _config_grid(args, document=None, source=None) -> list[tuple[dict, RunConfig]]:
+    """The configs of a command: its `--set` overrides put into `document`,
+    read from `source`, or else into its `--config` document."""
+    if document is None and args.config:
+        document, source = _json_object(args.config, "config"), f"--config {args.config}"
+    return config_grid(document or {}, args.set, source or "the defaults")
+
+
+def _load_config(args, document=None, source=None) -> RunConfig:
+    (swept, cfg), *others = _config_grid(args, document, source)
     if others:
         raise ConfigError(f"--set names {', '.join(swept)} more than once; only ablate sweeps")
     return cfg
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def _resolve_manifest(corpus) -> Path:
@@ -77,12 +105,7 @@ def _write_resolved_config(cfg: RunConfig, out_dir: Path, name: str = "config.re
 def _parse_split(spec: str, entries) -> SplitSpec:
     path = Path(spec)
     if path.exists():
-        try:
-            doc = json.loads(path.read_text())
-        except ValueError as exc:  # not UTF-8, or not JSON
-            raise ConfigError(f"split file {path} is not valid JSON: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise ConfigError(f"split file {path} must hold an object")
+        doc = _json_object(path, "split file")
         groups = []
         for key in ("train", "val", "test"):
             ids = doc.get(key)
@@ -154,7 +177,9 @@ def cmd_finetune(args) -> int:
     split = _split_with_fraction(args, entries)
     if args.scratch == bool(args.checkpoint):
         raise ConfigError("finetune needs exactly one of --checkpoint and --scratch")
-    init_arrays = None if args.scratch else load_checkpoint(args.checkpoint)
+    init_arrays = digest = None
+    if args.checkpoint:
+        init_arrays, digest = load_checkpoint(args.checkpoint), _sha256(args.checkpoint)
     result = finetune_run(
         manifest, split, cfg.finetune, cfg.data.num_phases, cfg.backbone,
         init_arrays=init_arrays,
@@ -164,6 +189,8 @@ def cmd_finetune(args) -> int:
     report = result["report"].to_json_dict()
     report["val_accuracy"] = result["val_accuracy"]
     report["labeled_train"] = result["labeled_train"]
+    report.update(train_ids=result["train_ids"], val_ids=split.val_ids, test_ids=split.test_ids,
+                  checkpoint_sha256=digest)
     out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     _write_resolved_config(cfg, out.parent)
     if args.save_classifier:
@@ -180,41 +207,37 @@ def cmd_eval(args) -> int:
     manifest = _resolve_manifest(args.corpus)
     entries = load_manifest(manifest)
     split = _parse_split(args.split, entries)
-    arrays = load_checkpoint(args.checkpoint)
+    arrays, digest = load_checkpoint(args.checkpoint), _sha256(args.checkpoint)
     report = evaluate_checkpoint(
         manifest, split.test_ids, arrays, cfg.data.num_phases, cfg.backbone
     )
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n")
+    doc = {**report.to_json_dict(), "test_ids": split.test_ids, "checkpoint_sha256": digest}
+    out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     print(json.dumps({"accuracy": report.accuracy}))
     return 0
 
 
-def _model_from_checkpoint(arrays: dict, path):
-    cfg = RunConfig.from_document(checkpoint_config(arrays, path))
-    model = ModelParams(cfg.backbone, np.random.default_rng(0))
-    assign_named(model.named(), arrays, "(model)")
-    selector = SelectionParams(np.random.default_rng(1), cfg.backbone.enc_dim)
-    assign_named(selector.named(), arrays, "(selector)")
-    return model, selector, cfg.pretrain
-
-
 def cmd_reconstruct(args) -> int:
     arrays = load_checkpoint(args.checkpoint)
-    model, selector, pre_cfg = _model_from_checkpoint(arrays, args.checkpoint)
+    document = checkpoint_config(arrays, args.checkpoint, pretraining=True)
+    cfg = _load_config(args, document, f"checkpoint {args.checkpoint}")
+    model = ModelParams(cfg.backbone, np.random.default_rng(0))
+    selector = SelectionParams(np.random.default_rng(1), cfg.backbone.enc_dim)
+    restore(arrays, args.checkpoint, {**model.named(), **selector.named()},
+            {"backbone": cfg.document["backbone"]}, pretraining=True)
     frames = load_clip(args.clip).frames
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     # one clip is a batch of one through the pretraining forward
     patches, _, visible_ids, masked_ids, preds = masked_forward(
-        frames[None], model, selector, args.strategy or pre_cfg.strategy,
-        args.ratio if args.ratio is not None else pre_cfg.mask_ratio,
-        [np.random.default_rng(args.seed)],
+        frames[None], model, selector, cfg.pretrain.strategy, cfg.pretrain.mask_ratio,
+        [np.random.default_rng(cfg.seed)],
     )
     rows, visible, masked = patches[0], visible_ids[0], masked_ids[0]
-    predicted = denormalize_targets(preds.data[0], rows[masked], pre_cfg.normalize_targets)
+    predicted = denormalize_targets(preds.data[0], rows[masked], cfg.pretrain.normalize_targets)
     tubelet = model.bb_cfg.tubelet
     recon_masked, _ = detokenize_patches(predicted, masked, frames.shape, tubelet)
     visible_frames, _ = detokenize_patches(rows[visible], visible, frames.shape, tubelet)
@@ -230,7 +253,7 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    grid = config_grid(args.config, args.set)
+    grid = _config_grid(args)
     manifest = _resolve_manifest(args.corpus)
     entries = load_manifest(manifest)
     # every input is checked before the first row trains
@@ -286,8 +309,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def config_options(command):
-        command.add_argument("--config")
+    def config_options(command, config=True):
+        if config:
+            command.add_argument("--config")
         command.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                              help="override config KEY ('seed' or 'section.key'); "
                                   "naming a KEY again sweeps it (ablate only)")
@@ -326,12 +350,10 @@ def build_parser() -> argparse.ArgumentParser:
     e.set_defaults(func=cmd_eval)
 
     r = sub.add_parser("reconstruct", help="dump original/mask/reconstruction image triptychs")
+    config_options(r, config=False)  # its base document is the checkpoint's
     r.add_argument("--checkpoint", required=True)
     r.add_argument("--clip", required=True)
-    r.add_argument("--ratio", type=float)
-    r.add_argument("--strategy", choices=STRATEGIES)
     r.add_argument("--out-dir", required=True)
-    r.add_argument("--seed", type=int, default=0)
     r.set_defaults(func=cmd_reconstruct)
 
     a = sub.add_parser("ablate", help="train every combination of the swept --set values, "

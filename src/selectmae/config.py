@@ -7,10 +7,11 @@ checkpoint embeds its backbone and pretrain sections, and a classifier
 its backbone section. The backbone section is the whole model
 architecture, tubelet included; the token width is its `enc_dim`.
 `RunConfig.from_document` is the one way back to dataclasses, with the
-same checks for a `--config` file and a checkpoint: unknown keys and
-values of the wrong type are rejected at every level, so typos cannot
-silently fall back to defaults. A command's `--set KEY=VALUE` overrides
-are put into its `--config` document before that (`config_grid`).
+same checks for a `--config` file and a checkpoint: unknown keys, all
+named in one refusal, and values of the wrong type are rejected at every
+level, so typos cannot silently fall back to defaults. A command's
+`--set KEY=VALUE` overrides are put into its `--config` document, or
+`reconstruct`'s checkpoint's, before that (`config_grid`).
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import re
 import types
 import typing
 from dataclasses import dataclass
-from pathlib import Path
 
 from .backbone import BackboneConfig
 from .data import SynthConfig
@@ -70,25 +70,29 @@ def _check_value(value, hint, path: str):
         raise ConfigError(f"config key '{path}' must be {name}, got {value!r}")
 
 
-def _check_keys(user, allowed: dict, where: str):
-    if not isinstance(user, dict):
-        raise ConfigError(f"config section '{where}' must be an object")
-    unknown = sorted(set(user) - set(allowed))
+def _refuse_unknown(user: dict, source: str):
+    """Refuse the keys of `user`, at either level, that the default
+    document lacks: one message names each, a section's as 'section.key'."""
+    doc = default_document()
+    unknown = [key for key in user if key not in doc]
+    for name in _SECTIONS:
+        if not isinstance(user.get(name, {}), dict):
+            raise ConfigError(f"config section '{name}' must be an object")
+        unknown += [f"{name}.{key}" for key in user.get(name, {}) if key not in doc[name]]
     if unknown:
-        raise ConfigError(f"unknown config key(s) {unknown} in '{where}'")
+        raise ConfigError(f"unknown config key(s) {sorted(unknown)} in {source}")
 
 
-def _merge(user: dict) -> dict:
+def _merge(user: dict, source: str) -> dict:
     """The default document with every value of `user` checked against
     its field's annotation and put in place."""
+    _refuse_unknown(user, source)
     doc = default_document()
-    _check_keys(user, doc, "top level")
     if "seed" in user:
         _check_value(user["seed"], int, "seed")
         doc["seed"] = user["seed"]
     for name, cls in _SECTIONS.items():
         section = user.get(name, {})
-        _check_keys(section, doc[name], name)
         hints = typing.get_type_hints(cls)
         for key, value in section.items():
             _check_value(value, hints[key], f"{name}.{key}")
@@ -114,10 +118,10 @@ class RunConfig:
     document: dict  # the resolved JSON form, logged verbatim
 
     @classmethod
-    def from_document(cls, user: dict | None = None) -> "RunConfig":
+    def from_document(cls, user: dict | None = None, source: str = "the document") -> "RunConfig":
         # the JSON round trip turns a Python caller's tuples into lists
         user = json.loads(json.dumps(user or {}))
-        doc = _merge(user)
+        doc = _merge(user, source)
         seed = doc["seed"]
         # section seeds follow the top-level seed unless set explicitly
         for name in ("pretrain", "finetune"):
@@ -134,21 +138,13 @@ class RunConfig:
         return hashlib.sha256(raw).hexdigest()[:12]
 
 
-def config_grid(path, sets) -> list[tuple[dict, RunConfig]]:
-    """The configs a command runs: the `--config` document at `path` (all
-    defaults without one) with each `--set KEY=VALUE` put in place before
-    it is resolved. A KEY named more than once is swept: one config per
-    combination, in product order over the keys as they first appear,
-    each with its {KEY: value} of the swept keys."""
-    user = {}
-    if path:
-        try:
-            user = json.loads(Path(path).read_text())
-        except ValueError as exc:  # not UTF-8, or not JSON
-            raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-        if not isinstance(user, dict):
-            raise ConfigError(f"config {path} must hold an object")
-    values = {}
+def config_grid(document: dict, sets, source: str = "the document") -> list[tuple[dict, RunConfig]]:
+    """The configs a command runs: `document`, read from `source`, with
+    each `--set KEY=VALUE` put in place before it is resolved. A KEY named
+    more than once is swept: one config per combination, in product
+    order over the keys as they first appear, each with its {KEY: value}
+    of the swept keys."""
+    values, named = {}, {}
     for text in sets:
         key, sep, raw = text.partition("=")
         if not sep or not re.fullmatch(r"seed|\w+\.\w+", key):
@@ -158,9 +154,13 @@ def config_grid(path, sets) -> list[tuple[dict, RunConfig]]:
         except ValueError:  # not JSON: a bare string
             value = raw
         values.setdefault(key, []).append(value)
+        section, _, name = key.rpartition(".")
+        if section:  # the one top-level KEY, seed, is known
+            named.setdefault(section, {})[name] = value
+    _refuse_unknown(named, "--set")
     grid = []
     for combo in itertools.product(*values.values()):
-        doc = json.loads(json.dumps(user))
+        doc = json.loads(json.dumps(document))
         for key, value in zip(values, combo):
             section, _, name = key.rpartition(".")
             where = doc.setdefault(section, {}) if section else doc
@@ -168,5 +168,5 @@ def config_grid(path, sets) -> list[tuple[dict, RunConfig]]:
                 raise ConfigError(f"config section '{section}' must be an object")
             where[name] = value
         swept = {key: value for key, value in zip(values, combo) if len(values[key]) > 1}
-        grid.append((swept, RunConfig.from_document(doc)))
+        grid.append((swept, RunConfig.from_document(doc, source)))
     return grid

@@ -42,7 +42,7 @@ from .numerics import (
     scale,
 )
 from .tokenizer import tokenize
-from .training import assign_named, config_diff, config_snapshot, written_config
+from .training import config_snapshot, restore
 
 
 @dataclass
@@ -205,21 +205,6 @@ def _check_labels(entries: list[dict], ids, num_steps: int):
             )
 
 
-def _check_architecture(arrays: dict, bb_cfg: BackboneConfig, path):
-    """Raise ConfigError where the backbone config a checkpoint was
-    written with differs from the run's. A checkpoint without a config,
-    as perfbench writes its classifiers, is not checked."""
-    written = written_config(arrays, path)
-    if written is None:
-        return
-    run = config_snapshot(backbone=bb_cfg)
-    diff = config_diff({k: written[k] for k in run if k in written}, run)
-    if diff:
-        raise ConfigError(
-            "checkpoint architecture does not match the run config:\n" + "\n".join(diff)
-        )
-
-
 def _classify(clips: dict, ids, entries: list[dict], model, head) -> MetricsReport:
     """Metrics of the clips `ids` against their manifest labels, one clip per call."""
     preds = [int(np.argmax(classification_logits(clips[i].frames, model, head).data))
@@ -246,8 +231,10 @@ def finetune_run(
     None.
     """
     bb_cfg = bb_cfg or BackboneConfig()
+    model = ModelParams(bb_cfg, np.random.default_rng([cfg.seed, 0]))
     if init_arrays is not None:
-        _check_architecture(init_arrays, bb_cfg, "the encoder init")
+        restore(init_arrays, "the encoder init", model.encoder_named(),
+                config_snapshot(backbone=bb_cfg))
     entries = load_manifest(manifest_path)
     labeled = [i for i in split.train_ids if entries[i]["labeled"]]
     if not labeled:
@@ -258,9 +245,6 @@ def finetune_run(
     _check_labels(entries, used, num_steps)
     clips = {i: load_clip(entries[i]["path"]) for i in used}
 
-    model = ModelParams(bb_cfg, np.random.default_rng([cfg.seed, 0]))
-    if init_arrays is not None:
-        assign_named(model.encoder_named(), init_arrays, "(encoder init)")
     head = ClassifierHead(np.random.default_rng([cfg.seed, 2]), bb_cfg.enc_dim, num_steps)
     trained = dict(model.encoder_named())
     trained.update(head.named())
@@ -315,6 +299,7 @@ def finetune_run(
         "val_accuracy": best["val_accuracy"],
         "best_epoch": best["epoch"],
         "labeled_train": len(labeled),
+        "train_ids": labeled,
     }
 
 
@@ -329,14 +314,13 @@ def evaluate_checkpoint(
     The backbone config a checkpoint embeds, where it holds one, must
     equal `bb_cfg`."""
     bb_cfg = bb_cfg or BackboneConfig()
-    _check_architecture(arrays, bb_cfg, "the classifier")
     if not len(split_ids):
         raise ConfigError("the test split is empty: no clips to report metrics on")
     entries = load_manifest(manifest_path)
     _check_labels(entries, split_ids, num_steps)
-    clips = {i: load_clip(entries[i]["path"]) for i in split_ids}
     model = ModelParams(bb_cfg, np.random.default_rng(0))
-    assign_named(model.encoder_named(), arrays, "(encoder)")
     head = ClassifierHead(np.random.default_rng(1), bb_cfg.enc_dim, num_steps)
-    assign_named(head.named(), arrays, "(classifier head)")
+    restore(arrays, "the classifier", {**model.encoder_named(), **head.named()},
+            config_snapshot(backbone=bb_cfg))
+    clips = {i: load_clip(entries[i]["path"]) for i in split_ids}
     return _classify(clips, split_ids, entries, model, head)

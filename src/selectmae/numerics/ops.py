@@ -52,8 +52,10 @@ weights of each head, and backward recomputes the weights a block at
 a time. It uses the algebra of
 FlashAttention-2 (Dao 2023, arXiv 2307.08691), with the row sums and
 backward's shift folded into the matmuls by an extra column on q, k
-and v; see `attend`. `matmul`, `transpose` and `softmax` are no longer
-on its path; the tests build the unfused chain from them.
+and v; see `attend`. The ops of the unfused chains that the tests
+check `attend` and `gelu_affine` against (`matmul`, `transpose`,
+`softmax` and `gelu`) live in the tests' `testkit`; no model path
+records them.
 """
 
 from __future__ import annotations
@@ -126,20 +128,6 @@ def scale(a: Tensor, s: float) -> Tensor:
     return out
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product over equal leading dims; `affine` applies a weight."""
-    if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2] or a.shape[:-2] != b.shape[:-2]:
-        raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    ad, bd = a.data, b.data
-    out = Tensor(ad @ bd)
-
-    def bw(g):
-        return g @ _swap(bd), _swap(ad) @ g
-
-    record_op((a, b), out, bw)
-    return out
-
-
 def _check_affine(op: str, x_shape: tuple[int, ...], w: Tensor, b: Tensor):
     if len(x_shape) < 2 or w.ndim != 2 or x_shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
         raise ShapeError(f"{op}: incompatible shapes {x_shape} @ {w.shape} + {b.shape}")
@@ -182,21 +170,6 @@ def _assert_finite(a: np.ndarray, op: str):
     if not (np.isfinite(np.minimum.reduce(a, axis=None))
             and np.isfinite(np.maximum.reduce(a, axis=None))):
         raise NumericError(f"{op}: non-finite input")
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    _assert_finite(x.data, "softmax")
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted, out=shifted)
-    y = np.divide(e, e.sum(axis=axis, keepdims=True), out=e)
-    out = Tensor(y)
-
-    def bw(g):
-        dot = (g * y).sum(axis=axis, keepdims=True)
-        return (y * (g - dot),)
-
-    record_op((x,), out, bw)
-    return out
 
 
 # attend runs over blocks of consecutive (n, n) head slices whose
@@ -421,21 +394,6 @@ def _gelu_grad(xd: np.ndarray, t: np.ndarray, g: np.ndarray) -> np.ndarray:
     return du
 
 
-def gelu(x: Tensor) -> Tensor:
-    """Tanh-approximated GELU, 0.5 x (1 + tanh(c (x + a x^3))).
-
-    Smooth, so finite-difference checks apply everywhere. Forward and
-    backward run as in-place chains over their own buffers; each step
-    is one of the operations of the plain expression, in its order, so
-    the bits match it. Only tanh(...) is kept for backward.
-    """
-    xd = x.data
-    t = _gelu_tanh(xd)
-    out = Tensor(_gelu_value(xd, t))
-    record_op((x,), out, lambda g: (_gelu_grad(xd, t, g),))
-    return out
-
-
 def gelu_affine(h: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """affine(gelu(h), w, b) as one node, with the same bits forward and
     back.
@@ -498,17 +456,6 @@ def reshape(x: Tensor, shape) -> Tensor:
     out = Tensor(x.data.reshape(shape))
     x_shape = x.shape
     record_op((x,), out, lambda g: (g.reshape(x_shape),))
-    return out
-
-
-def transpose(x: Tensor, axes=None) -> Tensor:
-    if axes is None:
-        axes = tuple(reversed(range(x.ndim)))
-    inverse = [0] * len(axes)
-    for i, axis in enumerate(axes):
-        inverse[axis] = i
-    out = Tensor(x.data.transpose(axes))
-    record_op((x,), out, lambda g: (g.transpose(inverse),))
     return out
 
 

@@ -328,6 +328,8 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
 
 
 CONFIG_ENTRY = "meta.config_utf8"
+# the top-level keys of a run document, as `config.default_document` builds it
+RUN_DOCUMENT_KEYS = ("seed", "data", "backbone", "pretrain", "finetune")
 
 
 def config_snapshot(**sections) -> dict:
@@ -356,41 +358,22 @@ def array_to_config(arr: np.ndarray) -> dict:
     return doc
 
 
-def written_config(arrays: dict[str, np.ndarray], path) -> dict | None:
-    """The config document a checkpoint was written with, or None where it
-    holds none."""
+def checkpoint_config(arrays: dict[str, np.ndarray], path, pretraining: bool) -> dict | None:
+    """The config document a checkpoint was written with. A pretraining
+    checkpoint must hold one and no classifier head; another gives None
+    where it holds none."""
     unpacked = sorted(name for name in arrays if ".attn.q." in name)
     if unpacked:
         raise FormatError(f"{path} holds separate attn.q/k/v entries, such as '{unpacked[0]}',"
                           " where one packed 'attn.qkv.weight' is read")
-    return array_to_config(arrays[CONFIG_ENTRY]) if CONFIG_ENTRY in arrays else None
-
-
-def checkpoint_config(arrays: dict[str, np.ndarray], path) -> dict:
-    """The config document a pretraining checkpoint was written with."""
-    config = written_config(arrays, path)
     classifier = any(k.startswith("classifier.head.") for k in arrays)
-    if config is None:
+    if pretraining and CONFIG_ENTRY not in arrays:
         kind = ("it looks like a classifier checkpoint" if classifier
                 else "it is not a pretraining checkpoint")
         raise FormatError(f"{path} has no '{CONFIG_ENTRY}' entry: {kind}")
-    if classifier:
+    if pretraining and classifier:
         raise FormatError(f"{path} is a classifier checkpoint, not a pretraining one")
-    return config
-
-
-def assign_named(tensors: dict[str, Tensor], arrays: dict[str, np.ndarray], context: str = ""):
-    """Write each named array into its tensor's `data` in place, which
-    keeps a parameter the view of its optimizer's buffer."""
-    for name, tensor in tensors.items():
-        if name not in arrays:
-            raise FormatError(f"checkpoint missing tensor '{name}' {context}")
-        arr = arrays[name]
-        if tuple(arr.shape) != tuple(tensor.shape):
-            raise ConfigError(
-                f"checkpoint tensor '{name}' has shape {arr.shape}, expected {tensor.shape}"
-            )
-        tensor.data[...] = arr
+    return array_to_config(arrays[CONFIG_ENTRY]) if CONFIG_ENTRY in arrays else None
 
 
 def config_diff(expected: dict, actual: dict, prefix: str = "") -> list[str]:
@@ -407,6 +390,29 @@ def config_diff(expected: dict, actual: dict, prefix: str = "") -> list[str]:
         elif expected[key] != actual[key]:
             lines.append(f"~ {path}: {expected[key]!r} -> {actual[key]!r}")
     return lines
+
+
+def restore(arrays: dict[str, np.ndarray], path, tensors: dict[str, Tensor], run: dict,
+            pretraining: bool = False):
+    """Write each of `tensors` in place from the checkpoint entry of its
+    name, once the checkpoint's config (`checkpoint_config`, unchecked
+    where it may and does hold none) matches `run`, the run sections the
+    reader builds from. A refusal names `path` and has one line for each
+    key that differs and each section no run document has."""
+    written = checkpoint_config(arrays, path, pretraining)
+    if written is not None:
+        held = {k: v for k, v in written.items() if k in run or k not in RUN_DOCUMENT_KEYS}
+        diff = config_diff(held, run)
+        if diff:
+            raise ConfigError(f"the config of {path} does not match the run config:\n"
+                              + "\n".join(diff))
+    for name, tensor in tensors.items():
+        if name not in arrays:
+            raise FormatError(f"{path} lacks tensor '{name}'")
+        if arrays[name].shape != tensor.shape:
+            raise ConfigError(f"tensor '{name}' of {path} has shape {arrays[name].shape},"
+                              f" expected {tensor.shape}")
+        tensor.data[...] = arrays[name]
 
 
 class PretrainRun:
@@ -475,13 +481,8 @@ class PretrainRun:
 
     def resume(self, checkpoint_path):
         arrays = load_checkpoint(checkpoint_path)
-        diff = config_diff(checkpoint_config(arrays, checkpoint_path), self.snapshot)
-        if diff:
-            raise ConfigError(
-                "checkpoint config does not match the run config:\n" + "\n".join(diff)
-            )
-        assign_named(self.model.named(), arrays, "(model)")
-        assign_named(self.selector.named(), arrays, "(selector)")
+        restore(arrays, checkpoint_path, {**self.model.named(), **self.selector.named()},
+                self.snapshot, pretraining=True)
         missing = sorted({"trainer.step", *self.optimizer.state_arrays()} - set(arrays))
         if missing:
             raise FormatError(f"{checkpoint_path} lacks training state {missing[:3]}")

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import re
 import shutil
 from pathlib import Path
 
@@ -11,11 +12,17 @@ from hypothesis import strategies as st
 
 from selectmae.backbone import ModelParams
 from selectmae.cli import _apply_label_fraction, main
-from selectmae.config import RunConfig, config_grid
+from selectmae.config import RunConfig, config_grid, default_document
 from selectmae.downstream import ClassifierHead, SplitSpec
 from selectmae.errors import ConfigError
 from selectmae.masking import STRATEGIES
-from selectmae.training import array_to_config, config_to_array, load_checkpoint, save_checkpoint
+from selectmae.training import (
+    RUN_DOCUMENT_KEYS,
+    array_to_config,
+    config_to_array,
+    load_checkpoint,
+    save_checkpoint,
+)
 
 from testkit import read_ppm
 
@@ -65,6 +72,27 @@ def test_run_config_rejects_unknown_keys():
         RunConfig.from_document({"pretrain": {"masking_ratio": 0.9}})
     with pytest.raises(ConfigError, match="unknown config key"):
         RunConfig.from_document({"optimizer": {}})
+
+
+def test_one_refusal_names_every_unknown_key_with_its_section(tmp_path, capsys):
+    stale = {"tokenizer": {"dim": 64}, "pretrain": {"epochs": 800, "max_steps": 5}}
+    with pytest.raises(ConfigError) as exc:
+        RunConfig.from_document(stale)
+    assert str(exc.value) == ("unknown config key(s) ['pretrain.epochs', 'tokenizer']"
+                              " in the document")
+    config = tmp_path / "stale.json"
+    config.write_text(json.dumps(stale))
+    assert main(["gen-data", "--config", str(config), "--out", str(tmp_path / "out"),
+                 "--set", "backbone.size=4", "--set", "seed=2"]) == 2
+    assert capsys.readouterr().err == ("config error: unknown config key(s) ['backbone.size']"
+                                       " in --set\n")
+    assert main(["gen-data", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == ("config error: unknown config key(s) ['pretrain.epochs',"
+                                       f" 'tokenizer'] in --config {config}\n")
+
+
+def test_checkpoint_readers_know_the_run_document_keys():
+    assert RUN_DOCUMENT_KEYS == tuple(default_document())
 
 
 def test_run_config_seed_propagation():
@@ -147,7 +175,7 @@ def test_set_overrides_resolve_like_the_document_they_spell(user):
     sets += [f"{name}.{key}={json.dumps(value)}"
              for name, section in user.items() if name != "seed"
              for key, value in section.items()]
-    [(swept, cfg)] = config_grid(None, sets)
+    [(swept, cfg)] = config_grid({}, sets)
     assert swept == {}
     assert cfg.document == RunConfig.from_document(user).document
 
@@ -248,6 +276,30 @@ def test_finetune_and_eval_roundtrip(corpus, tiny_config, pretrained, tmp_path):
     assert code == 0
     eval_doc = json.loads((tmp_path / "eval.json").read_text())
     assert eval_doc["accuracy"] == doc["accuracy"]
+    # each report names the clips it used and the checkpoint it read
+    assert (doc["train_ids"], doc["val_ids"], doc["test_ids"]) == ([0, 1, 2, 3, 4, 5, 6, 7],
+                                                                   [8, 9, 10, 11], [12, 13, 14, 15])
+    assert doc["checkpoint_sha256"] == hashlib.sha256(pretrained.read_bytes()).hexdigest()
+    assert eval_doc["test_ids"] == doc["test_ids"]
+    assert eval_doc["checkpoint_sha256"] == hashlib.sha256(classifier.read_bytes()).hexdigest()
+
+
+def test_a_finetune_report_names_what_reproduces_it(corpus, tiny_config, pretrained, tmp_path):
+    def finetune(out, *extra):
+        assert main(["finetune", "--config", tiny_config, "--corpus", str(corpus),
+                     "--out", str(out), *extra]) == 0
+        return json.loads(out.read_text())
+
+    first = finetune(tmp_path / "a" / "m.json", "--checkpoint", str(pretrained),
+                     "--split", "8,4,4", "--label-fraction", "0.5")
+    assert first["labeled_train"] == len(first["train_ids"]) == 4
+    split = tmp_path / "split.json"
+    split.write_text(json.dumps({k: first[f"{k}_ids"] for k in ("train", "val", "test")}))
+    again = tmp_path / "b" / "m.json"
+    finetune(again, "--checkpoint", str(pretrained), "--split", str(split))
+    assert again.read_bytes() == (tmp_path / "a" / "m.json").read_bytes()
+    assert finetune(tmp_path / "c.json", "--scratch", "--split", str(split))[
+        "checkpoint_sha256"] is None
 
 
 def test_eval_refuses_a_classifier_of_another_architecture(corpus, tiny_config, tmp_path, capsys):
@@ -272,17 +324,19 @@ def test_eval_refuses_a_classifier_of_another_architecture(corpus, tiny_config, 
 
     capsys.readouterr()
     assert evaluate(classifier, str(other)) == 2
-    assert capsys.readouterr().err.startswith(
-        "config error: checkpoint architecture does not match the run config:\n"
-        "~ backbone.enc_heads: 2 -> 4")
+    assert capsys.readouterr().err == (
+        "config error: the config of the classifier does not match the run config:\n"
+        "~ backbone.enc_heads: 2 -> 4\n")
     assert not out.exists()
     assert evaluate(classifier, tiny_config) == 0
-    matched = out.read_bytes()
-    # a classifier saved without a config is evaluated as before
+    matched = json.loads(out.read_text())
+    # a classifier saved without a config is evaluated as before; only the
+    # digest of the file read differs
     bare = tmp_path / "bare.csma"
     save_checkpoint(bare, arrays)
     assert evaluate(bare, tiny_config) == 0
-    assert out.read_bytes() == matched
+    digest = hashlib.sha256(bare.read_bytes()).hexdigest()
+    assert json.loads(out.read_text()) == {**matched, "checkpoint_sha256": digest}
 
 
 def test_finetune_scratch_vs_checkpoint(corpus, tiny_config, pretrained, tmp_path):
@@ -340,7 +394,8 @@ def test_reconstruct_short_checkpoint_exits_4(corpus, tmp_path, capsys):
     entries = json.loads((corpus / "manifest.json").read_text())
     code = main([
         "reconstruct", "--checkpoint", str(bad), "--clip", str(corpus / entries[0]["path"]),
-        "--ratio", "0.75", "--strategy", "random", "--out-dir", str(tmp_path / "recon"),
+        "--set", "pretrain.mask_ratio=0.75", "--set", "pretrain.strategy=random",
+        "--out-dir", str(tmp_path / "recon"),
     ])
     assert code == 4
     assert "corrupt artifact" in capsys.readouterr().err
@@ -360,7 +415,8 @@ def test_reconstruct_writes_triptychs(corpus, pretrained, tmp_path):
     out = tmp_path / "recon"
     code = main([
         "reconstruct", "--checkpoint", str(pretrained), "--clip", str(clip_path),
-        "--ratio", "0.75", "--strategy", "adaptive", "--out-dir", str(out),
+        "--set", "pretrain.mask_ratio=0.75", "--set", "pretrain.strategy=adaptive",
+        "--out-dir", str(out),
     ])
     assert code == 0
     files = sorted(p.name for p in out.iterdir())
@@ -375,7 +431,8 @@ def test_reconstruct_mask_overlay_visible_count(corpus, pretrained, tmp_path):
     out = tmp_path / "recon2"
     code = main([
         "reconstruct", "--checkpoint", str(pretrained), "--clip", str(clip_path),
-        "--ratio", "0.75", "--strategy", "tube", "--out-dir", str(out),
+        "--set", "pretrain.mask_ratio=0.75", "--set", "pretrain.strategy=tube",
+        "--out-dir", str(out),
     ])
     assert code == 0
     # tube masking at 0.75 on a 2x4x4 grid keeps 4 spatial cells per slice
@@ -383,6 +440,42 @@ def test_reconstruct_mask_overlay_visible_count(corpus, pretrained, tmp_path):
     cells = overlay.reshape(4, 4, 4, 4, 3).swapaxes(1, 2)  # (h_cell, w_cell, 4, 4, 3)
     lit = [(h, w) for h in range(4) for w in range(4) if cells[h, w].max() > 0]
     assert len(lit) == 4
+
+
+# The images the `--ratio`, `--strategy` and `--seed` flags wrote before
+# they became --set overrides: the checkpoint's own settings, then
+# `--strategy tube --ratio 0.75 --seed 3`.
+RECONSTRUCTIONS = {
+    (): "c24631f76ad26f75bc850d73a0578f8d5b47c5b756c05cfdde4bafcde26552a1",
+    ("pretrain.strategy=tube", "pretrain.mask_ratio=0.75", "seed=3"):
+        "8b951e6ed3ba1209b8999e6ad69d2fa947dea5bdfe603ea62dc6e6e5cdeeaa20",
+}
+
+
+@pytest.mark.parametrize("sets", RECONSTRUCTIONS, ids=["checkpoint-settings", "tube-0.75-seed-3"])
+def test_reconstruct_writes_the_images_of_the_earlier_flags(sets, corpus, pretrained, tmp_path):
+    out = tmp_path / "recon"
+    assert main(["reconstruct", "--checkpoint", str(pretrained), "--clip",
+                 str(corpus / "clip_00000.csvc"), "--out-dir", str(out),
+                 *(arg for text in sets for arg in ("--set", text))]) == 0
+    assert _dir_hash(out) == RECONSTRUCTIONS[sets]
+
+
+@pytest.mark.parametrize("sets,message", [
+    # 4 heads of 4 dims hold the same parameter shapes as 2 heads of 8
+    (["backbone.enc_heads=4"], "the config of {} does not match the run config:\n"
+                               "~ backbone.enc_heads: 2 -> 4\n"),
+    (["seed=1", "seed=2"], "--set names seed more than once; only ablate sweeps\n"),
+    (["pretrain.mask_ratio=1.5"], "mask_ratio must be in (0, 1), got 1.5\n"),
+], ids=["other-heads", "repeated-seed", "ratio-past-one"])
+def test_reconstruct_refuses_a_bad_set(sets, message, corpus, pretrained, tmp_path, capsys):
+    out = tmp_path / "recon"
+    capsys.readouterr()
+    assert main(["reconstruct", "--checkpoint", str(pretrained), "--clip",
+                 str(corpus / "clip_00000.csvc"), "--out-dir", str(out),
+                 *(arg for text in sets for arg in ("--set", text))]) == 2
+    assert capsys.readouterr().err == "config error: " + message.format(pretrained)
+    assert not out.exists()
 
 
 def test_ablate_table(corpus, tiny_config, tmp_path):
@@ -743,11 +836,11 @@ def test_bad_artifact_exits_on_its_documented_code(
     if name.startswith("unpacked"):
         assert "attn.qkv.weight" in err
     if name == "selection-weight":
-        assert "'selection_weight'" in err
+        assert "'pretrain.selection_weight'" in err
     if name.startswith("repeated"):
         assert "appears 2 times in the" in err
     if name.startswith("other-"):
-        assert "checkpoint architecture does not match the run config:\n~ " in err
+        assert "the config of the encoder init does not match the run config:\n~ " in err
 
 
 
@@ -767,16 +860,8 @@ def _with_earlier_config(checkpoint, path):
     return str(path)
 
 
-EARLIER_CONFIG_DIFFS = {  # command: what its refusal names
-    "reconstruct": ["unknown config key(s) ['tokenizer']"],
-    "pretrain --resume": ["+ backbone.tubelet = [2, 4, 4]", "- pretrain.epochs = 800",
-                          "- tokenizer = {"],
-    "finetune --checkpoint": ["+ backbone.tubelet = [2, 4, 4]"],
-    "eval --checkpoint": ["+ backbone.tubelet = [2, 4, 4]"],
-}
-
-
-@pytest.mark.parametrize("command", EARLIER_CONFIG_DIFFS)
+@pytest.mark.parametrize(
+    "command", ["reconstruct", "pretrain --resume", "finetune --checkpoint", "eval --checkpoint"])
 def test_a_checkpoint_with_the_earlier_tokenizer_section_exits_2(
     command, corpus, tiny_config, pretrained, tmp_path, capsys
 ):
@@ -791,9 +876,19 @@ def test_a_checkpoint_with_the_earlier_tokenizer_section_exits_2(
     capsys.readouterr()
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: ") and "Traceback" not in err
-    for line in EARLIER_CONFIG_DIFFS[command]:
-        assert line in err
+    if command == "reconstruct":
+        # resolved as a --config file is: one refusal names every unknown key, and the file
+        assert err == ("config error: unknown config key(s) ['pretrain.epochs', 'tokenizer']"
+                       f" in checkpoint {artifact}\n")
+        return
+    # the other readers diff the sections they read, and name the stale
+    # section, in one message form
+    header, *lines = err.splitlines()
+    assert re.fullmatch("config error: the config of .+ does not match the run config:", header)
+    stale = {("+", "backbone.tubelet"), ("-", "tokenizer")}
+    if command == "pretrain --resume":
+        stale.add(("-", "pretrain.epochs"))
+    assert {tuple(line.split()[:2]) for line in lines} == stale
 
 
 # A resume in place reads the run's metrics log; a corrupt complete line

@@ -482,5 +482,6 @@ def test_finetune_init_checks_the_architecture_a_checkpoint_was_pretrained_with(
     finetune_run(corpus, split, cfg, 3, BB, init_arrays=arrays)
     # 4 heads of 4 dims hold the same parameter shapes as 2 heads of 8
     four_heads = BackboneConfig(**{**asdict(BB), "enc_heads": 4})
-    with pytest.raises(ConfigError, match=r"architecture(.|\n)*~ backbone\.enc_heads: 2 -> 4$"):
+    with pytest.raises(ConfigError, match=r"the config of the encoder init does not match the"
+                                          r" run config:\n~ backbone\.enc_heads: 2 -> 4$"):
         finetune_run(corpus, split, cfg, 3, four_heads, init_arrays=arrays)

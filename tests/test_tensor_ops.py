@@ -15,26 +15,27 @@ from selectmae.errors import ContractError, NumericError, ShapeError
 from selectmae.numerics import tensor
 from selectmae.numerics.tensor import record_op
 
-from testkit import check_gradients
+import testkit
+from testkit import check_gradients, gelu, matmul, softmax, transpose
 
 
 def test_matmul_identity():
     a = nm.Tensor(np.eye(2))
     b = nm.Tensor([[1.0, 2.0], [3.0, 4.0]])
-    np.testing.assert_allclose(nm.matmul(a, b).data, [[1, 2], [3, 4]])
+    np.testing.assert_allclose(matmul(a, b).data, [[1, 2], [3, 4]])
 
 
 def test_matmul_hand_case():
     a = nm.Tensor([[1.0, 2.0]])
     b = nm.Tensor([[3.0], [4.0]])
-    np.testing.assert_allclose(nm.matmul(a, b).data, [[11.0]])
+    np.testing.assert_allclose(matmul(a, b).data, [[11.0]])
 
 
 def test_matmul_shape_error_names_shapes():
     a = nm.Tensor(np.zeros((2, 3)))
     b = nm.Tensor(np.zeros((2, 3)))
     with pytest.raises(ShapeError, match=r"\(2, 3\)"):
-        nm.matmul(a, b)
+        matmul(a, b)
 
 
 def test_matmul_gradcheck():
@@ -43,7 +44,7 @@ def test_matmul_gradcheck():
     b = rng.standard_normal((4, 2))
 
     def loss(params):
-        prod = nm.matmul(params[0], params[1])
+        prod = matmul(params[0], params[1])
         return nm.reduce_sum(nm.mul(prod, prod))
 
     check_gradients(loss, [a, b], rel_tol=1e-3)
@@ -72,13 +73,13 @@ def test_affine_matches_the_matmul_add_chain_bitwise(lead):
     # as a reshaped 2-D view, its bias gradient would change bits
     swap = (1, 0, *range(2, len(lead) + 1))
     upstream = nm.Tensor(rng.standard_normal((*lead, 40)).astype(np.float32).transpose(swap))
-    product = nm.matmul if len(lead) == 1 else _weight_matmul
+    product = matmul if len(lead) == 1 else _weight_matmul
 
     def run(fused):
         x, w, b = (nm.Tensor(a.copy(), requires_grad=True) for a in (x0, w0, b0))
         with nm.Tape() as tape:
             y = nm.affine(x, w, b) if fused else nm.add(product(x, w), b)
-            loss = nm.reduce_sum(nm.mul(nm.transpose(y, swap), upstream))
+            loss = nm.reduce_sum(nm.mul(transpose(y, swap), upstream))
         nm.backward(loss, tape)
         return y.data, x.grad, w.grad, b.grad
 
@@ -134,9 +135,9 @@ def test_an_untracked_input_gets_no_gradient(op, params):
 
 
 def test_softmax_uniform_and_stability():
-    out = nm.softmax(nm.Tensor([0.0, 0.0, 0.0, 0.0]))
+    out = softmax(nm.Tensor([0.0, 0.0, 0.0, 0.0]))
     np.testing.assert_allclose(out.data, [0.25] * 4, atol=1e-7)
-    big = nm.softmax(nm.Tensor([1000.0, 0.0]))
+    big = softmax(nm.Tensor([1000.0, 0.0]))
     assert np.isfinite(big.data).all()
     np.testing.assert_allclose(big.data, [1.0, 0.0], atol=1e-6)
 
@@ -144,14 +145,14 @@ def test_softmax_uniform_and_stability():
 def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(2)
     x = nm.Tensor(rng.standard_normal((5, 8)))
-    y = nm.softmax(x, axis=-1)
+    y = softmax(x, axis=-1)
     np.testing.assert_allclose(y.data.sum(axis=-1), np.ones(5), atol=1e-6)
     assert (y.data > 0).all()
 
 
 def test_softmax_rejects_non_finite():
     with pytest.raises(NumericError):
-        nm.softmax(nm.Tensor([np.nan, 0.0]))
+        softmax(nm.Tensor([np.nan, 0.0]))
 
 
 def test_softmax_jacobian_matches_finite_differences():
@@ -160,7 +161,7 @@ def test_softmax_jacobian_matches_finite_differences():
     w = rng.standard_normal(8)
 
     def loss(params):
-        return nm.reduce_sum(nm.mul(nm.softmax(params[0]), nm.Tensor(w)))
+        return nm.reduce_sum(nm.mul(softmax(params[0]), nm.Tensor(w)))
 
     check_gradients(loss, [x], rel_tol=1e-3)
 
@@ -235,7 +236,7 @@ def test_backward_deterministic_bitwise():
         w = nm.Tensor(w_init.copy(), requires_grad=True)
         x = nm.Tensor(x_init.copy())
         with nm.Tape() as tape:
-            h = nm.gelu(nm.matmul(x, w))
+            h = gelu(matmul(x, w))
             loss = nm.reduce_mean(nm.mul(h, h))
         nm.backward(loss, tape)
         return w.grad.copy()
@@ -292,7 +293,7 @@ def test_elementwise_and_reduction_gradchecks(seed):
     def loss(params):
         s = nm.add(params[0], params[2])  # broadcast add
         p = nm.mul(s, params[1])
-        g = nm.gelu(p)
+        g = gelu(p)
         return nm.add(
             nm.reduce_mean(nm.absolute(g)),
             nm.reduce_sum(nm.reduce_mean(g, axis=0)),
@@ -306,7 +307,7 @@ def test_transpose_reshape_gradcheck():
     x = rng.standard_normal((2, 3, 4))
 
     def loss(params):
-        t = nm.transpose(params[0], (1, 0, 2))
+        t = transpose(params[0], (1, 0, 2))
         r = nm.reshape(t, (3, 8))
         return nm.reduce_sum(nm.mul(r, r))
 
@@ -316,7 +317,7 @@ def test_transpose_reshape_gradcheck():
 def test_log_and_log_softmax_agree():
     rng = np.random.default_rng(9)
     z = rng.standard_normal(6)
-    p = nm.softmax(nm.Tensor(z))
+    p = softmax(nm.Tensor(z))
     lp = nm.log_softmax(nm.Tensor(z))
     np.testing.assert_allclose(np.log(p.data), lp.data, atol=1e-6)
 
@@ -336,8 +337,8 @@ def test_mlp_composite_gradcheck_float64():
     b2 = rng.standard_normal(2) * 0.1
 
     def loss(params):
-        h = nm.gelu(nm.add(nm.matmul(nm.Tensor(x), params[0]), params[1]))
-        out = nm.add(nm.matmul(h, params[2]), params[3])
+        h = gelu(nm.add(matmul(nm.Tensor(x), params[0]), params[1]))
+        out = nm.add(matmul(h, params[2]), params[3])
         return nm.reduce_mean(nm.mul(out, out))
 
     worst = check_gradients(loss, [w1, b1, w2, b2], rel_tol=1e-5, dtype=np.float64)
@@ -350,7 +351,7 @@ def test_batched_matmul_gradcheck():
     b = rng.standard_normal((2, 4, 3))
 
     def loss(params):
-        prod = nm.matmul(params[0], params[1])
+        prod = matmul(params[0], params[1])
         return nm.reduce_sum(nm.mul(prod, prod))
 
     check_gradients(loss, [a, b], rel_tol=1e-3)
@@ -359,8 +360,8 @@ def test_batched_matmul_gradcheck():
 def _reference_attention(q, k, v, s):
     """The unfused chain that `attend` replaces, kept as its reference."""
     swap_last = tuple(range(q.ndim - 2)) + (q.ndim - 1, q.ndim - 2)
-    scores = nm.scale(nm.matmul(q, nm.transpose(k, swap_last)), s)
-    return nm.matmul(nm.softmax(scores, axis=-1), v)
+    scores = nm.scale(matmul(q, transpose(k, swap_last)), s)
+    return matmul(softmax(scores, axis=-1), v)
 
 
 def _reference_packed(qkv, heads):
@@ -374,10 +375,10 @@ def _reference_packed(qkv, heads):
 
     def block(i):
         pick = nm.Tensor(np.broadcast_to(eye[:, i * dim:(i + 1) * dim], (b, width, dim)).copy())
-        return nm.transpose(nm.reshape(nm.matmul(qkv, pick), (b, n, heads, d)), (0, 2, 1, 3))
+        return transpose(nm.reshape(matmul(qkv, pick), (b, n, heads, d)), (0, 2, 1, 3))
 
     ctx = _reference_attention(block(0), block(1), block(2), 1.0 / math.sqrt(d))
-    return nm.reshape(nm.transpose(ctx, (0, 2, 1, 3)), (b, n, dim))
+    return nm.reshape(transpose(ctx, (0, 2, 1, 3)), (b, n, dim))
 
 
 def _reference_gelu(x):
@@ -628,7 +629,7 @@ def test_gelu_matches_reference_bitwise():
     rng = np.random.default_rng(14)
     x = (rng.standard_normal((4, 16, 32)) * 3.0).astype(np.float32)
     weight = rng.standard_normal(x.shape).astype(np.float32)
-    out, (grad,) = _grads_of(nm.gelu, [x], weight)
+    out, (grad,) = _grads_of(gelu, [x], weight)
     ref_out, (ref_grad,) = _grads_of(_reference_gelu, [x], weight)
     assert np.array_equal(out, ref_out)
     assert np.array_equal(grad, ref_grad)
@@ -639,7 +640,7 @@ def _norm_affine_chain(x, gain, bias, w, b):
 
 
 def _gelu_affine_chain(h, w, b):
-    return nm.affine(nm.gelu(h), w, b)
+    return nm.affine(gelu(h), w, b)
 
 
 # kernel: (fused, its two-node chain, the shapes of its parameters for
@@ -763,7 +764,7 @@ def test_backward_never_writes_into_shared_upstream_gradient():
             nm.add(gelu_fn(x), t1), nm.add(attend_fn(qkv, 2), t2)
         )
 
-    _, grads = _grads_of(graph(nm.gelu, nm.attend), [x, qkv, t1, t2], weight)
+    _, grads = _grads_of(graph(gelu, nm.attend), [x, qkv, t1, t2], weight)
     _, ref_grads = _grads_of(graph(_reference_gelu, _reference_packed), [x, qkv, t1, t2], weight)
     for i in (0, 2, 3):  # x, t1 and t2
         assert np.array_equal(grads[i], ref_grads[i])
@@ -796,7 +797,8 @@ def _holds_tensor(obj) -> bool:
 
 
 def _kernel_calls(rng):
-    """One call of every public kernel in numerics.ops, on tracked inputs."""
+    """One call of every public kernel in numerics.ops and of every op in
+    testkit, on tracked inputs."""
     def t(*shape):
         return nm.Tensor(rng.uniform(0.5, 1.5, shape).astype(np.float32), requires_grad=True)
 
@@ -805,21 +807,21 @@ def _kernel_calls(rng):
         "sub": lambda: [nm.sub(t(2, 3), t(3))],
         "mul": lambda: [nm.mul(t(2, 3), t(2, 3))],
         "scale": lambda: [nm.scale(t(2, 3), 2.0)],
-        "matmul": lambda: [nm.matmul(t(3, 4), t(4, 5)), nm.matmul(t(2, 3, 4), t(2, 4, 5))],
+        "matmul": lambda: [matmul(t(3, 4), t(4, 5)), matmul(t(2, 3, 4), t(2, 4, 5))],
         "affine": lambda: [nm.affine(t(2, 3, 4), t(4, 5), t(5)),
                            nm.affine(nm.Tensor(np.ones((3, 4), np.float32)), t(4, 5), t(5))],
-        "softmax": lambda: [nm.softmax(t(2, 3))],
+        "softmax": lambda: [softmax(t(2, 3))],
         "attend": lambda: [nm.attend(t(2, 3, 12), 2)],
         "log_softmax": lambda: [nm.log_softmax(t(2, 3))],
         "layer_norm": lambda: [nm.layer_norm(t(2, 3), t(3), t(3))],
         "norm_affine": lambda: [nm.norm_affine(t(2, 3, 4), t(4), t(4), t(4, 5), t(5))],
-        "gelu": lambda: [nm.gelu(t(2, 3))],
+        "gelu": lambda: [gelu(t(2, 3))],
         "gelu_affine": lambda: [nm.gelu_affine(t(2, 3, 4), t(4, 5), t(5))],
         "absolute": lambda: [nm.absolute(t(2, 3))],
         "reduce_sum": lambda: [nm.reduce_sum(t(2, 3)), nm.reduce_sum(t(2, 3), axis=0)],
         "reduce_mean": lambda: [nm.reduce_mean(t(2, 3)), nm.reduce_mean(t(2, 3), axis=-1)],
         "reshape": lambda: [nm.reshape(t(2, 3), (3, 2))],
-        "transpose": lambda: [nm.transpose(t(2, 3, 4), (2, 0, 1))],
+        "transpose": lambda: [transpose(t(2, 3, 4), (2, 0, 1))],
         "concat_rows": lambda: [nm.concat_rows([t(2, 3), t(1, 3)])],
         "gather_rows_batched": lambda: [nm.gather_rows_batched(t(2, 4, 3), [[0, 1], [3, 3]])],
         "stop_gradient": lambda: [nm.stop_gradient(t(2, 3))],
@@ -830,7 +832,8 @@ def test_no_backward_closure_holds_a_tensor():
     calls = _kernel_calls(np.random.default_rng(19))
     kernels = {name for name, fn in inspect.getmembers(nm.ops, inspect.isfunction)
                if fn.__module__ == nm.ops.__name__ and not name.startswith("_")}
-    assert kernels == set(calls)
+    assert kernels | {"matmul", "softmax", "gelu", "transpose"} == set(calls)
+    assert all(vars(testkit)[name].__module__ == "testkit" for name in set(calls) - kernels)
     with nm.Tape() as tape:
         for call in calls.values():
             call()
@@ -952,7 +955,7 @@ def test_two_threads_sum_their_gradients_into_shared_leaves():
     xs = rng.standard_normal((2, 3, 4)).astype(np.float32)
 
     def half(lo, hi, tape):
-        nm.backward(nm.reduce_sum(nm.gelu(nm.matmul(nm.Tensor(xs[lo]), w))), tape)
+        nm.backward(nm.reduce_sum(gelu(matmul(nm.Tensor(xs[lo]), w))), tape)
 
     each = []
     for i in range(2):

@@ -32,13 +32,13 @@ from selectmae.training import (
     PretrainConfig,
     PretrainRun,
     array_to_config,
-    assign_named,
     config_to_array,
     load_checkpoint,
     masked_forward,
     pretrain_run,
     pretrain_step,
     reconstruction_loss,
+    restore,
     save_checkpoint,
     selection_loss,
 )
@@ -660,7 +660,7 @@ def test_checkpoint_forward_is_bitwise_identical(tmp_path):
     reference = forward(model)
     save_checkpoint(tmp_path / "m.csma", {k: t.data for k, t in model.named().items()})
     fresh = ModelParams(BB, np.random.default_rng(99))
-    assign_named(fresh.named(), load_checkpoint(tmp_path / "m.csma"))
+    restore(load_checkpoint(tmp_path / "m.csma"), "m.csma", fresh.named(), {})
     assert np.array_equal(forward(fresh), reference)
 
 
@@ -829,7 +829,7 @@ def test_loaders_write_into_the_optimizer_buffers(tmp_path):
     for name, t in run.optimizer.params.items():
         assert np.array_equal(t.data, arrays[name]), name
     other = load_checkpoint(tmp_path / "base" / "checkpoint_000006.csma")
-    assign_named(run.model.named(), other)
+    restore(other, "checkpoint_000006.csma", run.model.named(), run.snapshot, pretraining=True)
     assert_owned_by(run.optimizer)
     for name, t in run.model.named().items():
         assert np.array_equal(t.data, other[name]), name

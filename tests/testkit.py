@@ -6,18 +6,77 @@ difference quotient is evaluated at 64-bit so the oracle itself
 contributes no roundoff at the tolerance being asserted; a pure 64-bit
 mode tightens the tolerance to 1e-5.
 
-Also the token id of a grid cell (the order `tokenizer.unfold_clip`
-gives its rows in), a PPM reader for the images
-`reconstruct` writes, a check that an optimizer still owns its
-parameters' buffers, and the bytes a tape's closures hold.
+Also the ops no model path records, from which the tests build the
+unfused chains that `attend` and `gelu_affine` are checked against
+(`matmul`, `softmax`, `gelu`, `transpose`), the token id of a grid cell
+(the order `tokenizer.unfold_clip` gives its rows in), a PPM reader for
+the images `reconstruct` writes, a check that an optimizer still owns
+its parameters' buffers, and the bytes a tape's closures hold.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from selectmae.errors import FormatError
-from selectmae.numerics import Tape, Tensor, backward, precision
+from selectmae.errors import FormatError, ShapeError
+from selectmae.numerics import Tape, Tensor, backward, ops, precision
+from selectmae.numerics.tensor import record_op
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product over equal leading dims; `affine` applies a weight."""
+    if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2] or a.shape[:-2] != b.shape[:-2]:
+        raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
+    ad, bd = a.data, b.data
+    out = Tensor(ad @ bd)
+
+    def bw(g):
+        return g @ bd.swapaxes(-1, -2), ad.swapaxes(-1, -2) @ g
+
+    record_op((a, b), out, bw)
+    return out
+
+
+def softmax(x: Tensor, axis: int = -1) -> Tensor:
+    ops._assert_finite(x.data, "softmax")
+    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+    e = np.exp(shifted, out=shifted)
+    y = np.divide(e, e.sum(axis=axis, keepdims=True), out=e)
+    out = Tensor(y)
+
+    def bw(g):
+        dot = (g * y).sum(axis=axis, keepdims=True)
+        return (y * (g - dot),)
+
+    record_op((x,), out, bw)
+    return out
+
+
+def gelu(x: Tensor) -> Tensor:
+    """Tanh-approximated GELU, 0.5 x (1 + tanh(c (x + a x^3))), through
+    the helpers `gelu_affine` runs.
+
+    Smooth, so finite-difference checks apply everywhere. Forward and
+    backward run as in-place chains over their own buffers; each step
+    is one of the operations of the plain expression, in its order, so
+    the bits match it. Only tanh(...) is kept for backward.
+    """
+    xd = x.data
+    t = ops._gelu_tanh(xd)
+    out = Tensor(ops._gelu_value(xd, t))
+    record_op((x,), out, lambda g: (ops._gelu_grad(xd, t, g),))
+    return out
+
+
+def transpose(x: Tensor, axes=None) -> Tensor:
+    if axes is None:
+        axes = tuple(reversed(range(x.ndim)))
+    inverse = [0] * len(axes)
+    for i, axis in enumerate(axes):
+        inverse[axis] = i
+    out = Tensor(x.data.transpose(axes))
+    record_op((x,), out, lambda g: (g.transpose(inverse),))
+    return out
 
 
 def _inf_norm(a: np.ndarray) -> float:
