@@ -4,16 +4,20 @@ Commands: gen-data, pretrain, finetune, eval, reconstruct, ablate.
 Exit codes: 0 success, 2 config/usage error, 3 I/O error, 4 corrupt
 artifact, which includes a checkpoint of the wrong kind (a classifier
 given to `reconstruct` or `pretrain --resume`, a pretraining checkpoint
-given to `eval`). `gen-data`, `pretrain`, `finetune` and each `ablate`
-row write their resolved config next to their outputs; `eval` and
-`reconstruct` write none. The resolved config and the corpus reproduce
-a `pretrain` run. A `finetune` report records the labeled train, val
-and test clip ids it used and the SHA-256 of its `--checkpoint` (null
-with `--scratch`), so its resolved config, those ids as a `--split`
-file and that checkpoint reproduce it; an `eval` report records its
-test ids and the classifier's SHA-256. Not recorded: `--clips` and
-`--label-fraction` of `gen-data`; `--split` and `--label-fraction` of
-`ablate`.
+given to `eval`). `gen-data`, `pretrain` and `finetune` write their
+resolved config next to their outputs; `eval` and `reconstruct` write
+none. The resolved config and the corpus reproduce a `pretrain` run. A
+`finetune` report records the labeled train, val and test clip ids it
+used and the SHA-256 of its `--checkpoint` (null with `--scratch`), so
+its resolved config with `finetune.label_fraction` null, those ids as a
+`--split` file and that checkpoint reproduce it; an `eval` report
+records its test ids and the classifier's SHA-256. `ablate` is
+`pretrain` then `finetune`: each distinct backbone and pretrain section
+of its rows, the document a checkpoint embeds, is pretrained once into
+`pretrainNNN/` as `pretrain --out` writes it, and `rowNNN/` holds what
+`finetune --checkpoint <that run's final checkpoint> --out
+rowNNN/report.json` writes. Not recorded: `--clips` and
+`--label-fraction` of `gen-data`.
 
 Every command takes a repeatable `--set KEY=VALUE`: KEY is `seed` or
 `section.key`, VALUE is JSON or else a bare string (`tube`, `0.9`,
@@ -32,7 +36,6 @@ import argparse
 import csv
 import hashlib
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -41,7 +44,7 @@ import numpy as np
 from .backbone import ModelParams
 from .config import RunConfig, config_grid
 from .data import denormalize_targets, generate_corpus, load_clip, load_manifest
-from .downstream import SplitSpec, evaluate_checkpoint, finetune_run, phase_round_robin
+from .downstream import SplitSpec, evaluate_checkpoint, finetune_run, labeled_train_ids
 from .errors import ConfigError, FormatError, SelectMAEError
 from .masking import SelectionParams
 from .ppm import write_ppm
@@ -136,68 +139,52 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
+def _pretrain(cfg: RunConfig, manifest, out: Path, resume=None) -> dict:
+    """`pretrain --out out`: the resolved config, then the run's files."""
+    _write_resolved_config(cfg, out)
+    return pretrain_run(manifest, out, cfg.pretrain, cfg.backbone, resume_from=resume)
+
+
 def cmd_pretrain(args) -> int:
     cfg = _load_config(args)
-    manifest = _resolve_manifest(args.corpus)
-    out = Path(args.out)
-    _write_resolved_config(cfg, out)
-    result = pretrain_run(
-        manifest, out, cfg.pretrain, cfg.backbone, resume_from=args.resume,
-    )
+    result = _pretrain(cfg, _resolve_manifest(args.corpus), Path(args.out), args.resume)
     print(f"final L_R {result['final_recon']:.6f} after {result['total_steps']} steps")
     print(f"checkpoint: {result['checkpoint']}")
     return 0
 
 
-def _split_with_fraction(args, entries) -> SplitSpec:
-    split = _parse_split(args.split, entries)
-    if args.label_fraction is not None:
-        split = _apply_label_fraction(split, entries, args.label_fraction)
-    return split
-
-
-def _apply_label_fraction(split: SplitSpec, entries, fraction: float) -> SplitSpec:
-    if not 0 < fraction <= 1:
-        raise ConfigError(f"label fraction must be in (0, 1], got {fraction}")
-    want = math.ceil(fraction * len(split.train_ids))
-    labeled = [i for i in split.train_ids if entries[i]["labeled"]]
-    chosen = phase_round_robin(entries, labeled)[:want]
-    if len(chosen) < want:
-        raise ConfigError(
-            f"need {want} labeled train clips for fraction {fraction}, "
-            f"corpus provides {len(chosen)}"
-        )
-    return SplitSpec(sorted(chosen), split.val_ids, split.test_ids)
+def _finetune(cfg: RunConfig, manifest, split: SplitSpec, checkpoint, out: Path,
+              save_classifier=None) -> dict:
+    """`finetune --out out` from `checkpoint`, or from scratch when None:
+    the report, with the clip ids used and the checkpoint's SHA-256, and
+    the resolved config beside it. Returns the report."""
+    init_arrays = digest = None
+    if checkpoint:
+        init_arrays, digest = load_checkpoint(checkpoint), _sha256(checkpoint)
+    result = finetune_run(manifest, split, cfg.finetune, cfg.data.num_phases, cfg.backbone,
+                          init_arrays=init_arrays, source=checkpoint)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    report = result["report"].to_json_dict()
+    report.update(val_accuracy=result["val_accuracy"], labeled_train=result["labeled_train"],
+                  train_ids=result["train_ids"], val_ids=split.val_ids, test_ids=split.test_ids,
+                  checkpoint_sha256=digest)
+    out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    _write_resolved_config(cfg, out.parent)
+    if save_classifier:
+        arrays = {k: t.data for k, t in result["model"].encoder_named().items()}
+        arrays.update({k: t.data for k, t in result["head"].named().items()})
+        arrays[CONFIG_ENTRY] = config_to_array(config_snapshot(backbone=cfg.backbone))
+        save_checkpoint(save_classifier, arrays)
+    return report
 
 
 def cmd_finetune(args) -> int:
     cfg = _load_config(args)
     manifest = _resolve_manifest(args.corpus)
-    entries = load_manifest(manifest)
-    split = _split_with_fraction(args, entries)
+    split = _parse_split(args.split, load_manifest(manifest))
     if args.scratch == bool(args.checkpoint):
         raise ConfigError("finetune needs exactly one of --checkpoint and --scratch")
-    init_arrays = digest = None
-    if args.checkpoint:
-        init_arrays, digest = load_checkpoint(args.checkpoint), _sha256(args.checkpoint)
-    result = finetune_run(
-        manifest, split, cfg.finetune, cfg.data.num_phases, cfg.backbone,
-        init_arrays=init_arrays,
-    )
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    report = result["report"].to_json_dict()
-    report["val_accuracy"] = result["val_accuracy"]
-    report["labeled_train"] = result["labeled_train"]
-    report.update(train_ids=result["train_ids"], val_ids=split.val_ids, test_ids=split.test_ids,
-                  checkpoint_sha256=digest)
-    out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    _write_resolved_config(cfg, out.parent)
-    if args.save_classifier:
-        arrays = {k: t.data for k, t in result["model"].encoder_named().items()}
-        arrays.update({k: t.data for k, t in result["head"].named().items()})
-        arrays[CONFIG_ENTRY] = config_to_array(config_snapshot(backbone=cfg.backbone))
-        save_checkpoint(args.save_classifier, arrays)
+    report = _finetune(cfg, manifest, split, args.checkpoint, Path(args.out), args.save_classifier)
     print(json.dumps({k: report[k] for k in ("accuracy", "precision", "recall", "jaccard")}))
     return 0
 
@@ -205,12 +192,10 @@ def cmd_finetune(args) -> int:
 def cmd_eval(args) -> int:
     cfg = _load_config(args)
     manifest = _resolve_manifest(args.corpus)
-    entries = load_manifest(manifest)
-    split = _parse_split(args.split, entries)
+    split = _parse_split(args.split, load_manifest(manifest))
     arrays, digest = load_checkpoint(args.checkpoint), _sha256(args.checkpoint)
-    report = evaluate_checkpoint(
-        manifest, split.test_ids, arrays, cfg.data.num_phases, cfg.backbone
-    )
+    report = evaluate_checkpoint(manifest, split.test_ids, arrays, cfg.data.num_phases,
+                                 cfg.backbone, source=args.checkpoint)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     doc = {**report.to_json_dict(), "test_ids": split.test_ids, "checkpoint_sha256": digest}
@@ -256,39 +241,35 @@ def cmd_ablate(args) -> int:
     grid = _config_grid(args)
     manifest = _resolve_manifest(args.corpus)
     entries = load_manifest(manifest)
-    # every input is checked before the first row trains
-    split = _split_with_fraction(args, entries)
-    seen = {}
+    # every input is checked before the first pretraining
+    split = _parse_split(args.split, entries)
+    seen, keys = {}, []
     for swept, cfg in grid:
         digest = cfg.config_hash()
         if digest in seen:
             raise ConfigError(f"--set values {json.dumps(seen[digest])} and {json.dumps(swept)}"
                               " give the same config")
         seen[digest] = swept
+        labeled_train_ids(entries, split.train_ids, cfg.finetune.label_fraction)
+        # rows whose checkpoints embed one document share its pretraining
+        keys.append(json.dumps(config_snapshot(backbone=cfg.backbone, pretrain=cfg.pretrain)))
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for index, (swept, cfg) in enumerate(grid):
+    pretrained, rows = {}, []
+    for index, ((swept, cfg), key) in enumerate(zip(grid, keys)):
+        if key not in pretrained:
+            run_dir = out_dir / f"pretrain{len(pretrained):03d}"
+            pretrained[key] = run_dir, _pretrain(cfg, manifest, run_dir)
+        run_dir, result = pretrained[key]
         row_dir = out_dir / f"row{index:03d}"
-        _write_resolved_config(cfg, row_dir)
-        result = pretrain_run(manifest, row_dir, cfg.pretrain, cfg.backbone)
-        ft = finetune_run(
-            manifest, split, cfg.finetune, cfg.data.num_phases, cfg.backbone,
-            init_arrays=load_checkpoint(result["checkpoint"]),
-        )
-        report = ft["report"]
-        rows.append(
-            {
-                "row": row_dir.name,
-                **{k: v if isinstance(v, str) else json.dumps(v) for k, v in swept.items()},
-                "final_L_R": round(result["final_recon"], 6),
-                "accuracy": round(report.accuracy, 4),
-                "precision": round(report.precision, 4),
-                "recall": round(report.recall, 4),
-                "jaccard": round(report.jaccard, 4),
-                "config_hash": cfg.config_hash(),
-            }
-        )
+        report = _finetune(cfg, manifest, split, result["checkpoint"], row_dir / "report.json")
+        rows.append({
+            "row": row_dir.name,
+            **{k: v if isinstance(v, str) else json.dumps(v) for k, v in swept.items()},
+            "pretrain": run_dir.name,
+            "final_L_R": round(result["final_recon"], 6),
+            **{k: round(report[k], 4) for k in ("accuracy", "precision", "recall", "jaccard")},
+            "config_hash": cfg.config_hash(),
+        })
     fields = list(rows[0])
     with open(out_dir / "table.csv", "w", newline="") as f:
         writer = csv.DictWriter(f, fieldnames=fields)
@@ -336,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--checkpoint")
     f.add_argument("--scratch", action="store_true")
     f.add_argument("--split", required=True, help="JSON file or 'train,val,test' counts")
-    f.add_argument("--label-fraction", type=float)
     f.add_argument("--out", required=True, help="metrics JSON path")
     f.add_argument("--save-classifier", help="write the fine-tuned classifier checkpoint here")
     f.set_defaults(func=cmd_finetune)
@@ -361,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     config_options(a)
     a.add_argument("--corpus", required=True)
     a.add_argument("--split", required=True)
-    a.add_argument("--label-fraction", type=float)
     a.add_argument("--out-dir", required=True)
     a.set_defaults(func=cmd_ablate)
     return parser

@@ -111,6 +111,24 @@ def phase_round_robin(entries: list[dict], ids) -> list[int]:
     return [q[k] for k in range(depth) for q in queues if k < len(q)]
 
 
+def labeled_train_ids(entries: list[dict], train_ids, fraction: float | None) -> list[int]:
+    """The train clips a fine-tune learns from: every labeled one of
+    `train_ids`, in their order, when `fraction` is None; else the first
+    ceil(fraction * len(train_ids)) labeled ones by `phase_round_robin`
+    over `train_ids`' order, sorted, and a refusal when there are fewer."""
+    labeled = [i for i in train_ids if entries[i]["labeled"]]
+    if fraction is not None:
+        want = math.ceil(fraction * len(train_ids))
+        labeled = phase_round_robin(entries, labeled)[:want]
+        if len(labeled) < want:
+            raise ConfigError(f"need {want} labeled train clips for fraction {fraction}, "
+                              f"corpus provides {len(labeled)}")
+        labeled.sort()
+    if not labeled:
+        raise ConfigError("no labeled clips in the training split")
+    return labeled
+
+
 @dataclass
 class SplitSpec:
     train_ids: list
@@ -186,12 +204,15 @@ class FinetuneConfig:
     weight_decay: float = 0.05
     patience: int = 10  # epochs without val-accuracy improvement
     seed: int = 0
+    label_fraction: float | None = None  # None: every labeled train clip
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be positive")
         if self.patience < 1:
             raise ConfigError(f"patience must be >= 1, got {self.patience}")
+        if self.label_fraction is not None and not 0 < self.label_fraction <= 1:
+            raise ConfigError(f"label_fraction must be in (0, 1], got {self.label_fraction}")
         check_schedule(self.betas, self.weight_decay, self.warmup_steps, self.min_lr)
 
 
@@ -220,25 +241,25 @@ def finetune_run(
     num_steps: int,
     bb_cfg: BackboneConfig | None = None,
     init_arrays: dict | None = None,
+    source="the encoder init",
 ) -> dict:
-    """Cross-entropy fine-tuning of encoder+head on labeled train clips.
+    """Cross-entropy fine-tuning of encoder+head on the train clips
+    `labeled_train_ids` picks by `cfg.label_fraction`; as a split's train
+    list with no fraction, the `train_ids` it returns pick the same.
 
     `init_arrays` holds pretrained checkpoint tensors (scratch when
-    None); the backbone config a checkpoint embeds, tubelet included,
-    must equal `bb_cfg`. Early-stops on validation accuracy and reports test
-    metrics with the best-validation weights. With no validation clips it
-    trains every epoch, keeps the final weights and reports `val_accuracy`
-    None.
+    None), read from `source`, which a refusal names; the backbone config
+    a checkpoint embeds, tubelet included, must equal `bb_cfg`.
+    Early-stops on validation accuracy and reports test metrics with the
+    best-validation weights. With no validation clips it trains every
+    epoch, keeps the final weights and reports `val_accuracy` None.
     """
     bb_cfg = bb_cfg or BackboneConfig()
     model = ModelParams(bb_cfg, np.random.default_rng([cfg.seed, 0]))
     if init_arrays is not None:
-        restore(init_arrays, "the encoder init", model.encoder_named(),
-                config_snapshot(backbone=bb_cfg))
+        restore(init_arrays, source, model.encoder_named(), config_snapshot(backbone=bb_cfg))
     entries = load_manifest(manifest_path)
-    labeled = [i for i in split.train_ids if entries[i]["labeled"]]
-    if not labeled:
-        raise ConfigError("no labeled clips in the training split")
+    labeled = labeled_train_ids(entries, split.train_ids, cfg.label_fraction)
     if not split.test_ids:
         raise ConfigError("the test split is empty: no clips to report metrics on")
     used = [*labeled, *split.val_ids, *split.test_ids]
@@ -309,10 +330,11 @@ def evaluate_checkpoint(
     arrays: dict,
     num_steps: int,
     bb_cfg: BackboneConfig | None = None,
+    source="the classifier",
 ) -> MetricsReport:
     """Eval-only path: classifier checkpoint -> MetricsReport on given ids.
     The backbone config a checkpoint embeds, where it holds one, must
-    equal `bb_cfg`."""
+    equal `bb_cfg`; a refusal names `source`, the file `arrays` came from."""
     bb_cfg = bb_cfg or BackboneConfig()
     if not len(split_ids):
         raise ConfigError("the test split is empty: no clips to report metrics on")
@@ -320,7 +342,7 @@ def evaluate_checkpoint(
     _check_labels(entries, split_ids, num_steps)
     model = ModelParams(bb_cfg, np.random.default_rng(0))
     head = ClassifierHead(np.random.default_rng(1), bb_cfg.enc_dim, num_steps)
-    restore(arrays, "the classifier", {**model.encoder_named(), **head.named()},
+    restore(arrays, source, {**model.encoder_named(), **head.named()},
             config_snapshot(backbone=bb_cfg))
     clips = {i: load_clip(entries[i]["path"]) for i in split_ids}
     return _classify(clips, split_ids, entries, model, head)

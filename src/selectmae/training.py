@@ -80,7 +80,6 @@ class LossReport:
     step: int
     recon: float  # L_R, mean over the batch
     select: float  # L_select, mean over the batch (0.0 for baselines)
-    per_token: list  # per-clip arrays of per-masked-token errors
     fg_mass: float | None = None  # mean probability mass on foreground tokens
 
 
@@ -231,21 +230,20 @@ def pretrain_step(
     finally:
         optimizer.zero_grad()
 
-    shares, recons, selects, rows, masses = zip(*halves)
+    shares, recons, selects, masses = zip(*halves)
     masses = [m for half_masses in masses for m in half_masses]
     return LossReport(
         step=step_index,
         recon=sum(s * r for s, r in zip(shares, recons)),
         select=sum(s * v for s, v in zip(shares, selects)),
-        per_token=[row for half_rows in rows for row in half_rows],
         fg_mass=float(np.mean(masses)) if masses else None,
     )
 
 
 def _pretrain_half(batch, fg_ids, rngs, model, selector, cfg, share, step_index, tape):
     """Forward and backward of some clips of a step, their loss scaled by
-    `share`. Returns (share, L_R, L_select, per-clip masked-token errors,
-    per-clip foreground masses); the masses only for the adaptive strategy."""
+    `share`. Returns (share, L_R, L_select, per-clip foreground masses);
+    the masses only for the adaptive strategy."""
     patches, log_probs, _, masked_ids, preds = masked_forward(
         np.stack([clip.frames for clip in batch]), model, selector,
         cfg.strategy, cfg.mask_ratio, rngs,
@@ -268,7 +266,7 @@ def _pretrain_half(batch, fg_ids, rngs, model, selector, cfg, share, step_index,
     if not np.isfinite(total.item()):
         raise NumericError(f"non-finite loss at step {step_index}")
     backward(scale(total, share), tape)
-    return share, recon.item(), select_value, [row.copy() for row in per_token.data], masses
+    return share, recon.item(), select_value, masses
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,6 @@
 import csv
 import hashlib
 import json
-import re
 import shutil
 from pathlib import Path
 
@@ -11,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from selectmae.backbone import ModelParams
-from selectmae.cli import _apply_label_fraction, main
+from selectmae import cli
+from selectmae.cli import main
 from selectmae.config import RunConfig, config_grid, default_document
 from selectmae.downstream import ClassifierHead, SplitSpec
 from selectmae.errors import ConfigError
@@ -120,6 +120,9 @@ def test_run_config_type_checks_every_value():
         {"pretrain": {"grad_clip": float("-inf")}},
         {"finetune": {"patience": 0}},
         {"finetune": {"patience": -5}},
+        {"finetune": {"label_fraction": 0}},
+        {"finetune": {"label_fraction": 1.5}},
+        {"finetune": {"label_fraction": "x"}},
     ):
         with pytest.raises(ConfigError, match="must be"):
             RunConfig.from_document(bad)
@@ -153,6 +156,7 @@ SECTION_OVERRIDES = st.fixed_dictionaries({}, optional={
     "finetune": st.fixed_dictionaries({}, optional={
         "lr": _positive,
         "patience": st.integers(1, 50),
+        "label_fraction": st.none() | st.floats(0.01, 1.0),
     }),
 })
 
@@ -291,7 +295,7 @@ def test_a_finetune_report_names_what_reproduces_it(corpus, tiny_config, pretrai
         return json.loads(out.read_text())
 
     first = finetune(tmp_path / "a" / "m.json", "--checkpoint", str(pretrained),
-                     "--split", "8,4,4", "--label-fraction", "0.5")
+                     "--split", "8,4,4", "--set", "finetune.label_fraction=0.5")
     assert first["labeled_train"] == len(first["train_ids"]) == 4
     split = tmp_path / "split.json"
     split.write_text(json.dumps({k: first[f"{k}_ids"] for k in ("train", "val", "test")}))
@@ -325,7 +329,7 @@ def test_eval_refuses_a_classifier_of_another_architecture(corpus, tiny_config, 
     capsys.readouterr()
     assert evaluate(classifier, str(other)) == 2
     assert capsys.readouterr().err == (
-        "config error: the config of the classifier does not match the run config:\n"
+        f"config error: the config of {classifier} does not match the run config:\n"
         "~ backbone.enc_heads: 2 -> 4\n")
     assert not out.exists()
     assert evaluate(classifier, tiny_config) == 0
@@ -478,7 +482,21 @@ def test_reconstruct_refuses_a_bad_set(sets, message, corpus, pretrained, tmp_pa
     assert not out.exists()
 
 
-def test_ablate_table(corpus, tiny_config, tmp_path):
+def _counting_pretrain_runs(monkeypatch) -> list:
+    """Count the pretrainings `cli` starts: one output directory each."""
+    runs = []
+    real = cli.pretrain_run
+
+    def counting(manifest, out, *args, **kwargs):
+        runs.append(Path(out).name)
+        return real(manifest, out, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "pretrain_run", counting)
+    return runs
+
+
+def test_ablate_table(corpus, tiny_config, tmp_path, monkeypatch):
+    runs = _counting_pretrain_runs(monkeypatch)
     out = tmp_path / "ablation"
     code = main([
         "ablate", "--config", tiny_config, "--corpus", str(corpus),
@@ -489,21 +507,85 @@ def test_ablate_table(corpus, tiny_config, tmp_path):
     assert code == 0
     with open(out / "table.csv", newline="") as f:
         rows = list(csv.DictReader(f))
-    # one row per combination, in product order over the keys as they first appear
+    # one row per combination, in product order over the keys as they first
+    # appear; the seed reaches pretrain.seed, so each row pretrains its own
     grid = [("random", 0), ("random", 1), ("adaptive", 0), ("adaptive", 1)]
-    assert list(rows[0])[:3] == ["row", "pretrain.strategy", "seed"]
-    assert "config_hash" in rows[0]
+    assert list(rows[0]) == ["row", "pretrain.strategy", "seed", "pretrain", "final_L_R",
+                             "accuracy", "precision", "recall", "jaccard", "config_hash"]
+    assert runs == [f"pretrain{index:03d}" for index in range(4)]
     for index, (row, (strategy, seed)) in enumerate(zip(rows, grid, strict=True)):
-        assert row["row"] == f"row{index:03d}"
+        assert (row["row"], row["pretrain"]) == (f"row{index:03d}", f"pretrain{index:03d}")
         assert (row["pretrain.strategy"], row["seed"]) == (strategy, str(seed))
         resolved = json.loads((out / row["row"] / "config.resolved.json").read_text())
         assert resolved["pretrain"]["strategy"] == strategy
         assert resolved["pretrain"]["seed"] == resolved["finetune"]["seed"] == seed
         assert resolved["seed"] == seed
-        assert (out / row["row"] / "checkpoint_000006.csma").exists()
+        assert (out / row["pretrain"] / "config.resolved.json").read_text() == (
+            out / row["row"] / "config.resolved.json").read_text()
+        assert (out / row["pretrain"] / "checkpoint_000006.csma").exists()
+        report = json.loads((out / row["row"] / "report.json").read_text())
+        assert row["accuracy"] == str(round(report["accuracy"], 4))
+        assert report["test_ids"] == [12, 13, 14, 15]
+    assert sorted(p.name for p in (out / "row000").iterdir()) == ["config.resolved.json",
+                                                                  "report.json"]
     assert len({row["config_hash"] for row in rows}) == 4
     md = (out / "table.md").read_text()
     assert md.count("|") > 6
+
+
+def test_ablate_pretrains_once_per_checkpoint_config_and_each_row_reproduces(
+        corpus, tiny_config, tmp_path, monkeypatch):
+    runs = _counting_pretrain_runs(monkeypatch)
+    out = tmp_path / "ablation"
+    assert main([
+        "ablate", "--config", tiny_config, "--corpus", str(corpus),
+        *_sets("pretrain.strategy", "random", "adaptive"),
+        *_sets("finetune.label_fraction", "0.5", "null"),
+        "--split", "8,4,4", "--out-dir", str(out),
+    ]) == 0
+    pretrainings = ["pretrain000", "pretrain001"]
+    assert runs == pretrainings
+    assert sorted(p.name for p in out.iterdir() if p.name.startswith("pretrain")) == pretrainings
+    for run in pretrainings:
+        again = tmp_path / f"again_{run}"
+        assert main(["pretrain", "--config", str(out / run / "config.resolved.json"),
+                     "--corpus", str(corpus), "--out", str(again)]) == 0
+        assert _dir_hash(again) == _dir_hash(out / run)
+    with open(out / "table.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    grid = [("random", "0.5", "pretrain000"), ("random", "null", "pretrain000"),
+            ("adaptive", "0.5", "pretrain001"), ("adaptive", "null", "pretrain001")]
+    assert [(r["pretrain.strategy"], r["finetune.label_fraction"], r["pretrain"])
+            for r in rows] == grid
+    assert rows[0]["final_L_R"] == rows[1]["final_L_R"] != rows[2]["final_L_R"]
+    for row in rows:
+        row_dir, checkpoint = out / row["row"], out / row["pretrain"] / "checkpoint_000006.csma"
+        report = json.loads((row_dir / "report.json").read_text())
+        assert report["labeled_train"] == {"0.5": 4, "null": 8}[row["finetune.label_fraction"]]
+        assert report["checkpoint_sha256"] == hashlib.sha256(checkpoint.read_bytes()).hexdigest()
+        split = tmp_path / f"{row['row']}_split.json"
+        split.write_text(json.dumps({k: report[f"{k}_ids"] for k in ("train", "val", "test")}))
+        again = tmp_path / f"again_{row['row']}" / "report.json"
+        assert main(["finetune", "--config", str(row_dir / "config.resolved.json"),
+                     "--set", "finetune.label_fraction=null", "--corpus", str(corpus),
+                     "--split", str(split), "--checkpoint", str(checkpoint),
+                     "--out", str(again)]) == 0
+        assert again.read_bytes() == (row_dir / "report.json").read_bytes()
+
+
+def test_ablate_refuses_a_fraction_past_the_labeled_clips_before_any_pretraining(
+        corpus, tiny_config, tmp_path, monkeypatch, capsys):
+    # 12 train clips hold the corpus's 8 labeled ones: 0.5 needs 6, 1.0 needs 12
+    runs = _counting_pretrain_runs(monkeypatch)
+    out = tmp_path / "ablation"
+    assert main([
+        "ablate", "--config", tiny_config, "--corpus", str(corpus),
+        *_sets("finetune.label_fraction", "0.5", "1.0"),
+        "--split", "12,2,2", "--out-dir", str(out),
+    ]) == 2
+    assert capsys.readouterr().err == ("config error: need 12 labeled train clips for"
+                                       " fraction 1.0, corpus provides 8\n")
+    assert runs == [] and not out.exists()
 
 
 def test_ablate_invalid_axis_exits_2(corpus, tiny_config, tmp_path):
@@ -840,7 +922,7 @@ def test_bad_artifact_exits_on_its_documented_code(
     if name.startswith("repeated"):
         assert "appears 2 times in the" in err
     if name.startswith("other-"):
-        assert "the config of the encoder init does not match the run config:\n~ " in err
+        assert f"the config of {pretrained} does not match the run config:\n~ " in err
 
 
 
@@ -881,10 +963,10 @@ def test_a_checkpoint_with_the_earlier_tokenizer_section_exits_2(
         assert err == ("config error: unknown config key(s) ['pretrain.epochs', 'tokenizer']"
                        f" in checkpoint {artifact}\n")
         return
-    # the other readers diff the sections they read, and name the stale
-    # section, in one message form
+    # the other readers diff the sections they read, and name the file
+    # and the stale section, in one message form
     header, *lines = err.splitlines()
-    assert re.fullmatch("config error: the config of .+ does not match the run config:", header)
+    assert header == f"config error: the config of {artifact} does not match the run config:"
     stale = {("+", "backbone.tubelet"), ("-", "tokenizer")}
     if command == "pretrain --resume":
         stale.add(("-", "pretrain.epochs"))
@@ -957,13 +1039,3 @@ def test_corrupt_manifest_exits_4(command, manifest, tiny_config, pretrained, tm
     assert main(argv) == 4
     err = capsys.readouterr().err
     assert err.startswith("corrupt artifact: corpus manifest ") and "Traceback" not in err
-
-
-def test_label_fraction_takes_each_phase_in_the_given_train_order():
-    # ceil(0.5 * 6) = 3 clips, phases interleaved 0, 1, 0; within a phase the
-    # split file's order decides, not the clip ids
-    entries = [{"phase_index": p, "labeled": True} for p in (0, 1, 0, 1, 0, 1)]
-    split = SplitSpec([4, 1, 0, 5, 2, 3], [], [])
-    assert _apply_label_fraction(split, entries, 0.5) == SplitSpec([0, 1, 4], [], [])
-    with pytest.raises(ConfigError, match="need 3 labeled"):
-        _apply_label_fraction(split, [{**e, "labeled": i < 2} for i, e in enumerate(entries)], 0.5)

@@ -18,6 +18,7 @@ from selectmae.downstream import (
     compute_metrics,
     evaluate_checkpoint,
     finetune_run,
+    labeled_train_ids,
 )
 from selectmae.errors import ConfigError, DataError, FormatError
 from selectmae.training import CONFIG_ENTRY, PretrainConfig, config_snapshot, config_to_array
@@ -272,6 +273,18 @@ def _assert_test_clips_consumed_once_after_training(calls, test_ids):
     test_calls = [(k, i) for k, (training, i) in enumerate(calls) if i in test_ids]
     assert sorted(i for _, i in test_calls) == sorted(test_ids)
     assert all(k > last_train and not calls[k][0] for k, _ in test_calls)
+
+
+def test_label_fraction_takes_each_phase_in_the_given_train_order():
+    # ceil(0.5 * 6) = 3 clips, phases interleaved 0, 1, 0; within a phase the
+    # split file's order decides, not the clip ids
+    entries = [{"phase_index": p, "labeled": True} for p in (0, 1, 0, 1, 0, 1)]
+    train = [4, 1, 0, 5, 2, 3]
+    assert labeled_train_ids(entries, train, 0.5) == [0, 1, 4]
+    with pytest.raises(ConfigError, match="need 3 labeled"):
+        labeled_train_ids([{**e, "labeled": i < 2} for i, e in enumerate(entries)], train, 0.5)
+    # no fraction: every labeled train clip, in the given order
+    assert labeled_train_ids(entries, train, None) == train
 
 
 def test_finetune_reaches_full_accuracy_on_separable_corpus(corpus, monkeypatch):

@@ -173,7 +173,23 @@ def _items(n=3, seed=0, synth=SYNTH, tubelet=BB.tubelet):
     return clips, fg_ids
 
 
-def test_pretrain_step_updates_and_reports():
+def _recording_errors(mp):
+    """Wrap `training.reconstruction_loss` to keep the (B, n_masked) errors
+    of each call; returns a function giving each clip's errors in batch
+    order, the calling thread's half (the first) before the worker's."""
+    caller, calls = threading.get_ident(), []
+    real = training.reconstruction_loss
+
+    def recording(*args, **kwargs):
+        loss, errors = real(*args, **kwargs)
+        calls.append((threading.get_ident() != caller, errors.data.copy()))
+        return loss, errors
+
+    mp.setattr(training, "reconstruction_loss", recording)
+    return lambda: [row for _, rows in sorted(calls, key=lambda call: call[0]) for row in rows]
+
+
+def test_pretrain_step_updates_and_reports(monkeypatch):
     cfg = _cfg()
     model = ModelParams(BB, np.random.default_rng(0))
     selector = SelectionParams(np.random.default_rng(1), BB.enc_dim)
@@ -183,12 +199,14 @@ def test_pretrain_step_updates_and_reports():
     clips, fg_ids = _items(3)
     before = model.proj.weight.data.copy()
     rngs = [np.random.default_rng([9, j]) for j in range(3)]
+    errors = _recording_errors(monkeypatch)
     report = pretrain_step(clips, fg_ids, model, selector, opt, cfg, rngs, lr=1e-3, step_index=0)
     assert not np.array_equal(model.proj.weight.data, before)
     assert np.isfinite(report.recon) and np.isfinite(report.select)
     assert report.fg_mass is not None and 0 < report.fg_mass < 1
     # invariant: recon equals the mean of per-clip per-token means
-    per_clip = [float(np.mean(pt)) for pt in report.per_token]
+    per_clip = [float(np.mean(pt)) for pt in errors()]
+    assert len(per_clip) == 3
     assert report.recon == pytest.approx(np.mean(per_clip), rel=1e-6)
 
 
@@ -298,8 +316,8 @@ def _one_tape(tape, n, half):
 
 def _two_half_step(n_clips, strategy="adaptive", **cfg):
     """Run one pretrain_step from a fixed start; returns the gradients the
-    optimizer step was handed, each clip's visible ids, the report and the
-    optimizer after its step."""
+    optimizer step was handed, each clip's visible ids, the report, each
+    clip's masked-token errors and the optimizer after its step."""
     model = ModelParams(BB, np.random.default_rng(0))
     selector = SelectionParams(np.random.default_rng(1), BB.enc_dim)
     trained = dict(model.named())
@@ -328,24 +346,26 @@ def _two_half_step(n_clips, strategy="adaptive", **cfg):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(training, "sample_visible", recording(training.sample_visible))
         mp.setattr(training, "baseline_mask", recording(training.baseline_mask))
+        errors = _recording_errors(mp)
         report = pretrain_step(*_items(n_clips), model, selector, opt,
                                _cfg(strategy=strategy, **cfg), rngs)
     assert sorted(grads) == sorted(trained)
-    return grads, [visible[id(rng)] for rng in rngs], report, opt
+    return grads, [visible[id(rng)] for rng in rngs], report, errors(), opt
 
 
 @pytest.mark.parametrize("strategy", ["adaptive", "random"])
 @pytest.mark.parametrize("n_clips", [8, 3])
 def test_two_half_step_matches_the_step_on_one_tape(monkeypatch, strategy, n_clips):
-    grads, visible, report, _ = _two_half_step(n_clips, strategy)
+    grads, visible, report, errors, _ = _two_half_step(n_clips, strategy)
     monkeypatch.setattr(training, "run_halves", _one_tape)
-    one_grads, one_visible, one_report, _ = _two_half_step(n_clips, strategy)
+    one_grads, one_visible, one_report, one_errors, _ = _two_half_step(n_clips, strategy)
     for name, grad in grads.items():
         np.testing.assert_allclose(grad, one_grads[name], rtol=1e-5, atol=1e-7, err_msg=name)
     for ids, one_ids in zip(visible, one_visible):
         np.testing.assert_array_equal(ids, one_ids)
     # each clip's forward is the same, so only the batch reductions round differently
-    for row, one_row in zip(report.per_token, one_report.per_token, strict=True):
+    assert len(errors) == n_clips
+    for row, one_row in zip(errors, one_errors, strict=True):
         np.testing.assert_array_equal(row, one_row)
     assert report.recon == pytest.approx(one_report.recon, rel=1e-6)
     assert report.select == pytest.approx(one_report.select, rel=1e-6)
@@ -353,9 +373,9 @@ def test_two_half_step_matches_the_step_on_one_tape(monkeypatch, strategy, n_cli
 
 
 def test_two_half_steps_are_bitwise_repeatable():
-    first, visible, report, _ = _two_half_step(8)
+    first, visible, report, _, _ = _two_half_step(8)
     for _ in range(4):
-        grads, again, repeat, _ = _two_half_step(8)
+        grads, again, repeat, _, _ = _two_half_step(8)
         for name, grad in grads.items():
             assert np.array_equal(grad, first[name]), name
         assert all(np.array_equal(a, b) for a, b in zip(again, visible))
@@ -366,8 +386,8 @@ def test_two_half_steps_are_bitwise_repeatable():
 def test_grad_clip_runs_once_on_the_summed_gradient():
     # the one optimizer step is handed the summed, unclipped gradient and
     # max_norm; from zero moments it leaves m = (1 - beta1) * the clipped one
-    unclipped, _, _, _ = _two_half_step(4)
-    handed, _, _, opt = _two_half_step(4, grad_clip=1e-3)
+    unclipped, *_ = _two_half_step(4)
+    handed, *_, opt = _two_half_step(4, grad_clip=1e-3)
     assert all(np.array_equal(handed[name], g) for name, g in unclipped.items())
     assert opt.step_count == 1
     clipped = [m.astype(np.float64) / (1.0 - opt.beta1) for m in opt.m.values()]
@@ -489,7 +509,7 @@ def test_masked_forward_draws_each_clip_from_its_own_stream(strategy):
 
 
 @pytest.mark.parametrize("normalize", [True, False])
-def test_a_step_scores_the_rows_at_its_masked_ids(normalize):
+def test_a_step_scores_the_rows_at_its_masked_ids(normalize, monkeypatch):
     # the step's L_R is that of its own patch rows at the masked ids
     model = ModelParams(BB, np.random.default_rng(0))
     selector = SelectionParams(np.random.default_rng(1), BB.enc_dim)
@@ -501,11 +521,13 @@ def test_a_step_scores_the_rows_at_its_masked_ids(normalize):
     expected, per_token = reconstruction_loss(
         preds, patch_normalize_targets(rows, normalize)[None])
     opt = AdamW(dict(model.named()), lr=1e-3)
+    errors = _recording_errors(monkeypatch)
     report = pretrain_step(clips, fg_ids, model, selector, opt,
                            _cfg(strategy="random", normalize_targets=normalize),
                            [np.random.default_rng(5)])
     assert report.recon == expected.item()
-    assert np.array_equal(report.per_token[0], per_token.data[0])
+    [row] = errors()
+    assert np.array_equal(row, per_token.data[0])
 
 
 def test_batched_forward_matches_each_clip_alone():
