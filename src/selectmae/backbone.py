@@ -3,8 +3,8 @@
 The decoder rebuilds the full token sequence: projected visible
 features at their original positions, and a shared learnable mask
 vector plus the fixed positional encoding everywhere else. The
-prediction head maps decoder features to flattened patch pixels
-(normalized-pixel space when targets are normalized).
+prediction head maps decoder features to flattened patch pixels in
+the per-patch-normalized space of the reconstruction targets.
 """
 
 from __future__ import annotations

@@ -44,7 +44,7 @@ import numpy as np
 from .backbone import ModelParams
 from .config import RunConfig, config_grid
 from .data import denormalize_targets, generate_corpus, load_clip, load_manifest
-from .downstream import SplitSpec, evaluate_checkpoint, finetune_run, labeled_train_ids
+from .downstream import SplitSpec, evaluate_checkpoint, finetune_run, finetune_train_ids
 from .errors import ConfigError, FormatError, SelectMAEError
 from .masking import SelectionParams
 from .ppm import write_ppm
@@ -222,7 +222,7 @@ def cmd_reconstruct(args) -> int:
         [np.random.default_rng(cfg.seed)],
     )
     rows, visible, masked = patches[0], visible_ids[0], masked_ids[0]
-    predicted = denormalize_targets(preds.data[0], rows[masked], cfg.pretrain.normalize_targets)
+    predicted = denormalize_targets(preds.data[0], rows[masked])
     tubelet = model.bb_cfg.tubelet
     recon_masked, _ = detokenize_patches(predicted, masked, frames.shape, tubelet)
     visible_frames, _ = detokenize_patches(rows[visible], visible, frames.shape, tubelet)
@@ -250,7 +250,7 @@ def cmd_ablate(args) -> int:
             raise ConfigError(f"--set values {json.dumps(seen[digest])} and {json.dumps(swept)}"
                               " give the same config")
         seen[digest] = swept
-        labeled_train_ids(entries, split.train_ids, cfg.finetune.label_fraction)
+        finetune_train_ids(entries, split, cfg.finetune.label_fraction, cfg.data.num_phases)
         # rows whose checkpoints embed one document share its pretraining
         keys.append(json.dumps(config_snapshot(backbone=cfg.backbone, pretrain=cfg.pretrain)))
     out_dir = Path(args.out_dir)

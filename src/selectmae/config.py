@@ -55,11 +55,8 @@ def _fits(value, hint) -> bool:
         return (isinstance(value, (int, hint)) and not isinstance(value, bool)
                 and (isinstance(value, int) or math.isfinite(value)))
     if typing.get_origin(hint) is tuple:
-        if not isinstance(value, list):
-            return False
-        if args[-1] is Ellipsis:
-            return all(_fits(v, args[0]) for v in value)
-        return len(value) == len(args) and all(_fits(v, a) for v, a in zip(value, args))
+        return (isinstance(value, list) and len(value) == len(args)
+                and all(_fits(v, a) for v, a in zip(value, args)))
     return isinstance(value, hint)
 
 
@@ -102,10 +99,8 @@ def _merge(user: dict, source: str) -> dict:
 
 def _build(cls, section: dict):
     """The dataclass of one resolved section; JSON lists become tuples."""
-    def tupled(value):
-        return tuple(map(tupled, value)) if isinstance(value, list) else value
-
-    return cls(**{key: tupled(value) for key, value in section.items()})
+    return cls(**{key: tuple(value) if isinstance(value, list) else value
+                  for key, value in section.items()})
 
 
 @dataclass

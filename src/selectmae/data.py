@@ -29,12 +29,13 @@ from .errors import ConfigError, ContractError, FormatError
 CLIP_MAGIC = b"CSVC"
 CLIP_VERSION = 1
 
-_DEFAULT_PALETTE = (
+_SHAPE_PALETTE = (
     (0.85, 0.20, 0.25),
     (0.20, 0.75, 0.30),
     (0.25, 0.35, 0.90),
     (0.90, 0.80, 0.20),
 )
+_BACKGROUND_SEED = 7
 
 
 def phase_name(index: int) -> str:
@@ -43,13 +44,15 @@ def phase_name(index: int) -> str:
 
 @dataclass
 class SynthConfig:
+    """The corpus settings a run may vary: clip geometry, phase count,
+    shape speed and pixel noise. The look is fixed: every phase draws
+    its shapes' colours from `_SHAPE_PALETTE`, and every clip of every
+    corpus shares the backdrop that `_BACKGROUND_SEED` draws."""
     frames: int = 8
     height: int = 32
     width: int = 32
     num_phases: int = 12
     motion_speed_range: tuple[float, float] = (0.8, 2.2)
-    shape_palette: tuple[tuple[float, float, float], ...] = _DEFAULT_PALETTE
-    background_texture_seed: int = 7
     noise_sigma: float = 0.0
 
     def __post_init__(self):
@@ -65,8 +68,6 @@ class SynthConfig:
             raise ConfigError(f"need at least 2 phases, got {self.num_phases}")
         if self.noise_sigma < 0:
             raise ConfigError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
-        if not self.shape_palette:
-            raise ConfigError("shape_palette must not be empty")
 
 
 @dataclass
@@ -142,22 +143,20 @@ def _raster_shape(kind: str, cy: float, cx: float, size: float, h: int, w: int) 
 def generate_clip_with_mask(
     cfg: SynthConfig, phase: int, seed
 ) -> tuple[VideoClip, np.ndarray]:
-    """Like `generate_clip` but also returns the (T, H, W) foreground mask."""
+    """The deterministic synthetic clip for (cfg, phase, seed) and its
+    (T, H, W) foreground mask."""
     p = int(phase)
     if not 0 <= p < cfg.num_phases:
         raise ConfigError(f"phase {p} outside 0..{cfg.num_phases - 1}")
     t_frames, h, w = cfg.frames, cfg.height, cfg.width
     unit = min(h, w) / 32.0
 
-    # background depends on the texture seed only: one static backdrop per
-    # config, shared by every clip of a corpus
-    bg_rng = _stream(cfg.background_texture_seed, 0)
     motion_rng = _stream(seed, 1, p)
     noise_rng = _stream(seed, 2)
 
-    background = _eye_background(cfg, bg_rng)
+    background = _eye_background(cfg, _stream(_BACKGROUND_SEED, 0))
 
-    n_colors = len(cfg.shape_palette)
+    n_colors = len(_SHAPE_PALETTE)
     color_id = p % n_colors
     form_id = (p // n_colors) % 3  # 0: one disk, 1: two disks, 2: one square
     n_shapes = 2 if form_id == 1 else 1
@@ -178,7 +177,7 @@ def generate_clip_with_mask(
         orbit = max(orbit, 2.0 * unit)
         theta0 = 2.0 * math.pi * (p + 0.31 * s) / cfg.num_phases + motion_rng.uniform(-0.2, 0.2)
         omega = direction * speed / max(orbit, 1.0)
-        color = np.array(cfg.shape_palette[(color_id + s) % n_colors], dtype=np.float64)
+        color = np.array(_SHAPE_PALETTE[(color_id + s) % n_colors], dtype=np.float64)
         color = np.clip(color * (1.0 + motion_rng.uniform(-0.05, 0.05, size=3)), 0.0, 1.0)
         shapes.append((size, center_y, center_x, orbit, theta0, omega, color))
 
@@ -199,12 +198,6 @@ def generate_clip_with_mask(
         frames = frames + noise_rng.normal(0.0, cfg.noise_sigma, size=frames.shape)
     frames = np.clip(frames, 0.0, 1.0).astype(np.float32)
     return VideoClip(_to_pixels(frames)), fg_mask
-
-
-def generate_clip(cfg: SynthConfig, phase: int, seed) -> VideoClip:
-    """Deterministic synthetic clip for (cfg, phase, seed)."""
-    clip, _ = generate_clip_with_mask(cfg, phase, seed)
-    return clip
 
 
 def write_atomically(path, write):
@@ -340,23 +333,17 @@ def load_manifest(manifest_path) -> list[dict]:
 # unfolded, with statistics in float64 so a constant patch normalizes to
 # exactly zero.
 
-def patch_normalize_targets(rows: np.ndarray, normalize: bool = True,
-                            eps: float = 1e-6) -> np.ndarray:
+def patch_normalize_targets(rows: np.ndarray, eps: float = 1e-6) -> np.ndarray:
     """The float32 targets of (..., patch_len) patch rows: each row's
-    pixels, normalized to zero mean and unit std when `normalize` is set."""
+    pixels normalized to zero mean and unit std."""
     rows = np.asarray(rows, dtype=np.float64)
-    if normalize:
-        mean, std = rows.mean(axis=-1, keepdims=True), rows.std(axis=-1, keepdims=True)
-        rows = (rows - mean) / (std + eps)
-    return rows.astype(np.float32)
+    mean, std = rows.mean(axis=-1, keepdims=True), rows.std(axis=-1, keepdims=True)
+    return ((rows - mean) / (std + eps)).astype(np.float32)
 
 
-def denormalize_targets(values: np.ndarray, rows: np.ndarray, normalize: bool = True,
-                        eps: float = 1e-6) -> np.ndarray:
+def denormalize_targets(values: np.ndarray, rows: np.ndarray, eps: float = 1e-6) -> np.ndarray:
     """The inverse of `patch_normalize_targets`: target-space `values` put
     back into pixels with the statistics of the patch `rows` they stand for."""
-    if not normalize:
-        return np.asarray(values)
     rows = np.asarray(rows, dtype=np.float64)
     mean, std = rows.mean(axis=-1, keepdims=True), rows.std(axis=-1, keepdims=True)
     return np.asarray(values) * (std + eps) + mean

@@ -216,14 +216,29 @@ class FinetuneConfig:
         check_schedule(self.betas, self.weight_decay, self.warmup_steps, self.min_lr)
 
 
-def _check_labels(entries: list[dict], ids, num_steps: int):
-    """Every clip in `ids` carries a label the num_steps-way head can score."""
-    for i in ids:
+def _check_scored(entries: list[dict], test_ids, num_steps: int, other_ids=()):
+    """Refuse an empty `test_ids`, and a clip of `test_ids` or `other_ids`
+    whose label the num_steps-way head cannot score."""
+    if not len(test_ids):
+        raise ConfigError("the test split is empty: no clips to report metrics on")
+    for i in [*other_ids, *test_ids]:
         if not 0 <= entries[i]["phase_index"] < num_steps:
             raise ConfigError(
                 f"clip {i} ({entries[i]['path']}) has phase_index {entries[i]['phase_index']},"
                 f" outside the {num_steps} phases of data.num_phases"
             )
+
+
+def finetune_train_ids(entries: list[dict], split: SplitSpec, fraction: float | None,
+                       num_steps: int) -> list[int]:
+    """The train clips a fine-tune of `split` learns from
+    (`labeled_train_ids`), once it has passed every refusal that comes
+    before the fine-tune reads a clip: a bad labeled-train selection,
+    an empty test split, and a clip it uses whose phase is outside the
+    num_steps of `data.num_phases`."""
+    labeled = labeled_train_ids(entries, split.train_ids, fraction)
+    _check_scored(entries, split.test_ids, num_steps, [*labeled, *split.val_ids])
+    return labeled
 
 
 def _classify(clips: dict, ids, entries: list[dict], model, head) -> MetricsReport:
@@ -259,12 +274,8 @@ def finetune_run(
     if init_arrays is not None:
         restore(init_arrays, source, model.encoder_named(), config_snapshot(backbone=bb_cfg))
     entries = load_manifest(manifest_path)
-    labeled = labeled_train_ids(entries, split.train_ids, cfg.label_fraction)
-    if not split.test_ids:
-        raise ConfigError("the test split is empty: no clips to report metrics on")
-    used = [*labeled, *split.val_ids, *split.test_ids]
-    _check_labels(entries, used, num_steps)
-    clips = {i: load_clip(entries[i]["path"]) for i in used}
+    labeled = finetune_train_ids(entries, split, cfg.label_fraction, num_steps)
+    clips = {i: load_clip(entries[i]["path"]) for i in [*labeled, *split.val_ids, *split.test_ids]}
 
     head = ClassifierHead(np.random.default_rng([cfg.seed, 2]), bb_cfg.enc_dim, num_steps)
     trained = dict(model.encoder_named())
@@ -336,10 +347,8 @@ def evaluate_checkpoint(
     The backbone config a checkpoint embeds, where it holds one, must
     equal `bb_cfg`; a refusal names `source`, the file `arrays` came from."""
     bb_cfg = bb_cfg or BackboneConfig()
-    if not len(split_ids):
-        raise ConfigError("the test split is empty: no clips to report metrics on")
     entries = load_manifest(manifest_path)
-    _check_labels(entries, split_ids, num_steps)
+    _check_scored(entries, split_ids, num_steps)
     model = ModelParams(bb_cfg, np.random.default_rng(0))
     head = ClassifierHead(np.random.default_rng(1), bb_cfg.enc_dim, num_steps)
     restore(arrays, source, {**model.encoder_named(), **head.named()},

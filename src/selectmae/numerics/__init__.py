@@ -1,7 +1,6 @@
 from .tensor import Tape, Tensor, active_tape, backward, precision
 from . import ops
 from .ops import (
-    absolute,
     add,
     affine,
     attend,
@@ -21,34 +20,3 @@ from .ops import (
 )
 from .halves import run_halves
 from .optim import AdamW, check_schedule, cosine_warmup_lr, stored_count
-
-__all__ = [
-    "AdamW",
-    "Tape",
-    "Tensor",
-    "absolute",
-    "active_tape",
-    "add",
-    "affine",
-    "attend",
-    "backward",
-    "check_schedule",
-    "concat_rows",
-    "cosine_warmup_lr",
-    "gather_rows_batched",
-    "gelu_affine",
-    "layer_norm",
-    "log_softmax",
-    "mul",
-    "norm_affine",
-    "ops",
-    "precision",
-    "reduce_mean",
-    "reduce_sum",
-    "reshape",
-    "run_halves",
-    "scale",
-    "stop_gradient",
-    "stored_count",
-    "sub",
-]

@@ -415,13 +415,6 @@ def gelu_affine(h: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def absolute(x: Tensor) -> Tensor:
-    xd = x.data
-    out = Tensor(np.abs(xd))
-    record_op((x,), out, lambda g: (g * np.sign(xd),))
-    return out
-
-
 def reduce_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out = Tensor(x.data.sum(axis=axis, keepdims=keepdims))
     x_shape = x.shape

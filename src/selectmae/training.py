@@ -52,7 +52,6 @@ from .numerics import (
     AdamW,
     Tape,
     Tensor,
-    absolute,
     add,
     backward,
     check_schedule,
@@ -71,8 +70,6 @@ from .tokenizer import embed_patches, grid_dims, unfold_clip
 
 CKPT_MAGIC = b"CSMA"
 CKPT_VERSION = 1
-
-LOSS_KINDS = ("mse", "l1")
 
 
 @dataclass
@@ -93,8 +90,6 @@ class PretrainConfig:
     warmup_steps: int = 100
     betas: tuple[float, float] = (0.9, 0.95)
     weight_decay: float = 0.05
-    loss_kind: str = "mse"
-    normalize_targets: bool = True
     strategy: str = "adaptive"
     grad_clip: float | None = None
     seed: int = 0
@@ -103,8 +98,6 @@ class PretrainConfig:
     def __post_init__(self):
         if not 0.0 < self.mask_ratio < 1.0:
             raise ConfigError(f"mask_ratio must be in (0, 1), got {self.mask_ratio}")
-        if self.loss_kind not in LOSS_KINDS:
-            raise ConfigError(f"loss_kind must be one of {LOSS_KINDS}, got '{self.loss_kind}'")
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"strategy must be one of {STRATEGIES}, got '{self.strategy}'")
         if min(self.batch_size, self.max_steps, self.ckpt_every) < 1:
@@ -114,25 +107,19 @@ class PretrainConfig:
         check_schedule(self.betas, self.weight_decay, self.warmup_steps, self.min_lr)
 
 
-def reconstruction_loss(
-    preds: Tensor, target_rows: np.ndarray, kind: str = "mse"
-) -> tuple[Tensor, Tensor]:
-    """Masked-patch error of (B, n_masked, patch_len) predictions against
-    the target rows at the same masked positions: per-token mean over the
-    patch vector, then the mean over every masked token, which equals the
-    mean of per-clip means. Returns (scalar loss, (B, n_masked) errors)."""
-    if kind not in LOSS_KINDS:
-        raise ConfigError(f"unknown loss kind '{kind}'")
+def reconstruction_loss(preds: Tensor, target_rows: np.ndarray) -> tuple[Tensor, Tensor]:
+    """Mean-squared error of (B, n_masked, patch_len) predictions against
+    the per-patch-normalized target rows at the same masked positions,
+    MAE's objective: per-token mean over the patch vector, then the mean
+    over every masked token, which equals the mean of per-clip means.
+    Returns (scalar loss, (B, n_masked) errors)."""
     target_rows = Tensor(target_rows)
     if preds.shape != target_rows.shape:
         raise ContractError(
             f"prediction rows {preds.shape} != target rows {target_rows.shape}"
         )
     diff = sub(preds, target_rows)
-    if kind == "mse":
-        per_token = reduce_mean(mul(diff, diff), axis=-1)
-    else:
-        per_token = reduce_mean(absolute(diff), axis=-1)
+    per_token = reduce_mean(mul(diff, diff), axis=-1)
     return reduce_mean(per_token), per_token
 
 
@@ -248,11 +235,9 @@ def _pretrain_half(batch, fg_ids, rngs, model, selector, cfg, share, step_index,
         np.stack([clip.frames for clip in batch]), model, selector,
         cfg.strategy, cfg.mask_ratio, rngs,
     )
-    target_rows = np.stack([
-        patch_normalize_targets(rows[ids], cfg.normalize_targets)
-        for rows, ids in zip(patches, masked_ids)
-    ])
-    recon, per_token = reconstruction_loss(preds, target_rows, cfg.loss_kind)
+    target_rows = np.stack([patch_normalize_targets(rows[ids])
+                            for rows, ids in zip(patches, masked_ids)])
+    recon, per_token = reconstruction_loss(preds, target_rows)
 
     select_value = 0.0
     total = recon

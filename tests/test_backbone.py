@@ -8,7 +8,7 @@ from selectmae.layers import LinearParams, apply_layer_norm, linear
 from selectmae.masking import MaskSpec, sample_visible
 from selectmae.tokenizer import patch_len, positional_encoding
 
-from testkit import check_param_gradients
+from testkit import check_param_gradients, generate_clip
 
 BB = BackboneConfig(tubelet=(2, 2, 2), enc_depth=2, enc_dim=16, enc_heads=2, dec_depth=2,
                     dec_dim=8, dec_heads=2)
@@ -137,7 +137,7 @@ def test_mask_token_gradient_flows():
 
 def test_every_parameter_reachable_from_reconstruction_loss():
     # coverage assertion: no dead parameters after one backward pass
-    from selectmae.data import SynthConfig, generate_clip, patch_normalize_targets
+    from selectmae.data import SynthConfig, patch_normalize_targets
     from selectmae.tokenizer import tokenize, unfold_clip
     from selectmae.training import reconstruction_loss
 
@@ -149,7 +149,7 @@ def test_every_parameter_reachable_from_reconstruction_loss():
     with nm.Tape() as tape:
         tokens = tokenize(clip.frames[None], BB.tubelet, model.proj.weight, model.proj.bias)
         preds = _forward(tokens, spec, model)
-        loss, _ = reconstruction_loss(preds, patch_normalize_targets(rows)[None], "mse")
+        loss, _ = reconstruction_loss(preds, patch_normalize_targets(rows)[None])
     nm.backward(loss, tape)
     missing = [name for name, t in model.named().items() if t.grad is None]
     assert missing == []

@@ -112,7 +112,6 @@ def test_run_config_type_checks_every_value():
         {"seed": "1"},
         {"pretrain": {"max_steps": 2.5}},
         {"pretrain": {"max_steps": None}},
-        {"pretrain": {"normalize_targets": 1}},
         {"pretrain": {"batch_size": True}},
         {"backbone": {"tubelet": 2}},
         {"pretrain": {"base_lr": float("nan")}},
@@ -136,7 +135,6 @@ SECTION_OVERRIDES = st.fixed_dictionaries({}, optional={
     "data": st.fixed_dictionaries({}, optional={
         "noise_sigma": _unit | st.integers(0, 1),
         "motion_speed_range": st.lists(_positive, min_size=2, max_size=2).map(sorted),
-        "shape_palette": st.lists(st.lists(_unit, min_size=3, max_size=3), min_size=1, max_size=4),
     }),
     "backbone": st.fixed_dictionaries({}, optional={
         "tubelet": st.lists(st.integers(1, 4), min_size=3, max_size=3),
@@ -150,7 +148,6 @@ SECTION_OVERRIDES = st.fixed_dictionaries({}, optional={
         "max_steps": st.integers(1, 10**6),
         "grad_clip": st.none() | _positive,
         "betas": st.lists(_beta, min_size=2, max_size=2),
-        "normalize_targets": st.booleans(),
         "seed": st.integers(0, 2**31),
     }),
     "finetune": st.fixed_dictionaries({}, optional={
@@ -588,6 +585,29 @@ def test_ablate_refuses_a_fraction_past_the_labeled_clips_before_any_pretraining
     assert runs == [] and not out.exists()
 
 
+# what finetune refuses before it reads a clip; ablate refuses it before any pretraining
+FINETUNE_REFUSALS = {
+    "empty-test": (["--split", "8,4,0"], "the test split is empty"),
+    "phase-past-num-phases": (["--split", "8,4,4", "--set", "data.num_phases=2"],
+                              "outside the 2 phases of data.num_phases"),
+}
+
+
+@pytest.mark.parametrize("args,refusal", FINETUNE_REFUSALS.values(), ids=FINETUNE_REFUSALS)
+def test_ablate_refuses_what_finetune_refuses_before_any_pretraining(
+        args, refusal, corpus, tiny_config, tmp_path, monkeypatch, capsys):
+    common = ["--config", tiny_config, "--corpus", str(corpus), *args]
+    assert main(["finetune", *common, "--scratch", "--out", str(tmp_path / "m.json")]) == 2
+    finetune_err = capsys.readouterr().err
+    assert finetune_err.startswith("config error: ") and refusal in finetune_err
+    runs = _counting_pretrain_runs(monkeypatch)
+    out = tmp_path / "ablation"
+    assert main(["ablate", *common, *_sets("pretrain.strategy", "random", "adaptive"),
+                 "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == finetune_err
+    assert runs == [] and not out.exists()
+
+
 def test_ablate_invalid_axis_exits_2(corpus, tiny_config, tmp_path):
     code = main([
         "ablate", "--config", tiny_config, "--corpus", str(corpus),
@@ -670,7 +690,7 @@ BAD_SWEEPS = {  # named for the --axis/--values form they replace
     "ratio-0.9,,0.8": _sets("pretrain.mask_ratio", "0.9", "", "0.8"),
     "decoder-depth-1.5": _sets("backbone.dec_depth", "1.5"),
     "ratio-0.9,1.5": _sets("pretrain.mask_ratio", "0.9", "1.5"),
-    "loss-mse-norm,mse-raw2": _sets("pretrain.loss_kind", "mse", "mse2"),
+    "strategy-random,rnd": _sets("pretrain.strategy", "random", "rnd"),
     "ratio-0.9,0.90": _sets("pretrain.mask_ratio", "0.9", "0.90"),
 }
 
@@ -821,7 +841,6 @@ CONFIGS = {
     "zero-heads": (_text({"backbone": {"enc_heads": 0}}), 2),
     "zero-mlp-ratio": (_text({"backbone": {"dec_mlp_ratio": 0.0}}), 2),
     "zero-ckpt-every": (_text({"pretrain": {"ckpt_every": 0}}), 2),
-    "short-color": (_text({"data": {"shape_palette": [[1.0, 0.0]]}}), 2),
     "negative-max-steps": (_text({"pretrain": {"max_steps": -2}}), 2),
     "zero-max-steps": (_text({"pretrain": {"max_steps": 0}}), 2),
     "negative-warmup": (_text({"pretrain": {"warmup_steps": -1}}), 2),
@@ -971,6 +990,41 @@ def test_a_checkpoint_with_the_earlier_tokenizer_section_exits_2(
     if command == "pretrain --resume":
         stale.add(("-", "pretrain.epochs"))
     assert {tuple(line.split()[:2]) for line in lines} == stale
+
+
+def test_a_checkpoint_naming_the_removed_objective_keys(
+        corpus, tiny_config, pretrained, tmp_path, capsys):
+    # a pretraining checkpoint whose config still names the loss kind and
+    # the target normalization, at the values the one objective keeps
+    arrays = load_checkpoint(pretrained)
+    doc = array_to_config(arrays["meta.config_utf8"])
+    doc["pretrain"].update(loss_kind="mse", normalize_targets=True)
+    arrays["meta.config_utf8"] = config_to_array(doc)
+    artifact = tmp_path / "earlier.csma"
+    save_checkpoint(artifact, arrays)
+    capsys.readouterr()
+
+    def run(command):
+        return main(_argv(command, str(artifact), corpus, tiny_config, pretrained, tmp_path))
+
+    assert run("pretrain --resume") == 2
+    header, *lines = capsys.readouterr().err.splitlines()
+    assert header == f"config error: the config of {artifact} does not match the run config:"
+    assert lines == ["- pretrain.loss_kind = 'mse'", "- pretrain.normalize_targets = True"]
+    assert run("reconstruct") == 2
+    assert capsys.readouterr().err == (
+        "config error: unknown config key(s) ['pretrain.loss_kind', 'pretrain.normalize_targets']"
+        f" in checkpoint {artifact}\n")
+    # finetune checks only the backbone section, and learns the same from either file
+    reports = []
+    for name, checkpoint in (("unmodified", pretrained), ("earlier", artifact)):
+        out = tmp_path / name / "report.json"
+        assert main(["finetune", "--config", tiny_config, "--corpus", str(corpus),
+                     "--checkpoint", str(checkpoint), "--split", "8,4,4", "--out", str(out)]) == 0
+        reports.append(json.loads(out.read_text()))
+        assert reports[-1].pop("checkpoint_sha256") == hashlib.sha256(
+            Path(checkpoint).read_bytes()).hexdigest()
+    assert reports[0] == reports[1]
 
 
 # A resume in place reads the run's metrics log; a corrupt complete line

@@ -7,7 +7,6 @@ from selectmae import data
 from selectmae.data import (
     SynthConfig,
     VideoClip,
-    generate_clip,
     generate_clip_with_mask,
     generate_corpus,
     load_clip,
@@ -20,6 +19,8 @@ from selectmae.data import (
 )
 from selectmae.errors import ConfigError, ContractError, FormatError
 from selectmae.tokenizer import unfold_clip
+
+from testkit import generate_clip
 
 
 CFG = SynthConfig()
@@ -225,13 +226,6 @@ def test_patch_targets_constant_patch_is_zero():
     targets = patch_normalize_targets(rows)
     assert targets.dtype == np.float32 and targets.shape == rows.shape
     np.testing.assert_allclose(targets, 0.0, atol=1e-4)
-
-
-def test_patch_targets_identity_when_off():
-    rows = _rows((4, 3, 8, 8), 0)
-    targets = patch_normalize_targets(rows, normalize=False)
-    np.testing.assert_array_equal(targets, rows)
-    np.testing.assert_array_equal(denormalize_targets(targets, rows, normalize=False), rows)
 
 
 def test_patch_targets_statistics():

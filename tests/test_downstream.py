@@ -9,7 +9,7 @@ import pytest
 from selectmae import downstream
 from selectmae import numerics as nm
 from selectmae.backbone import BackboneConfig, ModelParams
-from selectmae.data import SynthConfig, generate_clip, generate_corpus, load_clip, load_manifest
+from selectmae.data import SynthConfig, generate_corpus, load_clip, load_manifest
 from selectmae.downstream import (
     ClassifierHead,
     FinetuneConfig,
@@ -23,7 +23,7 @@ from selectmae.downstream import (
 from selectmae.errors import ConfigError, DataError, FormatError
 from selectmae.training import CONFIG_ENTRY, PretrainConfig, config_snapshot, config_to_array
 
-from testkit import assert_owned_by, tape_held_bytes
+from testkit import assert_owned_by, generate_clip, tape_held_bytes
 
 BB = BackboneConfig(enc_depth=1, enc_dim=16, enc_heads=2, dec_depth=1, dec_dim=8, dec_heads=2)
 SYNTH = SynthConfig(frames=4, height=16, width=16, num_phases=3)

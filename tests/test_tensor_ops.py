@@ -295,7 +295,7 @@ def test_elementwise_and_reduction_gradchecks(seed):
         p = nm.mul(s, params[1])
         g = gelu(p)
         return nm.add(
-            nm.reduce_mean(nm.absolute(g)),
+            nm.reduce_mean(nm.sub(nm.mul(g, g), params[2])),
             nm.reduce_sum(nm.reduce_mean(g, axis=0)),
         )
 
@@ -817,7 +817,6 @@ def _kernel_calls(rng):
         "norm_affine": lambda: [nm.norm_affine(t(2, 3, 4), t(4), t(4), t(4, 5), t(5))],
         "gelu": lambda: [gelu(t(2, 3))],
         "gelu_affine": lambda: [nm.gelu_affine(t(2, 3, 4), t(4, 5), t(5))],
-        "absolute": lambda: [nm.absolute(t(2, 3))],
         "reduce_sum": lambda: [nm.reduce_sum(t(2, 3)), nm.reduce_sum(t(2, 3), axis=0)],
         "reduce_mean": lambda: [nm.reduce_mean(t(2, 3)), nm.reduce_mean(t(2, 3), axis=-1)],
         "reshape": lambda: [nm.reshape(t(2, 3), (3, 2))],
@@ -837,7 +836,7 @@ def test_no_backward_closure_holds_a_tensor():
     with nm.Tape() as tape:
         for call in calls.values():
             call()
-    assert len(tape) == 24  # every call but stop_gradient's
+    assert len(tape) == 23  # every call but stop_gradient's
     for node in tape._nodes:
         assert not _holds_tensor(node.backward_fn), node.backward_fn.__qualname__
 

@@ -7,7 +7,6 @@ from selectmae import numerics as nm
 from selectmae.data import (
     SynthConfig,
     denormalize_targets,
-    generate_clip,
     patch_normalize_targets,
 )
 from selectmae.errors import ConfigError, ShapeError
@@ -19,7 +18,7 @@ from selectmae.tokenizer import (
     unfold_clip,
 )
 
-from testkit import cell_token, check_gradients
+from testkit import cell_token, check_gradients, generate_clip
 
 
 def _random_params(tubelet, dim, rng, channels=3):

@@ -66,13 +66,6 @@ def test_reconstruction_loss_hand_case():
     assert loss.item() == pytest.approx(0.5)
 
 
-def test_reconstruction_loss_l1_constant_deviation():
-    target_rows = np.zeros((1, 2, 6), dtype=np.float32)
-    preds = nm.Tensor(np.full((1, 2, 6), 0.5, dtype=np.float32))
-    loss, _ = reconstruction_loss(preds, target_rows, kind="l1")
-    assert loss.item() == pytest.approx(0.5)
-
-
 def test_reconstruction_loss_shape_mismatch():
     target_rows = np.zeros((1, 2, 3), dtype=np.float32)
     with pytest.raises(ContractError):
@@ -508,8 +501,7 @@ def test_masked_forward_draws_each_clip_from_its_own_stream(strategy):
         assert len({tuple(ids) for ids in visible}) == 3
 
 
-@pytest.mark.parametrize("normalize", [True, False])
-def test_a_step_scores_the_rows_at_its_masked_ids(normalize, monkeypatch):
+def test_a_step_scores_the_rows_at_its_masked_ids(monkeypatch):
     # the step's L_R is that of its own patch rows at the masked ids
     model = ModelParams(BB, np.random.default_rng(0))
     selector = SelectionParams(np.random.default_rng(1), BB.enc_dim)
@@ -518,13 +510,11 @@ def test_a_step_scores_the_rows_at_its_masked_ids(normalize, monkeypatch):
                          np.random.default_rng(5))
     _, _, preds = _predict(model, clips, [spec])
     rows = unfold_clip(clips[0].frames, BB.tubelet)[spec.masked_ids]
-    expected, per_token = reconstruction_loss(
-        preds, patch_normalize_targets(rows, normalize)[None])
+    expected, per_token = reconstruction_loss(preds, patch_normalize_targets(rows)[None])
     opt = AdamW(dict(model.named()), lr=1e-3)
     errors = _recording_errors(monkeypatch)
     report = pretrain_step(clips, fg_ids, model, selector, opt,
-                           _cfg(strategy="random", normalize_targets=normalize),
-                           [np.random.default_rng(5)])
+                           _cfg(strategy="random"), [np.random.default_rng(5)])
     assert report.recon == expected.item()
     [row] = errors()
     assert np.array_equal(row, per_token.data[0])
@@ -757,8 +747,6 @@ def test_pretrain_run_abort_references_checkpoint(tmp_path, monkeypatch):
 def test_pretrain_config_validation():
     with pytest.raises(ConfigError):
         PretrainConfig(mask_ratio=1.5)
-    with pytest.raises(ConfigError):
-        PretrainConfig(loss_kind="huber")
     with pytest.raises(ConfigError):
         PretrainConfig(strategy="blocks")
     for bad, message in (

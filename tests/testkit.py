@@ -8,7 +8,8 @@ mode tightens the tolerance to 1e-5.
 
 Also the ops no model path records, from which the tests build the
 unfused chains that `attend` and `gelu_affine` are checked against
-(`matmul`, `softmax`, `gelu`, `transpose`), the token id of a grid cell
+(`matmul`, `softmax`, `gelu`, `transpose`), a corpus clip without its
+foreground mask (`generate_clip`), the token id of a grid cell
 (the order `tokenizer.unfold_clip` gives its rows in), a PPM reader for
 the images `reconstruct` writes, a check that an optimizer still owns
 its parameters' buffers, and the bytes a tape's closures hold.
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from selectmae.data import SynthConfig, VideoClip, generate_clip_with_mask
 from selectmae.errors import FormatError, ShapeError
 from selectmae.numerics import Tape, Tensor, backward, ops, precision
 from selectmae.numerics.tensor import record_op
@@ -217,6 +219,12 @@ def check_gradients(
                 f"analytic {analytic[entry]:.6g} vs numeric {fd:.6g} (rel {err:.2e})"
             )
     return worst
+
+
+def generate_clip(cfg: SynthConfig, phase: int, seed) -> VideoClip:
+    """The corpus clip for (cfg, phase, seed), without its foreground mask."""
+    clip, _ = generate_clip_with_mask(cfg, phase, seed)
+    return clip
 
 
 def cell_token(cell: tuple[int, int, int], grid: tuple[int, int, int]) -> int:
