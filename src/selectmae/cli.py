@@ -4,7 +4,9 @@ Commands: gen-data, pretrain, finetune, eval, reconstruct, ablate.
 Exit codes: 0 success, 2 config/usage error, 3 I/O error, 4 corrupt
 artifact, which includes a checkpoint of the wrong kind (a classifier
 given to `reconstruct` or `pretrain --resume`, a pretraining checkpoint
-given to `eval`). `gen-data`, `pretrain` and `finetune` write their
+given to `eval`), a foreground mask of another shape than its clip, and
+clips of more than one shape in one `pretrain` or `finetune`.
+`gen-data`, `pretrain` and `finetune` write their
 resolved config next to their outputs; `eval` and `reconstruct` write
 none. The resolved config and the corpus reproduce a `pretrain` run. A
 `finetune` report records the labeled train, val and test clip ids it

@@ -15,6 +15,7 @@ agree bitwise because each clip owns the stream (seed, clip_index).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -106,9 +107,12 @@ def _stream(seed, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(_seed_key(seed) + list(key)))
 
 
-def _eye_background(cfg: SynthConfig, rng: np.random.Generator) -> np.ndarray:
-    """Static eye-like disk: sclera, ring-textured iris, dark pupil."""
-    h, w = cfg.height, cfg.width
+@functools.lru_cache(maxsize=8)
+def _eye_background(h: int, w: int) -> np.ndarray:
+    """Static eye-like disk: sclera, ring-textured iris, dark pupil. Drawn
+    once per size on the stream of `_BACKGROUND_SEED`, and shared,
+    read-only, by every clip of that size."""
+    rng = _stream(_BACKGROUND_SEED, 0)
     yy, xx = np.mgrid[0:h, 0:w].astype(np.float64)
     cy = h / 2 + rng.uniform(-1.5, 1.5)
     cx = w / 2 + rng.uniform(-1.5, 1.5)
@@ -130,7 +134,9 @@ def _eye_background(cfg: SynthConfig, rng: np.random.Generator) -> np.ndarray:
         img[c] = sclera[c] * shading
         img[c][in_iris] = (iris_color[c] * (shading + rings))[in_iris]
         img[c][in_pupil] = 0.08
-    return np.clip(img, 0.0, 1.0)
+    img = np.clip(img, 0.0, 1.0)
+    img.flags.writeable = False
+    return img
 
 
 def _raster_shape(kind: str, cy: float, cx: float, size: float, h: int, w: int) -> np.ndarray:
@@ -154,7 +160,7 @@ def generate_clip_with_mask(
     motion_rng = _stream(seed, 1, p)
     noise_rng = _stream(seed, 2)
 
-    background = _eye_background(cfg, _stream(_BACKGROUND_SEED, 0))
+    background = _eye_background(h, w)
 
     n_colors = len(_SHAPE_PALETTE)
     color_id = p % n_colors
@@ -263,9 +269,25 @@ def load_mask(path) -> np.ndarray:
     return load_clip(path).pixels[:, 0] > 127  # the pixels whose frame value is > 0.5
 
 
-def mask_path_for(clip_path) -> Path:
-    p = Path(clip_path)
-    return p.with_name(p.stem + ".fg" + p.suffix)
+def mask_path_for(clip_path) -> str:
+    """The foreground mask file beside a clip: `.fg` goes before the
+    suffix of its name, the part from the last dot that neither starts
+    nor ends the name (`clip_00000.csvc` -> `clip_00000.fg.csvc`)."""
+    head, sep, name = os.fspath(clip_path).rpartition(os.sep)
+    dot = name.rfind(".")
+    if not 0 < dot < len(name) - 1:
+        dot = len(name)
+    return f"{head}{sep}{name[:dot]}.fg{name[dot:]}"
+
+
+def check_one_shape(paths: list, clips: list[VideoClip]):
+    """Refuse clips that do not all share the (T, C, H, W) of the first,
+    as a batch stacks them; the refusal names the first that differs."""
+    shape = clips[0].pixels.shape
+    for path, clip in zip(paths, clips):
+        if clip.pixels.shape != shape:
+            raise FormatError(f"clip {path} is {clip.pixels.shape} (T, C, H, W), but {paths[0]}"
+                              f" is {shape}: the clips of a run share one shape")
 
 
 # ---------------------------------------------------------------------------

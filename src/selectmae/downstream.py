@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backbone import BackboneConfig, ModelParams, encode
-from .data import load_clip, load_manifest
+from .data import check_one_shape, load_clip, load_manifest
 from .errors import ConfigError, DataError
 from .layers import LinearParams, linear
 from .numerics import (
@@ -276,6 +276,7 @@ def finetune_run(
     entries = load_manifest(manifest_path)
     labeled = finetune_train_ids(entries, split, cfg.label_fraction, num_steps)
     clips = {i: load_clip(entries[i]["path"]) for i in [*labeled, *split.val_ids, *split.test_ids]}
+    check_one_shape([entries[i]["path"] for i in clips], list(clips.values()))
 
     head = ClassifierHead(np.random.default_rng([cfg.seed, 2]), bb_cfg.enc_dim, num_steps)
     trained = dict(model.encoder_named())

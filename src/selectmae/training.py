@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -31,6 +32,7 @@ import numpy as np
 from .backbone import BackboneConfig, ModelParams, decode, encode
 from .data import (
     VideoClip,
+    check_one_shape,
     load_clip,
     load_manifest,
     load_mask,
@@ -280,30 +282,38 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray]):
     write_atomically(path, write)
 
 
+_CKPT_HEADER = struct.Struct("<II")  # version, entry count
+_CKPT_NAME_LEN = struct.Struct("<H")
+_CKPT_DIMS = tuple(struct.Struct(f"<{ndim}I") for ndim in range(256))  # ndim is one byte
+
+
 def load_checkpoint(path) -> dict[str, np.ndarray]:
+    """The entries of a checkpoint, in file order, each an owned,
+    writable float32 array. A bad magic or version, a truncated entry, a
+    name that is not UTF-8 or repeats an earlier one, and trailing bytes
+    raise FormatError."""
     blob = Path(path).read_bytes()
     if blob[:4] != CKPT_MAGIC:
         raise FormatError(f"bad checkpoint magic in {path}")
     out: dict[str, np.ndarray] = {}
     try:
-        version, count = struct.unpack_from("<II", blob, 4)
+        version, count = _CKPT_HEADER.unpack_from(blob, 4)
         if version != CKPT_VERSION:
             raise FormatError(f"unsupported checkpoint version {version}")
         offset = 12
         for _ in range(count):
-            (name_len,) = struct.unpack_from("<H", blob, offset)
-            offset += 2
-            name = blob[offset:offset + name_len].decode("utf-8")
-            offset += name_len
-            (ndim,) = struct.unpack_from("<B", blob, offset)
-            offset += 1
-            dims = struct.unpack_from(f"<{ndim}I", blob, offset) if ndim else ()
-            offset += 4 * ndim
-            size = int(np.prod(dims)) if dims else 1
-            arr = np.frombuffer(blob, dtype="<f4", count=size, offset=offset)
+            (name_len,) = _CKPT_NAME_LEN.unpack_from(blob, offset)
+            offset += 2 + name_len
+            name = blob[offset - name_len:offset].decode("utf-8")
+            ndim = blob[offset]
+            dims = _CKPT_DIMS[ndim].unpack_from(blob, offset + 1)
+            offset += 1 + 4 * ndim
+            size = math.prod(dims)
+            if name in out:
+                raise FormatError(f"checkpoint {path} repeats entry '{name}'")
+            out[name] = np.frombuffer(blob, "<f4", size, offset).reshape(dims).copy()
             offset += 4 * size
-            out[name] = arr.reshape(dims).copy()
-    except (struct.error, ValueError) as exc:
+    except (struct.error, ValueError, IndexError) as exc:
         raise FormatError(f"truncated checkpoint {path}: {exc}") from exc
     if offset != len(blob):
         raise FormatError(f"checkpoint {path} has {len(blob) - offset} trailing bytes")
@@ -426,11 +436,16 @@ class PretrainRun:
             grid_dims(clip.pixels.shape, tubelet)  # divisibility check, before any step
             fg = None
             mask_file = mask_path_for(entry["path"])
-            if mask_file.exists():
-                cells = unfold_clip(load_mask(mask_file)[:, None].astype(np.float32), tubelet)
-                fg = np.flatnonzero(cells.max(axis=1) > 0)
+            if os.path.exists(mask_file):
+                mask = load_mask(mask_file)
+                t, _, h, w = clip.pixels.shape
+                if mask.shape != (t, h, w):
+                    raise FormatError(f"foreground mask {mask_file} is {mask.shape} (T, H, W),"
+                                      f" but its clip {entry['path']} is {(t, h, w)}")
+                fg = np.flatnonzero(unfold_clip(mask[:, None], tubelet).any(axis=1))
             self.items.append(clip)
             self.fg_ids.append(fg)
+        check_one_shape([entry["path"] for entry in entries], self.items)
 
         self.model = ModelParams(self.bb_cfg, np.random.default_rng([cfg.seed, 0]))
         self.selector = SelectionParams(np.random.default_rng([cfg.seed, 1]), self.bb_cfg.enc_dim)

@@ -13,6 +13,7 @@ from selectmae.backbone import ModelParams
 from selectmae import cli
 from selectmae.cli import main
 from selectmae.config import RunConfig, config_grid, default_document
+from selectmae.data import save_clip, save_mask
 from selectmae.downstream import ClassifierHead, SplitSpec
 from selectmae.errors import ConfigError
 from selectmae.masking import STRATEGIES
@@ -1093,3 +1094,53 @@ def test_corrupt_manifest_exits_4(command, manifest, tiny_config, pretrained, tm
     assert main(argv) == 4
     err = capsys.readouterr().err
     assert err.startswith("corrupt artifact: corpus manifest ") and "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# A corpus whose files disagree in shape is refused before the first step.
+
+@pytest.mark.parametrize("mask_shape", [(4, 14, 14), (2, 8, 8)],
+                         ids=["not-divisible", "another-grid"])
+def test_pretrain_refuses_a_mask_of_another_shape_than_its_clip(
+        mask_shape, corpus, tiny_config, tmp_path, capsys):
+    # the corpus clips are 4x3x16x16; a 2x8x8 mask would index a grid of 4 tokens
+    bad = tmp_path / "corpus"
+    shutil.copytree(corpus, bad)
+    mask = bad / "clip_00003.fg.csvc"
+    save_mask(np.ones(mask_shape, dtype=bool), mask)
+    out = tmp_path / "out"
+    assert main(["pretrain", "--config", tiny_config, "--corpus", str(bad),
+                 "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err == (f"corrupt artifact: foreground mask {mask} is {mask_shape} (T, H, W),"
+                   f" but its clip {bad / 'clip_00003.csvc'} is (4, 16, 16)\n")
+    assert not list(out.glob("*.csma")) and not (out / "metrics.jsonl").exists()
+
+
+def _corpus_with_a_smaller_clip(corpus, path, index=5):
+    """A copy of `corpus` at `path` whose clip `index`, with its mask, is 4x3x8x8."""
+    shutil.copytree(corpus, path)
+    save_clip(np.zeros((4, 3, 8, 8), dtype=np.uint8), path / f"clip_{index:05d}.csvc")
+    save_mask(np.zeros((4, 8, 8), dtype=bool), path / f"clip_{index:05d}.fg.csvc")
+    return path
+
+
+@pytest.mark.parametrize("command", ["pretrain", "finetune"])
+def test_clips_of_more_than_one_shape_are_refused_before_the_first_step(
+        command, corpus, tiny_config, tmp_path, capsys):
+    bad = _corpus_with_a_smaller_clip(corpus, tmp_path / "corpus")
+    out = tmp_path / "out"
+    common = ["--config", tiny_config, "--corpus", str(bad)]
+    split = tmp_path / "split.json"
+    split.write_text(json.dumps({"train": [0, 1, 2, 3, 4, 5], "val": [6], "test": [7]}))
+    argv = {
+        "pretrain": ["pretrain", *common, "--out", str(out)],
+        "finetune": ["finetune", *common, "--scratch", "--split", str(split),
+                     "--out", str(out / "report.json")],
+    }[command]
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert err == (f"corrupt artifact: clip {bad / 'clip_00005.csvc'} is (4, 3, 8, 8)"
+                   f" (T, C, H, W), but {bad / 'clip_00000.csvc'} is (4, 3, 16, 16):"
+                   " the clips of a run share one shape\n")
+    assert not list(out.glob("*.csma")) and not (out / "report.json").exists()

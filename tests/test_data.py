@@ -1,7 +1,12 @@
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from selectmae import data
 from selectmae.data import (
@@ -16,6 +21,7 @@ from selectmae.data import (
     mask_path_for,
     patch_normalize_targets,
     save_clip,
+    save_mask,
 )
 from selectmae.errors import ConfigError, ContractError, FormatError
 from selectmae.tokenizer import unfold_clip
@@ -152,6 +158,44 @@ def test_clip_truncated_or_flipped_raises_only_format_error(tmp_path):
         assert load_clip(bad).frames.shape == (2, 3, 4, 4), i
 
 
+_CLIPS = hnp.arrays(np.uint8, hnp.array_shapes(min_dims=4, max_dims=4, min_side=0, max_side=4))
+_PROPERTY = settings(max_examples=40, deadline=None,
+                     suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@_PROPERTY
+@given(pixels=_CLIPS)
+def test_any_clip_round_trips(pixels, tmp_path):
+    path = tmp_path / "clip.csvc"
+    save_clip(VideoClip(pixels), path)
+    loaded = load_clip(path)
+    assert loaded.pixels.shape == pixels.shape
+    assert loaded.pixels.tobytes() == pixels.tobytes()
+
+
+@_PROPERTY
+@given(pixels=_CLIPS, extra=st.binary(min_size=1, max_size=3))
+def test_every_cut_and_any_appended_byte_of_a_clip_raise_format_error(pixels, extra, tmp_path):
+    good = tmp_path / "clip.csvc"
+    save_clip(pixels, good)
+    blob = good.read_bytes()
+    bad = tmp_path / "bad.csvc"
+    for cut in range(len(blob)):
+        bad.write_bytes(blob[:cut])
+        with pytest.raises(FormatError):
+            load_clip(bad)
+    bad.write_bytes(blob + extra)
+    with pytest.raises(FormatError, match="payload"):
+        load_clip(bad)
+
+
+@pytest.mark.parametrize("name", ["clip_00000.csvc", "a.b.csvc", "clip", ".hidden", "x.", "..x"])
+def test_mask_path_puts_fg_before_the_suffix_as_pathlib_splits_it(name, tmp_path):
+    clip = tmp_path / name
+    assert mask_path_for(clip) == str(clip.with_name(clip.stem + ".fg" + clip.suffix))
+    assert mask_path_for(name) == clip.stem + ".fg" + clip.suffix
+
+
 def test_failed_clip_save_keeps_previous_file(tmp_path, monkeypatch):
     path = tmp_path / "clip.csvc"
     before = _small_clip(path)
@@ -208,6 +252,37 @@ def test_corpus_regeneration_is_byte_identical(tmp_path):
     generate_corpus(CFG, 6, 0.5, 12, tmp_path / "b")
     for name in sorted(p.name for p in (tmp_path / "a").iterdir()):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+# The SHA-256 of each file of `generate_corpus(SynthConfig(), 4, 1.0, 0, ...)`,
+# as the corpus was written when every clip drew its own backdrop.
+DEFAULT_CORPUS_SHA256 = {
+    "clip_00000.csvc": "fcc9a3729958c4b35b649f7fba0f4cf9ae19abd8cfbb53e4e55b8bb33dafc091",
+    "clip_00000.fg.csvc": "d2d4d2d25e6ece3ff8a94c3b0bb8d1401934f2b6b0d6f21fdede7c221537a9d9",
+    "clip_00001.csvc": "027ac26d3b41c0151fbe0eb076fa1f3f863573d834e8693998c45538c8a02f3f",
+    "clip_00001.fg.csvc": "cc7abfec223d4f2bf90799468148b747833f86b92ffd1c3caba2faf8f2da9022",
+    "clip_00002.csvc": "5df1072b46bca170796b27513e6fb979328377005a566067695cda7117a2aa5d",
+    "clip_00002.fg.csvc": "8d7ea983f7324d768dddb5e76419b6980844a47b0e7ed330f622867ff9a754d4",
+    "clip_00003.csvc": "bc22bc44ba684de6e9152808e98fa6af62a6a0ca3d8cdcb92273b77923abe26f",
+    "clip_00003.fg.csvc": "84c7717a72881b24ebdd753246934c1306403e5a70c6b0a4f23c52558730d82c",
+}
+
+
+def test_default_corpus_bytes_are_pinned(tmp_path):
+    generate_corpus(SynthConfig(), 4, 1.0, 0, tmp_path)
+    for name, digest in DEFAULT_CORPUS_SHA256.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+def test_the_backdrop_is_drawn_once_per_size_and_stays_read_only():
+    data._eye_background.cache_clear()
+    small = SynthConfig(frames=2, height=16, width=24, num_phases=4)
+    for phase in range(4):
+        generate_clip_with_mask(small, phase, [0, phase])
+        generate_clip_with_mask(CFG, phase, [0, phase])
+    info = data._eye_background.cache_info()
+    assert (info.misses, info.hits) == (2, 6)
+    assert not data._eye_background(16, 24).flags.writeable
 
 
 def test_corpus_rejects_bad_fraction(tmp_path):

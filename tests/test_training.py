@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import platform
@@ -7,6 +8,9 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from selectmae import numerics as nm
 from selectmae import training
@@ -15,6 +19,9 @@ from selectmae.data import (
     SynthConfig,
     generate_clip_with_mask,
     generate_corpus,
+    load_manifest,
+    load_mask,
+    mask_path_for,
     patch_normalize_targets,
 )
 from selectmae.errors import ConfigError, ContractError, FormatError, NumericError, ShapeError
@@ -656,6 +663,70 @@ def test_failed_checkpoint_save_keeps_previous_file(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["ck.csma"]
 
 
+# Any dict of float32 arrays, 0 to 4 dims with zero-size dims allowed and
+# any UTF-8 names, drawn as uint32 bits so that every NaN payload occurs.
+_CHECKPOINTS = st.dictionaries(
+    st.text(max_size=12),
+    hnp.arrays(np.uint32, hnp.array_shapes(min_dims=0, max_dims=4, min_side=0, max_side=3))
+    .map(lambda bits: bits.view(np.float32)),
+    max_size=5,
+)
+_PROPERTY = settings(max_examples=40, deadline=None,
+                     suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@_PROPERTY
+@given(arrays=_CHECKPOINTS)
+def test_any_checkpoint_round_trips_bit_for_bit(arrays, tmp_path):
+    path = tmp_path / "ck.csma"
+    save_checkpoint(path, arrays)
+    loaded = load_checkpoint(path)
+    assert list(loaded) == sorted(arrays)
+    for name, arr in arrays.items():
+        got = loaded[name]
+        assert got.dtype == np.float32 and got.shape == arr.shape
+        assert got.flags.owndata and got.flags.writeable
+        assert np.array_equal(got.view(np.uint32), arr.view(np.uint32))
+
+
+@_PROPERTY
+@given(arrays=_CHECKPOINTS, extra=st.binary(min_size=1, max_size=3))
+def test_every_cut_and_any_appended_byte_of_a_checkpoint_raise_format_error(
+        arrays, extra, tmp_path):
+    good = tmp_path / "ck.csma"
+    save_checkpoint(good, arrays)
+    blob = good.read_bytes()
+    bad = tmp_path / "bad.csma"
+    for cut in range(len(blob)):
+        bad.write_bytes(blob[:cut])
+        with pytest.raises(FormatError):
+            load_checkpoint(bad)
+    bad.write_bytes(blob + extra)
+    with pytest.raises(FormatError, match=f"has {len(extra)} trailing bytes"):
+        load_checkpoint(bad)
+
+
+def test_checkpoint_bytes_are_pinned(tmp_path):
+    path = tmp_path / "ck.csma"
+    save_checkpoint(path, {
+        "model.w": np.arange(12, dtype=np.float32).reshape(3, 4) / np.float32(7),
+        "opt.step": np.array([7.0], np.float32),
+        "scalar": np.float32(-2.5).reshape(()),
+        "empty": np.zeros((2, 0, 3), np.float32),
+        "naïve": np.array([np.inf, -0.0, np.nan], np.float32),
+    })
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "b7c5d85c4ef48c5bc624fe2c8dbea3c47ed4a0c70563577962e732e255333937")
+
+
+def test_checkpoint_refuses_a_repeated_entry_name(tmp_path):
+    path = tmp_path / "ck.csma"
+    save_checkpoint(path, {"a.w": np.ones(2, np.float32), "b.w": np.zeros(2, np.float32)})
+    path.write_bytes(path.read_bytes().replace(b"b.w", b"a.w"))
+    with pytest.raises(FormatError, match=f"checkpoint {path} repeats entry 'a.w'"):
+        load_checkpoint(path)
+
+
 def test_config_snapshot_roundtrip():
     snap = {"a": 1, "b": {"c": [1, 2, 3], "d": "text"}}
     assert array_to_config(config_to_array(snap)) == snap
@@ -773,12 +844,16 @@ def test_pretrain_run_caches_only_the_stored_pixels(tmp_path):
     manifest = generate_corpus(SynthConfig(), 2, 1.0, 0, tmp_path / "corpus")
     run = PretrainRun(manifest, tmp_path / "run", PretrainConfig(max_steps=1))
     assert len(run.items) == len(run.fg_ids) == 2
-    for clip, fg_ids in zip(run.items, run.fg_ids):
+    for entry, clip, fg_ids in zip(load_manifest(manifest), run.items, run.fg_ids):
         assert sorted(vars(clip)) == ["pixels"]
         assert clip.pixels.dtype == np.uint8
         assert clip.pixels.nbytes == 8 * 3 * 32 * 32 == 24_576
         assert clip.frames.tobytes() == (clip.pixels.astype(np.float32) / 255.0).tobytes()
         assert fg_ids.dtype == np.int64 and 0 < fg_ids.size < 256
+        # the tokens whose tubelet holds a foreground pixel, as a float mask finds them
+        mask = load_mask(mask_path_for(entry["path"]))[:, None].astype(np.float32)
+        reference = np.flatnonzero(unfold_clip(mask, (2, 4, 4)).max(axis=1) > 0)
+        assert np.array_equal(fg_ids, reference)
 
 
 def test_pretrain_resume_in_place_matches_uninterrupted(tmp_path, monkeypatch):
