@@ -18,5 +18,5 @@ from .ops import (
     stop_gradient,
     sub,
 )
-from .halves import run_halves
+from .halves import beside, run_halves
 from .optim import AdamW, check_schedule, cosine_warmup_lr, stored_count

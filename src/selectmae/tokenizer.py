@@ -9,7 +9,8 @@ then columns. The tubelet is the backbone config's; these are plain
 functions of it. `unfold_clip` cuts a clip into one row per token and
 `detokenize_patches` is its inverse: it scatters rows back by token id
 and undoes the same reshape and transpose, so no per-token index
-arithmetic is kept.
+arithmetic is kept. `foreground_token_ids` finds the tokens a boolean
+pixel mask touches in the same order.
 """
 
 from __future__ import annotations
@@ -67,6 +68,18 @@ def unfold_clip(frames: np.ndarray, tubelet: tuple[int, int, int]) -> np.ndarray
     # (..., nt, nh, nw, tp, C, hp, wp)
     cells = cells.transpose(*range(k), k, k + 3, k + 5, k + 1, k + 2, k + 4, k + 6)
     return np.ascontiguousarray(cells.reshape(*lead, nt * nh * nw, tp * channels * hp * wp))
+
+
+def foreground_token_ids(mask: np.ndarray, tubelet: tuple[int, int, int]) -> np.ndarray:
+    """The ids of the tokens whose tubelet holds a True pixel of a
+    (T, H, W) boolean mask, in token order. Each pass OR-reduces one
+    tubelet axis of a reshaped view, t then h then w, so the first two
+    combine whole rows at once."""
+    t_frames, height, width = mask.shape
+    tp, hp, wp = tubelet
+    cells = np.logical_or.reduce(mask.reshape(t_frames // tp, tp, height * width), axis=1)
+    cells = np.logical_or.reduce(cells.reshape(-1, hp, width), axis=1)
+    return np.flatnonzero(np.logical_or.reduce(cells.reshape(-1, wp), axis=1))
 
 
 def embed_patches(patches: Tensor, weight: Tensor, bias: Tensor) -> Tensor:

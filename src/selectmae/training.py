@@ -56,6 +56,7 @@ from .numerics import (
     Tensor,
     add,
     backward,
+    beside,
     check_schedule,
     cosine_warmup_lr,
     gather_rows_batched,
@@ -68,7 +69,7 @@ from .numerics import (
     stored_count,
     sub,
 )
-from .tokenizer import embed_patches, grid_dims, unfold_clip
+from .tokenizer import embed_patches, foreground_token_ids, grid_dims, unfold_clip
 
 CKPT_MAGIC = b"CSMA"
 CKPT_VERSION = 1
@@ -408,8 +409,52 @@ def restore(arrays: dict[str, np.ndarray], path, tensors: dict[str, Tensor], run
         tensor.data[...] = arrays[name]
 
 
+def _read_corpus(manifest_path, tubelet) -> tuple[list[VideoClip], list[np.ndarray | None]]:
+    """Each clip of a corpus as stored, and the ids of its tokens that
+    touch the foreground, or None where the clip has no mask file."""
+    entries = load_manifest(manifest_path)
+    if not entries:
+        raise ConfigError(f"empty corpus manifest {manifest_path}")
+    items, fg_ids = [], []
+    for entry in entries:
+        clip = load_clip(entry["path"])
+        grid_dims(clip.pixels.shape, tubelet)  # divisibility check, before any step
+        fg = None
+        mask_file = mask_path_for(entry["path"])
+        if os.path.exists(mask_file):
+            mask = load_mask(mask_file)
+            t, _, h, w = clip.pixels.shape
+            if mask.shape != (t, h, w):
+                raise FormatError(f"foreground mask {mask_file} is {mask.shape} (T, H, W),"
+                                  f" but its clip {entry['path']} is {(t, h, w)}")
+            fg = foreground_token_ids(mask, tubelet)
+        items.append(clip)
+        fg_ids.append(fg)
+    check_one_shape([entry["path"] for entry in entries], items)
+    return items, fg_ids
+
+
+def _build_params(cfg: PretrainConfig, bb_cfg: BackboneConfig):
+    """The model and the selector, each drawn from its own stream, and
+    AdamW over what the strategy trains."""
+    model = ModelParams(bb_cfg, np.random.default_rng([cfg.seed, 0]))
+    selector = SelectionParams(np.random.default_rng([cfg.seed, 1]), bb_cfg.enc_dim)
+    trained = dict(model.named())
+    if cfg.strategy == "adaptive":
+        trained.update(selector.named())
+    optimizer = AdamW(trained, lr=cfg.base_lr, betas=cfg.betas, weight_decay=cfg.weight_decay)
+    return model, selector, optimizer
+
+
 class PretrainRun:
-    """Owns the parameters, optimizer, corpus cache, and metrics log."""
+    """Owns the parameters, optimizer, corpus cache, and metrics log.
+
+    Start-up runs in two parts at once (`numerics.beside`): this thread
+    reads the manifest, each clip and its mask and finds the clip's
+    foreground ids, while the worker draws the model and the selector
+    and builds AdamW. A corpus error is raised before a build error, and
+    either only once both parts have ended.
+    """
 
     def __init__(
         self,
@@ -420,40 +465,12 @@ class PretrainRun:
     ):
         self.cfg = cfg
         self.bb_cfg = bb_cfg or BackboneConfig()
-        tubelet = self.bb_cfg.tubelet
         self.out_dir = Path(out_dir)
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self.snapshot = config_snapshot(backbone=self.bb_cfg, pretrain=cfg)
-
-        entries = load_manifest(manifest_path)
-        if not entries:
-            raise ConfigError(f"empty corpus manifest {manifest_path}")
-        # each clip as stored, and the ids of its tokens that touch the foreground
-        self.items: list[VideoClip] = []
-        self.fg_ids: list[np.ndarray | None] = []
-        for entry in entries:
-            clip = load_clip(entry["path"])
-            grid_dims(clip.pixels.shape, tubelet)  # divisibility check, before any step
-            fg = None
-            mask_file = mask_path_for(entry["path"])
-            if os.path.exists(mask_file):
-                mask = load_mask(mask_file)
-                t, _, h, w = clip.pixels.shape
-                if mask.shape != (t, h, w):
-                    raise FormatError(f"foreground mask {mask_file} is {mask.shape} (T, H, W),"
-                                      f" but its clip {entry['path']} is {(t, h, w)}")
-                fg = np.flatnonzero(unfold_clip(mask[:, None], tubelet).any(axis=1))
-            self.items.append(clip)
-            self.fg_ids.append(fg)
-        check_one_shape([entry["path"] for entry in entries], self.items)
-
-        self.model = ModelParams(self.bb_cfg, np.random.default_rng([cfg.seed, 0]))
-        self.selector = SelectionParams(np.random.default_rng([cfg.seed, 1]), self.bb_cfg.enc_dim)
-        trained = dict(self.model.named())
-        if cfg.strategy == "adaptive":
-            trained.update(self.selector.named())
-        self.optimizer = AdamW(
-            trained, lr=cfg.base_lr, betas=cfg.betas, weight_decay=cfg.weight_decay
+        (self.items, self.fg_ids), (self.model, self.selector, self.optimizer) = beside(
+            lambda: _read_corpus(manifest_path, self.bb_cfg.tubelet),
+            lambda: _build_params(cfg, self.bb_cfg),
         )
         self.total_steps = cfg.max_steps
         # each epoch shuffles the corpus anew

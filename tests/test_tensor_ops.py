@@ -3,6 +3,7 @@ import inspect
 import math
 import sys
 import threading
+import time
 import weakref
 
 import numpy as np
@@ -933,6 +934,25 @@ def test_run_halves_splits_at_the_ceiling_and_keeps_order():
     here = threading.get_ident()
     assert calls[0, 3] == (here, True) and calls[0, 1] == (here, True)
     assert calls[3, 5][0] != here and calls[3, 5][1]
+
+
+
+@pytest.mark.parametrize("failing, raised", [(("here", "there"), "here"), (("here",), "here"),
+                                             (("there",), "there")])
+def test_beside_raises_the_callers_error_first_once_both_have_ended(failing, raised):
+    ended = []
+
+    def work(name):
+        def run():
+            time.sleep(0.0 if name == raised else 0.05)  # the raise has to wait for the other
+            ended.append(name)
+            if name in failing:
+                raise ValueError(name)
+        return run
+
+    with pytest.raises(ValueError, match=raised):
+        nm.beside(work("here"), work("there"))
+    assert sorted(ended) == ["here", "there"]
 
 
 def test_run_halves_carries_the_callers_errstate():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from selectmae import numerics as nm
 from selectmae.data import (
@@ -12,6 +13,7 @@ from selectmae.data import (
 from selectmae.errors import ConfigError, ShapeError
 from selectmae.tokenizer import (
     detokenize_patches,
+    foreground_token_ids,
     patch_len,
     positional_encoding,
     tokenize,
@@ -214,3 +216,24 @@ def test_config_validation():
     frames = rng.random((1, 4, 3, 8, 8)).astype(np.float32)
     with pytest.raises(ShapeError, match="projection weight"):
         tokenize(frames, (2, 2, 2), w, b)
+
+
+@st.composite
+def _masks_and_tubelets(draw):
+    """A (T, H, W) boolean mask of 1-4 tubelets of 1-3 pixels per axis:
+    random, empty or full."""
+    tubelet = tuple(draw(st.integers(1, 3)) for _ in range(3))
+    shape = tuple(p * draw(st.integers(1, 4)) for p in tubelet)
+    fill = draw(st.sampled_from(["random", "empty", "full"]))
+    if fill == "random":
+        return draw(hnp.arrays(np.bool_, shape)), tubelet
+    return np.full(shape, fill == "full"), tubelet
+
+
+@settings(max_examples=200, deadline=None)
+@given(_masks_and_tubelets())
+def test_foreground_token_ids_are_the_tokens_whose_patch_row_holds_a_true_pixel(case):
+    mask, tubelet = case
+    ids = foreground_token_ids(mask, tubelet)
+    reference = np.flatnonzero(unfold_clip(mask[:, None], tubelet).any(axis=1))
+    assert ids.dtype == reference.dtype and np.array_equal(ids, reference)

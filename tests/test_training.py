@@ -23,6 +23,8 @@ from selectmae.data import (
     load_mask,
     mask_path_for,
     patch_normalize_targets,
+    save_clip,
+    save_mask,
 )
 from selectmae.errors import ConfigError, ContractError, FormatError, NumericError, ShapeError
 from selectmae.masking import (
@@ -36,6 +38,7 @@ from selectmae.masking import (
 from selectmae.numerics import AdamW, halves
 from selectmae.tokenizer import embed_patches, grid_dims, patch_len, unfold_clip
 from selectmae.training import (
+    CONFIG_ENTRY,
     PretrainConfig,
     PretrainRun,
     array_to_config,
@@ -854,6 +857,111 @@ def test_pretrain_run_caches_only_the_stored_pixels(tmp_path):
         mask = load_mask(mask_path_for(entry["path"]))[:, None].astype(np.float32)
         reference = np.flatnonzero(unfold_clip(mask, (2, 4, 4)).max(axis=1) > 0)
         assert np.array_equal(fg_ids, reference)
+
+
+
+@pytest.mark.parametrize("strategy", ["adaptive", "random"])
+def test_start_up_builds_the_tensors_a_serial_build_gives(strategy, tmp_path):
+    cfg = _cfg(strategy=strategy, seed=5)
+    run = PretrainRun(_corpus(tmp_path), tmp_path / "run", cfg, BB)
+    model = ModelParams(BB, np.random.default_rng([5, 0]))
+    selector = SelectionParams(np.random.default_rng([5, 1]), BB.enc_dim)
+    trained = dict(model.named())
+    if strategy == "adaptive":
+        trained.update(selector.named())
+    optimizer = AdamW(trained, lr=cfg.base_lr, betas=cfg.betas, weight_decay=cfg.weight_decay)
+    expected = {name: t.data for name, t in {**model.named(), **selector.named()}.items()}
+    expected.update(optimizer.state_arrays())
+    written = run.checkpoint_arrays(0)
+    assert list(written) == [*expected, "trainer.step", CONFIG_ENTRY]
+    for name, array in expected.items():
+        assert written[name].dtype == array.dtype, name
+        assert written[name].tobytes() == array.tobytes(), name
+
+
+# what a broken corpus raises at start-up, by how it is broken
+CORPUS_ERRORS = {
+    "mask-of-another-shape": "foreground mask .* is \\(4, 8, 8\\)",
+    "clips-of-two-shapes": "the clips of a run share one shape",
+    "truncated-clip": "clip payload is 3071 bytes",
+}
+
+
+def _break_corpus(corpus, kind: str):
+    """Break clip 2 of a 4x3x16x16 corpus in the way `kind` names."""
+    clip, mask = corpus / "clip_00002.csvc", corpus / "clip_00002.fg.csvc"
+    if kind == "mask-of-another-shape":
+        save_mask(np.ones((4, 8, 8), dtype=bool), mask)
+    elif kind == "clips-of-two-shapes":
+        save_clip(np.zeros((4, 3, 8, 8), dtype=np.uint8), clip)
+        save_mask(np.zeros((4, 8, 8), dtype=bool), mask)
+    else:
+        clip.write_bytes(clip.read_bytes()[:-1])
+
+
+def _patch_build(monkeypatch, events: list, delay: float = 0.0, fail: bool = False):
+    """Make the model draw on the worker take `delay` seconds, then fail
+    when `fail`; note in `events` when it fails or the build has ended."""
+    real_model, real_optimizer = training.ModelParams, training.AdamW
+
+    def model(*args, **kwargs):
+        time.sleep(delay)
+        if fail:
+            events.append("build failed")
+            raise RuntimeError("injected into the build")
+        return real_model(*args, **kwargs)
+
+    def optimizer(*args, **kwargs):
+        built = real_optimizer(*args, **kwargs)
+        events.append("build ended")
+        return built
+
+    monkeypatch.setattr(training, "ModelParams", model)
+    monkeypatch.setattr(training, "AdamW", optimizer)
+
+
+@pytest.mark.parametrize("kind", sorted(CORPUS_ERRORS))
+def test_a_corpus_error_is_raised_once_the_build_has_ended(kind, tmp_path, monkeypatch):
+    manifest = _corpus(tmp_path)
+    _break_corpus(manifest.parent, kind)
+    events = []
+    _patch_build(monkeypatch, events, delay=0.05)
+    with pytest.raises(FormatError, match=CORPUS_ERRORS[kind]):
+        PretrainRun(manifest, tmp_path / "run", _cfg(), BB)
+    assert events == ["build ended"]
+    # the worker holds nothing of the failed start-up and takes the next piece of work
+    assert nm.beside(lambda: "here", lambda: "there") == ("here", "there")
+
+
+def test_a_build_error_is_raised_once_the_corpus_is_read(tmp_path, monkeypatch):
+    manifest = _corpus(tmp_path)
+    events = []
+    real_load, real_check = training.load_clip, training.check_one_shape
+
+    def slow_load(path):
+        time.sleep(0.01)
+        return real_load(path)
+
+    def check(*args):
+        real_check(*args)
+        events.append("corpus read")
+
+    monkeypatch.setattr(training, "load_clip", slow_load)
+    monkeypatch.setattr(training, "check_one_shape", check)
+    _patch_build(monkeypatch, events, fail=True)
+    with pytest.raises(RuntimeError, match="injected into the build"):
+        PretrainRun(manifest, tmp_path / "run", _cfg(), BB)
+    assert sorted(events) == ["build failed", "corpus read"]
+
+
+def test_a_corpus_error_takes_precedence_over_a_build_error(tmp_path, monkeypatch):
+    manifest = _corpus(tmp_path)
+    _break_corpus(manifest.parent, "mask-of-another-shape")
+    events = []
+    _patch_build(monkeypatch, events, fail=True)
+    with pytest.raises(FormatError, match=CORPUS_ERRORS["mask-of-another-shape"]):
+        PretrainRun(manifest, tmp_path / "run", _cfg(), BB)
+    assert events == ["build failed"]
 
 
 def test_pretrain_resume_in_place_matches_uninterrupted(tmp_path, monkeypatch):
