@@ -25,21 +25,7 @@ from selectmae.training import (
     save_checkpoint,
 )
 
-from testkit import read_ppm
-
-
-TINY = {
-    "data": {"frames": 4, "height": 16, "width": 16, "num_phases": 4},
-    "backbone": {
-        "tubelet": [2, 4, 4], "enc_depth": 1, "enc_dim": 16, "enc_heads": 2,
-        "dec_depth": 1, "dec_dim": 8, "dec_heads": 2,
-    },
-    "pretrain": {
-        "mask_ratio": 0.75, "batch_size": 4, "max_steps": 6,
-        "warmup_steps": 2, "ckpt_every": 3,
-    },
-    "finetune": {"epochs": 3, "batch_size": 4, "patience": 3},
-}
+from testkit import TINY, read_ppm
 
 
 @pytest.fixture(scope="module")

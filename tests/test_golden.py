@@ -24,20 +24,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-MANIFEST = Path(__file__).with_name("golden_sha256.json")
+from testkit import TINY
 
-TINY = {
-    "data": {"frames": 4, "height": 16, "width": 16, "num_phases": 4},
-    "backbone": {
-        "tubelet": [2, 4, 4], "enc_depth": 1, "enc_dim": 16, "enc_heads": 2,
-        "dec_depth": 1, "dec_dim": 8, "dec_heads": 2,
-    },
-    "pretrain": {
-        "mask_ratio": 0.75, "batch_size": 4, "max_steps": 6,
-        "warmup_steps": 2, "ckpt_every": 3,
-    },
-    "finetune": {"epochs": 3, "batch_size": 4, "patience": 3},
-}
+MANIFEST = Path(__file__).with_name("golden_sha256.json")
 
 STRATEGIES = ("adaptive", "random", "tube", "frame")
 

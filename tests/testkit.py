@@ -9,7 +9,8 @@ mode tightens the tolerance to 1e-5.
 Also the ops no model path records, from which the tests build the
 unfused chains that `attend` and `gelu_affine` are checked against
 (`matmul`, `softmax`, `gelu`, `transpose`), a corpus clip without its
-foreground mask (`generate_clip`), the token id of a grid cell
+foreground mask (`generate_clip`), the tiny run document of the CLI
+tests (`TINY`), the token id of a grid cell
 (the order `tokenizer.unfold_clip` gives its rows in), a PPM reader for
 the images `reconstruct` writes, a check that an optimizer still owns
 its parameters' buffers, and the bytes a tape's closures hold.
@@ -23,6 +24,20 @@ from selectmae.data import SynthConfig, VideoClip, generate_clip_with_mask
 from selectmae.errors import FormatError, ShapeError
 from selectmae.numerics import Tape, Tensor, backward, ops, precision
 from selectmae.numerics.tensor import record_op
+
+# 4x16x16 clips of 4 phases, a one-block encoder and decoder, 6 steps
+TINY = {
+    "data": {"frames": 4, "height": 16, "width": 16, "num_phases": 4},
+    "backbone": {
+        "tubelet": [2, 4, 4], "enc_depth": 1, "enc_dim": 16, "enc_heads": 2,
+        "dec_depth": 1, "dec_dim": 8, "dec_heads": 2,
+    },
+    "pretrain": {
+        "mask_ratio": 0.75, "batch_size": 4, "max_steps": 6,
+        "warmup_steps": 2, "ckpt_every": 3,
+    },
+    "finetune": {"epochs": 3, "batch_size": 4, "patience": 3},
+}
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
