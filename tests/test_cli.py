@@ -1103,7 +1103,6 @@ def test_pretrain_refuses_a_mask_of_another_shape_than_its_clip(
     assert not list(out.glob("*.csma")) and not (out / "metrics.jsonl").exists()
 
 
-
 def test_pretrain_refuses_a_truncated_clip_before_the_first_step(
         corpus, tiny_config, tmp_path, capsys):
     bad = tmp_path / "corpus"
@@ -1116,6 +1115,7 @@ def test_pretrain_refuses_a_truncated_clip_before_the_first_step(
     assert capsys.readouterr().err == ("corrupt artifact: clip payload is 3071 bytes,"
                                        " header implies 3072\n")
     assert not list(out.glob("*.csma")) and not (out / "metrics.jsonl").exists()
+
 
 def _corpus_with_a_smaller_clip(corpus, path, index=5):
     """A copy of `corpus` at `path` whose clip `index`, with its mask, is 4x3x8x8."""

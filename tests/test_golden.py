@@ -24,11 +24,10 @@ import sys
 import tempfile
 from pathlib import Path
 
+from selectmae.masking import STRATEGIES
 from testkit import TINY
 
 MANIFEST = Path(__file__).with_name("golden_sha256.json")
-
-STRATEGIES = ("adaptive", "random", "tube", "frame")
 
 
 def commands(config: str) -> list[list[str]]:

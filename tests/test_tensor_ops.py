@@ -936,7 +936,6 @@ def test_run_halves_splits_at_the_ceiling_and_keeps_order():
     assert calls[3, 5][0] != here and calls[3, 5][1]
 
 
-
 @pytest.mark.parametrize("failing, raised", [(("here", "there"), "here"), (("here",), "here"),
                                              (("there",), "there")])
 def test_beside_raises_the_callers_error_first_once_both_have_ended(failing, raised):

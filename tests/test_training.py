@@ -859,7 +859,6 @@ def test_pretrain_run_caches_only_the_stored_pixels(tmp_path):
         assert np.array_equal(fg_ids, reference)
 
 
-
 @pytest.mark.parametrize("strategy", ["adaptive", "random"])
 def test_start_up_builds_the_tensors_a_serial_build_gives(strategy, tmp_path):
     cfg = _cfg(strategy=strategy, seed=5)
