@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, ShapeError
+from .errors import ConfigError, ContractError
 from .layers import BlockParams, LinearParams, LayerNormParams, apply_layer_norm, linear, transformer_block
 from .numerics import Tensor, add, concat_rows, gather_rows_batched, reshape
 from .tokenizer import patch_len, positional_encoding
@@ -26,11 +26,9 @@ class BackboneConfig:
     enc_depth: int = 4
     enc_dim: int = 64
     enc_heads: int = 4
-    enc_mlp_ratio: float = 4.0
     dec_depth: int = 4
     dec_dim: int = 32
     dec_heads: int = 2
-    dec_mlp_ratio: float = 4.0
 
     def __post_init__(self):
         if min(self.tubelet) < 1:
@@ -39,8 +37,6 @@ class BackboneConfig:
             raise ConfigError(f"depths must be >= 0, got {self.enc_depth} and {self.dec_depth}")
         if min(self.enc_dim, self.enc_heads, self.dec_dim, self.dec_heads) < 1:
             raise ConfigError("encoder and decoder dims and heads must be positive")
-        if not (self.enc_dim * self.enc_mlp_ratio >= 1 and self.dec_dim * self.dec_mlp_ratio >= 1):
-            raise ConfigError("mlp ratios must give a hidden width of at least 1")
         if self.enc_dim % self.enc_heads != 0:
             raise ConfigError(f"encoder dim {self.enc_dim} not divisible by {self.enc_heads} heads")
         if self.dec_dim % self.dec_heads != 0:
@@ -61,7 +57,7 @@ class ModelParams:
         # positional table; a 0.02 init buries it and stalls training
         self.proj = LinearParams(rng, rows, bb_cfg.enc_dim, std=1.0 / math.sqrt(rows))
         self.enc_blocks = [
-            BlockParams(rng, bb_cfg.enc_dim, bb_cfg.enc_heads, bb_cfg.enc_mlp_ratio)
+            BlockParams(rng, bb_cfg.enc_dim, bb_cfg.enc_heads)
             for _ in range(bb_cfg.enc_depth)
         ]
         self.enc_norm = LayerNormParams(bb_cfg.enc_dim)
@@ -71,7 +67,7 @@ class ModelParams:
             requires_grad=True,
         )
         self.dec_blocks = [
-            BlockParams(rng, bb_cfg.dec_dim, bb_cfg.dec_heads, bb_cfg.dec_mlp_ratio)
+            BlockParams(rng, bb_cfg.dec_dim, bb_cfg.dec_heads)
             for _ in range(bb_cfg.dec_depth)
         ]
         self.dec_norm = LayerNormParams(bb_cfg.dec_dim)
@@ -103,7 +99,7 @@ def encode(visible_tokens: Tensor, params: ModelParams) -> Tensor:
     """Pre-norm transformer over a (B, n, enc_dim) stack of visible
     tokens, then the final layer-norm. One clip is B = 1."""
     if visible_tokens.ndim != 3:
-        raise ShapeError(f"encode takes a (B, n, dim) token stack, got {visible_tokens.shape}")
+        raise ContractError(f"encode takes a (B, n, dim) token stack, got {visible_tokens.shape}")
     if visible_tokens.shape[-2] < 1:
         raise ContractError("encoder needs at least one visible token")
     if visible_tokens.shape[-1] != params.bb_cfg.enc_dim:

@@ -1,11 +1,14 @@
 """Operator-facing command surface.
 
 Commands: gen-data, pretrain, finetune, eval, reconstruct, ablate.
-Exit codes: 0 success, 2 config/usage error, 3 I/O error, 4 corrupt
-artifact, which includes a checkpoint of the wrong kind (a classifier
-given to `reconstruct` or `pretrain --resume`, a pretraining checkpoint
-given to `eval`), a foreground mask of another shape than its clip, and
-clips of more than one shape in one `pretrain` or `finetune`.
+Exit codes: 0 success, 1 any other package error (`NumericError`, such
+as a non-finite loss, or `ContractError`), 2 config/usage error
+(`ConfigError`), 3 I/O error (`OSError`), 4 corrupt artifact
+(`FormatError`), which includes a checkpoint of the wrong kind (a
+classifier given to `reconstruct` or `pretrain --resume`, a pretraining
+checkpoint given to `eval`), a foreground mask of another shape than
+its clip, a clip that is not RGB, and clips of more than one shape in
+one `pretrain` or `finetune`.
 `gen-data`, `pretrain` and `finetune` write their
 resolved config next to their outputs; `eval` and `reconstruct` write
 none. The resolved config and the corpus reproduce a `pretrain` run. A
@@ -45,7 +48,7 @@ import numpy as np
 
 from .backbone import ModelParams
 from .config import RunConfig, config_grid
-from .data import denormalize_targets, generate_corpus, load_clip, load_manifest
+from .data import check_rgb, denormalize_targets, generate_corpus, load_clip, load_manifest
 from .downstream import SplitSpec, evaluate_checkpoint, finetune_run, finetune_train_ids
 from .errors import ConfigError, FormatError, SelectMAEError
 from .masking import SelectionParams
@@ -214,7 +217,7 @@ def cmd_reconstruct(args) -> int:
     selector = SelectionParams(np.random.default_rng(1), cfg.backbone.enc_dim)
     restore(arrays, args.checkpoint, {**model.named(), **selector.named()},
             {"backbone": cfg.document["backbone"]}, pretraining=True)
-    frames = load_clip(args.clip).frames
+    frames = check_rgb(args.clip, load_clip(args.clip)).frames
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -255,8 +255,7 @@ def load_clip(path) -> VideoClip:
     expected = t * c * h * w
     if len(payload) != expected:
         raise FormatError(
-            f"clip payload is {len(payload)} bytes, header implies {expected}"
-        )
+            f"clip payload is {len(payload)} bytes in {path}, header implies {expected}")
     return VideoClip(np.frombuffer(payload, dtype=np.uint8).reshape(t, c, h, w))
 
 
@@ -278,6 +277,15 @@ def mask_path_for(clip_path) -> str:
     if not 0 < dot < len(name) - 1:
         dot = len(name)
     return f"{head}{sep}{name[:dot]}.fg{name[dot:]}"
+
+
+def check_rgb(path, clip: VideoClip) -> VideoClip:
+    """`clip`, read from `path`, once it is known to have the three
+    channels of RGB, the only pixels the tokenizer's projection takes."""
+    channels = clip.pixels.shape[1]
+    if channels != 3:
+        raise FormatError(f"clip {path} has {channels} channel(s), not the 3 of an RGB clip")
+    return clip
 
 
 def check_one_shape(paths: list, clips: list[VideoClip]):

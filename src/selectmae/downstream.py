@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backbone import BackboneConfig, ModelParams, encode
-from .data import check_one_shape, load_clip, load_manifest
-from .errors import ConfigError, DataError
+from .data import check_one_shape, check_rgb, load_clip, load_manifest
+from .errors import ConfigError, ContractError
 from .layers import LinearParams, linear
 from .numerics import (
     AdamW,
@@ -72,10 +72,11 @@ def compute_metrics(predictions, labels, num_steps: int) -> MetricsReport:
     preds = np.asarray(predictions, dtype=np.int64)
     truth = np.asarray(labels, dtype=np.int64)
     if preds.shape != truth.shape or preds.ndim != 1 or preds.size < 1:
-        raise DataError(f"predictions {preds.shape} and labels {truth.shape} must be equal-length 1-D")
+        raise ContractError(
+            f"predictions {preds.shape} and labels {truth.shape} must be equal-length 1-D")
     for name, arr in (("prediction", preds), ("label", truth)):
         if arr.min() < 0 or arr.max() >= num_steps:
-            raise DataError(f"{name} outside 0..{num_steps - 1}")
+            raise ContractError(f"{name} outside 0..{num_steps - 1}")
     confusion = np.zeros((num_steps, num_steps), dtype=np.int64)
     np.add.at(confusion, (truth, preds), 1)
 
@@ -241,6 +242,11 @@ def finetune_train_ids(entries: list[dict], split: SplitSpec, fraction: float | 
     return labeled
 
 
+def _read_clips(entries: list[dict], ids) -> dict:
+    """The clips `ids` of a manifest by id, each checked to be RGB."""
+    return {i: check_rgb(entries[i]["path"], load_clip(entries[i]["path"])) for i in ids}
+
+
 def _classify(clips: dict, ids, entries: list[dict], model, head) -> MetricsReport:
     """Metrics of the clips `ids` against their manifest labels, one clip per call."""
     preds = [int(np.argmax(classification_logits(clips[i].frames, model, head).data))
@@ -275,7 +281,7 @@ def finetune_run(
         restore(init_arrays, source, model.encoder_named(), config_snapshot(backbone=bb_cfg))
     entries = load_manifest(manifest_path)
     labeled = finetune_train_ids(entries, split, cfg.label_fraction, num_steps)
-    clips = {i: load_clip(entries[i]["path"]) for i in [*labeled, *split.val_ids, *split.test_ids]}
+    clips = _read_clips(entries, [*labeled, *split.val_ids, *split.test_ids])
     check_one_shape([entries[i]["path"] for i in clips], list(clips.values()))
 
     head = ClassifierHead(np.random.default_rng([cfg.seed, 2]), bb_cfg.enc_dim, num_steps)
@@ -354,5 +360,5 @@ def evaluate_checkpoint(
     head = ClassifierHead(np.random.default_rng(1), bb_cfg.enc_dim, num_steps)
     restore(arrays, source, {**model.encoder_named(), **head.named()},
             config_snapshot(backbone=bb_cfg))
-    clips = {i: load_clip(entries[i]["path"]) for i in split_ids}
+    clips = _read_clips(entries, split_ids)
     return _classify(clips, split_ids, entries, model, head)

@@ -1,6 +1,8 @@
 """Exception types shared across the package.
 
-CLI exit-code mapping: ConfigError -> 2, I/O (OSError) -> 3, FormatError -> 4.
+CLI exit-code mapping: ConfigError -> 2, I/O (OSError) -> 3,
+FormatError -> 4, and any other SelectMAEError (NumericError,
+ContractError) -> 1.
 """
 
 
@@ -12,21 +14,15 @@ class ConfigError(SelectMAEError):
     """Invalid configuration value or inconsistent config/checkpoint pair."""
 
 
-class ShapeError(SelectMAEError):
-    """Tensor shape mismatch; message names the offending shapes."""
-
-
 class NumericError(SelectMAEError):
     """Non-finite values where finite ones are required."""
 
 
 class ContractError(SelectMAEError):
-    """An internal API contract was violated (e.g. non-scalar loss)."""
+    """An internal API contract was violated: a tensor of the wrong shape,
+    a label outside the classes, a non-scalar loss. The message names
+    the offending shapes or values."""
 
 
 class FormatError(SelectMAEError):
     """Corrupt or mismatched on-disk artifact (clip or checkpoint file)."""
-
-
-class DataError(SelectMAEError):
-    """Invalid data fed to an evaluation routine (e.g. label out of range)."""

@@ -56,8 +56,8 @@ class AttentionParams:
 
 
 class BlockParams:
-    def __init__(self, rng: np.random.Generator, dim: int, heads: int, mlp_ratio: float):
-        hidden = int(dim * mlp_ratio)
+    def __init__(self, rng: np.random.Generator, dim: int, heads: int):
+        hidden = 4 * dim  # the MLP is 4x the token width, as in MAE and VideoMAE
         self.ln1 = LayerNormParams(dim)
         self.attn = AttentionParams(rng, dim, heads)
         self.ln2 = LayerNormParams(dim)

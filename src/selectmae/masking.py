@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ContractError
 from .layers import AttentionParams, LayerNormParams, LinearParams, attention, linear
 from .numerics import Tensor, add, log_softmax, reshape
 
@@ -35,56 +35,32 @@ def visible_count(n_tokens: int, ratio: float) -> int:
     return max(1, n_tokens - _round_half_up(ratio * n_tokens))
 
 
-def _strictly_increasing(ids: np.ndarray) -> bool:
-    return bool((ids[1:] > ids[:-1]).all())
-
-
 @dataclass
 class MaskSpec:
+    """One clip's mask, given by its visible token ids; `masked_ids` are
+    the other ids of 0..N-1, in order."""
     n_tokens: int
     ratio: float
     visible_ids: np.ndarray
-    masked_ids: np.ndarray = field(default=None)
+    masked_ids: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.visible_ids = np.asarray(self.visible_ids, dtype=np.int64)
-        if self.masked_ids is None:
-            # every id in 0..N-1 that is not visible; ids outside that
-            # range mark nothing here and fail validation below
-            vis, n = self.visible_ids, self.n_tokens
-            free = np.ones(max(n, 0), dtype=bool)
-            free[vis[(vis >= 0) & (vis < n)]] = False
-            self.masked_ids = np.flatnonzero(free)
-        self.masked_ids = np.asarray(self.masked_ids, dtype=np.int64)
         self.validate()
+        masked = np.ones(self.n_tokens, dtype=bool)
+        masked[self.visible_ids] = False
+        self.masked_ids = np.flatnonzero(masked)
 
     def validate(self):
-        """Raise ConfigError unless the ids partition 0..N-1, each list
-        strictly increasing."""
-        vis, msk, n = self.visible_ids, self.masked_ids, self.n_tokens
+        """Raise ConfigError unless the visible ids are non-empty, strictly
+        increasing and inside 0..N-1."""
+        vis = self.visible_ids
         if vis.size == 0:
             raise ConfigError("mask spec needs at least one visible token")
-        if not _strictly_increasing(vis):
+        if (vis[1:] <= vis[:-1]).any():
             raise ConfigError("visible ids must be sorted and unique")
-        if not _strictly_increasing(msk):
-            raise ConfigError("masked ids must be sorted and unique")
-        if np.intersect1d(vis, msk, assume_unique=True).size:
-            raise ConfigError("visible and masked ids overlap")
-        if vis.size + msk.size != n:
-            raise ConfigError(f"partition covers {vis.size + msk.size} of {n} tokens")
-        # both lists are sorted, so their end points bound every id
-        lo = min(vis[0], msk[0]) if msk.size else vis[0]
-        hi = max(vis[-1], msk[-1]) if msk.size else vis[-1]
-        if lo < 0 or hi >= n:
+        if vis[0] < 0 or vis[-1] >= self.n_tokens:  # sorted: the end points bound every id
             raise ConfigError("token id outside 0..N-1")
-
-    @property
-    def n_visible(self) -> int:
-        return int(self.visible_ids.size)
-
-    @property
-    def n_masked(self) -> int:
-        return int(self.masked_ids.size)
 
 
 class SelectionParams:
@@ -108,7 +84,7 @@ def select_probabilities(tokens: Tensor, params: SelectionParams) -> Tensor:
     """(B, N) log-probabilities of selecting each token of each clip in a
     (B, N, dim) stack, normalized over the token axis."""
     if tokens.ndim != 3:
-        raise ShapeError(f"selection takes a (B, N, dim) token stack, got {tokens.shape}")
+        raise ContractError(f"selection takes a (B, N, dim) token stack, got {tokens.shape}")
     if tokens.shape[-1] != params.dim:
         raise ConfigError(f"token dim {tokens.shape[-1]} != selection dim {params.dim}")
     y = add(tokens, attention(tokens, params.ln, params.attn))
@@ -127,7 +103,8 @@ def sample_visible(log_probs: np.ndarray, ratio: float, rng: np.random.Generator
     """
     log_p = np.asarray(log_probs, dtype=np.float64)
     if log_p.ndim != 1:
-        raise ShapeError(f"sample_visible takes one clip's (N,) log-probabilities, got {log_p.shape}")
+        raise ContractError(
+            f"sample_visible takes one clip's (N,) log-probabilities, got {log_p.shape}")
     n = log_p.shape[0]
     m = visible_count(n, ratio)
     u = np.clip(rng.random(n), 1e-12, 1.0 - 1e-12)

@@ -64,7 +64,7 @@ import math
 
 import numpy as np
 
-from ..errors import NumericError, ShapeError
+from ..errors import ContractError, NumericError
 from .tensor import Tensor, record_op
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -130,7 +130,7 @@ def scale(a: Tensor, s: float) -> Tensor:
 
 def _check_affine(op: str, x_shape: tuple[int, ...], w: Tensor, b: Tensor):
     if len(x_shape) < 2 or w.ndim != 2 or x_shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
-        raise ShapeError(f"{op}: incompatible shapes {x_shape} @ {w.shape} + {b.shape}")
+        raise ContractError(f"{op}: incompatible shapes {x_shape} @ {w.shape} + {b.shape}")
 
 
 def _project(xd: np.ndarray, wd: np.ndarray, bd: np.ndarray) -> np.ndarray:
@@ -215,7 +215,7 @@ def attend(qkv: Tensor, heads: int) -> Tensor:
     slice's results do not depend on the other slices of its call.
     """
     if qkv.ndim != 3 or qkv.shape[-1] % 3 or heads < 1 or (qkv.shape[-1] // 3) % heads:
-        raise ShapeError(f"attend: packed q/k/v {qkv.shape} does not split into {heads} heads")
+        raise ContractError(f"attend: packed q/k/v {qkv.shape} does not split into {heads} heads")
     batch, n, width = qkv.shape
     dim = width // 3
     d = dim // heads
@@ -289,7 +289,7 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 def _check_norm(op: str, k: int, gain: Tensor, bias: Tensor):
     if gain.shape != (k,) or bias.shape != (k,):
-        raise ShapeError(f"{op}: gain/bias {gain.shape}/{bias.shape} vs feature dim {k}")
+        raise ContractError(f"{op}: gain/bias {gain.shape}/{bias.shape} vs feature dim {k}")
 
 
 def _normalize(xd: np.ndarray, eps: float):
@@ -471,7 +471,7 @@ def gather_rows_batched(x: Tensor, ids) -> Tensor:
     """
     ids = np.asarray(ids, dtype=np.int64)
     if x.ndim != 3 or ids.ndim != 2 or ids.shape[0] != x.shape[0]:
-        raise ShapeError(
+        raise ContractError(
             f"gather_rows_batched: need (B, N, D) input with (B, M) ids, got {x.shape} / {ids.shape}"
         )
     if ids.size and (ids.min() < 0 or ids.max() >= x.shape[1]):

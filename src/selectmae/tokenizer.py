@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ContractError
 from .numerics import Tensor, add, affine
 
 
@@ -85,7 +85,7 @@ def foreground_token_ids(mask: np.ndarray, tubelet: tuple[int, int, int]) -> np.
 def embed_patches(patches: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Project flattened patches (..., N, patch_len) and add the positional table."""
     if weight.shape[0] != patches.shape[-1]:
-        raise ShapeError(f"projection weight {weight.shape} for patch rows of {patches.shape[-1]}")
+        raise ContractError(f"projection weight {weight.shape} for patch rows of {patches.shape[-1]}")
     tokens = affine(patches, weight, bias)
     pe = positional_encoding(tokens.shape[-2], tokens.shape[-1], dtype=tokens.data.dtype)
     return add(tokens, Tensor(pe))
@@ -96,7 +96,7 @@ def tokenize(frames: np.ndarray, tubelet: tuple[int, int, int], weight: Tensor,
     """Embed a (B, T, C, H, W) stack of clips as (B, N, dim) tokens;
     equivalent to a stride-equals-kernel 3-D convolution."""
     if frames.ndim != 5:
-        raise ShapeError(f"tokenize takes a (B, T, C, H, W) stack, got {frames.shape}")
+        raise ContractError(f"tokenize takes a (B, T, C, H, W) stack, got {frames.shape}")
     grid_dims(frames.shape[1:], tubelet)  # divisibility check
     return embed_patches(Tensor(unfold_clip(frames, tubelet)), weight, bias)
 
@@ -121,7 +121,7 @@ def detokenize_patches(
     values = np.asarray(values, dtype=np.float32)
     width = patch_len(tubelet, channels)
     if values.shape != (ids.size, width):
-        raise ShapeError(f"patch values {values.shape} do not match {(ids.size, width)}")
+        raise ContractError(f"patch values {values.shape} do not match {(ids.size, width)}")
     rows = np.zeros((n, width), dtype=np.float32)
     rows[ids] = values
     covered = np.zeros(n, dtype=bool)

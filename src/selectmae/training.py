@@ -33,6 +33,7 @@ from .backbone import BackboneConfig, ModelParams, decode, encode
 from .data import (
     VideoClip,
     check_one_shape,
+    check_rgb,
     load_clip,
     load_manifest,
     load_mask,
@@ -40,7 +41,7 @@ from .data import (
     patch_normalize_targets,
     write_atomically,
 )
-from .errors import ConfigError, ContractError, FormatError, NumericError, ShapeError
+from .errors import ConfigError, ContractError, FormatError, NumericError
 # Unused here; bound because perfbench/tracer.py patches these names in this module.
 from .layers import apply_layer_norm, linear, transformer_block
 from .masking import (
@@ -73,14 +74,6 @@ from .tokenizer import embed_patches, foreground_token_ids, grid_dims, unfold_cl
 
 CKPT_MAGIC = b"CSMA"
 CKPT_VERSION = 1
-
-
-@dataclass
-class LossReport:
-    step: int
-    recon: float  # L_R, mean over the batch
-    select: float  # L_select, mean over the batch (0.0 for baselines)
-    fg_mass: float | None = None  # mean probability mass on foreground tokens
 
 
 @dataclass
@@ -140,7 +133,7 @@ def selection_loss(log_probs: Tensor, errors: Tensor, masked_ids) -> Tensor:
     masked_ids = np.asarray(masked_ids, dtype=np.int64)
     if (errors.shape != masked_ids.shape or log_probs.ndim != 2
             or log_probs.shape[0] != masked_ids.shape[0]):
-        raise ShapeError(
+        raise ContractError(
             f"{errors.shape} errors for {masked_ids.shape} masked ids"
             f" and {log_probs.shape} log-probabilities"
         )
@@ -189,8 +182,12 @@ def pretrain_step(
     rngs: list[np.random.Generator],
     lr: float | None = None,
     step_index: int = 0,
-) -> LossReport:
+) -> dict:
     """One optimization step over a batch of clips; updates parameters.
+    Returns the step's `metrics.jsonl` record: `step`, `L_R` and
+    `L_select` (means over the batch; `L_select` is 0.0 for baselines),
+    `lr`, and `fg_prob_mass`, the mean probability mass the selector puts
+    on foreground tokens (None where no clip has foreground ids).
 
     `fg_ids[i]` holds the foreground token ids of `batch[i]`, or None;
     they feed only the logged foreground mass. The batch runs as two
@@ -222,12 +219,13 @@ def pretrain_step(
 
     shares, recons, selects, masses = zip(*halves)
     masses = [m for half_masses in masses for m in half_masses]
-    return LossReport(
-        step=step_index,
-        recon=sum(s * r for s, r in zip(shares, recons)),
-        select=sum(s * v for s, v in zip(shares, selects)),
-        fg_mass=float(np.mean(masses)) if masses else None,
-    )
+    return {
+        "step": step_index,
+        "L_R": sum(s * r for s, r in zip(shares, recons)),
+        "L_select": sum(s * v for s, v in zip(shares, selects)),
+        "lr": lr,
+        "fg_prob_mass": float(np.mean(masses)) if masses else None,
+    }
 
 
 def _pretrain_half(batch, fg_ids, rngs, model, selector, cfg, share, step_index, tape):
@@ -417,7 +415,7 @@ def _read_corpus(manifest_path, tubelet) -> tuple[list[VideoClip], list[np.ndarr
         raise ConfigError(f"empty corpus manifest {manifest_path}")
     items, fg_ids = [], []
     for entry in entries:
-        clip = load_clip(entry["path"])
+        clip = check_rgb(entry["path"], load_clip(entry["path"]))
         grid_dims(clip.pixels.shape, tubelet)  # divisibility check, before any step
         fg = None
         mask_file = mask_path_for(entry["path"])
@@ -528,7 +526,7 @@ class PretrainRun:
                     step, self.total_steps, cfg.base_lr, cfg.min_lr, cfg.warmup_steps
                 )
                 try:
-                    report = pretrain_step(
+                    record = pretrain_step(
                         [self.items[i] for i in ids], [self.fg_ids[i] for i in ids],
                         self.model, self.selector, self.optimizer, cfg, rngs,
                         lr=lr, step_index=step,
@@ -536,15 +534,8 @@ class PretrainRun:
                 except NumericError as exc:
                     reference = str(last_ckpt) if last_ckpt else "no checkpoint written yet"
                     raise NumericError(f"{exc}; last good checkpoint: {reference}") from exc
-                line = {
-                    "step": step,
-                    "L_R": report.recon,
-                    "L_select": report.select,
-                    "lr": lr,
-                    "fg_prob_mass": report.fg_mass,
-                }
-                log.write(json.dumps(line) + "\n")
-                final_recon = report.recon
+                log.write(json.dumps(record) + "\n")
+                final_recon = record["L_R"]
                 if (step + 1) % cfg.ckpt_every == 0 and (step + 1) < self.total_steps:
                     last_ckpt = self.save(step + 1)
         final = self.save(self.total_steps)

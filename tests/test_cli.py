@@ -10,10 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from selectmae.backbone import ModelParams
-from selectmae import cli
+from selectmae import cli, errors
 from selectmae.cli import main
 from selectmae.config import RunConfig, config_grid, default_document
-from selectmae.data import save_clip, save_mask
+from selectmae.data import load_clip, save_clip, save_mask
 from selectmae.downstream import ClassifierHead, SplitSpec
 from selectmae.errors import ConfigError
 from selectmae.masking import STRATEGIES
@@ -127,7 +127,6 @@ SECTION_OVERRIDES = st.fixed_dictionaries({}, optional={
         "tubelet": st.lists(st.integers(1, 4), min_size=3, max_size=3),
         "enc_depth": st.integers(0, 8),
         "dec_depth": st.integers(0, 8),
-        "enc_mlp_ratio": st.floats(0.25, 8.0),
     }),
     "pretrain": st.fixed_dictionaries({}, optional={
         "mask_ratio": st.floats(0.01, 0.99),
@@ -826,7 +825,7 @@ CONFIGS = {
     "null-max-steps": (_text({"pretrain": {"max_steps": None}}), 2),
     "negative-depth": (_text({"backbone": {"enc_depth": -1}}), 2),
     "zero-heads": (_text({"backbone": {"enc_heads": 0}}), 2),
-    "zero-mlp-ratio": (_text({"backbone": {"dec_mlp_ratio": 0.0}}), 2),
+    "zero-mlp-ratio": (_text({"backbone": {"dec_mlp_ratio": 0.0}}), 2),  # a removed key
     "zero-ckpt-every": (_text({"pretrain": {"ckpt_every": 0}}), 2),
     "negative-max-steps": (_text({"pretrain": {"max_steps": -2}}), 2),
     "zero-max-steps": (_text({"pretrain": {"max_steps": 0}}), 2),
@@ -925,6 +924,8 @@ def test_bad_artifact_exits_on_its_documented_code(
         assert "attn.qkv.weight" in err
     if name == "selection-weight":
         assert "'pretrain.selection_weight'" in err
+    if name == "zero-mlp-ratio":
+        assert "'backbone.dec_mlp_ratio'" in err
     if name.startswith("repeated"):
         assert "appears 2 times in the" in err
     if name.startswith("other-"):
@@ -979,39 +980,58 @@ def test_a_checkpoint_with_the_earlier_tokenizer_section_exits_2(
     assert {tuple(line.split()[:2]) for line in lines} == stale
 
 
+# Keys an earlier config held, at the values that stayed: the loss kind
+# and target normalization of the one objective, and the MLP ratios of
+# the fixed 4x MLP width.
+REMOVED_KEYS = {
+    "pretrain": {"loss_kind": "mse", "normalize_targets": True},
+    "backbone": {"enc_mlp_ratio": 4.0, "dec_mlp_ratio": 4.0},
+}
+
+
 def test_a_checkpoint_naming_the_removed_objective_keys(
         corpus, tiny_config, pretrained, tmp_path, capsys):
-    # a pretraining checkpoint whose config still names the loss kind and
-    # the target normalization, at the values the one objective keeps
-    arrays = load_checkpoint(pretrained)
-    doc = array_to_config(arrays["meta.config_utf8"])
-    doc["pretrain"].update(loss_kind="mse", normalize_targets=True)
-    arrays["meta.config_utf8"] = config_to_array(doc)
-    artifact = tmp_path / "earlier.csma"
-    save_checkpoint(artifact, arrays)
-    capsys.readouterr()
+    for section, removed in REMOVED_KEYS.items():
+        # a pretraining checkpoint whose config still names the removed keys
+        arrays = load_checkpoint(pretrained)
+        doc = array_to_config(arrays["meta.config_utf8"])
+        doc[section].update(removed)
+        arrays["meta.config_utf8"] = config_to_array(doc)
+        artifact = tmp_path / f"earlier-{section}.csma"
+        save_checkpoint(artifact, arrays)
+        capsys.readouterr()
+        named = [f"{section}.{key}" for key in sorted(removed)]
+        diff = [f"- {section}.{key} = {removed[key]!r}" for key in sorted(removed)]
 
-    def run(command):
-        return main(_argv(command, str(artifact), corpus, tiny_config, pretrained, tmp_path))
+        def run(command):
+            return main(_argv(command, str(artifact), corpus, tiny_config, pretrained, tmp_path))
 
-    assert run("pretrain --resume") == 2
-    header, *lines = capsys.readouterr().err.splitlines()
-    assert header == f"config error: the config of {artifact} does not match the run config:"
-    assert lines == ["- pretrain.loss_kind = 'mse'", "- pretrain.normalize_targets = True"]
-    assert run("reconstruct") == 2
-    assert capsys.readouterr().err == (
-        "config error: unknown config key(s) ['pretrain.loss_kind', 'pretrain.normalize_targets']"
-        f" in checkpoint {artifact}\n")
-    # finetune checks only the backbone section, and learns the same from either file
-    reports = []
-    for name, checkpoint in (("unmodified", pretrained), ("earlier", artifact)):
-        out = tmp_path / name / "report.json"
-        assert main(["finetune", "--config", tiny_config, "--corpus", str(corpus),
-                     "--checkpoint", str(checkpoint), "--split", "8,4,4", "--out", str(out)]) == 0
-        reports.append(json.loads(out.read_text()))
-        assert reports[-1].pop("checkpoint_sha256") == hashlib.sha256(
-            Path(checkpoint).read_bytes()).hexdigest()
-    assert reports[0] == reports[1]
+        assert run("pretrain --resume") == 2
+        header, *lines = capsys.readouterr().err.splitlines()
+        assert header == f"config error: the config of {artifact} does not match the run config:"
+        assert lines == diff
+        assert run("reconstruct") == 2
+        assert capsys.readouterr().err == (
+            f"config error: unknown config key(s) {named} in checkpoint {artifact}\n")
+        if section == "backbone":
+            # finetune checks the backbone section, and names each key
+            assert run("finetune --checkpoint") == 2
+            header, *lines = capsys.readouterr().err.splitlines()
+            assert header == (f"config error: the config of {artifact} does not match"
+                              " the run config:")
+            assert lines == diff
+        else:
+            # finetune checks only the backbone section: it learns the same from either file
+            reports = []
+            for name, checkpoint in (("unmodified", pretrained), ("earlier", artifact)):
+                out = tmp_path / name / "report.json"
+                assert main(["finetune", "--config", tiny_config, "--corpus", str(corpus),
+                             "--checkpoint", str(checkpoint), "--split", "8,4,4",
+                             "--out", str(out)]) == 0
+                reports.append(json.loads(out.read_text()))
+                assert reports[-1].pop("checkpoint_sha256") == hashlib.sha256(
+                    Path(checkpoint).read_bytes()).hexdigest()
+            assert reports[0] == reports[1]
 
 
 # A resume in place reads the run's metrics log; a corrupt complete line
@@ -1112,7 +1132,7 @@ def test_pretrain_refuses_a_truncated_clip_before_the_first_step(
     out = tmp_path / "out"
     assert main(["pretrain", "--config", tiny_config, "--corpus", str(bad),
                  "--out", str(out)]) == 4
-    assert capsys.readouterr().err == ("corrupt artifact: clip payload is 3071 bytes,"
+    assert capsys.readouterr().err == (f"corrupt artifact: clip payload is 3071 bytes in {clip},"
                                        " header implies 3072\n")
     assert not list(out.glob("*.csma")) and not (out / "metrics.jsonl").exists()
 
@@ -1144,3 +1164,64 @@ def test_clips_of_more_than_one_shape_are_refused_before_the_first_step(
                    f" (T, C, H, W), but {bad / 'clip_00000.csvc'} is (4, 3, 16, 16):"
                    " the clips of a run share one shape\n")
     assert not list(out.glob("*.csma")) and not (out / "report.json").exists()
+
+
+def _corpus_of_one_channel(corpus, path):
+    """A copy of `corpus` at `path` whose clips keep only their first channel."""
+    shutil.copytree(corpus, path)
+    for clip in sorted(path.glob("clip_?????.csvc")):
+        save_clip(load_clip(clip).pixels[:, :1], clip)
+    return path
+
+
+# finetune reads its labeled train clips first, eval only its test clip
+@pytest.mark.parametrize("command,first", [("pretrain", 0), ("finetune", 0), ("eval", 7),
+                                           ("reconstruct", 3)])
+def test_a_clip_that_is_not_rgb_is_refused_when_read(
+        command, first, corpus, tiny_config, pretrained, tmp_path, capsys):
+    bad = _corpus_of_one_channel(corpus, tmp_path / "corpus")
+    out = tmp_path / "out"
+    common = ["--config", tiny_config, "--corpus", str(bad)]
+    split = tmp_path / "split.json"
+    split.write_text(json.dumps({"train": [0, 1, 2, 3, 4, 5], "val": [6], "test": [7]}))
+    classifier = tmp_path / "classifier.csma"
+    _classifier_checkpoint(classifier, pretrained)
+    argv = {
+        "pretrain": ["pretrain", *common, "--out", str(out)],
+        "finetune": ["finetune", *common, "--scratch", "--split", str(split),
+                     "--out", str(out / "report.json")],
+        "eval": ["eval", *common, "--checkpoint", str(classifier), "--split", str(split),
+                 "--out", str(out / "report.json")],
+        "reconstruct": ["reconstruct", "--checkpoint", str(pretrained),
+                        "--clip", str(bad / "clip_00003.csvc"), "--out-dir", str(out)],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 4
+    assert capsys.readouterr().err == (f"corrupt artifact: clip {bad / f'clip_{first:05d}.csvc'}"
+                                       " has 1 channel(s), not the 3 of an RGB clip\n")
+    assert not list(out.glob("*.csma")) and not list(out.glob("*.ppm"))
+    assert not (out / "metrics.jsonl").exists() and not (out / "report.json").exists()
+
+
+# each error class of the package, and how `main` reports it
+EXIT_CODES = {
+    "SelectMAEError": (1, "error: "),
+    "NumericError": (1, "error: "),
+    "ContractError": (1, "error: "),
+    "ConfigError": (2, "config error: "),
+    "FormatError": (4, "corrupt artifact: "),
+}
+ERROR_CLASSES = [value for value in vars(errors).values()
+                 if isinstance(value, type) and issubclass(value, errors.SelectMAEError)]
+
+
+@pytest.mark.parametrize("error", ERROR_CLASSES, ids=lambda error: error.__name__)
+def test_each_error_class_exits_on_its_documented_code(error, monkeypatch, tmp_path, capsys):
+    def fail(args):
+        raise error("what went wrong")
+
+    monkeypatch.setattr(cli, "cmd_gen_data", fail)
+    code, prefix = EXIT_CODES[error.__name__]
+    assert main(["gen-data", "--out", str(tmp_path / "out")]) == code
+    assert capsys.readouterr().err == f"{prefix}what went wrong\n"
+    assert set(EXIT_CODES) == {cls.__name__ for cls in ERROR_CLASSES}

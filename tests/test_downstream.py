@@ -20,7 +20,7 @@ from selectmae.downstream import (
     finetune_run,
     labeled_train_ids,
 )
-from selectmae.errors import ConfigError, DataError, FormatError
+from selectmae.errors import ConfigError, ContractError, FormatError
 from selectmae.training import CONFIG_ENTRY, PretrainConfig, config_snapshot, config_to_array
 
 from testkit import assert_owned_by, generate_clip, tape_held_bytes
@@ -61,11 +61,11 @@ def test_metrics_confusion_row_sums_match_truth_counts():
 
 
 def test_metrics_validation_errors():
-    with pytest.raises(DataError):
+    with pytest.raises(ContractError):
         compute_metrics([0, 1], [0], 2)
-    with pytest.raises(DataError):
+    with pytest.raises(ContractError):
         compute_metrics([0, 5], [0, 1], 2)
-    with pytest.raises(DataError):
+    with pytest.raises(ContractError):
         compute_metrics([], [], 2)
 
 

@@ -10,7 +10,7 @@ from selectmae.data import (
     denormalize_targets,
     patch_normalize_targets,
 )
-from selectmae.errors import ConfigError, ShapeError
+from selectmae.errors import ConfigError, ContractError
 from selectmae.tokenizer import (
     detokenize_patches,
     foreground_token_ids,
@@ -36,7 +36,7 @@ def test_token_count_arithmetic():
     w, b = _random_params(tubelet, 64, np.random.default_rng(0))
     tokens = tokenize(clip.frames[None], tubelet, w, b)
     assert tokens.shape == (1, 4 * 8 * 8, 64)
-    with pytest.raises(ShapeError, match="stack"):
+    with pytest.raises(ContractError, match="stack"):
         tokenize(clip.frames, tubelet, w, b)  # one clip is a batch of one
 
 
@@ -198,7 +198,7 @@ def test_detokenize_rejects_bad_ids():
         detokenize_patches(values, [256], (8, 3, 32, 32), tubelet)
     with pytest.raises(IndexError):
         detokenize_patches(values, [-1], (8, 3, 32, 32), tubelet)
-    with pytest.raises(ShapeError):  # one row for two ids
+    with pytest.raises(ContractError):  # one row for two ids
         detokenize_patches(values, [0, 1], (8, 3, 32, 32), tubelet)
     with pytest.raises(ConfigError, match="axis H"):  # no grid of whole tubelets
         detokenize_patches(values, [0], (8, 3, 30, 32), tubelet)
@@ -214,7 +214,7 @@ def test_config_validation():
     rng = np.random.default_rng(5)
     w, b = _random_params((2, 4, 4), 64, rng)
     frames = rng.random((1, 4, 3, 8, 8)).astype(np.float32)
-    with pytest.raises(ShapeError, match="projection weight"):
+    with pytest.raises(ContractError, match="projection weight"):
         tokenize(frames, (2, 2, 2), w, b)
 
 

@@ -26,7 +26,7 @@ from selectmae.data import (
     save_clip,
     save_mask,
 )
-from selectmae.errors import ConfigError, ContractError, FormatError, NumericError, ShapeError
+from selectmae.errors import ConfigError, ContractError, FormatError, NumericError
 from selectmae.masking import (
     STRATEGIES,
     MaskSpec,
@@ -109,7 +109,7 @@ def test_selection_loss_gradient_sign_and_sum():
     logits = nm.Tensor(rng.standard_normal((1, 6)).astype(np.float32), requires_grad=True)
     spec = MaskSpec(6, 0.83, np.array([int(rng.integers(6))]))  # 1 visible, 5 masked
     masked = spec.masked_ids
-    errors = np.zeros((1, spec.n_masked), dtype=np.float32)
+    errors = np.zeros((1, spec.masked_ids.size), dtype=np.float32)
     hot = 2  # one masked token with high error
     errors[0, hot] = 3.0
     with nm.Tape() as tape:
@@ -121,8 +121,8 @@ def test_selection_loss_gradient_sign_and_sum():
     assert abs(g.sum()) < 1e-6
     # analytic softmax-gradient oracle: d/dz_l = -(c/|I_m|) * (delta - P_l)
     p = np.exp(log_probs.data[0].astype(np.float64))
-    expected = (3.0 / spec.n_masked) * p
-    expected[masked[hot]] -= 3.0 / spec.n_masked
+    expected = (3.0 / spec.masked_ids.size) * p
+    expected[masked[hot]] -= 3.0 / spec.masked_ids.size
     np.testing.assert_allclose(g, expected, atol=1e-6)
 
 
@@ -137,9 +137,9 @@ def test_selection_loss_rejects_attached_errors():
 def test_selection_loss_shape_mismatch():
     log_probs = nm.Tensor(np.zeros((2, 4), dtype=np.float32))
     masked_ids = [[0, 1, 2], [1, 2, 3]]
-    with pytest.raises(ShapeError):  # two errors per clip for three masked ids
+    with pytest.raises(ContractError):  # two errors per clip for three masked ids
         selection_loss(log_probs, nm.Tensor(np.ones((2, 2), dtype=np.float32)), masked_ids)
-    with pytest.raises(ShapeError):  # log-probabilities for one clip, errors for two
+    with pytest.raises(ContractError):  # log-probabilities for one clip, errors for two
         selection_loss(nm.Tensor(np.zeros((1, 4), dtype=np.float32)),
                        nm.Tensor(np.ones((2, 3), dtype=np.float32)), masked_ids)
 
@@ -205,12 +205,15 @@ def test_pretrain_step_updates_and_reports(monkeypatch):
     errors = _recording_errors(monkeypatch)
     report = pretrain_step(clips, fg_ids, model, selector, opt, cfg, rngs, lr=1e-3, step_index=0)
     assert not np.array_equal(model.proj.weight.data, before)
-    assert np.isfinite(report.recon) and np.isfinite(report.select)
-    assert report.fg_mass is not None and 0 < report.fg_mass < 1
+    # the step's metrics.jsonl record, in its key order
+    assert list(report) == ["step", "L_R", "L_select", "lr", "fg_prob_mass"]
+    assert (report["step"], report["lr"]) == (0, 1e-3)
+    assert np.isfinite(report["L_R"]) and np.isfinite(report["L_select"])
+    assert report["fg_prob_mass"] is not None and 0 < report["fg_prob_mass"] < 1
     # invariant: recon equals the mean of per-clip per-token means
     per_clip = [float(np.mean(pt)) for pt in errors()]
     assert len(per_clip) == 3
-    assert report.recon == pytest.approx(np.mean(per_clip), rel=1e-6)
+    assert report["L_R"] == pytest.approx(np.mean(per_clip), rel=1e-6)
 
 
 def test_pretrain_step_baseline_never_touches_selector():
@@ -370,9 +373,9 @@ def test_two_half_step_matches_the_step_on_one_tape(monkeypatch, strategy, n_cli
     assert len(errors) == n_clips
     for row, one_row in zip(errors, one_errors, strict=True):
         np.testing.assert_array_equal(row, one_row)
-    assert report.recon == pytest.approx(one_report.recon, rel=1e-6)
-    assert report.select == pytest.approx(one_report.select, rel=1e-6)
-    assert report.fg_mass == one_report.fg_mass
+    assert report["L_R"] == pytest.approx(one_report["L_R"], rel=1e-6)
+    assert report["L_select"] == pytest.approx(one_report["L_select"], rel=1e-6)
+    assert report["fg_prob_mass"] == one_report["fg_prob_mass"]
 
 
 def test_two_half_steps_are_bitwise_repeatable():
@@ -382,8 +385,7 @@ def test_two_half_steps_are_bitwise_repeatable():
         for name, grad in grads.items():
             assert np.array_equal(grad, first[name]), name
         assert all(np.array_equal(a, b) for a, b in zip(again, visible))
-        assert (repeat.recon, repeat.select, repeat.fg_mass) == (
-            report.recon, report.select, report.fg_mass)
+        assert repeat == report
 
 
 def test_grad_clip_runs_once_on_the_summed_gradient():
@@ -525,7 +527,7 @@ def test_a_step_scores_the_rows_at_its_masked_ids(monkeypatch):
     errors = _recording_errors(monkeypatch)
     report = pretrain_step(clips, fg_ids, model, selector, opt,
                            _cfg(strategy="random"), [np.random.default_rng(5)])
-    assert report.recon == expected.item()
+    assert report["L_R"] == expected.item()
     [row] = errors()
     assert np.array_equal(row, per_token.data[0])
 

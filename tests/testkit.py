@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from selectmae.data import SynthConfig, VideoClip, generate_clip_with_mask
-from selectmae.errors import FormatError, ShapeError
+from selectmae.errors import ContractError, FormatError
 from selectmae.numerics import Tape, Tensor, backward, ops, precision
 from selectmae.numerics.tensor import record_op
 
@@ -43,7 +43,7 @@ TINY = {
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product over equal leading dims; `affine` applies a weight."""
     if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2] or a.shape[:-2] != b.shape[:-2]:
-        raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
+        raise ContractError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
     ad, bd = a.data, b.data
     out = Tensor(ad @ bd)
 
